@@ -9,6 +9,8 @@ or undecided-at-budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -262,18 +264,51 @@ def _cmd_series_drezet(args):
             {"d": args.d_size, "e": args.e_size, "n": args.n})
 
 
-def _cmd_fixtures_run(args):
-    if args.path:
-        with open(args.path) as fh:
-            fixtures = json.load(fh)
+def _load_fixtures(path):
+    """The fixture list at ``path`` (the bundled table when None), checked
+    for shape: a JSON list of objects, each with an "argv" list of strings."""
+    if path:
+        try:
+            with open(path) as fh:
+                fixtures = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read fixture file: {exc}") from None
+        except ValueError as exc:  # bad JSON or bad encoding
+            raise InputError(f"bad fixture JSON: {exc}") from None
     else:
         ref = resources.files("quivermoduli").joinpath("fixtures/k3_tables.json")
         fixtures = json.loads(ref.read_text())
+    if not isinstance(fixtures, list):
+        raise InputError("fixture file must be a JSON list of fixtures")
+    for i, fx in enumerate(fixtures):
+        argv = fx.get("argv") if isinstance(fx, dict) else None
+        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+            raise InputError(f'fixture {i} must be an object with an "argv" list '
+                             f"of strings")
+    return fixtures
+
+
+def _parse_fixture_argv(name, argv):
+    """Parse a fixture's argv; a parse error is an input error, not an exit."""
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(usage), contextlib.redirect_stderr(usage):
+            args = _parse(argv)
+    except SystemExit:
+        message = (usage.getvalue().strip().splitlines() or ["exited"])[-1]
+        raise InputError(f"fixture {name!r}: bad argv: {message}") from None
+    if args.fn is _cmd_fixtures_run:
+        raise InputError(f"fixture {name!r}: fixtures cannot run fixtures")
+    return args
+
+
+def _cmd_fixtures_run(args):
+    fixtures = _load_fixtures(args.path)
     report = []
     failures = 0
     for fx in fixtures:
         name = fx.get("name", " ".join(fx["argv"]))
-        payload, _ = _dispatch(_parse(fx["argv"]))
+        payload, _ = _dispatch(_parse_fixture_argv(name, fx["argv"]))
         payload = _stringify(payload)
         ok = True
         detail = None

@@ -3,7 +3,11 @@ Poincare polynomials of moduli spaces of stable representations.
 
 All heavy sums are carried out in a factored representation (CycloFrac)
 whose denominator is a multiset of factors x^k - 1; this avoids polynomial
-gcds on the hot path.  Only final results are canonicalized.
+gcds on the hot path.  Only final results are reduced, by integer trial
+division through cyclotomic polynomials, and no ``Fraction`` polynomial
+arithmetic runs on the way.  A sum lifts each numerator to the common
+denominator in one packed-integer multiply (see ``laurent``): the digit
+width comes from the bound max|a| 2^(sum m) on the lifted coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CoprimalityError, InputError
-from .laurent import LaurentPoly, RationalFunc, cyclotomic
+from .laurent import LaurentPoly, RationalFunc, _binomial_lift_sum, cyclotomic
 from .quiver import DimVector, Quiver, Stability
 
 __all__ = [
@@ -38,6 +42,11 @@ __all__ = [
 def _binomial_factor(e, m):
     """(x^e - 1)^m as a Laurent polynomial."""
     return LaurentPoly({e: 1, 0: -1}) ** m
+
+
+# CycloFrac.sum lifts its terms this many at a time: a larger batch lifts the
+# running total fewer times but keeps more terms alive at once.
+_SUM_BATCH = 8
 
 
 class CycloFrac:
@@ -71,23 +80,38 @@ class CycloFrac:
     def is_zero(self):
         return self.num.is_zero()
 
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
+    @classmethod
+    def sum(cls, terms):
+        """The sum of the iterable ``terms``, taken _SUM_BATCH terms at a time
+        so that few of them are alive at once."""
+        batch = []
+        for t in terms:
+            if not t.is_zero():
+                batch.append(t)
+                if len(batch) == _SUM_BATCH:
+                    total = cls._sum(batch)
+                    batch = [] if total.is_zero() else [total]
+        return cls._sum(batch)
+
+    @classmethod
+    def _sum(cls, terms):
+        """The sum of nonzero ``terms`` over their least common denominator;
+        each numerator is lifted to it in one packed multiply."""
+        if len(terms) < 2:
+            return terms[0] if terms else cls.zero()
         den = {}
-        for e in set(self.den) | set(other.den):
-            den[e] = max(self.den.get(e, 0), other.den.get(e, 0))
-        a, b = self.num, other.num
-        for e, m in den.items():
-            da = m - self.den.get(e, 0)
-            if da:
-                a = a * _binomial_factor(e, da)
-            db = m - other.den.get(e, 0)
-            if db:
-                b = b * _binomial_factor(e, db)
-        return CycloFrac(a + b, den)
+        for t in terms:
+            for e, m in t.den.items():
+                if m > den.get(e, 0):
+                    den[e] = m
+        num = _binomial_lift_sum(
+            [(t.num, {e: m - t.den.get(e, 0) for e, m in den.items()
+                      if m != t.den.get(e, 0)})
+             for t in terms])
+        return cls(num, den)
+
+    def __add__(self, other):
+        return CycloFrac.sum((self, other))
 
     def __neg__(self):
         return CycloFrac(-self.num, self.den)
@@ -113,8 +137,12 @@ class CycloFrac:
         """Cancel and return the canonical rational function.
 
         Each x^e - 1 factors into cyclotomics; exact trial division strips
-        every shared cyclotomic from the numerator, so the final gcd in the
-        RationalFunc constructor is trivial.
+        every shared cyclotomic from the numerator.  The gcd of what is left
+        is 1: each cyclotomic left in the denominator is irreducible and
+        failed trial division (over Z, which for a monic divisor is the same
+        as over Q), and the denominator, a product of monic factors with
+        nonzero constant term, is already in canonical form.  So the result
+        skips RationalFunc's general gcd.
         """
         if self.is_zero():
             return RationalFunc.zero()
@@ -134,7 +162,7 @@ class CycloFrac:
         den = LaurentPoly.one()
         for n, m in cyc.items():
             den = den * cyclotomic(n) ** m
-        return RationalFunc(num, den)
+        return RationalFunc(num, den, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +299,18 @@ def _T(quiver, tkey, f, bound):
     hit = _T_memo.get(key)
     if hit is not None:
         return hit
-    total = CycloFrac.zero()
-    if _slope(quiver, tkey, f) < bound:  # else no tuple fits below the bound
+
+    def terms():
+        if not _slope(quiver, tkey, f) < bound:  # no tuple fits below the bound
+            return
         for e in quiver.vectors_below(f):
             if not _slope(quiver, tkey, e) < bound:
                 continue
             term = _mass_ss_cf(quiver, tkey, e) * _T(quiver, tkey, f - e,
                                                      _slope(quiver, tkey, e))
-            total = total + term.shift(-quiver.euler(f - e, e))
+            yield term.shift(-quiver.euler(f - e, e))
+
+    total = CycloFrac.sum(terms())
     _T_memo[key] = total
     return total
 
@@ -289,13 +321,17 @@ def _mass_ss_cf(quiver, tkey, d):
     if hit is not None:
         return hit
     mu = _slope(quiver, tkey, d)
-    total = _mass_cf(quiver, d)
-    for e in quiver.vectors_below(d):
-        if e == d or not _slope(quiver, tkey, e) > mu:
-            continue
-        term = _mass_ss_cf(quiver, tkey, e) * _T(quiver, tkey, d - e,
-                                                 _slope(quiver, tkey, e))
-        total = total - term.shift(-quiver.euler(d - e, e))
+
+    def terms():
+        yield _mass_cf(quiver, d)
+        for e in quiver.vectors_below(d):
+            if e == d or not _slope(quiver, tkey, e) > mu:
+                continue
+            term = _mass_ss_cf(quiver, tkey, e) * _T(quiver, tkey, d - e,
+                                                     _slope(quiver, tkey, e))
+            yield -term.shift(-quiver.euler(d - e, e))
+
+    total = CycloFrac.sum(terms())
     _mass_ss_memo[key] = total
     return total
 
@@ -327,26 +363,28 @@ def _C(quiver, tkey, g, mu_d):
     hit = _C_memo.get(key)
     if hit is not None:
         return hit
-    total = CycloFrac.zero()
-    for e in quiver.vectors_below(g):
-        inner = CycloFrac.one() if e == g else -_C(quiver, tkey, g - e, mu_d)
-        if inner.is_zero():
-            continue
-        term = (_mass_cf(quiver, e) * inner).shift(-quiver.euler(e, g - e))
-        total = total + term
+
+    def terms():
+        for e in quiver.vectors_below(g):
+            inner = CycloFrac.one() if e == g else -_C(quiver, tkey, g - e, mu_d)
+            if not inner.is_zero():
+                yield (_mass_cf(quiver, e) * inner).shift(-quiver.euler(e, g - e))
+
+    total = CycloFrac.sum(terms())
     _C_memo[key] = total
     return total
 
 
 def _mass_ss_closed_cf(quiver, tkey, d):
     mu = _slope(quiver, tkey, d)
-    total = CycloFrac.zero()
-    for e in quiver.vectors_below(d):
-        inner = CycloFrac.one() if e == d else -_C(quiver, tkey, d - e, mu)
-        if inner.is_zero():
-            continue
-        total = total + (_mass_cf(quiver, e) * inner).shift(-quiver.euler(e, d - e))
-    return total
+
+    def terms():
+        for e in quiver.vectors_below(d):
+            inner = CycloFrac.one() if e == d else -_C(quiver, tkey, d - e, mu)
+            if not inner.is_zero():
+                yield (_mass_cf(quiver, e) * inner).shift(-quiver.euler(e, d - e))
+
+    return CycloFrac.sum(terms())
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
@@ -391,13 +429,15 @@ def _P(quiver, tkey, g, mu_d):
     hit = _P_memo.get(key)
     if hit is not None:
         return hit
-    total = CycloFrac.zero()
-    for e in quiver.vectors_below(g):
-        inner = CycloFrac.one() if e == g else -_P(quiver, tkey, g - e, mu_d)
-        if inner.is_zero():
-            continue
-        term = (_weight_cf(quiver, e) * inner).shift(2 * _arrow_pairing(quiver, e, g))
-        total = total + term
+
+    def terms():
+        for e in quiver.vectors_below(g):
+            inner = CycloFrac.one() if e == g else -_P(quiver, tkey, g - e, mu_d)
+            if not inner.is_zero():
+                yield (_weight_cf(quiver, e) * inner).shift(
+                    2 * _arrow_pairing(quiver, e, g))
+
+    total = CycloFrac.sum(terms())
     _P_memo[key] = total
     return total
 
@@ -415,13 +455,15 @@ def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     _check_coprime(theta, d)
     tkey = _theta_key(quiver, theta)
     mu = _slope(quiver, tkey, d)
-    total = CycloFrac.zero()
-    for e in quiver.vectors_below(d):
-        inner = CycloFrac.one() if e == d else -_P(quiver, tkey, d - e, mu)
-        if inner.is_zero():
-            continue
-        total = total + (_weight_cf(quiver, e) * inner).shift(
-            2 * _arrow_pairing(quiver, e, d))
+
+    def terms():
+        for e in quiver.vectors_below(d):
+            inner = CycloFrac.one() if e == d else -_P(quiver, tkey, d - e, mu)
+            if not inner.is_zero():
+                yield (_weight_cf(quiver, e) * inner).shift(
+                    2 * _arrow_pairing(quiver, e, d))
+
+    total = CycloFrac.sum(terms())
     dim_d = d.total()
     pre_shift = -sum(n * (n - 1) for n in quiver.tup(d))
     total = CycloFrac(total.num.shift(pre_shift),

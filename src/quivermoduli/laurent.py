@@ -3,12 +3,25 @@
 Coefficients are arbitrary-precision integers; rational functions are kept
 in a canonical form (common factor removed, denominator with lowest exponent
 zero and positive leading coefficient) so that equality is decidable.
+
+The hot paths use integers only.  Exact division is integer synthetic
+division that gives up at the first coefficient the divisor's leading
+coefficient does not divide.  Products of large operands, and the lifts of
+numerators by products of binomials x^e - 1 (:func:`_binomial_lift_sum`),
+use Kronecker substitution: coefficients become the base-2^k digits of one
+integer, so a single big-integer multiply does the work.  Digits are
+balanced (signed), and k always comes from a proven bound on the result's
+coefficients, never from a guess.  ``Fraction`` remains only in the general
+gcd of :class:`RationalFunc` and in evaluation at rational points.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
 from .errors import InputError, NonPolynomialError
 
@@ -27,6 +40,174 @@ def _as_coeff_dict(value):
     if isinstance(value, int):
         return LaurentPoly({0: value})
     return NotImplemented
+
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _wrap(c):
+    """A LaurentPoly around a trusted dict without zero coefficients."""
+    out = LaurentPoly()
+    object.__setattr__(out, "_c", c)
+    return out
+
+
+# -- Kronecker substitution ----------------------------------------------------
+#
+# A polynomial sum_i c_i x^(lo + g*i) is packed as the integer sum_i c_i 2^(k*i):
+# its value at x^g = 2^k, up to the monomial x^lo.  Packing is a ring
+# homomorphism, so products and sums of packed values are the packed products
+# and sums.  When every coefficient of the result satisfies |c| < 2^(k-1), the
+# result's balanced base-2^k digits are exactly its coefficients.  Adding the
+# bias sum_i 2^(k-1) 2^(k*i) turns them into ordinary digits in [0, 2^k), which
+# are converted through bytes: by machine words when k is a word size.
+
+# LaurentPoly.__mul__ multiplies by Kronecker substitution when the smaller
+# operand has at least this many terms and the operands have at least this
+# many term pairs; schoolbook is faster otherwise.  Timed on operand pairs
+# sampled from Betti computations on K3, this rule came within 1% of taking
+# the faster method for every pair.  A third condition, exponent spans adding
+# up to at most the number of term pairs, keeps sparse wide operands, which
+# would pack into mostly empty digits, on schoolbook.
+_KRONECKER_MIN_TERMS = 4
+_KRONECKER_MIN_PAIRS = 128
+
+# array type code of each machine-word digit width, in bits.  Word-sized
+# digits convert in one call rather than one call per digit.  Rounding k up
+# to a word size widens the packed integers, yet on K3 Betti computations it
+# took 8% off the run time compared with whole bytes alone.
+_WORD_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+_WORD_BITS = tuple(sorted(_WORD_CODES))
+
+
+def _digit_bits(bound):
+    """Digit width k for coefficients of absolute value at most ``bound``:
+    one sign bit and two guard bits above the bound, rounded up to a word
+    size or else to whole bytes."""
+    bits = bound.bit_length() + 3
+    for k in _WORD_BITS:
+        if bits <= k:
+            return k
+    return (bits + 7) & ~7
+
+
+def _bias(n, k):
+    """The packed value of n digits all equal to 2^(k-1)."""
+    return int.from_bytes(((1 << (k - 1)).to_bytes(k >> 3, "little")) * n, "little")
+
+
+def _from_digits(digits, k):
+    """sum_i digits[i] 2^(k*i) for digits in [0, 2^k)."""
+    code = _WORD_CODES.get(k)
+    if code is None:
+        nb = k >> 3
+        return int.from_bytes(b"".join(d.to_bytes(nb, "little") for d in digits),
+                              "little")
+    words = array(code, digits)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _to_digits(value, n, k):
+    """The n base-2^k digits of 0 <= value < 2^(k*n), lowest first."""
+    raw = value.to_bytes(n * (k >> 3), "little")
+    code = _WORD_CODES.get(k)
+    if code is None:
+        nb = k >> 3
+        from_bytes = int.from_bytes
+        return [from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+    words = array(code, raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _pack(c, lo, g, n, k):
+    """sum c[lo + g*i] 2^(k*i) over the n digits; every exponent of ``c`` must
+    be lo + g*i with 0 <= i < n and every |coefficient| < 2^(k-1)."""
+    half = 1 << (k - 1)
+    digits = [half] * n
+    for e, a in c.items():
+        digits[(e - lo) // g] = a + half
+    return _from_digits(digits, k) - _bias(n, k)
+
+
+def _unpack(value, lo, g, n, k):
+    """Coefficient dict of the n balanced base-2^k digits of ``value``, digit i
+    at exponent lo + g*i; the caller proves |digit| < 2^(k-1)."""
+    half = 1 << (k - 1)
+    digits = _to_digits(value + _bias(n, k), n, k)
+    return {lo + g * i: a - half for i, a in enumerate(digits) if a != half}
+
+
+def _stride(lo, exps):
+    """The largest g with every exponent in ``exps`` congruent to lo mod g;
+    0 when every exponent equals lo."""
+    g = 0
+    for e in exps:
+        g = gcd(g, e - lo)
+        if g == 1:
+            break
+    return g
+
+
+def _max_abs(c):
+    return max(max(c.values()), -min(c.values()))
+
+
+def _kronecker_mul(a, b):
+    """Product of two coefficient dicts, len(a) <= len(b), by one multiply of
+    packed integers.  A coefficient of the product sums at most len(a) terms,
+    each at most max|a| max|b|."""
+    alo, blo = min(a), min(b)
+    g = gcd(_stride(alo, a), _stride(blo, b)) or 1
+    k = _digit_bits(_max_abs(a) * _max_abs(b) * len(a))
+    na = (max(a) - alo) // g + 1
+    nb = (max(b) - blo) // g + 1
+    value = _pack(a, alo, g, na, k) * _pack(b, blo, g, nb, k)
+    return _unpack(value, alo + blo, g, na + nb - 1, k)
+
+
+def _binomial_lift_sum(terms):
+    """sum_j p_j * prod_e (x^e - 1)^(m_je) over the pairs (p_j, {e: m_je}) of
+    ``terms``, with one packed multiply per pair.
+
+    Each coefficient of p * prod (x^e - 1)^(m_e) is at most max|p| 2^(sum m_e)
+    in absolute value, since the absolute values of the coefficients of the
+    product of binomials sum to at most 2^(sum m_e); the bound of the sum adds
+    these.  Operands too sparse to pack, spanning more than twice as many
+    digits as their lifts can have terms, are lifted term by term instead.
+    """
+    terms = [(p._c, f) for p, f in terms if p._c]
+    if not terms:
+        return LaurentPoly()
+    lo = min(min(c) for c, _ in terms)
+    top = max(max(c) + sum(e * m for e, m in f.items()) for c, f in terms)
+    g = 0
+    bound = 0
+    for c, f in terms:
+        g = gcd(g, _stride(lo, c), *f)
+        bound += _max_abs(c) << sum(f.values())
+    g = g or 1
+    n = (top - lo) // g + 1
+    if n > 2 * sum(len(c) * prod(m + 1 for m in f.values()) for c, f in terms):
+        total = LaurentPoly()
+        for c, f in terms:
+            p = _wrap(c)
+            for e, m in f.items():
+                p = p * LaurentPoly({e: 1, 0: -1}) ** m
+            total = total + p
+        return total
+    k = _digit_bits(bound)
+    total = 0
+    for c, f in terms:
+        clo = min(c)
+        value = _pack(c, clo, g, (max(c) - clo) // g + 1, k)
+        for e, m in f.items():
+            value *= ((1 << (k * e // g)) - 1) ** m
+        total += value << (k * ((clo - lo) // g))
+    return _wrap(_unpack(total, lo, g, n, k))
 
 
 class LaurentPoly:
@@ -90,7 +271,6 @@ class LaurentPoly:
         return self._c[self.degree()]
 
     def content(self):
-        from math import gcd
         g = 0
         for a in self._c.values():
             g = gcd(g, a)
@@ -150,18 +330,17 @@ class LaurentPoly:
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
+        pairs = len(a) * len(b)
+        if (len(a) >= _KRONECKER_MIN_TERMS and pairs >= _KRONECKER_MIN_PAIRS
+                and max(a) - min(a) + max(b) - min(b) <= pairs):
+            return _wrap(_kronecker_mul(a, b))
         c = {}
+        get = c.get
         for e1, a1 in a.items():
             for e2, a2 in b.items():
                 e = e1 + e2
-                v = c.get(e, 0) + a1 * a2
-                if v:
-                    c[e] = v
-                else:
-                    del c[e]
-        out = LaurentPoly()
-        object.__setattr__(out, "_c", c)
-        return out
+                c[e] = get(e, 0) + a1 * a2
+        return _wrap({e: v for e, v in c.items() if v})
 
     __rmul__ = __mul__
 
@@ -206,30 +385,42 @@ class LaurentPoly:
         return cls({low + i: a for i, a in enumerate(coeffs) if a})
 
     def divexact(self, other):
-        """Exact division; returns None when the quotient does not exist."""
-        if other.is_zero():
+        """Exact division; returns None when the quotient does not exist.
+
+        Integer synthetic division over the divisor's nonzero terms.  Until
+        a step fails, every quotient coefficient found is the one over Q, so
+        a top coefficient that the divisor's leading coefficient does not
+        divide means the quotient over Q is not integral: None at once.
+        """
+        if not other._c:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self._c:
             return LaurentPoly()
-        num, nlo = self.shifted_coeffs()
-        den, dlo = other.shifted_coeffs()
-        if len(num) < len(den):
+        nlo, dlo = min(self._c), min(other._c)
+        dhi = max(other._c)
+        n = max(self._c) - nlo
+        m = dhi - dlo
+        if n < m:
             return None
-        num = [Fraction(a) for a in num]
-        dn = len(den)
-        lead = Fraction(den[-1])
-        quot = [Fraction(0)] * (len(num) - dn + 1)
-        for i in range(len(num) - dn, -1, -1):
-            c = num[i + dn - 1] / lead
-            quot[i] = c
+        rem = [0] * (n + 1)
+        for e, a in self._c.items():
+            rem[e - nlo] = a
+        lead = other._c[dhi]
+        tail = [(e - dhi, a) for e, a in other._c.items() if e != dhi]
+        qlo = nlo - dlo - m
+        quot = {}
+        for i in range(n, m - 1, -1):
+            c = rem[i]
             if c:
-                for j in range(dn):
-                    num[i + j] -= c * den[j]
-        if any(num[: dn - 1]) or any(num[dn - 1:]):
+                q, r = divmod(c, lead)
+                if r:
+                    return None
+                quot[qlo + i] = q
+                for off, a in tail:
+                    rem[i + off] -= q * a
+        if any(rem[:m]):
             return None
-        if any(c.denominator != 1 for c in quot):
-            return None
-        return LaurentPoly({nlo - dlo + i: int(c) for i, c in enumerate(quot) if c})
+        return _wrap(quot)
 
     def evaluate(self, v0):
         """Exact value at a rational point (nonzero when negative exponents occur)."""
@@ -332,17 +523,6 @@ def _poly_gcd(a, b):
     if ints[-1] < 0:
         ints = [-x for x in ints]
     return ints
-
-
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd of the polynomial parts; ignores powers of the variable."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    ca, _ = a.shifted_coeffs()
-    cb, _ = b.shifted_coeffs()
-    return LaurentPoly.from_coeff_list(_poly_gcd(ca, cb))
 
 
 class RationalFunc:

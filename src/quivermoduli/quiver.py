@@ -139,7 +139,8 @@ class Quiver:
         for s, t in arrows:
             counts[(s, t)] = counts.get((s, t), 0) + 1
         object.__setattr__(self, "_arrow_counts", counts)
-        object.__setattr__(self, "_hash", hash((order, arrows)))
+        # __eq__ ignores the order arrows are listed in, so the hash must too.
+        object.__setattr__(self, "_hash", hash((order, tuple(sorted(arrows)))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")

@@ -154,6 +154,32 @@ class TestFixtures:
         doc = json.loads(out)
         assert doc["result"]["failed"] == "1"
 
+    def test_missing_fixture_file_is_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fixtures", "run", str(tmp_path / "none.json"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_class"] == "input"
+
+    @pytest.mark.parametrize("text", [
+        "{oops",
+        '{"argv": ["euler"]}',
+        '[{"name": "no argv"}]',
+        '[{"argv": "euler"}]',
+        '[{"argv": [1, 2]}]',
+        '[3]',
+        '[{"argv": ["nosuch"]}]',
+        '[{"argv": []}]',
+        '[{"argv": ["--help"]}]',
+        '[{"argv": ["fixtures", "run"]}]',
+    ])
+    def test_malformed_fixture_file_is_2(self, capsys, tmp_path, text):
+        path = tmp_path / "fx.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "fixtures", "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error_class"] == "input"
+
 
 class TestFormats:
     def test_table_format(self, capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivermoduli import hn
 from quivermoduli.errors import CoprimalityError, InputError
@@ -38,6 +39,45 @@ class TestCycloFrac:
     def test_invalid_denominator(self):
         with pytest.raises(InputError):
             CycloFrac(1, {0: 1})
+
+
+def binomial_product(den):
+    out = LaurentPoly.one()
+    for e, m in den.items():
+        out = out * LaurentPoly({e: 1, 0: -1}) ** m
+    return out
+
+
+small_polys = st.dictionaries(st.integers(-4, 6), st.integers(-4, 4),
+                              max_size=5).map(LaurentPoly)
+cyclo_dens = st.dictionaries(st.integers(1, 8), st.integers(0, 3), max_size=3)
+
+
+class TestCycloFracProperties:
+    @settings(deadline=None)
+    @given(small_polys, cyclo_dens, cyclo_dens)
+    def test_reduce_is_canonical(self, p, shared, den):
+        # num shares the factors of ``shared`` with the denominator, so the
+        # reduction has cyclotomics to cancel
+        for e, m in shared.items():
+            den[e] = den.get(e, 0) + m
+        cf = CycloFrac(p * binomial_product(shared), den)
+        r = cf.reduce()
+        full = RationalFunc(r.num, r.den)
+        assert (full.num, full.den) == (r.num, r.den)
+        assert r == RationalFunc(cf.num, binomial_product(den))
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(small_polys, cyclo_dens), max_size=12))
+    def test_sum_matches_rational_function_sum(self, parts):
+        # the reference expands each denominator by plain multiplication and
+        # adds canonical rational functions, so it shares no code with the
+        # common-denominator bookkeeping or the packed lifts of CycloFrac.sum
+        terms = [CycloFrac(p, den) for p, den in parts]
+        expected = RationalFunc.zero()
+        for p, den in parts:
+            expected = expected + RationalFunc(p, binomial_product(den))
+        assert CycloFrac.sum(iter(terms)).reduce() == expected
 
 
 class TestMass:

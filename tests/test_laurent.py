@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
-from quivermoduli.laurent import (LaurentPoly, RationalFunc, cyclotomic,
-                                  quantum_factorial, quantum_integer)
+from quivermoduli.laurent import (LaurentPoly, RationalFunc, _binomial_lift_sum,
+                                  _kronecker_mul, cyclotomic, quantum_factorial,
+                                  quantum_integer)
 
 
 def P(d):
@@ -56,6 +57,125 @@ class TestLaurentPoly:
         p = P({-1: 2, 3: -5})
         assert LaurentPoly.from_json(p.to_json()) == p
         assert p.to_json()["terms"][0]["coeff"] == "2"
+
+
+class TestIntegerKernels:
+    def test_divexact_non_monic(self):
+        # (x^2 - 1) / (2x + 2) = (x - 1)/2 is not integral
+        assert P({2: 1, 0: -1}).divexact(P({1: 2, 0: 2})) is None
+        assert P({2: 2, 0: -2}).divexact(P({1: 2, 0: 2})) == P({1: 1, 0: -1})
+        assert P({2: 3, 0: -3}).divexact(P({0: 3})) == P({2: 1, 0: -1})
+        assert P({2: 3, 0: -3}).divexact(P({0: 2})) is None
+
+    def test_divexact_remainder_below_the_divisor(self):
+        # the quotient x + 1 is integral, but a remainder 1 is left
+        assert P({2: 1, 0: 0}).divexact(P({1: 1, 0: -1})) is None
+        assert P({2: 1}).divexact(P({1: 1, 0: -1})) is None
+
+    def test_products_that_cancel(self):
+        ones = P({i: 1 for i in range(40)})
+        assert ones * P({1: 1, 0: -1}) == P({40: 1, 0: -1})
+        assert _kronecker_mul(P({1: 1, 0: -1})._c, ones._c) == {40: 1, 0: -1}
+        lifted = _binomial_lift_sum([(ones, {1: 1}), (-ones, {1: 1})])
+        assert lifted.is_zero()
+
+    def test_large_coefficients_and_negative_exponents(self):
+        big = 2 ** 100
+        a = P({-50 + i: big - i for i in range(30)})
+        b = P({-7 + 3 * i: -big * (i + 1) for i in range(30)})
+        assert a * b == schoolbook(a, b)
+
+    def test_sparse_wide_operands_stay_sparse(self):
+        a = P({0: 1, 10 ** 9: 1})
+        b = P({i: i + 1 for i in range(40)})
+        assert len((a * b).items()) == 80
+        lifted = _binomial_lift_sum([(a, {1: 1}), (b, {})])
+        assert lifted == a * P({1: 1, 0: -1}) + b
+
+
+def schoolbook(a, b):
+    """Reference product: every pair of terms."""
+    c = {}
+    for e1, a1 in a.items():
+        for e2, a2 in b.items():
+            c[e1 + e2] = c.get(e1 + e2, 0) + a1 * a2
+    return LaurentPoly(c)
+
+
+def fraction_divexact(a, b):
+    """Reference exact division: long division over Q, then integrality."""
+    num, nlo = a.shifted_coeffs()
+    den, dlo = b.shifted_coeffs()
+    if a.is_zero():
+        return LaurentPoly()
+    if len(num) < len(den):
+        return None
+    num = [Fraction(x) for x in num]
+    dn = len(den)
+    quot = [Fraction(0)] * (len(num) - dn + 1)
+    for i in range(len(num) - dn, -1, -1):
+        c = num[i + dn - 1] / den[-1]
+        quot[i] = c
+        for j in range(dn):
+            num[i + j] -= c * den[j]
+    if any(num) or any(c.denominator != 1 for c in quot):
+        return None
+    return LaurentPoly({nlo - dlo + i: int(c) for i, c in enumerate(quot)})
+
+
+def binomial_lift_reference(p, factors):
+    """p * prod (x^e - 1)^m, one binomial at a time."""
+    for e, m in factors.items():
+        for _ in range(m):
+            p = schoolbook(p, P({e: 1, 0: -1}))
+    return p
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+
+
+def polys(min_size=0, max_size=40, low=-30, high=30):
+    return st.dictionaries(st.integers(low, high), coefficients,
+                           min_size=min_size, max_size=max_size).map(LaurentPoly)
+
+
+operands = st.one_of(polys(), polys(min_size=20, max_size=60),
+                     polys(max_size=12, low=-3000, high=3000))
+factors = st.dictionaries(st.integers(1, 12), st.integers(0, 5), max_size=4)
+
+
+class TestIntegerKernelProperties:
+    @settings(deadline=None)
+    @given(operands, operands)
+    def test_mul_matches_schoolbook(self, a, b):
+        want = schoolbook(a, b)
+        assert a * b == want
+        if a and b:
+            assert LaurentPoly(_kronecker_mul(a._c, b._c)) == want
+
+    @settings(deadline=None)
+    @given(operands, operands)
+    def test_divexact_inverts_mul(self, a, b):
+        if b.is_zero():
+            return
+        assert (a * b).divexact(b) == a
+
+    @settings(deadline=None)
+    @given(polys(max_size=8, low=-6, high=12), polys(min_size=1, max_size=4, low=-3, high=4),
+           polys(max_size=3, low=-3, high=3))
+    def test_divexact_matches_fraction_reference(self, q, b, r):
+        if b.is_zero():
+            return
+        a = q * b + r  # divisible exactly when r is a multiple of b
+        assert a.divexact(b) == fraction_divexact(a, b)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(operands, factors), max_size=4))
+    def test_lift_matches_repeated_binomial_products(self, terms):
+        want = LaurentPoly()
+        for p, f in terms:
+            want = want + binomial_lift_reference(p, f)
+        assert _binomial_lift_sum(terms) == want
 
 
 class TestRationalFunc:

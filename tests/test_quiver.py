@@ -75,6 +75,14 @@ class TestQuiver:
         text = json.dumps(k2.to_json())
         assert Quiver.from_json(text) == k2
 
+    def test_arrow_order_changes_neither_equality_nor_hash(self):
+        ijk = ["i", "j", "k"]
+        a = Quiver(ijk, [("i", "j"), ("j", "k"), ("i", "k")])
+        b = Quiver(ijk, [("i", "k"), ("j", "k"), ("i", "j")])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_vectors_below_lex(self, a2):
         vs = list(a2.vectors_below(dv(i=1, j=1)))
         assert vs == [dv(j=1), dv(i=1), dv(i=1, j=1)]
