@@ -39,7 +39,10 @@ def _quiver(args):
 
 
 def _dimvec(text, what="dimension vector"):
-    data = _load_json_arg(text, what)
+    return _dimvec_data(_load_json_arg(text, what), what)
+
+
+def _dimvec_data(data, what):
     if not isinstance(data, dict):
         raise InputError(f"{what} must be a JSON object")
     try:
@@ -76,7 +79,10 @@ def _mats_arg(text):
     data = _load_json_arg(text, "matrix tuple")
     if not isinstance(data, list):
         raise InputError("matrix tuple must be a JSON list")
-    return [[[int(x) for x in row] for row in m] for m in data]
+    try:
+        return [[[int(x) for x in row] for row in m] for m in data]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad matrix tuple: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ def _cmd_monoid_normalize(args):
     data = _load_json_arg(args.parts, "--parts")
     if not isinstance(data, list):
         raise InputError("--parts must be a JSON list of dimension vectors")
-    parts = [DimVector({k: int(v) for k, v in p.items()}) for p in data]
+    parts = [_dimvec_data(p, "--parts entry") for p in data]
     out = words.schur_normal_form(Q, parts)
     return ({"parts": [p.to_json() for p in out]},
             {"quiver": Q.to_json(), "parts": [p.to_json() for p in parts]})

@@ -121,8 +121,10 @@ def generic_decomposition(quiver: Quiver, d: DimVector):
     lexicographically in the canonical vertex order."""
     quiver.check_vector(d)
     parts = _decompose(quiver, d)
-    assert _kac_conditions(quiver, parts)
-    assert sum(parts, DimVector({})) == d
+    if not _kac_conditions(quiver, parts):
+        raise AssertionError(f"decomposition {parts!r} breaks Kac's conditions")
+    if sum(parts, DimVector({})) != d:
+        raise AssertionError(f"decomposition {parts!r} does not sum to {d!r}")
     return list(parts)
 
 

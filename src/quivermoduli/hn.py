@@ -1,21 +1,38 @@
 """Harder-Narasimhan machinery: semistable loci, strata, stack masses and
 Poincare polynomials of moduli spaces of stable representations.
 
-All heavy sums are carried out in a factored representation (CycloFrac)
-whose denominator is a multiset of factors x^k - 1; this avoids polynomial
-gcds on the hot path.  Only final results are reduced, by integer trial
-division through cyclotomic polynomials, and no ``Fraction`` polynomial
-arithmetic runs on the way.  A sum lifts each numerator to the common
-denominator in one packed-integer multiply (see ``laurent``): the digit
-width comes from the bound max|a| 2^(sum m) on the lifted coefficients.
+The closed semistable mass and the Poincare polynomial are one resolved sum
+(Reineke's resolution of the HN recursion) over the ordered decompositions
+g = e^1 + ... + e^s into nonzero parts whose proper suffix sums
+e^k + ... + e^s (k >= 2) all have slope above mu:
+
+    R(g; mu) = sum (-1)^(s-1) prod_k w(e^k) x^t(e^k, e^k + ... + e^s)
+
+    quantity         variable  weight w(e)             twist t(e, g)
+    mass_ss_closed   q         |R_e| / |G_e|           -<e, g - e>
+    poincare         v         prod_i 1/[e_i]_{v^2}!   2 a(e, g)
+
+with a(x, y) = sum over arrows i -> j of x_i y_j.  mass_ss_closed(d) is
+R(d; mu(d)), and poincare(d) is v^(-sum_i d_i (d_i - 1)) R(d; mu(d)) over
+(v^2 - 1)^(dim d - 1).  mass_ss runs the HN recursion itself, so the two
+semistable masses are computed independently and check each other.
+
+Below the public functions, everything runs on integer tuples in vertex
+order against one context per (quiver, theta), which holds the one memo;
+slopes are reduced (theta(e), dim e) pairs compared by cross-multiplying.
+Sums are kept as CycloFrac, a numerator over factors x^k - 1: numerators are
+lifted to a common denominator by packed-integer multiplies (see
+``laurent``), and only final results are reduced, by integer trial division
+through cyclotomic polynomials.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from itertools import chain, product
+from operator import mul, sub
 
 from .errors import CoprimalityError, InputError
 from .laurent import LaurentPoly, RationalFunc, _binomial_lift_sum, cyclotomic
@@ -38,11 +55,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # factored rational arithmetic
-
-def _binomial_factor(e, m):
-    """(x^e - 1)^m as a Laurent polynomial."""
-    return LaurentPoly({e: 1, 0: -1}) ** m
-
 
 # CycloFrac.sum lifts its terms this many at a time: a larger batch lifts the
 # running total fewer times but keeps more terms alive at once.
@@ -166,82 +178,156 @@ class CycloFrac:
 
 
 # ---------------------------------------------------------------------------
-# point counts
+# one context per (quiver, theta)
 
-def _arrow_pairing(quiver, x, y):
-    """a(x, y) = sum over arrows i->j of x_i * y_j."""
-    return sum(x[s] * y[t] for s, t in quiver.arrows)
+class _Context:
+    """A quiver and a stability as integer tuples in vertex order, with the
+    memo of every recursion run on them."""
+
+    __slots__ = ("arrows", "theta", "memo")
+
+    def __init__(self, quiver, theta):
+        index = {v: i for i, v in enumerate(quiver.vertices)}
+        self.arrows = tuple((index[s], index[t]) for s, t in quiver.arrows)
+        self.theta = theta
+        self.memo = {}
+
+    def arrow_pairing(self, x, y):
+        """a(x, y) = sum over arrows i->j of x_i * y_j."""
+        return sum(x[s] * y[t] for s, t in self.arrows)
+
+    def euler(self, x, y):
+        return sum(map(mul, x, y)) - self.arrow_pairing(x, y)
+
+    def slope(self, e):
+        """theta(e) / dim e as a reduced (numerator, denominator > 0) pair."""
+        num, den = sum(map(mul, self.theta, e)), sum(e)
+        g = math.gcd(num, den)
+        return num // g, den // g
 
 
-@lru_cache(maxsize=None)
-def _mass_cf(quiver, d):
-    """|R_d| / |G_d| as a CycloFrac in q."""
-    exp = _arrow_pairing(quiver, d, d) - sum(n * (n - 1) // 2 for n in quiver.tup(d))
-    den = {}
-    for n in quiver.tup(d):
-        for k in range(1, n + 1):
-            den[k] = den.get(k, 0) + 1
+_contexts = {}
+
+
+def _context(quiver, theta=None):
+    """The context of (quiver, theta); theta must name only vertices of the
+    quiver.  ``mass`` alone needs no theta."""
+    key = (quiver, None if theta is None else theta.key(quiver))
+    ctx = _contexts.get(key)
+    if ctx is None:
+        ctx = _contexts[key] = _Context(quiver, key[1])
+    return ctx
+
+
+def _memoized(fn):
+    """Memoize fn(ctx, *args) in ctx.memo."""
+    def wrapper(ctx, *args):
+        key = (fn, *args)
+        value = ctx.memo.get(key)
+        if value is None:
+            value = ctx.memo[key] = fn(ctx, *args)
+        return value
+    return wrapper
+
+
+def _below(g):
+    """The nonzero tuples 0 <= e <= g, lexicographically; g comes last."""
+    it = product(*(range(n + 1) for n in g))
+    next(it)
+    return it
+
+
+def _minus(g, e):
+    return tuple(map(sub, g, e))
+
+
+def _less(a, b):
+    """a < b for slopes given as (numerator, denominator > 0) pairs."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _checked(quiver, theta, d, zero_message):
+    """The context of (quiver, theta) and d as a tuple, once d names only
+    vertices of the quiver and is nonzero."""
+    t = quiver.tup(d)
+    if not any(t):
+        raise InputError(zero_message)
+    return _context(quiver, theta), t
+
+
+def _checked_coprime(quiver, theta, d):
+    """:func:`_checked`, once theta(d) is also coprime to dim d, so that
+    semistable = stable and the moduli space is smooth projective."""
+    ctx, t = _checked(quiver, theta, d, "the zero vector has no moduli space")
+    value, size = sum(map(mul, ctx.theta, t)), sum(t)
+    if math.gcd(value, size) != 1:
+        raise CoprimalityError(
+            f"theta(d) = {value} and dim d = {size} are not coprime")
+    return ctx, t
+
+
+def clear_caches():
+    _contexts.clear()
+
+
+# ---------------------------------------------------------------------------
+# per-part weights
+
+@_memoized
+def _mass_cf(ctx, e):
+    """|R_e| / |G_e| as a CycloFrac in q."""
+    exp = ctx.arrow_pairing(e, e) - sum(n * (n - 1) // 2 for n in e)
+    den = Counter(k for n in e for k in range(1, n + 1))
     return CycloFrac(LaurentPoly({exp: 1}), den)
+
+
+@_memoized
+def _weight_cf(ctx, e):
+    """prod_i ((e_i)_q!)^{-1} as a CycloFrac in v (q = v^2): the inverse
+    q-multifactorial (q-factorial normalization, no balancing power of v),
+    written over factors v^{2k} - 1."""
+    den = Counter(2 * k for n in e for k in range(1, n + 1))
+    return CycloFrac(LaurentPoly({2: 1, 0: -1}) ** sum(e), den)
 
 
 def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
     """Stack mass |R_d|/|G_d| of all representations of dimension d, in q."""
-    quiver.check_vector(d)
-    return _mass_cf(quiver, d).reduce()
-
-
-# ---------------------------------------------------------------------------
-# slopes keyed for memoization
-
-def _theta_key(quiver, theta):
-    return theta.key(quiver)
-
-
-def _slope(quiver, tkey, d):
-    t = quiver.tup(d)
-    total = sum(t)
-    if total == 0:
-        raise InputError("slope of the zero vector is undefined")
-    return Fraction(sum(a * b for a, b in zip(tkey, t)), total)
+    return _mass_cf(_context(quiver), quiver.tup(d)).reduce()
 
 
 # ---------------------------------------------------------------------------
 # semistable nonemptiness and HN types
 
-@lru_cache(maxsize=None)
-def _ss_nonempty(quiver, tkey, d):
-    # empty iff d splits as d^1 + ... + d^s, s >= 2, strictly decreasing
-    # slopes, every part ss-nonempty, <d^k, d^l> = 0 for k < l.
-    def extend(remaining, prev, bound):
-        if remaining.is_zero():
-            return True
-        for p in quiver.vectors_below(remaining):
-            if bound is not None and not _slope(quiver, tkey, p) < bound:
+def _hn_types(ctx, d, flat=False):
+    """The HN types of d: tuples of ss-nonempty parts with strictly
+    decreasing slopes.  ``flat`` keeps only those of at least two parts with
+    <d^k, d^l> = 0 for k < l, the codimension-0 ones; one exists iff the
+    semistable locus of d is empty."""
+    def dfs(rest, parts, bound):
+        if not any(rest):
+            yield parts
+            return
+        for p in _below(rest):
+            mu = ctx.slope(p)
+            if bound is not None and not _less(mu, bound):
                 continue
-            if any(quiver.euler(pr, p) != 0 for pr in prev):
+            if flat and (p == d or any(ctx.euler(q, p) for q in parts)):
                 continue
-            if not _ss_nonempty(quiver, tkey, p):
-                continue
-            if extend(remaining - p, prev + (p,), _slope(quiver, tkey, p)):
-                return True
-        return False
+            if _ss_nonempty(ctx, p):
+                yield from dfs(_minus(rest, p), parts + (p,), mu)
 
-    for first in quiver.vectors_below(d):
-        if first == d:
-            continue
-        if not _ss_nonempty(quiver, tkey, first):
-            continue
-        if extend(d - first, (first,), _slope(quiver, tkey, first)):
-            return False
-    return True
+    return dfs(d, (), None)
+
+
+@_memoized
+def _ss_nonempty(ctx, d):
+    return next(_hn_types(ctx, d, flat=True), None) is None
 
 
 def ss_nonempty(quiver: Quiver, theta: Stability, d: DimVector) -> bool:
     """True iff the semistable locus of dimension d is nonempty."""
-    quiver.check_vector(d)
-    if d.is_zero():
-        raise InputError("the zero vector has no semistable locus")
-    return _ss_nonempty(quiver, _theta_key(quiver, theta), d)
+    return _ss_nonempty(*_checked(quiver, theta, d,
+                                  "the zero vector has no semistable locus"))
 
 
 @dataclass(frozen=True)
@@ -255,28 +341,14 @@ class HNType:
 
 def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
     """All Harder-Narasimhan types of dimension d with their codimensions."""
-    quiver.check_vector(d)
-    if d.is_zero():
-        raise InputError("the zero vector has no HN types")
-    tkey = _theta_key(quiver, theta)
+    ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
     out = []
-
-    def dfs(remaining, prefix, bound):
-        if remaining.is_zero():
-            codim = -sum(quiver.euler(prefix[k], prefix[l])
-                         for k in range(len(prefix))
-                         for l in range(k + 1, len(prefix)))
-            assert codim >= 0, "HN stratum with negative codimension"
-            out.append(HNType(tuple(prefix), codim))
-            return
-        for p in quiver.vectors_below(remaining):
-            if bound is not None and not _slope(quiver, tkey, p) < bound:
-                continue
-            if not _ss_nonempty(quiver, tkey, p):
-                continue
-            dfs(remaining - p, prefix + [p], _slope(quiver, tkey, p))
-
-    dfs(d, [], None)
+    for parts in _hn_types(ctx, t):
+        codim = -sum(ctx.euler(a, b)
+                     for k, a in enumerate(parts) for b in parts[k + 1:])
+        if codim < 0:
+            raise AssertionError("HN stratum with negative codimension")
+        out.append(HNType(tuple(map(quiver.vec, parts)), codim))
     return out
 
 
@@ -288,159 +360,79 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 # peeling the first part e gives the suffix sum T below, restricted to
 # slopes strictly below a bound.
 
-_T_memo = {}
-_mass_ss_memo = {}
+def _peeled(ctx, f, keep):
+    """mass_ss(e) T(f - e; mu(e)) q^{-<f - e, e>} for each e <= f whose slope
+    mu(e) passes ``keep``."""
+    for e in _below(f):
+        mu = ctx.slope(e)
+        if keep(mu):
+            rest = _minus(f, e)
+            term = _mass_ss_cf(ctx, e) * _T(ctx, rest, mu)
+            yield term.shift(-ctx.euler(rest, e))
 
 
-def _T(quiver, tkey, f, bound):
-    if f.is_zero():
+@_memoized
+def _T(ctx, f, bound):
+    if not any(f):
         return CycloFrac.one()
-    key = (quiver, tkey, f, bound)
-    hit = _T_memo.get(key)
-    if hit is not None:
-        return hit
-
-    def terms():
-        if not _slope(quiver, tkey, f) < bound:  # no tuple fits below the bound
-            return
-        for e in quiver.vectors_below(f):
-            if not _slope(quiver, tkey, e) < bound:
-                continue
-            term = _mass_ss_cf(quiver, tkey, e) * _T(quiver, tkey, f - e,
-                                                     _slope(quiver, tkey, e))
-            yield term.shift(-quiver.euler(f - e, e))
-
-    total = CycloFrac.sum(terms())
-    _T_memo[key] = total
-    return total
+    if not _less(ctx.slope(f), bound):  # no tuple fits below the bound
+        return CycloFrac.zero()
+    return CycloFrac.sum(_peeled(ctx, f, lambda mu: _less(mu, bound)))
 
 
-def _mass_ss_cf(quiver, tkey, d):
-    key = (quiver, tkey, d)
-    hit = _mass_ss_memo.get(key)
-    if hit is not None:
-        return hit
-    mu = _slope(quiver, tkey, d)
-
-    def terms():
-        yield _mass_cf(quiver, d)
-        for e in quiver.vectors_below(d):
-            if e == d or not _slope(quiver, tkey, e) > mu:
-                continue
-            term = _mass_ss_cf(quiver, tkey, e) * _T(quiver, tkey, d - e,
-                                                     _slope(quiver, tkey, e))
-            yield -term.shift(-quiver.euler(d - e, e))
-
-    total = CycloFrac.sum(terms())
-    _mass_ss_memo[key] = total
-    return total
+@_memoized
+def _mass_ss_cf(ctx, d):
+    mu_d = ctx.slope(d)
+    above = _peeled(ctx, d, lambda mu: _less(mu_d, mu))  # e = d fails
+    return CycloFrac.sum(chain((_mass_cf(ctx, d),), (-t for t in above)))
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
-    quiver.check_vector(d)
-    if d.is_zero():
-        raise InputError("the zero vector has no semistable mass")
-    return _mass_ss_cf(quiver, _theta_key(quiver, theta), d).reduce()
+    return _mass_ss_cf(*_checked(quiver, theta, d,
+                                 "the zero vector has no semistable mass")).reduce()
 
 
 # ---------------------------------------------------------------------------
-# semistable masses (closed / inclusion-exclusion form)
+# the resolved sum: closed semistable masses and Poincare polynomials
 
-# Sum over tuples (d^1, ..., d^s) of nonzero vectors with d = sum d^k and
-# mu(d^k + ... + d^s) > mu(d) for k = 2..s, of
-#   (-1)^{s-1} q^{- sum_{k<l} <d^k, d^l>} prod_k mass(d^k).
+# kind -> (weight w(e), twist t(e, g)); see the module docstring.
+_KINDS = {
+    "mass": (_mass_cf, lambda ctx, e, g: -ctx.euler(e, _minus(g, e))),
+    "poincare": (_weight_cf, lambda ctx, e, g: 2 * ctx.arrow_pairing(e, g)),
+}
 
-_C_memo = {}
 
-
-def _C(quiver, tkey, g, mu_d):
-    """Signed suffix sum over tuples of g whose every partial suffix sum has
-    slope above mu_d; zero when g itself fails the gate."""
-    if not _slope(quiver, tkey, g) > mu_d:
-        return CycloFrac.zero()
-    key = (quiver, tkey, g, mu_d)
-    hit = _C_memo.get(key)
-    if hit is not None:
-        return hit
+@_memoized
+def _resolved(ctx, kind, g, mu):
+    """R(g; mu): the signed sum over tuples of g whose proper suffix sums all
+    have slope above mu.  The caller gates g itself."""
+    weight, twist = _KINDS[kind]
 
     def terms():
-        for e in quiver.vectors_below(g):
-            inner = CycloFrac.one() if e == g else -_C(quiver, tkey, g - e, mu_d)
-            if not inner.is_zero():
-                yield (_mass_cf(quiver, e) * inner).shift(-quiver.euler(e, g - e))
-
-    total = CycloFrac.sum(terms())
-    _C_memo[key] = total
-    return total
-
-
-def _mass_ss_closed_cf(quiver, tkey, d):
-    mu = _slope(quiver, tkey, d)
-
-    def terms():
-        for e in quiver.vectors_below(d):
-            inner = CycloFrac.one() if e == d else -_C(quiver, tkey, d - e, mu)
-            if not inner.is_zero():
-                yield (_mass_cf(quiver, e) * inner).shift(-quiver.euler(e, d - e))
+        for e in _below(g):
+            term = weight(ctx, e)
+            if e != g:
+                rest = _minus(g, e)
+                if not _less(mu, ctx.slope(rest)):
+                    continue
+                inner = _resolved(ctx, kind, rest, mu)
+                if inner.is_zero():
+                    continue
+                term = -(term * inner)
+            yield term.shift(twist(ctx, e, g))
 
     return CycloFrac.sum(terms())
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
-    quiver.check_vector(d)
-    if d.is_zero():
-        raise InputError("the zero vector has no semistable mass")
-    return _mass_ss_closed_cf(quiver, _theta_key(quiver, theta), d).reduce()
+    ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
+    return _resolved(ctx, "mass", t, ctx.slope(t)).reduce()
 
 
 # ---------------------------------------------------------------------------
 # Poincare polynomials of stable moduli
-
-def _check_coprime(theta, d):
-    if math.gcd(abs(theta.value(d)), d.total()) != 1:
-        raise CoprimalityError(
-            f"theta(d) = {theta.value(d)} and dim d = {d.total()} are not coprime")
-
-
-def _weight_cf(quiver, e):
-    """prod_i ((e_i)_q!)^{-1} as a CycloFrac in v (q = v^2): the inverse
-    q-multifactorial (q-factorial normalization, no balancing power of v),
-    written over factors v^{2k} - 1."""
-    t = quiver.tup(e)
-    size = sum(t)
-    num = _binomial_factor(2, size)
-    den = {}
-    for n in t:
-        for k in range(1, n + 1):
-            den[2 * k] = den.get(2 * k, 0) + 1
-    return CycloFrac(num, den)
-
-
-_P_memo = {}
-
-
-def _P(quiver, tkey, g, mu_d):
-    """v-variable analogue of _C with per-part factor v^{2a(e, g)} w(e)."""
-    if not _slope(quiver, tkey, g) > mu_d:
-        return CycloFrac.zero()
-    key = (quiver, tkey, g, mu_d)
-    hit = _P_memo.get(key)
-    if hit is not None:
-        return hit
-
-    def terms():
-        for e in quiver.vectors_below(g):
-            inner = CycloFrac.one() if e == g else -_P(quiver, tkey, g - e, mu_d)
-            if not inner.is_zero():
-                yield (_weight_cf(quiver, e) * inner).shift(
-                    2 * _arrow_pairing(quiver, e, g))
-
-    total = CycloFrac.sum(terms())
-    _P_memo[key] = total
-    return total
-
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     """Poincare polynomial (in v, with v^2 = q) of the moduli space of stable
@@ -449,69 +441,31 @@ def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     Requires theta(d) coprime to dim d, so that semistable = stable and the
     moduli space is smooth projective.
     """
-    quiver.check_vector(d)
-    if d.is_zero():
-        raise InputError("the zero vector has no moduli space")
-    _check_coprime(theta, d)
-    tkey = _theta_key(quiver, theta)
-    mu = _slope(quiver, tkey, d)
-
-    def terms():
-        for e in quiver.vectors_below(d):
-            inner = CycloFrac.one() if e == d else -_P(quiver, tkey, d - e, mu)
-            if not inner.is_zero():
-                yield (_weight_cf(quiver, e) * inner).shift(
-                    2 * _arrow_pairing(quiver, e, d))
-
-    total = CycloFrac.sum(terms())
-    dim_d = d.total()
-    pre_shift = -sum(n * (n - 1) for n in quiver.tup(d))
-    total = CycloFrac(total.num.shift(pre_shift),
-                      _merge_den(total.den, {2: dim_d - 1}))
+    ctx, t = _checked_coprime(quiver, theta, d)
+    norm = CycloFrac(LaurentPoly({-sum(n * (n - 1) for n in t): 1}),
+                     {2: sum(t) - 1})
+    total = _resolved(ctx, "poincare", t, ctx.slope(t)) * norm
     return total.reduce().to_polynomial()
-
-
-def _merge_den(a, b):
-    out = dict(a)
-    for e, m in b.items():
-        out[e] = out.get(e, 0) + m
-    return {e: m for e, m in out.items() if m}
 
 
 def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
-    quiver.check_vector(d)
-    if d.is_zero():
-        raise InputError("the zero vector has no moduli space")
-    _check_coprime(theta, d)
-    cf = _mass_ss_cf(quiver, _theta_key(quiver, theta), d)
+    cf = _mass_ss_cf(*_checked_coprime(quiver, theta, d))
     return (cf * CycloFrac(LaurentPoly({1: 1, 0: -1}))).reduce().to_polynomial()
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):
     """Betti numbers of the stable moduli space, ascending in q."""
     if method == "closed":
-        p = poincare(quiver, theta, d)
-        if p.is_zero():
-            return []
-        p = p.halve_exponents()
+        p = poincare(quiver, theta, d).halve_exponents()
     elif method == "mass":
         p = betti_via_mass(quiver, theta, d)
-        if p.is_zero():
-            return []
     else:
         raise InputError(f"unknown method {method!r}")
+    if p.is_zero():
+        return []
     if p.low() < 0:
         raise AssertionError("Betti polynomial with negative exponents")
     coeffs, lo = p.shifted_coeffs()
     return [0] * lo + coeffs
-
-
-def clear_caches():
-    _mass_cf.cache_clear()
-    _ss_nonempty.cache_clear()
-    _T_memo.clear()
-    _mass_ss_memo.clear()
-    _C_memo.clear()
-    _P_memo.clear()

@@ -519,8 +519,11 @@ def comp_series_point_set(quiver, word, q, budget=None):
     """All representations of the word's weight admitting a composition
     series of that type; the oracle's version of the stratum closure
     question."""
-    from .words import word_weight
-    d = word_weight(quiver, word)
+    weight = {}
+    for x in map(str, word):
+        quiver.index(x)
+        weight[x] = weight.get(x, 0) + 1
+    d = DimVector(weight)
     return frozenset(X for X in enumerate_reps(quiver, d, q, budget)
                      if has_comp_series(X, word))
 

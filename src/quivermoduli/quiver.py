@@ -332,6 +332,10 @@ class Stability:
         return self.slope(ambient) * e.total() - self.value(e)
 
     def key(self, quiver):
+        """theta as a tuple in the quiver's vertex order; theta must name
+        only vertices of the quiver."""
+        for v in self.theta:
+            quiver.index(v)
         return tuple(self[v] for v in quiver.vertices)
 
     def to_json(self):

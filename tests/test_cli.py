@@ -115,6 +115,28 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error_class"] == "input"
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["betti", "--quiver", A2, "--dim", D11, "--theta", '{"I": 1}'],
+                     "unknown vertex 'I'", id="betti-theta-vertex"),
+        pytest.param(["oracle", "count-ss", "--quiver", A2, "--dim", D11,
+                      "--theta", '{"I": 1}', "--q", "3"],
+                     "unknown vertex 'I'", id="count-ss-theta-vertex"),
+        pytest.param(["monoid", "normalize", "--quiver", A2, "--parts", "[3]"],
+                     "must be a JSON object", id="normalize-part-not-object"),
+        pytest.param(["monoid", "normalize", "--quiver", A2,
+                      "--parts", '[{"i": "x"}]'],
+                     "bad --parts entry", id="normalize-part-not-integer"),
+        pytest.param(["oracle", "kron-quadric", "--mats", '[[["a", 0], [0, 1]]]',
+                      "--q", "3"], "bad matrix tuple", id="kron-quadric-entry"),
+    ])
+    def test_more_input_errors_are_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "input"
+        assert message in doc["error"]
+
     def test_budget_error_is_3(self, capsys):
         code, out, err = run(capsys, "oracle", "count-ss", "--quiver", K3,
                              "--dim", '{"i": 3, "j": 3}', "--theta", THETA,

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivermoduli import generic
 from quivermoduli.errors import InputError
 from quivermoduli.generic import (generic_decomposition, generic_ext,
                                   generic_hom, generic_subrep, schur_test)
@@ -98,6 +104,23 @@ class TestDecomposition:
                 for j, b in enumerate(parts):
                     if i != j:
                         assert generic_ext(q, a, b) == 0
+
+    def test_checks_survive_optimize(self):
+        # the result checks are explicit raises, not asserts, so they still
+        # run under python -O; here a broken decomposition must be refused
+        script = (
+            "from quivermoduli import generic\n"
+            "from quivermoduli.quiver import DimVector, kronecker_quiver\n"
+            "generic._decompose = lambda q, d: (DimVector({'i': 1}),)\n"
+            "try:\n"
+            "    generic.generic_decomposition(kronecker_quiver(2), DimVector({'i': 2}))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(generic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert "does not sum to" in out
 
     def test_order_independence(self):
         # the decomposition multiset does not depend on vertex listing order

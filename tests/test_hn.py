@@ -1,17 +1,31 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import hn
 from quivermoduli.errors import CoprimalityError, InputError
+from quivermoduli.generic import generic_subrep
 from quivermoduli.hn import (CycloFrac, betti_coefficients, betti_via_mass,
                              hn_types, mass, mass_ss, mass_ss_closed,
                              poincare, ss_nonempty)
 from quivermoduli.laurent import LaurentPoly, RationalFunc
-from quivermoduli.quiver import DimVector, Quiver, Stability
+from quivermoduli.quiver import DimVector, Quiver, Stability, kronecker_quiver
 
 from conftest import dv
+
+
+A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
+D4 = Quiver(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "d")])
+# two stabilities per quiver, each with nonempty and empty semistable loci
+A3_THETAS = [Stability({"1": 1}), Stability({"1": 2, "2": 1})]
+D4_THETAS = [Stability({"a": 1, "b": 1, "c": 1}), Stability({"a": 1, "b": -1})]
+
+
+def nonzero_below(quiver, *bound):
+    return [d for d in quiver.vectors_below(DimVector(dict(zip(quiver.vertices, bound))))
+            if not d.is_zero()]
 
 
 def R(num, den=None):
@@ -139,11 +153,13 @@ class TestMassSS:
         assert mass_ss(a2, theta_i, dv(i=2, j=1)) == RationalFunc.zero()
 
     def test_closed_matches_recursive(self, k2, k3, a2, theta_i):
-        for q in (k2, k3, a2):
-            for d in q.vectors_below(dv(i=2, j=2)):
-                if d.is_zero():
-                    continue
-                assert mass_ss(q, theta_i, d) == mass_ss_closed(q, theta_i, d)
+        cases = [(q, [theta_i], nonzero_below(q, 2, 2)) for q in (k2, k3, a2)]
+        cases += [(A3, A3_THETAS, nonzero_below(A3, 2, 2, 2)),
+                  (D4, D4_THETAS, nonzero_below(D4, 1, 1, 1, 2))]
+        for q, thetas, dims in cases:
+            for theta in thetas:
+                for d in dims:
+                    assert mass_ss(q, theta, d) == mass_ss_closed(q, theta, d)
 
     def test_hn_partition_of_mass(self, k3, theta_i):
         # sum over HN types of q^{-sum_{k<l} <d^l, d^k>} prod mass_ss(d^k)
@@ -181,9 +197,20 @@ class TestPoincareBetti:
         assert betti_coefficients(k2, theta_i, dv(i=1, j=1)) == [1, 1]
 
     def test_methods_agree(self, k3, theta_i):
-        for d in [dv(i=2, j=3), dv(i=3, j=4)]:
-            assert betti_coefficients(k3, theta_i, d, method="closed") == \
-                betti_coefficients(k3, theta_i, d, method="mass")
+        cases = [(k3, [theta_i], [dv(i=2, j=3), dv(i=3, j=4)]),
+                 (A3, A3_THETAS, nonzero_below(A3, 2, 2, 2)),
+                 (D4, D4_THETAS, nonzero_below(D4, 1, 1, 1, 2))]
+        compared = 0
+        for q, thetas, dims in cases:
+            for theta in thetas:
+                for d in dims:
+                    try:
+                        closed = betti_coefficients(q, theta, d, method="closed")
+                    except CoprimalityError:
+                        continue
+                    assert closed == betti_coefficients(q, theta, d, method="mass")
+                    compared += bool(closed)
+        assert compared >= 20  # enough nonempty moduli spaces to mean something
 
     def test_betti_via_mass_is_q_minus_one_times_mass(self, k3, theta_i):
         d = dv(i=2, j=3)
@@ -202,3 +229,82 @@ class TestPoincareBetti:
     def test_unknown_method(self, k2, theta_i):
         with pytest.raises(InputError):
             betti_coefficients(k2, theta_i, dv(i=1, j=1), method="bogus")
+
+
+def king_semistable(quiver, theta, d):
+    """King's criterion on the general representation of dimension d: it has
+    no subrepresentation of larger slope, where its subrepresentation
+    dimensions are Schofield's generic ones."""
+    mu = theta.slope(d)
+    return not any(theta.slope(e) > mu for e in quiver.vectors_below(d)
+                   if e != d and generic_subrep(quiver, e, d))
+
+
+# quiver, bound on d, bound on dim d
+SEMISTABILITY_CASES = {
+    "A2": (Quiver(["i", "j"], [("i", "j")]), (3, 3), 5),
+    "K1": (kronecker_quiver(1), (3, 3), 5),
+    "K2": (kronecker_quiver(2), (3, 3), 5),
+    "K3": (kronecker_quiver(3), (3, 3), 5),
+    "A3": (A3, (2, 2, 2), 4),
+    "D4": (D4, (1, 1, 1, 2), 4),
+}
+
+
+class TestSemistabilityThreeWays:
+    @pytest.mark.parametrize("name", sorted(SEMISTABILITY_CASES))
+    def test_hn_king_and_mass_agree(self, name):
+        # three independent deciders of "the semistable locus is nonempty":
+        # the HN decomposition search, King's criterion through generic
+        # subrepresentations, and a nonzero semistable mass
+        quiver, bound, max_total = SEMISTABILITY_CASES[name]
+        dims = [d for d in nonzero_below(quiver, *bound) if d.total() <= max_total]
+        empty = 0
+        for values in product(range(-1, 3), repeat=len(quiver.vertices)):
+            theta = Stability(dict(zip(quiver.vertices, values)))
+            for d in dims:
+                by_hn = ss_nonempty(quiver, theta, d)
+                assert by_hn == king_semistable(quiver, theta, d), (values, d)
+                assert by_hn == (not mass_ss(quiver, theta, d).is_zero()), (values, d)
+                empty += not by_hn
+        assert empty  # every case has empty loci, so the deciders are tested both ways
+
+
+class TestCaches:
+    def test_warm_equals_cold(self, k3):
+        questions = [(k3, Stability({"i": 1}), DimVector({"i": 2, "j": 3})),
+                     (A3, A3_THETAS[1], DimVector({"1": 1, "2": 2, "3": 1})),
+                     (D4, D4_THETAS[0], DimVector({"a": 1, "b": 1, "c": 1, "d": 2}))]
+
+        def answers():
+            out = []
+            for q, theta, d in questions:
+                out += [mass(q, d), ss_nonempty(q, theta, d), hn_types(q, theta, d),
+                        mass_ss(q, theta, d), mass_ss_closed(q, theta, d)]
+                for method in ("closed", "mass"):
+                    try:
+                        out.append(betti_coefficients(q, theta, d, method=method))
+                    except CoprimalityError as exc:
+                        out.append(str(exc))
+            return out
+
+        hn.clear_caches()
+        cold = answers()
+        assert hn._contexts
+        warm = answers()
+        hn.clear_caches()
+        assert not hn._contexts
+        assert warm == cold == answers()
+
+
+class TestInputEdge:
+    def test_unknown_theta_vertex(self, a2):
+        with pytest.raises(InputError, match="unknown vertex 'I'"):
+            betti_coefficients(a2, Stability({"I": 1}), dv(i=1, j=1))
+        with pytest.raises(InputError, match="unknown vertex"):
+            ss_nonempty(a2, Stability({"i": 1, "x": 0}), dv(i=1))
+
+    def test_unknown_dimension_vertex(self, k3, theta_i):
+        for fn in (ss_nonempty, hn_types, mass_ss, mass_ss_closed, poincare):
+            with pytest.raises(InputError, match="unknown vertices"):
+                fn(k3, theta_i, dv(x=1))

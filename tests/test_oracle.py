@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from quivermoduli import oracle
 from quivermoduli.errors import BudgetExceeded, InputError
 from quivermoduli.oracle import (FFRep, count_indecomposable, count_semistable,
                                  count_stable, enumerate_reps, ext_dim,
@@ -171,3 +175,41 @@ class TestMinGenericExt:
         assert min_generic_ext(a2, dv(i=1), dv(j=1), 2) == 1
         assert min_generic_ext(a2, dv(j=1), dv(i=1), 2) == 0
         assert min_generic_ext(a2, dv(i=1, j=1), dv(i=1, j=1), 2) == 0
+
+
+# The oracle is the brute-force check on the symbolic code, so it must not
+# share any of it.
+SYMBOLIC = {"hn", "generic", "laurent", "roots", "words", "series"}
+
+
+def symbolic_imports(source):
+    """The symbolic modules of this package that ``source`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").split(".")
+            # ``from . import hn`` and ``from quivermoduli import hn`` import
+            # modules by name
+            names = ([[alias.name] for alias in node.names]
+                     if node.module in (None, "quivermoduli") else [])
+            paths = [base] + names
+        else:
+            continue
+        for path in paths:
+            found |= SYMBOLIC.intersection(path)
+    return found
+
+
+class TestIndependence:
+    def test_oracle_imports_no_symbolic_module(self):
+        assert symbolic_imports(Path(oracle.__file__).read_text()) == set()
+
+    def test_guard_sees_every_import_form(self):
+        assert symbolic_imports("from .hn import mass") == {"hn"}
+        assert symbolic_imports("from . import generic, quiver") == {"generic"}
+        assert symbolic_imports("import quivermoduli.laurent as lp") == {"laurent"}
+        assert symbolic_imports("from quivermoduli import roots") == {"roots"}
+        assert symbolic_imports("def f():\n    from .words import x") == {"words"}
+        assert symbolic_imports("from .quiver import DimVector, series") == set()
