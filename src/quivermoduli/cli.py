@@ -42,11 +42,19 @@ def _dimvec(text, what="dimension vector"):
     return _dimvec_data(_load_json_arg(text, what), what)
 
 
+def _int(value):
+    """A JSON integer or decimal-integer string; floats and booleans are
+    refused rather than truncated or read as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{json.dumps(value)} is not an integer")
+    return int(value)
+
+
 def _dimvec_data(data, what):
     if not isinstance(data, dict):
         raise InputError(f"{what} must be a JSON object")
     try:
-        return DimVector({k: int(v) for k, v in data.items()})
+        return DimVector({k: _int(v) for k, v in data.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad {what}: {exc}") from None
 
@@ -56,7 +64,7 @@ def _theta(text):
     if not isinstance(data, dict):
         raise InputError("theta must be a JSON object")
     try:
-        return Stability({k: int(v) for k, v in data.items()})
+        return Stability({k: _int(v) for k, v in data.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad theta: {exc}") from None
 
@@ -80,7 +88,7 @@ def _mats_arg(text):
     if not isinstance(data, list):
         raise InputError("matrix tuple must be a JSON list")
     try:
-        return [[[int(x) for x in row] for row in m] for m in data]
+        return [[[_int(x) for x in row] for row in m] for m in data]
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad matrix tuple: {exc}") from None
 
@@ -195,7 +203,9 @@ def _cmd_word_leq(args):
 
 def _cmd_monoid_equal(args):
     Q = _quiver(args)
-    budget = args.budget if args.budget else words.DEFAULT_WORD_BUDGET
+    budget = words.DEFAULT_WORD_BUDGET if args.budget is None else args.budget
+    if budget <= 0:
+        raise InputError(f"--budget must be positive, got {budget}")
     outcome = words.monoid_equal(Q, _word_arg(args.w), _word_arg(args.w2),
                                  budget=budget)
     if outcome is words.MonoidOutcome.UNDECIDED:

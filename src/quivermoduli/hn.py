@@ -187,8 +187,7 @@ class _Context:
     __slots__ = ("arrows", "theta", "memo")
 
     def __init__(self, quiver, theta):
-        index = {v: i for i, v in enumerate(quiver.vertices)}
-        self.arrows = tuple((index[s], index[t]) for s, t in quiver.arrows)
+        self.arrows = quiver.arrow_pairs
         self.theta = theta
         self.memo = {}
 

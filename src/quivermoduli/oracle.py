@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .errors import BudgetExceeded, InputError
 from .quiver import DimVector, Quiver, Stability
@@ -44,6 +45,7 @@ _PRIMES = (2, 3, 5)
 
 
 def default_budget(kind="rep"):
+    """The budget of one kind; QI_BUDGET, when set, replaces all three."""
     env = os.environ.get("QI_BUDGET")
     if env is not None:
         try:
@@ -101,41 +103,42 @@ def _nullspace(rows, ncols, p):
     return basis
 
 
-def _mat_vec(m, v, p):
-    return [sum(a * b for a, b in zip(row, v)) % p for row in m]
-
-
-def _in_span(rref_rows, pivots, v, p):
-    """Membership of v in the row space given in reduced echelon form."""
-    v = list(v)
-    for r, c in enumerate(rref_rows):
-        if v[pivots[r]] % p:
-            f = v[pivots[r]]
-            v = [(a - f * b) % p for a, b in zip(v, c)]
-    return not any(x % p for x in v)
-
-
 # ---------------------------------------------------------------------------
 # representations
 
 class FFRep:
-    """A representation over F_q: one d_target x d_source matrix per arrow."""
+    """A representation over F_q: one d_target x d_source matrix per arrow.
 
-    __slots__ = ("quiver", "q", "dim", "mats")
+    ``dims`` is the dimension vector as a tuple in vertex order.
+    """
+
+    __slots__ = ("quiver", "q", "dim", "dims", "mats")
 
     def __init__(self, quiver, q, dim, mats):
         _check_prime(q)
-        quiver.check_vector(dim)
-        mats = tuple(tuple(tuple(x % q for x in row) for row in m) for m in mats)
+        dims = quiver.tup(dim)
+        mats = tuple([tuple([tuple([x % q for x in row]) for row in m]) for m in mats])
         if len(mats) != len(quiver.arrows):
             raise InputError("need one matrix per arrow")
-        for (s, t), m in zip(quiver.arrows, mats):
-            if len(m) != dim[t] or any(len(row) != dim[s] for row in m):
+        for (s, t), (si, ti), m in zip(quiver.arrows, quiver.arrow_pairs, mats):
+            if len(m) != dims[ti] or any(len(row) != dims[si] for row in m):
                 raise InputError(f"matrix shape mismatch on arrow {s}->{t}")
+        self._fill(quiver, q, dim, dims, mats)
+
+    def _fill(self, quiver, q, dim, dims, mats):
         self.quiver = quiver
         self.q = q
         self.dim = dim
+        self.dims = dims
         self.mats = mats
+
+    @classmethod
+    def _trusted(cls, quiver, q, dim, dims, mats):
+        """A rep whose entries are already reduced mod q and whose shapes
+        already match ``dims``: no checks."""
+        X = cls.__new__(cls)
+        X._fill(quiver, q, dim, dims, mats)
+        return X
 
     def __eq__(self, other):
         return (isinstance(other, FFRep) and self.quiver == other.quiver
@@ -165,82 +168,65 @@ def enumerate_reps(quiver, d, q, budget=None):
         raise BudgetExceeded(
             f"{total} representations exceed the budget {budget}",
             required=total, budget=budget)
-    shapes = [(d[t], d[s]) for s, t in quiver.arrows]
+    dims = quiver.tup(d)
+    shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_pairs]
     cells = sum(r * c for r, c in shapes)
+    trusted = FFRep._trusted
     for flat in product(range(q), repeat=cells):
         mats = []
         pos = 0
         for r, c in shapes:
-            mats.append(tuple(tuple(flat[pos + i * c: pos + (i + 1) * c])
+            mats.append(tuple(flat[pos + i * c: pos + (i + 1) * c]
                               for i in range(r)))
             pos += r * c
-        yield FFRep(quiver, q, d, mats)
+        yield trusted(quiver, q, d, dims, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
 # hom and ext
 
-def hom_dim(M: FFRep, N: FFRep) -> int:
-    """dim of the space of homomorphisms M -> N, by Gaussian elimination on
-    the intertwining equations g_j M_a = N_a g_i."""
-    if M.quiver != N.quiver or M.q != N.q:
+def _intertwining(M, N):
+    """The equations g_t M_a - N_a g_s = 0 on the unknowns g_v (e_v x d_v,
+    flattened row-major in vertex order): (nonzero rows, unknowns, offsets)."""
+    # arrows compared in listed order: the matrices follow it
+    if (M.quiver.vertices, M.quiver.arrows, M.q) != \
+            (N.quiver.vertices, N.quiver.arrows, N.q):
         raise InputError("representations live over different quivers or fields")
-    Q, p = M.quiver, M.q
-    d, e = M.dim, N.dim
-    # unknowns: g_v of shape e_v x d_v, flattened row-major, vertex order
-    offs = {}
+    p, d, e = M.q, M.dims, N.dims
+    offs = []
     n = 0
-    for v in Q.vertices:
-        offs[v] = n
-        n += e[v] * d[v]
+    for dv, ev in zip(d, e):
+        offs.append(n)
+        n += ev * dv
     rows = []
-    for (s, t), Ma, Na in zip(Q.arrows, M.mats, N.mats):
-        # equation g_t Ma - Na g_s = 0, entry (r, c): r < e_t, c < d_s
+    for (s, t), Ma, Na in zip(M.quiver.arrow_pairs, M.mats, N.mats):
+        # entry (r, c) of the equation: r < e_t, c < d_s
         for r in range(e[t]):
             for c in range(d[s]):
                 row = [0] * n
                 for k in range(d[t]):  # g_t[r][k] * Ma[k][c]
-                    row[offs[t] + r * d[t] + k] = (row[offs[t] + r * d[t] + k]
-                                                   + Ma[k][c]) % p
+                    i = offs[t] + r * d[t] + k
+                    row[i] = (row[i] + Ma[k][c]) % p
                 for k in range(e[s]):  # -Na[r][k] * g_s[k][c]
-                    row[offs[s] + k * d[s] + c] = (row[offs[s] + k * d[s] + c]
-                                                   - Na[r][k]) % p
+                    i = offs[s] + k * d[s] + c
+                    row[i] = (row[i] - Na[r][k]) % p
                 if any(row):
                     rows.append(row)
-    _, pivots = _rref(rows, p) if rows else ([], [])
-    return n - len(pivots)
+    return rows, n, offs
+
+
+def hom_dim(M: FFRep, N: FFRep) -> int:
+    """dim of the space of homomorphisms M -> N, by Gaussian elimination on
+    the intertwining equations g_j M_a = N_a g_i."""
+    rows, n, _ = _intertwining(M, N)
+    return n - len(_rref(rows, M.q)[1])
 
 
 def _hom_basis(M, N):
-    """Basis of Hom(M, N) as per-vertex matrices."""
-    Q, p = M.quiver, M.q
-    d, e = M.dim, N.dim
-    offs = {}
-    n = 0
-    for v in Q.vertices:
-        offs[v] = n
-        n += e[v] * d[v]
-    rows = []
-    for (s, t), Ma, Na in zip(Q.arrows, M.mats, N.mats):
-        for r in range(e[t]):
-            for c in range(d[s]):
-                row = [0] * n
-                for k in range(d[t]):
-                    row[offs[t] + r * d[t] + k] = (row[offs[t] + r * d[t] + k]
-                                                   + Ma[k][c]) % p
-                for k in range(e[s]):
-                    row[offs[s] + k * d[s] + c] = (row[offs[s] + k * d[s] + c]
-                                                   - Na[r][k]) % p
-                if any(row):
-                    rows.append(row)
-    basis = []
-    for vec in _nullspace(rows, n, p):
-        g = {}
-        for v in Q.vertices:
-            g[v] = tuple(tuple(vec[offs[v] + r * d[v]: offs[v] + (r + 1) * d[v]])
-                         for r in range(e[v]))
-        basis.append(g)
-    return basis
+    """Basis of Hom(M, N) as flat vectors in the unknowns of the intertwining
+    equations, with the per-vertex offsets."""
+    rows, n, offs = _intertwining(M, N)
+    return _nullspace(rows, n, M.q), offs
 
 
 def ext_dim(M: FFRep, N: FFRep) -> int:
@@ -260,11 +246,8 @@ def _subspaces(n, r, q):
         return ()
     out = []
     for pivots in combinations(range(n), r):
-        free_cells = []
-        for i, pc in enumerate(pivots):
-            for c in range(pc + 1, n):
-                if c not in pivots:
-                    free_cells.append((i, c))
+        free_cells = [(i, c) for i, pc in enumerate(pivots)
+                      for c in range(pc + 1, n) if c not in pivots]
         for vals in product(range(q), repeat=len(free_cells)):
             rows = [[0] * n for _ in range(r)]
             for i, pc in enumerate(pivots):
@@ -277,28 +260,77 @@ def _subspaces(n, r, q):
 
 @lru_cache(maxsize=None)
 def subspace_count(n, q):
-    return sum(len(_subspaces(n, r, q)) for r in range(n + 1))
+    """Number of subspaces of F_q^n: the sum over r of the Gaussian binomials
+    [n, r]_q, so a budget check never enumerates them."""
+    total, binom = 0, 1
+    for r in range(n + 1):
+        total += binom
+        binom = binom * (q ** (n - r) - 1) // (q ** (r + 1) - 1)
+    return total
 
 
-def _invariant(X, spaces):
-    """Arrow-invariance of a per-vertex subspace choice.
+def _pack(vec, q):
+    """A vector over F_q as one int in base q, first entry most significant
+    (for q = 2 the bitmask)."""
+    out = 0
+    for x in vec:
+        out = out * q + x
+    return out
 
-    ``spaces`` maps vertex -> (rows, pivots) in reduced echelon form.
+
+def _image(m, vec, q):
+    """m . vec over F_q, packed as by :func:`_pack`."""
+    out = 0
+    for row in m:
+        out = out * q + sum(map(mul, row, vec)) % q
+    return out
+
+
+@lru_cache(maxsize=None)
+def _member_spaces(n, r, q):
+    """Every r-dimensional subspace of F_q^n as (echelon basis, packed
+    members); the members are None for the whole space, which contains
+    every image."""
+    out = []
+    for rows, _ in _subspaces(n, r, q):
+        members = None
+        if r < n:
+            members = frozenset(
+                _pack([sum(map(mul, coeffs, col)) % q for col in zip(*rows)], q)
+                for coeffs in product(range(q), repeat=r))
+        out.append((rows, members))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _destab_plan(arrows, tkey, dims, q, strict):
+    """The rep-independent part of the search for destabilizing subspace
+    tuples: (slots, candidates).
+
+    ``arrows`` are (source, target) vertex-index pairs, ``tkey`` is theta in
+    vertex order.  ``slots`` lists the (arrow, source basis vector) pairs
+    whose images some check needs.  A candidate is a tuple of (slot, target
+    members) checks, met iff every image lies in its target; checks that
+    always pass (zero source, whole target) are left out.
     """
-    p = X.q
-    for (s, t), m in zip(X.quiver.arrows, X.mats):
-        rows_t, piv_t = spaces[t]
-        for vec in spaces[s][0]:
-            img = _mat_vec(m, vec, p)
-            if any(img) and not _in_span(rows_t, piv_t, img, p):
-                return False
-    return True
-
-
-def _proper_sub_dims(quiver, d, pred):
-    for e in quiver.vectors_below(d):
-        if e != d and pred(e):
-            yield e
+    value, size = sum(map(mul, tkey, dims)), sum(dims)
+    if not size:
+        raise InputError("slope of the zero dimension vector is undefined")
+    slot_of = {}
+    candidates = []
+    for e in product(*(range(n + 1) for n in dims)):
+        if e == dims or not any(e):
+            continue
+        # slope(e) > slope(d), or >= when not strict
+        gap = sum(map(mul, tkey, e)) * size - value * sum(e)
+        if not (gap > 0 if strict else gap >= 0):
+            continue
+        for combo in product(*map(_member_spaces, dims, e, [q] * len(e))):
+            candidates.append(tuple(
+                (slot_of.setdefault((a, vec), len(slot_of)), combo[t][1])
+                for a, (s, t) in enumerate(arrows) if combo[t][1] is not None
+                for vec in combo[s][0]))
+    return tuple(slot_of), tuple(candidates)
 
 
 def is_semistable(X: FFRep, theta: Stability, budget=None) -> bool:
@@ -317,49 +349,30 @@ def is_stable(X: FFRep, theta: Stability, budget=None) -> bool:
     return not _has_destabilizing(X, theta, strict=False, budget=budget)
 
 
-@lru_cache(maxsize=None)
-def _destab_candidates(quiver, tkey, d, q, strict):
-    """All subspace tuples whose dimension vector destabilizes, precomputed
-    once per (quiver, theta, d, q): tuple of per-vertex (rows, pivots)
-    dicts is too costly, so plain tuples in vertex order."""
-    theta = Stability(dict(zip(quiver.vertices, tkey)))
-    mu = theta.slope(d)
-    combos = []
-    for e in quiver.vectors_below(d):
-        if e == d:
-            continue
-        mue = theta.slope(e)
-        if not (mue > mu if strict else mue >= mu):
-            continue
-        choices = [_subspaces(d[v], e[v], q) for v in quiver.vertices]
-        combos.extend(product(*choices))
-    return tuple(combos)
-
-
 def _has_destabilizing(X, theta, strict, budget):
     budget = budget if budget is not None else default_budget("subspace")
-    Q, p, d = X.quiver, X.q, X.dim
+    Q, q = X.quiver, X.q
     total = 1
-    for v in Q.vertices:
-        total *= subspace_count(d[v], p)
+    for n in X.dims:
+        total *= subspace_count(n, q)
     if total > budget:
         raise BudgetExceeded(
             f"{total} subspace tuples exceed the budget {budget}",
             required=total, budget=budget)
-    tkey = theta.key(Q)
-    arrow_idx = [(Q.index(s), Q.index(t)) for s, t in Q.arrows]
-    for combo in _destab_candidates(Q, tkey, d, p, strict):
-        ok = True
-        for (si, ti), m in zip(arrow_idx, X.mats):
-            rows_t, piv_t = combo[ti]
-            for vec in combo[si][0]:
-                img = _mat_vec(m, vec, p)
-                if any(img) and not _in_span(rows_t, piv_t, img, p):
-                    ok = False
-                    break
-            if not ok:
+    slots, candidates = _destab_plan(Q.arrow_pairs, theta.key(Q), X.dims, q,
+                                     strict)
+    mats = X.mats
+    # packed images, each computed the first time a check needs it
+    images = [None] * len(slots)
+    for checks in candidates:
+        for k, members in checks:
+            img = images[k]
+            if img is None:
+                a, vec = slots[k]
+                img = images[k] = _image(mats[a], vec, q)
+            if img not in members:
                 break
-        if ok:
+        else:
             return True
     return False
 
@@ -367,56 +380,32 @@ def _has_destabilizing(X, theta, strict, budget):
 # ---------------------------------------------------------------------------
 # indecomposability / simplicity
 
-def _compose(g, h, quiver, p):
-    out = {}
-    for v in quiver.vertices:
-        a, b = g[v], h[v]
-        out[v] = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % p
-                             for j in range(len(b[0]) if b else 0))
-                       for i in range(len(a)))
-    return out
-
-
-def _is_idempotent(g, X):
-    p = X.q
-    gg = _compose(g, g, X.quiver, p)
-    return gg == g
-
-
-def _is_zero_or_identity(g, X):
-    zero = all(all(all(x == 0 for x in row) for row in m) for m in g.values())
-    ident = all(all(g[v][i][j] == (1 if i == j else 0)
-                    for i in range(X.dim[v]) for j in range(X.dim[v]))
-                for v in X.quiver.vertices)
-    return zero or ident
-
-
 def is_indecomposable(X: FFRep, budget=None) -> bool:
     """No idempotent endomorphism besides 0 and 1."""
     if X.dim.is_zero():
         return False
     budget = budget if budget is not None else default_budget("end")
-    basis = _hom_basis(X, X)
-    h = len(basis)
+    basis, offs = _hom_basis(X, X)
+    p, h = X.q, len(basis)
     if h == 1:
         return True  # End = F_q, local
-    if X.q ** h > budget:
+    if p ** h > budget:
         raise BudgetExceeded(
-            f"|End| = {X.q}^{h} exceeds the budget {budget}",
-            required=X.q ** h, budget=budget)
-    p = X.q
+            f"|End| = {p}^{h} exceeds the budget {budget}",
+            required=p ** h, budget=budget)
+    # g_v is the n x n block at offset o, row-major
+    blocks = [(o, n) for o, n in zip(offs, X.dims) if n]
+    one = [0] * len(basis[0])
+    for o, n in blocks:
+        for i in range(n):
+            one[o + i * n + i] = 1
+    cols = list(zip(*basis))
     for coeffs in product(range(p), repeat=h):
-        g = {v: [[0] * X.dim[v] for _ in range(X.dim[v])]
-             for v in X.quiver.vertices}
-        for c, b in zip(coeffs, basis):
-            if c:
-                for v in X.quiver.vertices:
-                    gv, bv = g[v], b[v]
-                    for i in range(X.dim[v]):
-                        for j in range(X.dim[v]):
-                            gv[i][j] = (gv[i][j] + c * bv[i][j]) % p
-        g = {v: tuple(tuple(row) for row in m) for v, m in g.items()}
-        if _is_idempotent(g, X) and not _is_zero_or_identity(g, X):
+        g = [sum(map(mul, coeffs, col)) % p for col in cols]
+        if any(g) and g != one and all(
+                sum(g[o + i * n + k] * g[o + k * n + j] for k in range(n)) % p
+                == g[o + i * n + j]
+                for o, n in blocks for i in range(n) for j in range(n)):
             return False
     return True
 
@@ -431,9 +420,8 @@ def is_simple_tuple(n, mats, q) -> bool:
     if n == 0:
         return False
     for r in range(1, n):
-        for rows, pivots in _subspaces(n, r, q):
-            if all(all(_in_span(rows, pivots, _mat_vec(m, vec, q), q)
-                       for vec in rows) for m in mats):
+        for rows, members in _member_spaces(n, r, q):
+            if all(_image(m, vec, q) in members for m in mats for vec in rows):
                 return False
     return True
 
@@ -441,41 +429,28 @@ def is_simple_tuple(n, mats, q) -> bool:
 # ---------------------------------------------------------------------------
 # composition series
 
-def _restrict(X, vertex, rows, pivots):
-    """Subrepresentation on the hyperplane `rows` at `vertex` (full spaces
-    elsewhere), expressed in the basis given by the rows."""
-    Q, p = X.quiver, X.q
-    d = X.dim
-    new_dim = d - DimVector({vertex: 1})
-    bases = {}
-    for v in Q.vertices:
-        if v == vertex:
-            bases[v] = (rows, pivots)
-        else:
-            ident = tuple(tuple(1 if i == j else 0 for j in range(d[v]))
-                          for i in range(d[v]))
-            bases[v] = (ident, tuple(range(d[v])))
+def _restrict(X, h, rows, members):
+    """Subrepresentation on the hyperplane ``rows`` at vertex index ``h``
+    (full spaces elsewhere), in the basis given by the rows; None if an
+    arrow into ``h`` leaves the hyperplane."""
+    p, dims = X.q, list(X.dims)
+    pivots = [row.index(1) for row in rows]  # echelon rows: unit pivots
+    bases = [rows if v == h else [[int(i == j) for j in range(n)] for i in range(n)]
+             for v, n in enumerate(dims)]
+    dims[h] -= 1
     mats = []
-    for (s, t), m in zip(Q.arrows, X.mats):
-        rows_t, piv_t = bases[t]
-        new_rows = []
-        for vec in bases[s][0]:
-            img = _mat_vec(m, vec, p)
-            # coordinates of img in the echelon basis rows_t
-            coords = [img[c] % p for c in piv_t]
-            # echelon rows have unit pivots and zeros above/below, so the
-            # pivot coordinates are the coefficients; verify the remainder
-            resid = list(img)
-            for co, rw in zip(coords, rows_t):
-                resid = [(a - co * b) % p for a, b in zip(resid, rw)]
-            if any(resid):
-                return None  # image leaves the subspace
-            new_rows.append(tuple(coords))
-        # transpose convention: matrix rows indexed by target coords
-        nt, ns = new_dim[t], new_dim[s]
-        mat = tuple(tuple(new_rows[c][r] for c in range(ns)) for r in range(nt))
-        mats.append(mat)
-    return FFRep(Q, p, new_dim, mats)
+    for (s, t), m in zip(X.quiver.arrow_pairs, X.mats):
+        cols = []
+        for vec in bases[s]:
+            img = [sum(map(mul, row, vec)) % p for row in m]
+            if t == h:
+                if _pack(img, p) not in members:
+                    return None
+                img = [img[c] for c in pivots]  # coordinates in the rows
+            cols.append(img)
+        mats.append(tuple(tuple(col[r] for col in cols) for r in range(dims[t])))
+    dims = tuple(dims)
+    return FFRep._trusted(X.quiver, p, X.quiver.vec(dims), dims, tuple(mats))
 
 
 def has_comp_series(X: FFRep, word) -> bool:
@@ -488,28 +463,14 @@ def has_comp_series(X: FFRep, word) -> bool:
         return False
     if not word:
         return True
-    head = word[0]
-    p = X.q
-    n = X.dim[head]
+    h = X.quiver.index(word[0])
+    n = X.dims[h]
     if n == 0:
         return False
-    # subrep of codimension 1 at `head`: hyperplane W containing the images
-    # of all arrows into `head`
-    for rows, pivots in _subspaces(n, n - 1, p):
-        ok = True
-        for (s, t), m in zip(X.quiver.arrows, X.mats):
-            if t != head:
-                continue
-            for c in range(X.dim[s]):
-                col = [m[r][c] for r in range(n)]
-                if any(col) and not _in_span(rows, pivots, col, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        sub = _restrict(X, head, rows, pivots)
+    # subreps of codimension 1 at the head: hyperplanes W there that contain
+    # the images of all arrows into it
+    for rows, members in _member_spaces(n, n - 1, X.q):
+        sub = _restrict(X, h, rows, members)
         if sub is not None and has_comp_series(sub, word[1:]):
             return True
     return False
@@ -531,10 +492,6 @@ def comp_series_point_set(quiver, word, q, budget=None):
 # ---------------------------------------------------------------------------
 # the quadric criterion for K_m, d = (2, 2)
 
-def _det2(m, p):
-    return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
-
-
 def kronecker_quadratic_form(mats, q):
     """Coefficients and rank of f_A(l) = det(sum_k l_k A_k) for a tuple of
     2x2 matrices; q must be odd so that the Gram matrix determines the rank.
@@ -544,27 +501,24 @@ def kronecker_quadratic_form(mats, q):
     _check_prime(q)
     if q == 2:
         raise InputError("quadratic-form rank needs an odd field")
-    mats = [tuple(tuple(x % q for x in row) for row in m) for m in mats]
+    try:
+        mats = [((a % q, b % q), (c % q, d % q)) for (a, b), (c, d) in mats]
+    except ValueError:
+        raise InputError("matrices must be 2 x 2") from None
     m = len(mats)
-    for a in mats:
-        if len(a) != 2 or any(len(row) != 2 for row in a):
-            raise InputError("matrices must be 2 x 2")
+    # det(sum l_k A_k) with A_k = [[a_k, b_k], [c_k, d_k]]: the l_k l_l
+    # coefficient is a_k d_l + a_l d_k - b_k c_l - b_l c_k
     coeffs = {}
-    for k in range(m):
-        coeffs[(k, k)] = _det2(mats[k], q)
-    for k in range(m):
-        for l in range(k + 1, m):
-            s = tuple(tuple((mats[k][i][j] + mats[l][i][j]) % q
-                            for j in range(2)) for i in range(2))
-            coeffs[(k, l)] = (_det2(s, q) - coeffs[(k, k)] - coeffs[(l, l)]) % q
-    inv2 = pow(2, q - 2, q)
     gram = [[0] * m for _ in range(m)]
-    for k in range(m):
-        gram[k][k] = coeffs[(k, k)]
+    for k, ((a, b), (c, d)) in enumerate(mats):
+        coeffs[(k, k)] = gram[k][k] = (a * d - b * c) % q
+    inv2 = pow(2, q - 2, q)
+    for k, ((a, b), (c, d)) in enumerate(mats):
         for l in range(k + 1, m):
-            gram[k][l] = gram[l][k] = coeffs[(k, l)] * inv2 % q
-    _, pivots = _rref(gram, q)
-    return coeffs, len(pivots)
+            (a2, b2), (c2, d2) = mats[l]
+            coeffs[(k, l)] = x = (a * d2 + a2 * d - b * c2 - b2 * c) % q
+            gram[k][l] = gram[l][k] = x * inv2 % q
+    return coeffs, len(_rref(gram, q)[1])
 
 
 # ---------------------------------------------------------------------------

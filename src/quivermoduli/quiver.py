@@ -118,7 +118,8 @@ class Quiver:
     input order), so an arrow i -> j always has i before j.
     """
 
-    __slots__ = ("vertices", "arrows", "_index", "_arrow_counts", "_hash")
+    __slots__ = ("vertices", "arrows", "arrow_pairs", "_index", "_arrow_counts",
+                 "_hash")
 
     def __init__(self, vertices, arrows):
         vertices = tuple(str(v) for v in vertices)
@@ -134,7 +135,12 @@ class Quiver:
         order = self._topological_order(vertices, arrows)
         object.__setattr__(self, "vertices", order)
         object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(order)})
+        index = {v: i for i, v in enumerate(order)}
+        object.__setattr__(self, "_index", index)
+        # (source, target) vertex indices in the order the arrows are listed;
+        # per-arrow data (matrices of a representation) follows this order.
+        object.__setattr__(self, "arrow_pairs",
+                           tuple((index[s], index[t]) for s, t in arrows))
         counts = {}
         for s, t in arrows:
             counts[(s, t)] = counts.get((s, t), 0) + 1

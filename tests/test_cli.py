@@ -128,6 +128,28 @@ class TestExitCodes:
                      "bad --parts entry", id="normalize-part-not-integer"),
         pytest.param(["oracle", "kron-quadric", "--mats", '[[["a", 0], [0, 1]]]',
                       "--q", "3"], "bad matrix tuple", id="kron-quadric-entry"),
+        # floats are not truncated and booleans are not read as 0/1
+        pytest.param(["mass", "--quiver", A2, "--dim", '{"i": 1.9, "j": true}'],
+                     "bad --dim: 1.9 is not an integer", id="dim-float"),
+        pytest.param(["mass", "--quiver", A2, "--dim", '{"i": 1, "j": true}'],
+                     "bad --dim: true is not an integer", id="dim-bool"),
+        pytest.param(["betti", "--quiver", A2, "--dim", D11, "--theta", '{"i": 1.0}'],
+                     "bad theta: 1.0 is not an integer", id="theta-float"),
+        pytest.param(["oracle", "count-ss", "--quiver", A2, "--dim", D11,
+                      "--theta", '{"i": false}', "--q", "3"],
+                     "bad theta: false is not an integer", id="theta-bool"),
+        pytest.param(["oracle", "kron-quadric", "--mats", '[[[0.5, 0], [0, 1]]]',
+                      "--q", "3"], "bad matrix tuple: 0.5 is not an integer",
+                     id="mats-float"),
+        pytest.param(["oracle", "kron-quadric", "--mats", '[[[1, 0], [0, true]]]',
+                      "--q", "3"], "bad matrix tuple: true is not an integer",
+                     id="mats-bool"),
+        pytest.param(["monoid", "equal", "--quiver", A2, "--w", "ij", "--w2", "ji",
+                      "--budget", "0"], "--budget must be positive, got 0",
+                     id="monoid-budget-zero"),
+        pytest.param(["monoid", "equal", "--quiver", A2, "--w", "ij", "--w2", "ji",
+                      "--budget", "-1"], "--budget must be positive, got -1",
+                     id="monoid-budget-negative"),
     ])
     def test_more_input_errors_are_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -136,6 +158,18 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["error_class"] == "input"
         assert message in doc["error"]
+
+    def test_integer_strings_still_accepted(self, capsys):
+        as_ints = run_json(capsys, "mass", "--quiver", A2, "--dim", D11)
+        as_strings = run_json(capsys, "mass", "--quiver", A2,
+                              "--dim", '{"i": "1", "j": "1"}')
+        assert as_strings["result"] == as_ints["result"]
+        doc = run_json(capsys, "oracle", "kron-quadric", "--q", "3",
+                       "--mats", '[[["1", "0"], ["0", "-1"]]]')
+        assert doc["result"] == {"coefficients": {"0,0": "2"}, "rank": "1"}
+        doc = run_json(capsys, "monoid", "equal", "--quiver", A2,
+                       "--w", "ij", "--w2", "ji", "--budget", "1000")
+        assert doc["result"]["outcome"] == "not-equal"
 
     def test_budget_error_is_3(self, capsys):
         code, out, err = run(capsys, "oracle", "count-ss", "--quiver", K3,
