@@ -310,9 +310,10 @@ def _parse_fixture_argv(name, argv):
     try:
         with contextlib.redirect_stdout(usage), contextlib.redirect_stderr(usage):
             args = _parse(argv)
-    except SystemExit:
-        message = (usage.getvalue().strip().splitlines() or ["exited"])[-1]
-        raise InputError(f"fixture {name!r}: bad argv: {message}") from None
+    except InputError as exc:
+        raise InputError(f"fixture {name!r}: bad argv: {exc}") from None
+    except SystemExit:  # --help
+        raise InputError(f"fixture {name!r}: bad argv: exited") from None
     if args.fn is _cmd_fixtures_run:
         raise InputError(f"fixture {name!r}: fixtures cannot run fixtures")
     return args
@@ -360,8 +361,16 @@ class _FixtureFailure(Exception):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors: exit 2 with JSON, like
+    every other bad input.  Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quivermoduli",
         description="Exact invariants of quiver representation varieties")
     ap.add_argument("--format", choices=["json", "table"], default="json")
@@ -506,15 +515,15 @@ def _render_table(payload, out):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    command = None  # until argv parses
     try:
         args = _parse(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    started = time.perf_counter()
-    command = " ".join(
-        [args.command] + ([args.sub] if getattr(args, "sub", None) else []))
-    try:
+        started = time.perf_counter()
+        command = " ".join(
+            [args.command] + ([args.sub] if getattr(args, "sub", None) else []))
         payload, inputs = _dispatch(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except BudgetExceeded as exc:
         err = {"command": command, "error": str(exc),
                "error_class": "budget"}

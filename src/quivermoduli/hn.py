@@ -15,7 +15,17 @@ e^k + ... + e^s (k >= 2) all have slope above mu:
 with a(x, y) = sum over arrows i -> j of x_i y_j.  mass_ss_closed(d) is
 R(d; mu(d)), and poincare(d) is v^(-sum_i d_i (d_i - 1)) R(d; mu(d)) over
 (v^2 - 1)^(dim d - 1).  mass_ss runs the HN recursion itself, so the two
-semistable masses are computed independently and check each other.
+semistable masses are computed independently and check each other.  Every
+representation has exactly one HN type, so with T(f; b) the mass of the
+representations of dimension f whose HN slopes all lie below b, and
+X(e, f) = mass_ss(e) T(f - e; mu(e)) q^(-<f - e, e>) the term of the types
+whose first part is e,
+
+    T(f; b)    = mass(f) - sum over e < f with mu(e) >= b of X(e, f),
+    mass_ss(f) = mass(f) - sum over e < f with mu(e) > mu(f) of X(e, f).
+
+Both are read off one pass per f over its parts by descending slope, which
+computes each X(e, f) once (see the comment above the HN recursion).
 
 Below the public functions, everything runs on integer tuples in vertex
 order against one context per (quiver, theta), which holds the one memo;
@@ -31,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import chain, product
 from operator import mul, sub
 
@@ -354,42 +365,74 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 # ---------------------------------------------------------------------------
 # semistable masses (recursive / HN form)
 
-# The HN recursion reads mass(d) = sum over HN types of
-#   q^{- sum_{k<l} <d^l, d^k>} prod_k mass_ss(d^k);
-# peeling the first part e gives the suffix sum T below, restricted to
-# slopes strictly below a bound.
+# The HN recursion.  T(f; b) is the mass of the representations of dimension
+# f whose HN parts all have slope below b, so T(0; b) = 1, T(f; b) = 0 when
+# mu(f) >= b, and peeling the first HN part e of f gives the term
+#   X(e, f) = mass_ss(e) T(f - e; mu(e)) q^{-<f - e, e>},
+# which vanishes unless e = f or mu(e) > mu(f).  Every representation has
+# exactly one HN type, so for mu(f) < b
+#   T(f; b)    = mass(f) - sum_{e < f, mu(e) >= b} X(e, f),
+#   mass_ss(f) = mass(f) - sum_{e < f, mu(e) > mu(f)} X(e, f).
+# One pass per f walks the parts e < f above mu(f) by descending slope,
+# computes each X(e, f) once and folds it into a running difference that
+# starts at mass(f): read at each bound it is T(f; b), and at the end it is
+# mass_ss(f).  Under a top-level d, T(f; b) is asked for only at the bounds
+#   B(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
+# so the memo keeps mass_ss(f) and T(f; b) for b in B(f), and a warm context
+# asked for a bound it never stored runs the pass of f again.
 
-def _peeled(ctx, f, keep):
-    """mass_ss(e) T(f - e; mu(e)) q^{-<f - e, e>} for each e <= f whose slope
-    mu(e) passes ``keep``."""
-    for e in _below(f):
-        mu = ctx.slope(e)
-        if keep(mu):
+# Slopes in descending order, compared by cross-multiplying.
+_DESCENDING = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
+
+
+def _hn(ctx, f, top, bound=None):
+    """The memo entry (mass_ss(f), {b: T(f; b)}) of f under the top-level d
+    ``top``; it is refilled when it lacks ``bound``."""
+    key = (_hn, f)
+    entry = ctx.memo.get(key)
+    if entry is None or (bound is not None and bound not in entry[1]):
+        entry = ctx.memo[key] = _hn_pass(ctx, f, top, entry)
+    return entry
+
+
+def _hn_pass(ctx, f, top, old):
+    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in B(f) and every
+    bound of the entry ``old`` it replaces."""
+    mu_f = ctx.slope(f)
+    bounds = {b for e in _below(_minus(top, f)) if _less(mu_f, b := ctx.slope(e))}
+    if old is not None:
+        bounds |= old[1].keys()
+    bounds = sorted(bounds, key=_DESCENDING)
+    parts = sorted(((mu, e) for e in _below(f) if _less(mu_f, mu := ctx.slope(e))),
+                   key=lambda p: _DESCENDING(p[0]))
+
+    def peeled(chunk):
+        # -X(e, f) for the nonzero X; mu(f - e) < mu(f) < mu(e) and
+        # e <= top - (f - e), so mu(e) is in B(f - e)
+        for mu, e in chunk:
+            ss = _hn(ctx, e, top)[0]
+            if ss.is_zero():
+                continue
             rest = _minus(f, e)
-            term = _mass_ss_cf(ctx, e) * _T(ctx, rest, mu)
-            yield term.shift(-ctx.euler(rest, e))
+            below = _hn(ctx, rest, top, mu)[1][mu]
+            if not below.is_zero():
+                yield -(ss * below).shift(-ctx.euler(rest, e))
 
-
-@_memoized
-def _T(ctx, f, bound):
-    if not any(f):
-        return CycloFrac.one()
-    if not _less(ctx.slope(f), bound):  # no tuple fits below the bound
-        return CycloFrac.zero()
-    return CycloFrac.sum(_peeled(ctx, f, lambda mu: _less(mu, bound)))
-
-
-@_memoized
-def _mass_ss_cf(ctx, d):
-    mu_d = ctx.slope(d)
-    above = _peeled(ctx, d, lambda mu: _less(mu_d, mu))  # e = d fails
-    return CycloFrac.sum(chain((_mass_cf(ctx, d),), (-t for t in above)))
+    running, table, i = _mass_cf(ctx, f), {}, 0
+    for b in chain(bounds, (mu_f,)):  # every part lies above mu(f)
+        j = i
+        while j < len(parts) and not _less(parts[j][0], b):
+            j += 1
+        if j > i:
+            running = CycloFrac.sum(chain((running,), peeled(parts[i:j])))
+        table[b], i = running, j
+    return table.pop(mu_f), table
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
-    return _mass_ss_cf(*_checked(quiver, theta, d,
-                                 "the zero vector has no semistable mass")).reduce()
+    ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
+    return _hn(ctx, t, t)[0].reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +493,8 @@ def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
 def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
-    cf = _mass_ss_cf(*_checked_coprime(quiver, theta, d))
+    ctx, t = _checked_coprime(quiver, theta, d)
+    cf = _hn(ctx, t, t)[0]
     return (cf * CycloFrac(LaurentPoly({1: 1, 0: -1}))).reduce().to_polynomial()
 
 

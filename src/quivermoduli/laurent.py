@@ -11,8 +11,9 @@ numerators by products of binomials x^e - 1 (:func:`_binomial_lift_sum`),
 use Kronecker substitution: coefficients become the base-2^k digits of one
 integer, so a single big-integer multiply does the work.  Digits are
 balanced (signed), and k always comes from a proven bound on the result's
-coefficients, never from a guess.  ``Fraction`` remains only in the general
-gcd of :class:`RationalFunc` and in evaluation at rational points.
+coefficients, never from a guess.  The general gcd of :class:`RationalFunc`
+is a primitive pseudo-remainder sequence over the integers; ``Fraction``
+remains only in evaluation at rational points.
 """
 
 from __future__ import annotations
@@ -473,56 +474,55 @@ class LaurentPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def _trim(p):
+    """Drop the zero top coefficients of the list p; return p."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _primitive(p):
+    """A nonzero trimmed p divided by the gcd of its coefficients."""
+    g = gcd(*p)
+    return [x // g for x in p] if g != 1 else p
+
+
+def _pseudo_rem(p, q):
+    """A nonzero integer multiple of the remainder of p by q, trimmed (p and
+    q trimmed, q nonzero): each step scales p by lc(q) / gcd(lc(p), lc(q))
+    and cancels its top coefficient against q."""
+    p, n, lead = list(p), len(q), q[-1]
+    while len(p) >= n:
+        top = p.pop()
+        g = gcd(top, lead)
+        scale, top = lead // g, top // g
+        if scale != 1:
+            p = [x * scale for x in p]
+        off = len(p) - n + 1
+        for i in range(n - 1):
+            p[off + i] -= top * q[i]
+        _trim(p)
+    return p
+
+
 def _poly_gcd(a, b):
-    """Gcd of two integer polynomials given as ascending coefficient lists."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
+    """Gcd of two integer polynomials given as ascending coefficient lists:
+    primitive with a positive leading coefficient, and [0] when both are 0.
 
-    def norm(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def rem(p, q):
-        p = p[:]
-        lead = q[-1]
-        while len(p) >= len(q):
-            c = p[-1] / lead
-            off = len(p) - len(q)
-            for i in range(len(q)):
-                p[off + i] -= c * q[i]
-            p = norm(p)
-            if not p:
-                break
-        return p
-
-    from math import gcd as igcd, lcm
-
-    def renorm(p):
-        # clear denominators and divide by integer content
-        scale = lcm(*[x.denominator for x in p]) if p else 1
-        ints = [int(x * scale) for x in p]
-        g = 0
-        for x in ints:
-            g = igcd(g, x)
-        return [Fraction(x, g) for x in ints] if g else p
-
-    a, b = norm(a), norm(b)
+    A primitive pseudo-remainder sequence: every remainder is an integer
+    multiple of the Euclidean one and is divided by its content, so the last
+    nonzero one is the gcd over Q up to a unit and the coefficients stay
+    small (Gauss's lemma: a primitive gcd over Q is one over Z).
+    """
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, rem(a, b)
+        a, b = b, _pseudo_rem(a, b)
         if b:
-            b = renorm(b)
+            b = _primitive(b)
     if not a:
         return [0]
-    scale = lcm(*[x.denominator for x in a])
-    ints = [int(x * scale) for x in a]
-    g = 0
-    for x in ints:
-        g = igcd(g, x)
-    ints = [x // g for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-x for x in a]
 
 
 class RationalFunc:
@@ -557,8 +557,7 @@ class RationalFunc:
         gp = LaurentPoly.from_coeff_list(g)
         n1 = LaurentPoly.from_coeff_list(ncoeffs).divexact(gp)
         d1 = LaurentPoly.from_coeff_list(dcoeffs).divexact(gp)
-        from math import gcd as igcd
-        c = igcd(n1.content(), d1.content())
+        c = gcd(n1.content(), d1.content())
         if c > 1:
             n1 = n1.divexact(LaurentPoly({0: c}))
             d1 = d1.divexact(LaurentPoly({0: c}))

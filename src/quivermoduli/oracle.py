@@ -140,13 +140,17 @@ class FFRep:
         X._fill(quiver, q, dim, dims, mats)
         return X
 
+    # Quiver equality ignores the order arrows are listed in, but the
+    # matrices follow it, so equal reps also list their arrows alike.
     def __eq__(self, other):
         return (isinstance(other, FFRep) and self.quiver == other.quiver
+                and self.quiver.arrow_pairs == other.quiver.arrow_pairs
                 and self.q == other.q and self.dim == other.dim
                 and self.mats == other.mats)
 
     def __hash__(self):
-        return hash((self.quiver, self.q, self.dim, self.mats))
+        return hash((self.quiver, self.quiver.arrow_pairs, self.q, self.dim,
+                     self.mats))
 
     def __repr__(self):
         return f"FFRep(q={self.q}, dim={self.dim.to_json()}, mats={self.mats})"

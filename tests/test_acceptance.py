@@ -179,9 +179,11 @@ def test_c5_roots_match_indecomposables(capsys):
            f"indecomposables in {cases} cases")
 
 
-def _check_quadric(quiver, m, q, mats, theta):
-    coeffs, rank = kronecker_quadratic_form(mats, q)
-    X = FFRep(quiver, q, dvec(quiver, 2, 2), mats)
+def _check_quadric(X, m, theta):
+    """The quadric of the (2,2) rep X of K_m is nonzero iff X is
+    theta-semistable, and its rank is at most min(4, m)."""
+    q = X.q
+    coeffs, rank = kronecker_quadratic_form(X.mats, q)
     nonzero = any(c % q for c in coeffs.values())
     return nonzero == is_semistable(X, theta) and rank <= min(4, m)
 
@@ -193,7 +195,7 @@ def test_c6_quadric_criterion_for_two_two(capsys):
     for m, q in [(2, 3), (2, 5), (3, 3)]:
         quiver = kronecker_quiver(m)
         for X in enumerate_reps(quiver, dvec(quiver, 2, 2), q):
-            ok = ok and _check_quadric(quiver, m, q, X.mats, THETA_I)
+            ok = ok and _check_quadric(X, m, THETA_I)
             cases += 1
         if not ok:
             break
@@ -206,14 +208,16 @@ def test_c6_quadric_criterion_for_two_two(capsys):
             samples.append([[[rng.randrange(q) for _ in range(2)]
                              for _ in range(2)] for _ in range(m)])
         for mats in samples:
-            ok = ok and _check_quadric(quiver, m, q, mats, THETA_I)
+            X = FFRep(quiver, q, dvec(quiver, 2, 2), mats)
+            ok = ok and _check_quadric(X, m, THETA_I)
             cases += 1
     # the reference 4-tuple over F_5 spans a rank-4 quadratic form
     shown = [[[1, 0], [0, 1]], [[2, 0], [0, -2]],
              [[0, 1], [-1, 0]], [[0, 2], [2, 0]]]
     coeffs, rank = kronecker_quadratic_form(shown, 5)
     ok = ok and rank == 4
-    ok = ok and _check_quadric(kronecker_quiver(4), 4, 5, shown, THETA_I)
+    X = FFRep(K[4], 5, dvec(K[4], 2, 2), shown)
+    ok = ok and _check_quadric(X, 4, THETA_I)
     report(capsys, 6, ok,
            f"semistability of (2,2)-tuples is detected by the determinant "
            f"quadric in {cases} cases; reference tuple has rank 4")

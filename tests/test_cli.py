@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivermoduli.cli import main
 
@@ -150,6 +153,13 @@ class TestExitCodes:
         pytest.param(["monoid", "equal", "--quiver", A2, "--w", "ij", "--w2", "ji",
                       "--budget", "-1"], "--budget must be positive, got -1",
                      id="monoid-budget-negative"),
+        # usage errors are input errors too, reported as JSON
+        pytest.param(["oracle", "count-indec", "--quiver", A2, "--dim", D11,
+                      "--q", "x"], "argument --q: invalid int value: 'x'",
+                     id="usage-bad-int"),
+        pytest.param(["betti", "--quiver", A2, "--dim", D11],
+                     "the following arguments are required: --theta",
+                     id="usage-missing-flag"),
     ])
     def test_more_input_errors_are_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -250,3 +260,67 @@ class TestFormats:
         doc = run_json(capsys, "euler", "--quiver", str(path),
                        "--d", D11, "--e", D11)
         assert doc["result"]["value"] == "-1"
+
+
+# argv fuzzing: small quivers (loops and cycles included), dimension vectors
+# and theta with stray vertices and non-integer entries, and flag values
+# outside their ranges
+VERTICES = ["i", "j", "k"]
+
+
+@st.composite
+def quivers(draw):
+    vertices = VERTICES[:draw(st.integers(1, 3))]
+    ends = st.sampled_from(vertices)
+    arrows = draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return json.dumps({"vertices": vertices,
+                       "arrows": [{"from": s, "to": t} for s, t in arrows]})
+
+
+def vectors(values):
+    return st.dictionaries(st.sampled_from(VERTICES + ["x"]), values,
+                           max_size=3).map(json.dumps)
+
+
+dims = vectors(st.one_of(st.integers(-1, 2), st.sampled_from(["1", "x", 1.5, True, None])))
+thetas = vectors(st.one_of(st.integers(-2, 2), st.sampled_from(["-1", 0.5, False])))
+flags = {"--q": st.sampled_from(["2", "3", "4", "0", "x"]),
+         "--budget": st.sampled_from(["50", "1", "0", "-1", "x"]),
+         "--method": st.sampled_from(["closed", "mass", "recursive", "bogus"])}
+# command words and the flags each takes ("--dim" etc. get a dimension vector)
+COMMANDS = [
+    (["euler"], ["--d", "--e"]), (["ext"], ["--d", "--e"]), (["hom"], ["--d", "--e"]),
+    (["root", "classify"], ["--dim"]), (["root", "list"], ["--bound"]),
+    (["schur"], ["--dim"]), (["decompose"], ["--dim"]), (["mass"], ["--dim"]),
+    (["ss-nonempty"], ["--dim", "--theta"]), (["hn-types"], ["--dim", "--theta"]),
+    (["mass-ss"], ["--dim", "--theta", "--method"]),
+    (["betti"], ["--dim", "--theta", "--method"]),
+    (["oracle", "count-ss"], ["--dim", "--theta", "--q", "--budget"]),
+    (["oracle", "count-stable"], ["--dim", "--theta", "--q", "--budget"]),
+    (["oracle", "count-indec"], ["--dim", "--q", "--budget"]),
+    (["oracle", "generic-ext"], ["--d", "--e", "--q", "--budget"]),
+]
+
+
+@st.composite
+def argvs(draw):
+    words, names = draw(st.sampled_from(COMMANDS))
+    argv = words + ["--quiver", draw(quivers())]
+    for name in names:
+        value = flags.get(name, thetas if name == "--theta" else dims)
+        argv += [name, draw(value)]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(deadline=None, max_examples=250)
+    @given(argvs())
+    def test_exit_code_and_one_json_object(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        text = (err if code else out).getvalue()
+        assert (out if code else err).getvalue() == ""
+        doc = json.loads(text)
+        assert isinstance(doc, dict) and ("error" in doc) == (code != 0)

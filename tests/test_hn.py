@@ -296,6 +296,72 @@ class TestCaches:
         assert not hn._contexts
         assert warm == cold == answers()
 
+    # (quiver, theta with negative entries, [small d, larger d, d incomparable
+    # with the larger one])
+    WARM_CASES = {
+        "K3": (kronecker_quiver(3), Stability({"i": 2, "j": -1}),
+               [(1, 2), (3, 4), (4, 2)]),
+        "A3": (A3, Stability({"1": 1, "3": -1}), [(1, 1, 1), (2, 2, 1), (1, 1, 2)]),
+        "D4": (D4, Stability({"a": 1, "b": 1, "c": 1, "d": -1}),
+               [(1, 1, 0, 1), (1, 1, 1, 2), (2, 1, 0, 1)]),
+    }
+
+    @staticmethod
+    def mass_answers(quiver, theta, d):
+        try:
+            betti = betti_coefficients(quiver, theta, d, method="mass")
+        except CoprimalityError as exc:
+            betti = str(exc)
+        return mass_ss(quiver, theta, d), betti
+
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_warm_orders_equal_cold(self, name):
+        # the HN memo keeps only the bounds reachable under the d it was
+        # filled for; later, larger or incomparable d must still be right
+        quiver, theta, values = self.WARM_CASES[name]
+        small, large, other = (DimVector(dict(zip(quiver.vertices, v)))
+                               for v in values)
+        assert not (other <= large or large <= other)
+        cold = {}
+        for d in (small, large, other):
+            hn.clear_caches()
+            cold[d] = self.mass_answers(quiver, theta, d)
+            hn.clear_caches()
+            assert cold[d][0] == mass_ss_closed(quiver, theta, d)
+        for order in ([small, large], [large, small, other]):
+            hn.clear_caches()
+            for d in order:
+                assert self.mass_answers(quiver, theta, d) == cold[d], (order, d)
+
+    def test_missing_bound_refills(self, k3, monkeypatch):
+        passes = []
+        real = hn._hn_pass
+
+        def spy(ctx, f, top, old):
+            passes.append((f, old is not None))
+            return real(ctx, f, top, old)
+
+        monkeypatch.setattr(hn, "_hn_pass", spy)
+        theta = Stability({"i": 2, "j": -1})
+        hn.clear_caches()
+        mass_ss(k3, theta, dv(i=1, j=2))
+        # a cold query runs the pass of each f once and never refills
+        assert len({f for f, _ in passes}) == len(passes) and not any(r for _, r in passes)
+        del passes[:]
+        warm = mass_ss(k3, theta, dv(i=3, j=4))
+        # (1,2) was the top, so it stored no bound at all
+        assert ((1, 2), True) in passes
+        # a refill keeps the bounds the entry had, so the memo only grows
+        memo = hn._context(k3, theta).memo
+        for d in (dv(i=4, j=2), dv(i=2, j=5)):
+            stored = {key: set(entry[1]) for key, entry in memo.items()
+                      if key[0] is hn._hn}
+            mass_ss(k3, theta, d)
+            assert all(bounds <= set(memo[key][1]) for key, bounds in stored.items())
+        hn.clear_caches()
+        assert warm == mass_ss(k3, theta, dv(i=3, j=4)) == \
+            mass_ss_closed(k3, theta, dv(i=3, j=4))
+
 
 class TestInputEdge:
     def test_unknown_theta_vertex(self, a2):

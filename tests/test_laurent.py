@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
 from quivermoduli.laurent import (LaurentPoly, RationalFunc, _binomial_lift_sum,
-                                  _kronecker_mul, cyclotomic, quantum_factorial,
-                                  quantum_integer)
+                                  _kronecker_mul, _poly_gcd, cyclotomic,
+                                  quantum_factorial, quantum_integer)
 
 
 def P(d):
@@ -176,6 +177,64 @@ class TestIntegerKernelProperties:
         for p, f in terms:
             want = want + binomial_lift_reference(p, f)
         assert _binomial_lift_sum(terms) == want
+
+
+def fraction_poly_gcd(a, b):
+    """Reference gcd of ascending coefficient lists: Euclid over Q, made
+    monic, then scaled to a primitive integer polynomial."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim([Fraction(x) for x in a]), trim([Fraction(x) for x in b])
+    while b:
+        r = a[:]
+        while len(r) >= len(b):
+            c, off = r[-1] / b[-1], len(r) - len(b)
+            for i, x in enumerate(b):
+                r[off + i] -= c * x
+            r = trim(r)
+        a, b = b, r
+    if not a:
+        return [0]
+    monic = [x / a[-1] for x in a]
+    scale = lcm(*(x.denominator for x in monic))
+    ints = [int(x * scale) for x in monic]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def convolve(f, g):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+gcd_factors = st.lists(st.one_of(st.integers(-6, 6), st.integers(-2 ** 40, 2 ** 40)),
+                       max_size=6)
+
+
+class TestPolyGcdProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(gcd_factors, gcd_factors, gcd_factors, st.integers(-6, 6), st.integers(-6, 6))
+    def test_matches_fraction_reference(self, f, g, h, cf, cg):
+        # a shared factor h and integer contents cf, cg, so the gcd is
+        # usually nontrivial; trailing zeros and zero inputs included
+        a = [cf * x for x in convolve(f, h)]
+        b = [cg * x for x in convolve(g, h)]
+        got = _poly_gcd(a, b)
+        assert got == fraction_poly_gcd(a, b)
+        assert got == [0] or (got[-1] > 0 and gcd(*got) == 1)
+
+    def test_examples(self):
+        assert _poly_gcd([-1, 0, 1], [2, 2]) == [1, 1]      # gcd(x^2-1, 2x+2)
+        assert _poly_gcd([6], [4]) == [1]
+        assert _poly_gcd([0, 0], []) == [0]
+        assert _poly_gcd([0, -4, 0], [0]) == [0, 1]
+        assert _poly_gcd([1, 1], [1, 2, 1, 0]) == [1, 1]
 
 
 class TestRationalFunc:

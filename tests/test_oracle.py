@@ -359,6 +359,18 @@ class TestArrowOrder:
         with pytest.raises(InputError, match="different quivers"):
             hom_dim(X, Y)
 
+    def test_equal_matrices_on_reordered_arrows_are_different_reps(self):
+        # the same matrices make a path i -> j -> k on a and i -> k <- j on b
+        dim = DimVector({"i": 1, "j": 1, "k": 1})
+        mats = (((1,),), ((1,),), ((0,),))
+        X, Y = FFRep(self.a, 3, dim, mats), FFRep(self.b, 3, dim, mats)
+        # only Y has the subrep on {i, k}, of slope 1/2 > 0 = mu(d)
+        theta = Stability({"i": 1, "j": -1})
+        assert is_semistable(X, theta) and not is_semistable(Y, theta)
+        assert X != Y and len({X, Y}) == 2
+        again = FFRep(self.a, 3, dim, [[[1]], [[1]], [[0]]])
+        assert X == again and hash(X) == hash(again)
+
 
 class TestIndecomposable:
     def test_a2_counts(self, a2):
