@@ -4,14 +4,19 @@ ext(d, e) is the dimension of Ext between representations in general
 position; it is computed by Schofield's recursion over generic
 subrepresentation dimensions of d.  Everything else (generic hom, Schur-root
 test, canonical decomposition) is derived from it.
+
+Below the public functions, everything runs on integer tuples against the
+theta-free context of the quiver, in the one store it shares with ``hn``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import permutations
+from operator import le
 
 from .errors import InputError
-from .quiver import DimVector, Quiver
+from .quiver import (DimVector, Quiver, _below, _context, _memoized, _minus,
+                     clear_caches)
 
 __all__ = [
     "generic_ext",
@@ -23,28 +28,34 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _ext(quiver, d, e):
-    # max over generic subrep dimensions d' of d of -<d', e>, floored at 0.
-    dt = quiver.tup(d)
-    if all(x == 0 for x in dt) or all(x == 0 for x in quiver.tup(e)):
-        return 0
-    best = 0
-    for dp in quiver.vectors_below(d):
-        if dp == d:
-            continue
-        if _ext(quiver, dp, d - dp) == 0:
-            best = max(best, -quiver.euler(dp, e))
-    # d' = d always qualifies (ext(d, 0) = 0)
-    best = max(best, -quiver.euler(d, e))
-    return best
+@_memoized
+def _subreps(ctx, d):
+    """{e: <e, d>} over the dimensions 0 < e <= d of generic
+    subrepresentations, those with ext(e, d - e) = 0, lexicographically, so
+    d itself comes last."""
+    pairing = {e: ctx.euler(e, d) for e in _below(d)}
+    subreps = {}
+    for e, p in pairing.items():
+        # by Schofield, ext(e, d - e) = 0 iff <x, d - e> >= 0, that is
+        # <x, e> <= <x, d>, for every x in _subreps(ctx, e); d itself always
+        # qualifies, and the largest x most often fails, so it is tried first
+        sub = {} if e == d else _subreps(ctx, e)
+        if all(map(le, reversed(sub.values()),
+                   map(pairing.__getitem__, reversed(sub)))):
+            subreps[e] = p
+    return subreps
+
+
+@_memoized
+def _ext(ctx, d, e):
+    """Schofield: the max of 0 and -<d', e> over the generic
+    subrepresentation dimensions d' of d."""
+    return max([0] + [-ctx.euler(x, e) for x in _subreps(ctx, d)])
 
 
 def generic_ext(quiver: Quiver, d: DimVector, e: DimVector) -> int:
     """dim Ext(M, N) for M, N in general position of dimensions d, e."""
-    quiver.check_vector(d)
-    quiver.check_vector(e)
-    return _ext(quiver, d, e)
+    return _ext(_context(quiver), quiver.tup(d), quiver.tup(e))
 
 
 def generic_hom(quiver: Quiver, d: DimVector, e: DimVector) -> int:
@@ -55,23 +66,16 @@ def generic_hom(quiver: Quiver, d: DimVector, e: DimVector) -> int:
 def generic_subrep(quiver: Quiver, e: DimVector, d: DimVector) -> bool:
     """True iff the general representation of dimension d has a subrepresentation
     of dimension e; equivalent to ext(e, d-e) = 0."""
-    quiver.check_vector(e)
-    quiver.check_vector(d)
-    if not e <= d:
+    x, y = quiver.tup(e), quiver.tup(d)
+    if not all(map(le, x, y)):
         raise InputError("subdimension vector must be componentwise <= ambient")
-    return _ext(quiver, e, d - e) == 0
+    return _ext(_context(quiver), x, _minus(y, x)) == 0
 
 
-@lru_cache(maxsize=None)
-def _schur(quiver, d):
-    if d.is_zero():
-        raise InputError("zero vector is not a Schur root candidate")
-    for e in quiver.vectors_below(d):
-        if e == d:
-            continue
-        if _ext(quiver, e, d - e) == 0 and not quiver.euler(d, e) < quiver.euler(e, d):
-            return False
-    return True
+@_memoized
+def _schur(ctx, d):
+    return all(ctx.euler(d, e) < p
+               for e, p in _subreps(ctx, d).items() if e != d)
 
 
 def schur_test(quiver: Quiver, d: DimVector) -> bool:
@@ -81,54 +85,42 @@ def schur_test(quiver: Quiver, d: DimVector) -> bool:
     Criterion: <d,e> < <e,d> for every proper nonzero generic subrep
     dimension e of d.
     """
-    quiver.check_vector(d)
-    return _schur(quiver, d)
+    t = quiver.tup(d)
+    if not any(t):
+        raise InputError("zero vector is not a Schur root candidate")
+    return _schur(_context(quiver), t)
 
 
-@lru_cache(maxsize=None)
-def _decompose(quiver, d):
-    if d.is_zero():
+@_memoized
+def _decompose(ctx, d):
+    if not any(d):
         return ()
-    if _schur(quiver, d):
+    if _schur(ctx, d):
         return (d,)
-    for e in quiver.vectors_below(d):
+    for e in _subreps(ctx, d):
         if e == d:
-            continue
-        if _ext(quiver, e, d - e) != 0:
-            continue
-        cand = tuple(sorted(_decompose(quiver, e) + _decompose(quiver, d - e),
-                            key=quiver.tup))
-        if _kac_conditions(quiver, cand):
+            break
+        cand = tuple(sorted(_decompose(ctx, e) + _decompose(ctx, _minus(d, e))))
+        if _kac_conditions(ctx, cand):
             return cand
     raise AssertionError(
         f"no generic decomposition found for {d!r}; this should be impossible")
 
 
-def _kac_conditions(quiver, parts):
-    for p in parts:
-        if not _schur(quiver, p):
-            return False
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            if i != j and _ext(quiver, a, b) != 0:
-                return False
-    return True
+def _kac_conditions(ctx, parts):
+    return (all(_schur(ctx, p) for p in parts)
+            and all(_ext(ctx, a, b) == 0 for a, b in permutations(parts, 2)))
 
 
 def generic_decomposition(quiver: Quiver, d: DimVector):
     """The canonical decomposition d = d1 + ... + dn: the unique multiset of
     Schur roots with pairwise vanishing generic ext, returned sorted
     lexicographically in the canonical vertex order."""
-    quiver.check_vector(d)
-    parts = _decompose(quiver, d)
-    if not _kac_conditions(quiver, parts):
-        raise AssertionError(f"decomposition {parts!r} breaks Kac's conditions")
-    if sum(parts, DimVector({})) != d:
-        raise AssertionError(f"decomposition {parts!r} does not sum to {d!r}")
-    return list(parts)
-
-
-def clear_caches():
-    _ext.cache_clear()
-    _schur.cache_clear()
-    _decompose.cache_clear()
+    ctx, t = _context(quiver), quiver.tup(d)
+    parts = _decompose(ctx, t)
+    out = [quiver.vec(p) for p in parts]
+    if not _kac_conditions(ctx, parts):
+        raise AssertionError(f"decomposition {out!r} breaks Kac's conditions")
+    if any(x != sum(ps) for x, *ps in zip(t, *parts)):
+        raise AssertionError(f"decomposition {out!r} does not sum to {d!r}")
+    return out

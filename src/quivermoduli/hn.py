@@ -28,8 +28,9 @@ Both are read off one pass per f over its parts by descending slope, which
 computes each X(e, f) once (see the comment above the HN recursion).
 
 Below the public functions, everything runs on integer tuples in vertex
-order against one context per (quiver, theta), which holds the one memo;
-slopes are reduced (theta(e), dim e) pairs compared by cross-multiplying.
+order against the context of (quiver, theta), in the one store it shares
+with ``generic``; slopes are reduced (theta(e), dim e) pairs compared by
+cross-multiplying.
 Sums are kept as CycloFrac, a numerator over factors x^k - 1: numerators are
 lifted to a common denominator by packed-integer multiplies (see
 ``laurent``), and only final results are reduced, by integer trial division
@@ -42,12 +43,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import chain, product
-from operator import mul, sub
+from itertools import chain
+from operator import mul
 
 from .errors import CoprimalityError, InputError
 from .laurent import LaurentPoly, RationalFunc, _binomial_lift_sum, cyclotomic
-from .quiver import DimVector, Quiver, Stability
+from .quiver import (DimVector, Quiver, Stability, _below, _context, _memoized,
+                     _minus, clear_caches)
 
 __all__ = [
     "CycloFrac",
@@ -189,67 +191,7 @@ class CycloFrac:
 
 
 # ---------------------------------------------------------------------------
-# one context per (quiver, theta)
-
-class _Context:
-    """A quiver and a stability as integer tuples in vertex order, with the
-    memo of every recursion run on them."""
-
-    __slots__ = ("arrows", "theta", "memo")
-
-    def __init__(self, quiver, theta):
-        self.arrows = quiver.arrow_pairs
-        self.theta = theta
-        self.memo = {}
-
-    def arrow_pairing(self, x, y):
-        """a(x, y) = sum over arrows i->j of x_i * y_j."""
-        return sum(x[s] * y[t] for s, t in self.arrows)
-
-    def euler(self, x, y):
-        return sum(map(mul, x, y)) - self.arrow_pairing(x, y)
-
-    def slope(self, e):
-        """theta(e) / dim e as a reduced (numerator, denominator > 0) pair."""
-        num, den = sum(map(mul, self.theta, e)), sum(e)
-        g = math.gcd(num, den)
-        return num // g, den // g
-
-
-_contexts = {}
-
-
-def _context(quiver, theta=None):
-    """The context of (quiver, theta); theta must name only vertices of the
-    quiver.  ``mass`` alone needs no theta."""
-    key = (quiver, None if theta is None else theta.key(quiver))
-    ctx = _contexts.get(key)
-    if ctx is None:
-        ctx = _contexts[key] = _Context(quiver, key[1])
-    return ctx
-
-
-def _memoized(fn):
-    """Memoize fn(ctx, *args) in ctx.memo."""
-    def wrapper(ctx, *args):
-        key = (fn, *args)
-        value = ctx.memo.get(key)
-        if value is None:
-            value = ctx.memo[key] = fn(ctx, *args)
-        return value
-    return wrapper
-
-
-def _below(g):
-    """The nonzero tuples 0 <= e <= g, lexicographically; g comes last."""
-    it = product(*(range(n + 1) for n in g))
-    next(it)
-    return it
-
-
-def _minus(g, e):
-    return tuple(map(sub, g, e))
-
+# helpers on the shared integer-tuple context (see ``quiver``)
 
 def _less(a, b):
     """a < b for slopes given as (numerator, denominator > 0) pairs."""
@@ -274,10 +216,6 @@ def _checked_coprime(quiver, theta, d):
         raise CoprimalityError(
             f"theta(d) = {value} and dim d = {size} are not coprime")
     return ctx, t
-
-
-def clear_caches():
-    _contexts.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
+from operator import mul, sub
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 
 __all__ = [
     "DimVector",
@@ -214,12 +215,7 @@ class Quiver:
 
     def euler(self, d, e):
         """Euler form <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j."""
-        self.check_vector(d)
-        self.check_vector(e)
-        val = sum(d[v] * e[v] for v in self.vertices)
-        for s, t in self.arrows:
-            val -= d[s] * e[t]
-        return val
+        return _context(self).euler(self.tup(d), self.tup(e))
 
     def euler_matrix(self):
         n = len(self.vertices)
@@ -243,13 +239,9 @@ class Quiver:
 
     # -- enumeration helpers ----------------------------------------------
 
-    def vectors_below(self, bound, include_zero=False):
-        """All dimension vectors 0 <= e <= bound, lexicographic in vertex order."""
-        b = self.tup(bound)
-        for t in product(*(range(x + 1) for x in b)):
-            if not include_zero and all(x == 0 for x in t):
-                continue
-            yield self.vec(t)
+    def vectors_below(self, bound):
+        """All dimension vectors 0 < e <= bound, lexicographic in vertex order."""
+        return map(self.vec, _below(self.tup(bound)))
 
     # -- serialization -----------------------------------------------------
 
@@ -355,6 +347,83 @@ class Stability:
 
     def __repr__(self):
         return f"Stability({self.to_json()})"
+
+
+# -- integer-tuple contexts --------------------------------------------------
+
+class _Context:
+    """A quiver and a stability as integer tuples in vertex order, with the
+    memo of every recursion that ``hn`` and ``generic`` run on them."""
+
+    __slots__ = ("arrows", "theta", "memo")
+
+    def __init__(self, quiver, theta):
+        self.arrows = quiver.arrow_pairs
+        self.theta = theta
+        self.memo = {}
+
+    def arrow_pairing(self, x, y):
+        """a(x, y) = sum over arrows i->j of x_i * y_j."""
+        return sum(x[s] * y[t] for s, t in self.arrows)
+
+    def euler(self, x, y):
+        return sum(map(mul, x, y)) - self.arrow_pairing(x, y)
+
+    def slope(self, e):
+        """theta(e) / dim e as a reduced (numerator, denominator > 0) pair."""
+        num, den = sum(map(mul, self.theta, e)), sum(e)
+        g = math.gcd(num, den)
+        return num // g, den // g
+
+
+_contexts = {}
+
+
+def _context(quiver, theta=None):
+    """The context of (quiver, theta); theta must name only vertices of the
+    quiver.  The Euler form, ``generic`` and ``hn.mass`` need no theta."""
+    key = (quiver, None if theta is None else theta.key(quiver))
+    ctx = _contexts.get(key)
+    if ctx is None:
+        ctx = _contexts[key] = _Context(quiver, key[1])
+    return ctx
+
+
+def _memoized(fn):
+    """Memoize fn(ctx, *args) in ctx.memo."""
+    def wrapper(ctx, *args):
+        key = (fn, *args)
+        value = ctx.memo.get(key)
+        if value is None:
+            value = ctx.memo[key] = fn(ctx, *args)
+        return value
+    return wrapper
+
+
+def clear_caches():
+    """Empty the one memo store of the symbolic modules."""
+    _contexts.clear()
+
+
+# The most tuples 0 <= e <= g that one enumeration may walk.  The symbolic
+# recursions visit pairs of such tuples and are out of reach long before this
+# count; above it they refuse before building any range.
+VECTOR_BUDGET = 10 ** 5
+
+
+def _below(g):
+    """The nonzero tuples 0 <= e <= g, lexicographically; g comes last."""
+    required = math.prod(n + 1 for n in g)
+    if required > VECTOR_BUDGET:
+        raise BudgetExceeded(f"{required} dimension vectors lie below {list(g)}",
+                             required=required, budget=VECTOR_BUDGET)
+    it = product(*(range(n + 1) for n in g))
+    next(it)
+    return it
+
+
+def _minus(g, e):
+    return tuple(map(sub, g, e))
 
 
 # -- standard quivers ------------------------------------------------------

@@ -105,7 +105,6 @@ def replay_witness(quiver, endpoint, witness):
 
 def positive_roots_up_to(quiver: Quiver, bound: DimVector):
     """All roots 0 < d <= bound with their kinds, lexicographically ordered."""
-    quiver.check_vector(bound)
     out = []
     for d in quiver.vectors_below(bound):
         cls = classify_root(quiver, d)

@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivermoduli import generic
 from quivermoduli.cli import main
+from quivermoduli.quiver import VECTOR_BUDGET
 
 K3 = json.dumps({"vertices": ["i", "j"],
                  "arrows": [{"from": "i", "to": "j"}] * 3})
@@ -55,6 +57,16 @@ class TestBasicCommands:
         parts = [{k: v for k, v in p.items() if v != "0"}
                  for p in doc["result"]["parts"]]
         assert parts == [{"i": "1"}, {"i": "1", "j": "1"}]
+
+    def test_decompose_spelling_does_not_depend_on_cache(self, capsys):
+        # parts are written over every vertex, cold and warm, whichever
+        # spelling of the zero entry came first
+        sparse, full = '{"i": 1}', '{"i": 1, "j": 0}'
+        for order in ((sparse, full), (full, sparse)):
+            generic.clear_caches()
+            for dim in order:
+                doc = run_json(capsys, "decompose", "--quiver", A2, "--dim", dim)
+                assert doc["result"] == {"parts": [{"i": "1", "j": "0"}]}
 
     def test_mass_and_betti(self, capsys):
         doc = run_json(capsys, "mass", "--quiver", K3, "--dim", D11)
@@ -189,6 +201,30 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["error_class"] == "budget"
         assert doc["budget"] == "10"
+
+    # an entry of 10^30 is refused before any enumeration below d starts
+    HUGE = json.dumps({"i": 10 ** 30, "j": 1})
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--dim", HUGE], ["schur", "--dim", HUGE],
+        ["ext", "--d", HUGE, "--e", D11], ["hom", "--d", HUGE, "--e", D11],
+        ["ss-nonempty", "--dim", HUGE, "--theta", THETA],
+        ["hn-types", "--dim", HUGE, "--theta", THETA],
+        ["mass-ss", "--dim", HUGE, "--theta", THETA],
+        ["mass-ss", "--dim", HUGE, "--theta", THETA, "--method", "closed"],
+        ["betti", "--dim", HUGE, "--theta", THETA],
+        ["betti", "--dim", HUGE, "--theta", THETA, "--method", "mass"],
+        ["monoid", "normalize", "--parts", f"[{HUGE}]"],
+        ["root", "list", "--bound", HUGE],
+    ], ids=lambda argv: " ".join(w for w in argv if w[0] not in "{["))
+    def test_huge_entry_is_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--quiver", A2)
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["required"] == str((10 ** 30 + 1) * 2)
+        assert doc["budget"] == str(VECTOR_BUDGET)
 
     def test_monoid_undecided_is_3(self, capsys):
         code, out, err = run(capsys, "monoid", "equal", "--quiver", A2,

@@ -111,7 +111,7 @@ class TestDecomposition:
         script = (
             "from quivermoduli import generic\n"
             "from quivermoduli.quiver import DimVector, kronecker_quiver\n"
-            "generic._decompose = lambda q, d: (DimVector({'i': 1}),)\n"
+            "generic._decompose = lambda ctx, d: ((1, 0),)\n"
             "try:\n"
             "    generic.generic_decomposition(kronecker_quiver(2), DimVector({'i': 2}))\n"
             "except AssertionError as exc:\n"

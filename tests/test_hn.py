@@ -4,14 +4,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import hn
+from quivermoduli import generic, hn
 from quivermoduli.errors import CoprimalityError, InputError
 from quivermoduli.generic import generic_subrep
 from quivermoduli.hn import (CycloFrac, betti_coefficients, betti_via_mass,
                              hn_types, mass, mass_ss, mass_ss_closed,
                              poincare, ss_nonempty)
 from quivermoduli.laurent import LaurentPoly, RationalFunc
-from quivermoduli.quiver import DimVector, Quiver, Stability, kronecker_quiver
+from quivermoduli.quiver import (DimVector, Quiver, Stability, _context,
+                                 _contexts, kronecker_quiver)
 
 from conftest import dv
 
@@ -290,11 +291,37 @@ class TestCaches:
 
         hn.clear_caches()
         cold = answers()
-        assert hn._contexts
+        assert _contexts
         warm = answers()
         hn.clear_caches()
-        assert not hn._contexts
+        assert not _contexts
         assert warm == cold == answers()
+
+    def test_generic_and_hn_share_the_store(self, k3):
+        # generic and hn memoize in the one store; interleaved queries on one
+        # quiver must answer warm as they did cold, whichever module clears
+        theta = Stability({"i": 1})
+        dims = [DimVector({"i": a, "j": b}) for a, b in ((2, 3), (3, 2), (1, 2))]
+
+        def answers():
+            out = []
+            for d in dims:
+                out += [generic.generic_decomposition(k3, d), mass(k3, d),
+                        generic.schur_test(k3, d), mass_ss(k3, theta, d),
+                        generic.generic_ext(k3, d, dims[0]),
+                        hn_types(k3, theta, d),
+                        generic.generic_hom(k3, dims[1], d)]
+            return out
+
+        assert generic.clear_caches is hn.clear_caches
+        hn.clear_caches()
+        cold = answers()
+        for clear in (generic.clear_caches, hn.clear_caches):
+            assert answers() == cold
+            assert _context(k3).memo and _context(k3, theta).memo
+            clear()
+            assert not _contexts
+            assert answers() == cold
 
     # (quiver, theta with negative entries, [small d, larger d, d incomparable
     # with the larger one])
@@ -352,7 +379,7 @@ class TestCaches:
         # (1,2) was the top, so it stored no bound at all
         assert ((1, 2), True) in passes
         # a refill keeps the bounds the entry had, so the memo only grows
-        memo = hn._context(k3, theta).memo
+        memo = _context(k3, theta).memo
         for d in (dv(i=4, j=2), dv(i=2, j=5)):
             stored = {key: set(entry[1]) for key, entry in memo.items()
                       if key[0] is hn._hn}

@@ -484,12 +484,13 @@ class TestMinGenericExt:
 
 
 # The oracle is the brute-force check on the symbolic code, so it must not
-# share any of it.
+# share any of it, neither directly nor through a package module it imports.
 SYMBOLIC = {"hn", "generic", "laurent", "roots", "words", "series"}
+PACKAGE = {p.stem for p in Path(oracle.__file__).parent.glob("*.py")}
 
 
-def symbolic_imports(source):
-    """The symbolic modules of this package that ``source`` imports."""
+def imported_modules(source, among):
+    """The modules named in ``among`` that ``source`` imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -504,13 +505,30 @@ def symbolic_imports(source):
         else:
             continue
         for path in paths:
-            found |= SYMBOLIC.intersection(path)
+            found |= among.intersection(path)
     return found
+
+
+def symbolic_imports(source):
+    """The symbolic modules of this package that ``source`` imports."""
+    return imported_modules(source, SYMBOLIC)
 
 
 class TestIndependence:
     def test_oracle_imports_no_symbolic_module(self):
-        assert symbolic_imports(Path(oracle.__file__).read_text()) == set()
+        # the oracle and every package module it reaches, such as quiver,
+        # which holds the symbolic modules' shared context
+        package = Path(oracle.__file__).parent
+        reached, todo = set(), ["oracle"]
+        while todo:
+            name = todo.pop()
+            if name in reached:
+                continue
+            reached.add(name)
+            source = (package / f"{name}.py").read_text()
+            assert symbolic_imports(source) == set(), name
+            todo += imported_modules(source, PACKAGE)
+        assert {"oracle", "quiver", "errors"} <= reached
 
     def test_guard_sees_every_import_form(self):
         assert symbolic_imports("from .hn import mass") == {"hn"}
