@@ -1,23 +1,28 @@
 """Harder-Narasimhan machinery: semistable loci, strata, stack masses and
 Poincare polynomials of moduli spaces of stable representations.
 
-The closed semistable mass and the Poincare polynomial are one resolved sum
-(Reineke's resolution of the HN recursion) over the ordered decompositions
-g = e^1 + ... + e^s into nonzero parts whose proper suffix sums
-e^k + ... + e^s (k >= 2) all have slope above mu:
+The closed semistable mass is one resolved sum (Reineke's resolution of the
+HN recursion) over the ordered decompositions g = e^1 + ... + e^s into
+nonzero parts whose proper suffix sums e^k + ... + e^s (k >= 2) all have
+slope above mu:
 
-    R(g; mu) = sum (-1)^(s-1) prod_k w(e^k) x^t(e^k, e^k + ... + e^s)
+    R(g; mu) = sum (-1)^(s-1) prod_k w(e^k) q^(-<e^k, e^(k+1) + ... + e^s>)
 
-    quantity         variable  weight w(e)             twist t(e, g)
-    mass_ss_closed   q         |R_e| / |G_e|           -<e, g - e>
-    poincare         v         prod_i 1/[e_i]_{v^2}!   2 a(e, g)
+with the weight w(e) = |R_e| / |G_e|, whose numerator is a power of q.
+mass_ss_closed(d) is R(d; mu(d)), and for theta(d) coprime to dim d the
+Poincare polynomial of the moduli space, in q = v^2, is
 
-with a(x, y) = sum over arrows i -> j of x_i y_j.  mass_ss_closed(d) is
-R(d; mu(d)), and poincare(d) is v^(-sum_i d_i (d_i - 1)) R(d; mu(d)) over
-(v^2 - 1)^(dim d - 1).  mass_ss runs the HN recursion itself, so the two
-semistable masses are computed independently and check each other.  Every
-representation has exactly one HN type, so with T(f; b) the mass of the
-representations of dimension f whose HN slopes all lie below b, and
+    P(q) = (q - 1) mass_ss_closed(d).
+
+(A sum with the weights prod_i 1/[e_i]_{v^2}! and twists 2 a(e, g), where
+a(x, y) = sum over arrows i -> j of x_i y_j, gives the same P: its weights
+differ from these by the global factor (q - 1)^(dim d) q^(sum_i C(d_i, 2)),
+since C(a + b, 2) = C(a, 2) + C(b, 2) + ab telescopes the exponents.)
+
+mass_ss runs the HN recursion itself, so the two semistable masses are
+computed independently and check each other.  Every representation has
+exactly one HN type, so with T(f; b) the mass of the representations of
+dimension f whose HN slopes all lie below b, and
 X(e, f) = mass_ss(e) T(f - e; mu(e)) q^(-<f - e, e>) the term of the types
 whose first part is e,
 
@@ -30,11 +35,11 @@ computes each X(e, f) once (see the comment above the HN recursion).
 Below the public functions, everything runs on integer tuples in vertex
 order against the context of (quiver, theta), in the one store it shares
 with ``generic``; slopes are reduced (theta(e), dim e) pairs compared by
-cross-multiplying.
-Sums are kept as CycloFrac, a numerator over factors x^k - 1: numerators are
-lifted to a common denominator by packed-integer multiplies (see
-``laurent``), and only final results are reduced, by integer trial division
-through cyclotomic polynomials.
+cross-multiplying.  Sums are kept as CycloFrac, a dense numerator (low
+exponent and coefficient tuple) over factors x^k - 1: numerators are lifted
+to a common denominator by packed-integer multiplies (see ``laurent``), and
+only final results are reduced, by integer trial division through
+cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -44,12 +49,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain
-from operator import mul
+from operator import mul, neg
 
-from .errors import CoprimalityError, InputError
-from .laurent import LaurentPoly, RationalFunc, _binomial_lift_sum, cyclotomic
-from .quiver import (DimVector, Quiver, Stability, _below, _context, _memoized,
-                     _minus, clear_caches)
+from .errors import BudgetExceeded, CoprimalityError, InputError
+from .laurent import (LaurentPoly, RationalFunc, _divexact, _lift_sum, _mul_coeffs,
+                      cyclotomic)
+from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
+                     _memoized, _minus, clear_caches)
 
 __all__ = [
     "CycloFrac",
@@ -73,11 +79,15 @@ __all__ = [
 # running total fewer times but keeps more terms alive at once.
 _SUM_BATCH = 8
 
+_set = object.__setattr__
+
 
 class CycloFrac:
-    """num / prod_k (x^k - 1)^{m_k}; no cancellation until :meth:`reduce`."""
+    """x^lo (co[0] + co[1] x + ...) / prod_k (x^k - 1)^{m_k}: a dense
+    numerator, a coefficient tuple ``co`` with nonzero ends (empty for 0),
+    over a dict ``den`` of factors; no cancellation until :meth:`reduce`."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("lo", "co", "den")
 
     def __init__(self, num, den=None):
         if isinstance(num, int):
@@ -88,22 +98,38 @@ class CycloFrac:
                 raise InputError("denominator factors need e >= 1, m >= 0")
             if m:
                 clean[e] = m
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", clean)
+        co, lo = num.shifted_coeffs()
+        _set(self, "lo", lo)
+        _set(self, "co", tuple(co))
+        _set(self, "den", clean)
+
+    @classmethod
+    def _of(cls, lo, co, den):
+        """A CycloFrac around trusted parts."""
+        out = object.__new__(cls)
+        _set(out, "lo", lo)
+        _set(out, "co", co)
+        _set(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloFrac is immutable")
 
+    @property
+    def num(self):
+        """The numerator as a LaurentPoly."""
+        return LaurentPoly.from_coeff_list(self.co, self.lo)
+
     @classmethod
     def zero(cls):
-        return cls(LaurentPoly.zero())
+        return cls._of(0, (), {})
 
     @classmethod
     def one(cls):
-        return cls(LaurentPoly.one())
+        return cls._of(0, (1,), {})
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.co
 
     @classmethod
     def sum(cls, terms):
@@ -111,17 +137,17 @@ class CycloFrac:
         so that few of them are alive at once."""
         batch = []
         for t in terms:
-            if not t.is_zero():
+            if t.co:
                 batch.append(t)
                 if len(batch) == _SUM_BATCH:
                     total = cls._sum(batch)
-                    batch = [] if total.is_zero() else [total]
+                    batch = [total] if total.co else []
         return cls._sum(batch)
 
     @classmethod
     def _sum(cls, terms):
         """The sum of nonzero ``terms`` over their least common denominator;
-        each numerator is lifted to it in one packed multiply."""
+        the numerators are lifted to it and added as packed integers."""
         if len(terms) < 2:
             return terms[0] if terms else cls.zero()
         den = {}
@@ -129,34 +155,38 @@ class CycloFrac:
             for e, m in t.den.items():
                 if m > den.get(e, 0):
                     den[e] = m
-        num = _binomial_lift_sum(
-            [(t.num, {e: m - t.den.get(e, 0) for e, m in den.items()
-                      if m != t.den.get(e, 0)})
+        lo, co = _lift_sum(
+            [(t.lo, t.co, {e: m - t.den.get(e, 0) for e, m in den.items()
+                           if m != t.den.get(e, 0)})
              for t in terms])
-        return cls(num, den)
+        return cls._of(lo, co, den)
 
     def __add__(self, other):
         return CycloFrac.sum((self, other))
 
     def __neg__(self):
-        return CycloFrac(-self.num, self.den)
+        return CycloFrac._of(self.lo, tuple(map(neg, self.co)), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloFrac(self.num * other, self.den)
+            if not other or not self.co:
+                return CycloFrac.zero()
+            return CycloFrac._of(self.lo, _mul_coeffs(self.co, (other,)), self.den)
+        if not self.co or not other.co:
+            return CycloFrac.zero()
         den = dict(self.den)
         for e, m in other.den.items():
             den[e] = den.get(e, 0) + m
-        return CycloFrac(self.num * other.num, den)
+        return CycloFrac._of(self.lo + other.lo, _mul_coeffs(self.co, other.co), den)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by x^k."""
-        return CycloFrac(self.num.shift(k), self.den)
+        return CycloFrac._of(self.lo + k, self.co, self.den)
 
     def reduce(self) -> RationalFunc:
         """Cancel and return the canonical rational function.
@@ -176,18 +206,20 @@ class CycloFrac:
             for n in range(1, e + 1):
                 if e % n == 0:
                     cyc[n] = cyc.get(n, 0) + m
-        num = self.num
+        co = self.co
         for n in sorted(cyc):
+            divisor = cyclotomic(n).shifted_coeffs()[0]
             while cyc[n]:
-                q = num.divexact(cyclotomic(n))
+                q = _divexact(co, divisor)
                 if q is None:
                     break
-                num = q
+                co = q
                 cyc[n] -= 1
         den = LaurentPoly.one()
         for n, m in cyc.items():
             den = den * cyclotomic(n) ** m
-        return RationalFunc(num, den, _canonical=True)
+        return RationalFunc(LaurentPoly.from_coeff_list(co, self.lo), den,
+                            _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +258,19 @@ def _mass_cf(ctx, e):
     """|R_e| / |G_e| as a CycloFrac in q."""
     exp = ctx.arrow_pairing(e, e) - sum(n * (n - 1) // 2 for n in e)
     den = Counter(k for n in e for k in range(1, n + 1))
-    return CycloFrac(LaurentPoly({exp: 1}), den)
-
-
-@_memoized
-def _weight_cf(ctx, e):
-    """prod_i ((e_i)_q!)^{-1} as a CycloFrac in v (q = v^2): the inverse
-    q-multifactorial (q-factorial normalization, no balancing power of v),
-    written over factors v^{2k} - 1."""
-    den = Counter(2 * k for n in e for k in range(1, n + 1))
-    return CycloFrac(LaurentPoly({2: 1, 0: -1}) ** sum(e), den)
+    return CycloFrac._of(exp, (1,), den)
 
 
 def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
     """Stack mass |R_d|/|G_d| of all representations of dimension d, in q."""
-    return _mass_cf(_context(quiver), quiver.tup(d)).reduce()
+    t = quiver.tup(d)
+    # the denominator has dim d factors; refuse before building them
+    required = sum(t)
+    if required > VECTOR_BUDGET:
+        raise BudgetExceeded(
+            f"the mass of {list(t)} has {required} denominator factors",
+            required=required, budget=VECTOR_BUDGET)
+    return _mass_cf(_context(quiver), t).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +406,23 @@ def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
 # ---------------------------------------------------------------------------
 # the resolved sum: closed semistable masses and Poincare polynomials
 
-# kind -> (weight w(e), twist t(e, g)); see the module docstring.
-_KINDS = {
-    "mass": (_mass_cf, lambda ctx, e, g: -ctx.euler(e, _minus(g, e))),
-    "poincare": (_weight_cf, lambda ctx, e, g: 2 * ctx.arrow_pairing(e, g)),
-}
-
-
 @_memoized
-def _resolved(ctx, kind, g, mu):
+def _resolved(ctx, g, mu):
     """R(g; mu): the signed sum over tuples of g whose proper suffix sums all
-    have slope above mu.  The caller gates g itself."""
-    weight, twist = _KINDS[kind]
-
+    have slope above mu.  The caller gates g itself.  Every weight has a
+    monomial numerator, so each product with an inner sum is a shift."""
     def terms():
         for e in _below(g):
-            term = weight(ctx, e)
+            term = _mass_cf(ctx, e)
+            rest = _minus(g, e)
             if e != g:
-                rest = _minus(g, e)
                 if not _less(mu, ctx.slope(rest)):
                     continue
-                inner = _resolved(ctx, kind, rest, mu)
+                inner = _resolved(ctx, rest, mu)
                 if inner.is_zero():
                     continue
                 term = -(term * inner)
-            yield term.shift(twist(ctx, e, g))
+            yield term.shift(-ctx.euler(e, rest))
 
     return CycloFrac.sum(terms())
 
@@ -408,11 +430,31 @@ def _resolved(ctx, kind, g, mu):
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _resolved(ctx, "mass", t, ctx.slope(t)).reduce()
+    return _resolved(ctx, t, ctx.slope(t)).reduce()
 
 
 # ---------------------------------------------------------------------------
 # Poincare polynomials of stable moduli
+
+def _times_q_minus_one(cf):
+    """(q - 1) cf as a polynomial in q.  A nonzero semistable mass has a
+    factor q - 1 in its denominator (every part weight has one), and the
+    product takes it away."""
+    if cf.is_zero():
+        return LaurentPoly()
+    den = dict(cf.den)
+    if not den.get(1):
+        raise AssertionError("semistable mass without a factor q - 1")
+    den[1] -= 1
+    return CycloFrac._of(cf.lo, cf.co, den).reduce().to_polynomial()
+
+
+def _poincare_q(quiver, theta, d):
+    """The Poincare polynomial of the stable moduli space in q = v^2:
+    (q - 1) mass_ss_closed(d)."""
+    ctx, t = _checked_coprime(quiver, theta, d)
+    return _times_q_minus_one(_resolved(ctx, t, ctx.slope(t)))
+
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     """Poincare polynomial (in v, with v^2 = q) of the moduli space of stable
@@ -421,25 +463,20 @@ def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     Requires theta(d) coprime to dim d, so that semistable = stable and the
     moduli space is smooth projective.
     """
-    ctx, t = _checked_coprime(quiver, theta, d)
-    norm = CycloFrac(LaurentPoly({-sum(n * (n - 1) for n in t): 1}),
-                     {2: sum(t) - 1})
-    total = _resolved(ctx, "poincare", t, ctx.slope(t)) * norm
-    return total.reduce().to_polynomial()
+    return LaurentPoly({2 * e: a for e, a in _poincare_q(quiver, theta, d).items()})
 
 
 def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    cf = _hn(ctx, t, t)[0]
-    return (cf * CycloFrac(LaurentPoly({1: 1, 0: -1}))).reduce().to_polynomial()
+    return _times_q_minus_one(_hn(ctx, t, t)[0])
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):
     """Betti numbers of the stable moduli space, ascending in q."""
     if method == "closed":
-        p = poincare(quiver, theta, d).halve_exponents()
+        p = _poincare_q(quiver, theta, d)
     elif method == "mass":
         p = betti_via_mass(quiver, theta, d)
     else:

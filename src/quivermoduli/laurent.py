@@ -4,10 +4,13 @@ Coefficients are arbitrary-precision integers; rational functions are kept
 in a canonical form (common factor removed, denominator with lowest exponent
 zero and positive leading coefficient) so that equality is decidable.
 
-The hot paths use integers only.  Exact division is integer synthetic
-division that gives up at the first coefficient the divisor's leading
-coefficient does not divide.  Products of large operands, and the lifts of
-numerators by products of binomials x^e - 1 (:func:`_binomial_lift_sum`),
+A LaurentPoly is sparse, a dict from exponent to coefficient.  The kernels
+below it work on dense coefficient sequences (lowest first, with the low
+exponent kept apart), which the dense numerators of ``hn.CycloFrac`` use
+directly.  The hot paths use integers only.  Exact division is integer
+synthetic division that gives up at the first coefficient the divisor's
+leading coefficient does not divide.  Products of large operands, and the
+lifts of numerators by products of binomials x^e - 1 (:func:`_lift_sum`),
 use Kronecker substitution: coefficients become the base-2^k digits of one
 integer, so a single big-integer multiply does the work.  Digits are
 balanced (signed), and k always comes from a proven bound on the result's
@@ -43,9 +46,6 @@ def _as_coeff_dict(value):
     return NotImplemented
 
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 def _wrap(c):
     """A LaurentPoly around a trusted dict without zero coefficients."""
     out = LaurentPoly()
@@ -53,32 +53,52 @@ def _wrap(c):
     return out
 
 
+def _coeffs(c, lo):
+    """The dense coefficient list of the dict ``c`` from exponent lo <= min(c)
+    to max(c)."""
+    out = [0] * (max(c) - lo + 1)
+    for e, a in c.items():
+        out[e - lo] = a
+    return out
+
+
+def _sparse(co, lo):
+    """The coefficient dict of the sequence ``co`` from exponent lo."""
+    return {lo + i: a for i, a in enumerate(co) if a}
+
+
 # -- Kronecker substitution ----------------------------------------------------
 #
-# A polynomial sum_i c_i x^(lo + g*i) is packed as the integer sum_i c_i 2^(k*i):
-# its value at x^g = 2^k, up to the monomial x^lo.  Packing is a ring
+# A coefficient sequence c_0, ..., c_(n-1) is packed as the integer
+# sum_i c_i 2^(k*i): the polynomial's value at x = 2^k.  Packing is a ring
 # homomorphism, so products and sums of packed values are the packed products
 # and sums.  When every coefficient of the result satisfies |c| < 2^(k-1), the
-# result's balanced base-2^k digits are exactly its coefficients.  Adding the
-# bias sum_i 2^(k-1) 2^(k*i) turns them into ordinary digits in [0, 2^k), which
-# are converted through bytes: by machine words when k is a word size.
+# result's balanced base-2^k digits are exactly its coefficients.  With
+# B = sum_i 2^(k-1) 2^(k*i), the k-bit two's-complement digits u_i of the c_i
+# satisfy u_i ^ 2^(k-1) = c_i + 2^(k-1), so the packed value is (U ^ B) - B
+# for U the integer with digits u_i, and unpacking inverts this: at a machine
+# word size k the digits u_i are a signed ``array`` and neither direction
+# loops over coefficients in Python.
 
-# LaurentPoly.__mul__ multiplies by Kronecker substitution when the smaller
-# operand has at least this many terms and the operands have at least this
-# many term pairs; schoolbook is faster otherwise.  Timed on operand pairs
-# sampled from Betti computations on K3, this rule came within 1% of taking
-# the faster method for every pair.  A third condition, exponent spans adding
-# up to at most the number of term pairs, keeps sparse wide operands, which
-# would pack into mostly empty digits, on schoolbook.
+# Multiplication goes by Kronecker substitution when the shorter operand has
+# at least this many terms and the operands have at least this many term
+# pairs; schoolbook is faster otherwise.  Timed on operand pairs sampled from
+# Betti computations on K3, this rule came within 1% of taking the faster
+# method for every pair; for the dense products of CycloFrac numerators,
+# with sequence lengths as term counts, it came within 3%, as good as any
+# rule of the grid tried.  LaurentPoly.__mul__ adds a third condition,
+# exponent spans adding up to at most the number of term pairs, which keeps
+# sparse wide operands, which would pack into mostly empty digits, on
+# schoolbook.
 _KRONECKER_MIN_TERMS = 4
 _KRONECKER_MIN_PAIRS = 128
 
-# array type code of each machine-word digit width, in bits.  Word-sized
-# digits convert in one call rather than one call per digit.  Rounding k up
-# to a word size widens the packed integers, yet on K3 Betti computations it
-# took 8% off the run time compared with whole bytes alone.
-_WORD_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+# Signed array type code of each machine-word digit width, in bits.  Rounding
+# k up to a word size widens the packed integers, yet on K3 Betti
+# computations it took 8% off the run time compared with whole bytes alone.
+_WORD_CODES = {8 * array(code).itemsize: code for code in "qlihb"}
 _WORD_BITS = tuple(sorted(_WORD_CODES))
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _digit_bits(bound):
@@ -92,123 +112,167 @@ def _digit_bits(bound):
     return (bits + 7) & ~7
 
 
+@lru_cache(maxsize=256)
 def _bias(n, k):
-    """The packed value of n digits all equal to 2^(k-1)."""
-    return int.from_bytes(((1 << (k - 1)).to_bytes(k >> 3, "little")) * n, "little")
+    """B: the packed value of n digits all equal to 2^(k-1)."""
+    return int.from_bytes((1 << (k - 1)).to_bytes(k >> 3, "little") * n, "little")
 
 
-def _from_digits(digits, k):
-    """sum_i digits[i] 2^(k*i) for digits in [0, 2^k)."""
+def _pack(co, k):
+    """sum_i co[i] 2^(k*i); every co[i] in [-2^(k-1), 2^(k-1))."""
     code = _WORD_CODES.get(k)
     if code is None:
         nb = k >> 3
-        return int.from_bytes(b"".join(d.to_bytes(nb, "little") for d in digits),
-                              "little")
-    words = array(code, digits)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
+        raw = b"".join(c.to_bytes(nb, "little", signed=True) for c in co)
+    else:
+        raw = array(code, co)
+        if _BIG_ENDIAN:
+            raw.byteswap()
+    b = _bias(len(co), k)
+    return (int.from_bytes(raw, "little") ^ b) - b
 
 
-def _to_digits(value, n, k):
-    """The n base-2^k digits of 0 <= value < 2^(k*n), lowest first."""
-    raw = value.to_bytes(n * (k >> 3), "little")
+def _unpack(value, n, k):
+    """The n balanced base-2^k digits of ``value``, lowest first, as a tuple;
+    the caller proves each lies in [-2^(k-1), 2^(k-1))."""
+    b = _bias(n, k)
+    nb = k >> 3
+    raw = ((value + b) ^ b).to_bytes(n * nb, "little")
     code = _WORD_CODES.get(k)
     if code is None:
-        nb = k >> 3
         from_bytes = int.from_bytes
-        return [from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
-    words = array(code, raw)
+        return tuple(from_bytes(raw[i:i + nb], "little", signed=True)
+                     for i in range(0, len(raw), nb))
+    digits = array(code, raw)
     if _BIG_ENDIAN:
-        words.byteswap()
-    return words
+        digits.byteswap()
+    return tuple(digits)
 
 
-def _pack(c, lo, g, n, k):
-    """sum c[lo + g*i] 2^(k*i) over the n digits; every exponent of ``c`` must
-    be lo + g*i with 0 <= i < n and every |coefficient| < 2^(k-1)."""
-    half = 1 << (k - 1)
-    digits = [half] * n
-    for e, a in c.items():
-        digits[(e - lo) // g] = a + half
-    return _from_digits(digits, k) - _bias(n, k)
-
-
-def _unpack(value, lo, g, n, k):
-    """Coefficient dict of the n balanced base-2^k digits of ``value``, digit i
-    at exponent lo + g*i; the caller proves |digit| < 2^(k-1)."""
-    half = 1 << (k - 1)
-    digits = _to_digits(value + _bias(n, k), n, k)
-    return {lo + g * i: a - half for i, a in enumerate(digits) if a != half}
-
-
-def _stride(lo, exps):
-    """The largest g with every exponent in ``exps`` congruent to lo mod g;
-    0 when every exponent equals lo."""
-    g = 0
-    for e in exps:
-        g = gcd(g, e - lo)
-        if g == 1:
-            break
-    return g
-
-
-def _max_abs(c):
-    return max(max(c.values()), -min(c.values()))
+def _max_abs(co):
+    return max(max(co), -min(co))
 
 
 def _kronecker_mul(a, b):
-    """Product of two coefficient dicts, len(a) <= len(b), by one multiply of
-    packed integers.  A coefficient of the product sums at most len(a) terms,
-    each at most max|a| max|b|."""
-    alo, blo = min(a), min(b)
-    g = gcd(_stride(alo, a), _stride(blo, b)) or 1
-    k = _digit_bits(_max_abs(a) * _max_abs(b) * len(a))
-    na = (max(a) - alo) // g + 1
-    nb = (max(b) - blo) // g + 1
-    value = _pack(a, alo, g, na, k) * _pack(b, blo, g, nb, k)
-    return _unpack(value, alo + blo, g, na + nb - 1, k)
+    """Product of two nonempty coefficient sequences by one multiply of
+    packed integers.  A coefficient of the product sums at most
+    min(len(a), len(b)) terms, each at most max|a| max|b|."""
+    k = _digit_bits(_max_abs(a) * _max_abs(b) * min(len(a), len(b)))
+    return _unpack(_pack(a, k) * _pack(b, k), len(a) + len(b) - 1, k)
+
+
+def _mul_coeffs(a, b):
+    """Product of two nonempty coefficient sequences, as a tuple: a scaling
+    when one is a single term, else Kronecker substitution or schoolbook by
+    the cutover above."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return tuple(b) if c == 1 else tuple([c * x for x in b])
+    if len(a) >= _KRONECKER_MIN_TERMS and len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
+        return _kronecker_mul(a, b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _trimmed(lo, co):
+    """(lo, co) with the zero coefficients at both ends of ``co`` dropped;
+    (0, ()) when every coefficient is zero."""
+    i, j = 0, len(co)
+    while j and not co[j - 1]:
+        j -= 1
+    if not j:
+        return 0, ()
+    while not co[i]:
+        i += 1
+    return lo + i, co[i:j]
+
+
+def _lift_sum(terms):
+    """sum_j x^lo_j c_j prod_e (x^e - 1)^(m_je) over the triples
+    (lo_j, c_j, {e: m_je}) of ``terms``, with nonempty coefficient sequences
+    c_j, as a trimmed (low exponent, coefficient tuple) pair.  Each c_j is
+    packed once and lifted by shifts and subtractions of packed integers.
+
+    Each coefficient of c * prod (x^e - 1)^(m_e) is at most max|c| 2^(sum m_e)
+    in absolute value, since the absolute values of the coefficients of the
+    product of binomials sum to at most 2^(sum m_e); the bound of the sum adds
+    these.
+    """
+    lo = min(t[0] for t in terms)
+    top = max(l + len(c) - 1 + sum(e * m for e, m in f.items()) for l, c, f in terms)
+    k = _digit_bits(sum(_max_abs(c) << sum(f.values()) for _, c, f in terms))
+    total = 0
+    for l, c, f in terms:
+        value = _pack(c, k)
+        for e, m in f.items():
+            # times x^e - 1: a shift and a subtraction; on K3 (14,15) this
+            # took the lifts' own time to a third of multiplying by
+            # (2^(k*e) - 1)^m
+            for _ in range(m):
+                value = (value << (k * e)) - value
+        total += value << (k * (l - lo))
+    return _trimmed(lo, _unpack(total, top - lo + 1, k))
 
 
 def _binomial_lift_sum(terms):
-    """sum_j p_j * prod_e (x^e - 1)^(m_je) over the pairs (p_j, {e: m_je}) of
-    ``terms``, with one packed multiply per pair.
-
-    Each coefficient of p * prod (x^e - 1)^(m_e) is at most max|p| 2^(sum m_e)
-    in absolute value, since the absolute values of the coefficients of the
-    product of binomials sum to at most 2^(sum m_e); the bound of the sum adds
-    these.  Operands too sparse to pack, spanning more than twice as many
-    digits as their lifts can have terms, are lifted term by term instead.
-    """
-    terms = [(p._c, f) for p, f in terms if p._c]
+    """The LaurentPoly form of :func:`_lift_sum`: sum_j p_j prod_e
+    (x^e - 1)^(m_je) over the pairs (p_j, {e: m_je}) of ``terms``.  Operands
+    too sparse to pack, spanning more than twice as many digits as their
+    lifts can have terms, are lifted term by term instead."""
+    terms = [(p, f) for p, f in terms if p._c]
     if not terms:
         return LaurentPoly()
-    lo = min(min(c) for c, _ in terms)
-    top = max(max(c) + sum(e * m for e, m in f.items()) for c, f in terms)
-    g = 0
-    bound = 0
-    for c, f in terms:
-        g = gcd(g, _stride(lo, c), *f)
-        bound += _max_abs(c) << sum(f.values())
-    g = g or 1
-    n = (top - lo) // g + 1
-    if n > 2 * sum(len(c) * prod(m + 1 for m in f.values()) for c, f in terms):
+    lo = min(p.low() for p, _ in terms)
+    top = max(p.degree() + sum(e * m for e, m in f.items()) for p, f in terms)
+    if top - lo >= 2 * sum(len(p._c) * prod(m + 1 for m in f.values())
+                          for p, f in terms):
         total = LaurentPoly()
-        for c, f in terms:
-            p = _wrap(c)
+        for p, f in terms:
             for e, m in f.items():
                 p = p * LaurentPoly({e: 1, 0: -1}) ** m
             total = total + p
         return total
-    k = _digit_bits(bound)
-    total = 0
-    for c, f in terms:
-        clo = min(c)
-        value = _pack(c, clo, g, (max(c) - clo) // g + 1, k)
-        for e, m in f.items():
-            value *= ((1 << (k * e // g)) - 1) ** m
-        total += value << (k * ((clo - lo) // g))
-    return _wrap(_unpack(total, lo, g, n, k))
+    lo, co = _lift_sum([(p.low(), _coeffs(p._c, p.low()), f) for p, f in terms])
+    return _wrap(_sparse(co, lo))
+
+
+def _divexact(co, dco):
+    """The quotient of the coefficient sequences ``co`` by ``dco``, both
+    nonempty with nonzero ends, as a tuple with nonzero ends; None when it is
+    not an integer polynomial.
+
+    Integer synthetic division over the divisor's nonzero terms.  Until a
+    step fails, every quotient coefficient found is the one over Q, so a top
+    coefficient that the divisor's leading coefficient does not divide means
+    the quotient over Q is not integral: None at once.
+    """
+    m = len(dco) - 1
+    n = len(co) - 1
+    if n < m:
+        return None
+    lead = dco[m]
+    tail = [(j - m, a) for j, a in enumerate(dco) if a and j < m]
+    rem = list(co)
+    quot = [0] * (n - m + 1)
+    for i in range(n, m - 1, -1):
+        c = rem[i]
+        if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    return None
+            quot[i - m] = c
+            for off, a in tail:
+                rem[i + off] -= c * a
+    if any(rem[:m]):
+        return None
+    return tuple(quot)
 
 
 class LaurentPoly:
@@ -334,7 +398,9 @@ class LaurentPoly:
         pairs = len(a) * len(b)
         if (len(a) >= _KRONECKER_MIN_TERMS and pairs >= _KRONECKER_MIN_PAIRS
                 and max(a) - min(a) + max(b) - min(b) <= pairs):
-            return _wrap(_kronecker_mul(a, b))
+            alo, blo = min(a), min(b)
+            return _wrap(_sparse(_kronecker_mul(_coeffs(a, alo), _coeffs(b, blo)),
+                                 alo + blo))
         c = {}
         get = c.get
         for e1, a1 in a.items():
@@ -377,51 +443,22 @@ class LaurentPoly:
         if not self._c:
             return [], 0
         lo = self.low()
-        hi = self.degree()
-        coeffs = [self._c.get(e, 0) for e in range(lo, hi + 1)]
-        return coeffs, lo
+        return _coeffs(self._c, lo), lo
 
     @classmethod
     def from_coeff_list(cls, coeffs, low=0):
         return cls({low + i: a for i, a in enumerate(coeffs) if a})
 
     def divexact(self, other):
-        """Exact division; returns None when the quotient does not exist.
-
-        Integer synthetic division over the divisor's nonzero terms.  Until
-        a step fails, every quotient coefficient found is the one over Q, so
-        a top coefficient that the divisor's leading coefficient does not
-        divide means the quotient over Q is not integral: None at once.
-        """
+        """Exact division; returns None when the quotient is not an integer
+        Laurent polynomial (see :func:`_divexact`)."""
         if not other._c:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self._c:
             return LaurentPoly()
         nlo, dlo = min(self._c), min(other._c)
-        dhi = max(other._c)
-        n = max(self._c) - nlo
-        m = dhi - dlo
-        if n < m:
-            return None
-        rem = [0] * (n + 1)
-        for e, a in self._c.items():
-            rem[e - nlo] = a
-        lead = other._c[dhi]
-        tail = [(e - dhi, a) for e, a in other._c.items() if e != dhi]
-        qlo = nlo - dlo - m
-        quot = {}
-        for i in range(n, m - 1, -1):
-            c = rem[i]
-            if c:
-                q, r = divmod(c, lead)
-                if r:
-                    return None
-                quot[qlo + i] = q
-                for off, a in tail:
-                    rem[i + off] -= q * a
-        if any(rem[:m]):
-            return None
-        return _wrap(quot)
+        quot = _divexact(_coeffs(self._c, nlo), _coeffs(other._c, dlo))
+        return None if quot is None else _wrap(_sparse(quot, nlo - dlo))
 
     def evaluate(self, v0):
         """Exact value at a rational point (nonzero when negative exponents occur)."""

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .errors import BudgetExceeded, InputError
-from .quiver import DimVector, Quiver, Stability
+from .quiver import VECTOR_BUDGET, DimVector, Quiver, Stability
 
 __all__ = [
     "FFRep",
@@ -356,6 +356,13 @@ def is_stable(X: FFRep, theta: Stability, budget=None) -> bool:
 def _has_destabilizing(X, theta, strict, budget):
     budget = budget if budget is not None else default_budget("subspace")
     Q, q = X.quiver, X.q
+    # subspace_count(n, q) takes n + 1 steps: refuse a huge total dimension
+    # before taking any, as hn.mass does
+    required = sum(X.dims)
+    if required > VECTOR_BUDGET:
+        raise BudgetExceeded(
+            f"total dimension {required} exceeds the budget {VECTOR_BUDGET}",
+            required=required, budget=VECTOR_BUDGET)
     total = 1
     for n in X.dims:
         total *= subspace_count(n, q)

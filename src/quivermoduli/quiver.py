@@ -120,7 +120,7 @@ class Quiver:
     """
 
     __slots__ = ("vertices", "arrows", "arrow_pairs", "_index", "_arrow_counts",
-                 "_hash")
+                 "_key", "_hash")
 
     def __init__(self, vertices, arrows):
         vertices = tuple(str(v) for v in vertices)
@@ -146,8 +146,10 @@ class Quiver:
         for s, t in arrows:
             counts[(s, t)] = counts.get((s, t), 0) + 1
         object.__setattr__(self, "_arrow_counts", counts)
-        # __eq__ ignores the order arrows are listed in, so the hash must too.
-        object.__setattr__(self, "_hash", hash((order, tuple(sorted(arrows)))))
+        # equality and the hash ignore the order arrows are listed in
+        key = (order, tuple(sorted(arrows)))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")
@@ -175,7 +177,7 @@ class Quiver:
     def __eq__(self, other):
         if not isinstance(other, Quiver):
             return NotImplemented
-        return self.vertices == other.vertices and sorted(self.arrows) == sorted(other.arrows)
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash

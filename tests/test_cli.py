@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +225,25 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["error_class"] == "budget"
         assert doc["required"] == str((10 ** 30 + 1) * 2)
+        assert doc["budget"] == str(VECTOR_BUDGET)
+
+    # mass and the oracle's subspace count walk range(1, n + 1) and n + 1
+    # steps at an entry n; they refuse on the total dimension first
+    HUGE_TOTAL = json.dumps({"i": 10 ** 30})
+
+    @pytest.mark.parametrize("argv", [
+        ["mass", "--dim", HUGE_TOTAL],
+        ["oracle", "count-ss", "--dim", HUGE_TOTAL, "--theta", THETA, "--q", "2"],
+    ], ids=["mass", "oracle count-ss"])
+    def test_huge_total_dimension_is_3(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--quiver", A2)
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["required"] == str(10 ** 30)
         assert doc["budget"] == str(VECTOR_BUDGET)
 
     def test_monoid_undecided_is_3(self, capsys):

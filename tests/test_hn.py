@@ -95,6 +95,34 @@ class TestCycloFracProperties:
         assert CycloFrac.sum(iter(terms)).reduce() == expected
 
 
+wide_polys = st.dictionaries(st.integers(-20, 40), st.integers(-2 ** 70, 2 ** 70),
+                             min_size=1, max_size=30).map(LaurentPoly)
+dense_parts = st.tuples(st.one_of(small_polys, wide_polys), cyclo_dens)
+
+
+class TestDenseCycloFracProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(dense_parts, min_size=1, max_size=6), st.integers(-9, 9),
+           st.integers(-3, 3))
+    def test_matches_rational_functions(self, parts, k, c):
+        # the dense numerators against LaurentPoly / RationalFunc arithmetic;
+        # wide operands take the packed product
+        terms = [CycloFrac(p, den) for p, den in parts]
+        refs = [RationalFunc(p, binomial_product(den)) for p, den in parts]
+        (a, b), (ra, rb) = (terms[0], terms[-1]), (refs[0], refs[-1])
+        x_k = RationalFunc(LaurentPoly({k: 1}))
+        results = {"product": (a * b, ra * rb), "scaled": (a * c, ra * c),
+                   "shift": (a.shift(k), ra * x_k), "negation": (-a, -ra),
+                   "difference": (a - b, ra - rb),
+                   "sum": (CycloFrac.sum(iter(terms)), sum(refs, RationalFunc.zero()))}
+        for name, (got, want) in results.items():
+            assert got.reduce() == want, name
+            # a dense numerator with nonzero ends, or () for zero
+            assert not got.co or (got.co[0] and got.co[-1]), name
+        for (p, _), t in zip(parts, terms):
+            assert t.num == p
+
+
 class TestMass:
     def test_single_vertex(self):
         q = Quiver(["x"], [])
@@ -230,6 +258,72 @@ class TestPoincareBetti:
     def test_unknown_method(self, k2, theta_i):
         with pytest.raises(InputError):
             betti_coefficients(k2, theta_i, dv(i=1, j=1), method="bogus")
+
+
+def v_weight_poincare(quiver, theta, d):
+    """The Poincare polynomial in v from the resolved sum with v-weights:
+    R(g) = sum over e <= g, the rest g - e zero or of slope above mu(d), of
+    -w(e) R(g - e) v^(2 a(e, g)) (w(e) alone at e = g), with w(e) the inverse
+    q-multifactorial prod_i 1/(e_i)_{v^2}!, normalized as
+    v^(-sum_i d_i (d_i - 1)) R(d) / (v^2 - 1)^(dim d - 1).  It runs on
+    DimVector and Fraction slopes, apart from ``hn``'s recursions."""
+    mu = theta.slope(d)
+    memo = {}
+
+    def pairing(x, y):
+        return sum(x[s] * y[t] for s, t in quiver.arrows)
+
+    def weight(e):
+        den = {}
+        for n in e.values():
+            for k in range(1, n + 1):
+                den[2 * k] = den.get(2 * k, 0) + 1
+        return CycloFrac(LaurentPoly({2: 1, 0: -1}) ** e.total(), den)
+
+    def resolved(g):
+        if g not in memo:
+            terms = []
+            for e in quiver.vectors_below(g):
+                term = weight(e)
+                if e != g:
+                    if not theta.slope(g - e) > mu:
+                        continue
+                    term = -(term * resolved(g - e))
+                terms.append(term.shift(2 * pairing(e, g)))
+            memo[g] = CycloFrac.sum(terms)
+        return memo[g]
+
+    norm = CycloFrac(LaurentPoly({-sum(n * (n - 1) for n in d.values()): 1}),
+                     {2: d.total() - 1})
+    return (resolved(d) * norm).reduce().to_polynomial()
+
+
+KRONECKER_THETAS = [(1, 0), (4, 3), (0, 1), (-1, 2)]
+
+
+class TestPoincareTwoWays:
+    CASES = {f"K{m}": (kronecker_quiver(m),
+                       [Stability({"i": a, "j": b}) for a, b in KRONECKER_THETAS],
+                       (5, 5)) for m in (1, 2, 3, 4)}
+    CASES["A3"] = (A3, A3_THETAS, (2, 2, 2))
+    CASES["D4"] = (D4, D4_THETAS, (1, 1, 1, 2))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_v_weights_and_hn_recursion_match_poincare(self, name):
+        # the closed Poincare polynomial, (q - 1) mass_ss_closed with q = v^2,
+        # against the v-weight resolved sum and against the HN recursion
+        quiver, thetas, bound = self.CASES[name]
+        compared = 0
+        for theta in thetas:
+            for d in nonzero_below(quiver, *bound):
+                try:
+                    p = poincare(quiver, theta, d)
+                except CoprimalityError:
+                    continue
+                assert p == v_weight_poincare(quiver, theta, d), (theta, d)
+                assert p.halve_exponents() == betti_via_mass(quiver, theta, d)
+                compared += not p.is_zero()
+        assert compared >= 5
 
 
 def king_semistable(quiver, theta, d):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
 from quivermoduli.laurent import (LaurentPoly, RationalFunc, _binomial_lift_sum,
-                                  _kronecker_mul, _poly_gcd, cyclotomic,
-                                  quantum_factorial, quantum_integer)
+                                  _kronecker_mul, _pack, _poly_gcd, _unpack,
+                                  cyclotomic, quantum_factorial, quantum_integer)
 
 
 def P(d):
@@ -76,7 +76,7 @@ class TestIntegerKernels:
     def test_products_that_cancel(self):
         ones = P({i: 1 for i in range(40)})
         assert ones * P({1: 1, 0: -1}) == P({40: 1, 0: -1})
-        assert _kronecker_mul(P({1: 1, 0: -1})._c, ones._c) == {40: 1, 0: -1}
+        assert _kronecker_mul((-1, 1), (1,) * 40) == (-1,) + (0,) * 39 + (1,)
         lifted = _binomial_lift_sum([(ones, {1: 1}), (-ones, {1: 1})])
         assert lifted.is_zero()
 
@@ -85,6 +85,17 @@ class TestIntegerKernels:
         a = P({-50 + i: big - i for i in range(30)})
         b = P({-7 + 3 * i: -big * (i + 1) for i in range(30)})
         assert a * b == schoolbook(a, b)
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64, 72, 136])
+    def test_pack_unpack_round_trip(self, k):
+        # machine-word widths go through signed arrays, the others through
+        # bytes; the digit range [-2^(k-1), 2^(k-1)) is used at both ends
+        half = 1 << (k - 1)
+        co = (-half, half - 1, 0, 1, -1, -half, half - 1)
+        value = _pack(co, k)
+        assert value == sum(c << (k * i) for i, c in enumerate(co))
+        assert _unpack(value, len(co), k) == co
+        assert _unpack(_pack(co[:1], k), 1, k) == co[:1]
 
     def test_sparse_wide_operands_stay_sparse(self):
         a = P({0: 1, 10 ** 9: 1})
@@ -152,7 +163,8 @@ class TestIntegerKernelProperties:
         want = schoolbook(a, b)
         assert a * b == want
         if a and b:
-            assert LaurentPoly(_kronecker_mul(a._c, b._c)) == want
+            (ca, la), (cb, lb) = a.shifted_coeffs(), b.shifted_coeffs()
+            assert LaurentPoly.from_coeff_list(_kronecker_mul(ca, cb), la + lb) == want
 
     @settings(deadline=None)
     @given(operands, operands)

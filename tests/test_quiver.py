@@ -83,6 +83,19 @@ class TestQuiver:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_different_arrows_or_vertices_stay_unequal(self):
+        ijk = ["i", "j", "k"]
+        a = Quiver(ijk, [("i", "j"), ("j", "k"), ("i", "k")])
+        others = [Quiver(ijk, [("i", "j"), ("j", "k")]),
+                  Quiver(ijk, [("i", "j"), ("j", "k"), ("i", "k"), ("i", "k")]),
+                  Quiver(ijk, [("i", "j"), ("j", "k"), ("i", "j")]),
+                  Quiver(ijk + ["l"], [("i", "j"), ("j", "k"), ("i", "k")]),
+                  Quiver(["i", "k", "j"], [("i", "j"), ("k", "j"), ("i", "k")])]
+        for other in others:
+            assert a != other and other != a
+        assert len({a, *others}) == len(others) + 1
+        assert a != "not a quiver"
+
     def test_vectors_below_lex(self, a2):
         vs = list(a2.vectors_below(dv(i=1, j=1)))
         assert vs == [dv(j=1), dv(i=1), dv(i=1, j=1)]
