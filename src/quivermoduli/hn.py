@@ -197,7 +197,7 @@ class CycloFrac:
         failed trial division (over Z, which for a monic divisor is the same
         as over Q), and the denominator, a product of monic factors with
         nonzero constant term, is already in canonical form.  So the result
-        skips RationalFunc's general gcd.
+        is canonical by construction, and no gcd is ever taken.
         """
         if self.is_zero():
             return RationalFunc.zero()

@@ -1,22 +1,23 @@
-"""Exact Laurent polynomials and rational functions in one variable.
+"""Exact Laurent polynomials and canonical rational functions in one variable.
 
-Coefficients are arbitrary-precision integers; rational functions are kept
-in a canonical form (common factor removed, denominator with lowest exponent
-zero and positive leading coefficient) so that equality is decidable.
+Coefficients are arbitrary-precision integers.  A LaurentPoly is sparse, a
+dict from exponent to coefficient.  The kernels below it work on dense
+coefficient sequences (lowest first, with the low exponent kept apart),
+which the dense numerators of ``hn.CycloFrac`` use directly.  The hot paths
+use integers only.  Exact division is integer synthetic division that gives
+up at the first coefficient the divisor's leading coefficient does not
+divide.  Products of large operands, and the lifts of numerators by
+products of binomials x^e - 1 (:func:`_lift_sum`), use Kronecker
+substitution: coefficients become the base-2^k digits of one integer, so a
+single big-integer multiply does the work.  Digits are balanced (signed),
+and k always comes from a proven bound on the result's coefficients, never
+from a guess.
 
-A LaurentPoly is sparse, a dict from exponent to coefficient.  The kernels
-below it work on dense coefficient sequences (lowest first, with the low
-exponent kept apart), which the dense numerators of ``hn.CycloFrac`` use
-directly.  The hot paths use integers only.  Exact division is integer
-synthetic division that gives up at the first coefficient the divisor's
-leading coefficient does not divide.  Products of large operands, and the
-lifts of numerators by products of binomials x^e - 1 (:func:`_lift_sum`),
-use Kronecker substitution: coefficients become the base-2^k digits of one
-integer, so a single big-integer multiply does the work.  Digits are
-balanced (signed), and k always comes from a proven bound on the result's
-coefficients, never from a guess.  The general gcd of :class:`RationalFunc`
-is a primitive pseudo-remainder sequence over the integers; ``Fraction``
-remains only in evaluation at rational points.
+A RationalFunc is a result, not a field element: ``hn.CycloFrac.reduce``
+builds it in canonical form (no common factor, denominator with lowest
+exponent zero and positive leading coefficient), so equality compares parts
+and no gcd is needed.  ``Fraction`` remains only in evaluation at rational
+points.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
 
 from .errors import InputError, NonPolynomialError
 
 __all__ = [
     "LaurentPoly",
     "RationalFunc",
-    "quantum_integer",
-    "quantum_factorial",
     "cyclotomic",
 ]
 
@@ -220,28 +218,6 @@ def _lift_sum(terms):
     return _trimmed(lo, _unpack(total, top - lo + 1, k))
 
 
-def _binomial_lift_sum(terms):
-    """The LaurentPoly form of :func:`_lift_sum`: sum_j p_j prod_e
-    (x^e - 1)^(m_je) over the pairs (p_j, {e: m_je}) of ``terms``.  Operands
-    too sparse to pack, spanning more than twice as many digits as their
-    lifts can have terms, are lifted term by term instead."""
-    terms = [(p, f) for p, f in terms if p._c]
-    if not terms:
-        return LaurentPoly()
-    lo = min(p.low() for p, _ in terms)
-    top = max(p.degree() + sum(e * m for e, m in f.items()) for p, f in terms)
-    if top - lo >= 2 * sum(len(p._c) * prod(m + 1 for m in f.values())
-                          for p, f in terms):
-        total = LaurentPoly()
-        for p, f in terms:
-            for e, m in f.items():
-                p = p * LaurentPoly({e: 1, 0: -1}) ** m
-            total = total + p
-        return total
-    lo, co = _lift_sum([(p.low(), _coeffs(p._c, p.low()), f) for p, f in terms])
-    return _wrap(_sparse(co, lo))
-
-
 def _divexact(co, dco):
     """The quotient of the coefficient sequences ``co`` by ``dco``, both
     nonempty with nonzero ends, as a tuple with nonzero ends; None when it is
@@ -307,10 +283,6 @@ class LaurentPoly:
     def var(cls, power=1):
         return cls({power: 1})
 
-    @classmethod
-    def monomial(cls, exp, coeff):
-        return cls({exp: coeff})
-
     # -- structure ---------------------------------------------------------
 
     def items(self):
@@ -332,15 +304,6 @@ class LaurentPoly:
             raise InputError("low exponent of the zero polynomial is undefined")
         return min(self._c)
 
-    def leading_coeff(self):
-        return self._c[self.degree()]
-
-    def content(self):
-        g = 0
-        for a in self._c.values():
-            g = gcd(g, a)
-        return g
-
     def __eq__(self, other):
         other = _as_coeff_dict(other)
         if other is NotImplemented:
@@ -348,6 +311,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant hashes like the int it equals
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self):
@@ -419,7 +385,7 @@ class LaurentPoly:
                 ((e, a),) = self._c.items()
                 if a in (1, -1):
                     return LaurentPoly({e * n: -1 if (a == -1 and n % 2) else 1})
-            raise InputError("negative powers only for unit monomials; use RationalFunc")
+            raise InputError("negative powers only for unit monomials")
         out = LaurentPoly.one()
         base = self
         while n:
@@ -486,13 +452,6 @@ class LaurentPoly:
         terms = [{"exp": e, "coeff": str(a)} for e, a in sorted(self._c.items())]
         return {"variable": variable, "terms": terms}
 
-    @classmethod
-    def from_json(cls, data):
-        try:
-            return cls({int(t["exp"]): int(t["coeff"]) for t in data["terms"]})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad polynomial JSON: {exc}") from None
-
     def __repr__(self):
         return f"LaurentPoly({self})"
 
@@ -511,59 +470,13 @@ class LaurentPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def _trim(p):
-    """Drop the zero top coefficients of the list p; return p."""
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _primitive(p):
-    """A nonzero trimmed p divided by the gcd of its coefficients."""
-    g = gcd(*p)
-    return [x // g for x in p] if g != 1 else p
-
-
-def _pseudo_rem(p, q):
-    """A nonzero integer multiple of the remainder of p by q, trimmed (p and
-    q trimmed, q nonzero): each step scales p by lc(q) / gcd(lc(p), lc(q))
-    and cancels its top coefficient against q."""
-    p, n, lead = list(p), len(q), q[-1]
-    while len(p) >= n:
-        top = p.pop()
-        g = gcd(top, lead)
-        scale, top = lead // g, top // g
-        if scale != 1:
-            p = [x * scale for x in p]
-        off = len(p) - n + 1
-        for i in range(n - 1):
-            p[off + i] -= top * q[i]
-        _trim(p)
-    return p
-
-
-def _poly_gcd(a, b):
-    """Gcd of two integer polynomials given as ascending coefficient lists:
-    primitive with a positive leading coefficient, and [0] when both are 0.
-
-    A primitive pseudo-remainder sequence: every remainder is an integer
-    multiple of the Euclidean one and is divided by its content, so the last
-    nonzero one is the gcd over Q up to a unit and the coefficients stay
-    small (Gauss's lemma: a primitive gcd over Q is one over Z).
-    """
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pseudo_rem(a, b)
-        if b:
-            b = _primitive(b)
-    if not a:
-        return [0]
-    a = _primitive(a)
-    return a if a[-1] > 0 else [-x for x in a]
-
-
 class RationalFunc:
-    """Quotient of Laurent polynomials in canonical form."""
+    """A quotient of Laurent polynomials in canonical form.
+
+    ``RationalFunc(num)`` is the polynomial ``num``.  A denominator comes
+    only from ``hn.CycloFrac.reduce``, which passes ``_canonical=True`` for
+    parts it has proven canonical.
+    """
 
     __slots__ = ("num", "den")
 
@@ -572,35 +485,14 @@ class RationalFunc:
             num = LaurentPoly({0: num})
         if den is None:
             den = LaurentPoly.one()
-        elif isinstance(den, int):
-            den = LaurentPoly({0: den})
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            num, den = self._canonicalize(num, den)
+        elif not _canonical:
+            raise InputError("a denominator comes only from CycloFrac.reduce, "
+                             "which proves it canonical")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunc is immutable")
-
-    @staticmethod
-    def _canonicalize(num, den):
-        if num.is_zero():
-            return LaurentPoly.zero(), LaurentPoly.one()
-        ncoeffs, nlo = num.shifted_coeffs()
-        dcoeffs, dlo = den.shifted_coeffs()
-        g = _poly_gcd(ncoeffs, dcoeffs)
-        gp = LaurentPoly.from_coeff_list(g)
-        n1 = LaurentPoly.from_coeff_list(ncoeffs).divexact(gp)
-        d1 = LaurentPoly.from_coeff_list(dcoeffs).divexact(gp)
-        c = gcd(n1.content(), d1.content())
-        if c > 1:
-            n1 = n1.divexact(LaurentPoly({0: c}))
-            d1 = d1.divexact(LaurentPoly({0: c}))
-        if d1.leading_coeff() < 0:
-            n1, d1 = -n1, -d1
-        return n1.shift(nlo - dlo), d1
 
     @classmethod
     def zero(cls):
@@ -609,10 +501,6 @@ class RationalFunc:
     @classmethod
     def one(cls):
         return cls(LaurentPoly.one(), LaurentPoly.one(), _canonical=True)
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, LaurentPoly.one(), _canonical=True)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -625,66 +513,8 @@ class RationalFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFunc(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return RationalFunc(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunc(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFunc(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return RationalFunc(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFunc(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFunc(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RationalFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        # a polynomial hashes like its numerator, which it equals
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def to_polynomial(self):
         """The numerator when the canonical denominator is 1; error otherwise."""
@@ -708,25 +538,6 @@ class RationalFunc:
         if self.den == LaurentPoly.one():
             return f"RationalFunc({self.num})"
         return f"RationalFunc(({self.num}) / ({self.den}))"
-
-
-# -- quantum numbers -------------------------------------------------------
-
-def quantum_integer(n):
-    """[n] = v^{n-1} + v^{n-3} + ... + v^{1-n}."""
-    if n < 0:
-        raise InputError("quantum integer of a negative number")
-    return LaurentPoly({n - 1 - 2 * t: 1 for t in range(n)})
-
-
-def quantum_factorial(n):
-    """[n]! = [1] [2] ... [n]."""
-    if n < 0:
-        raise InputError("quantum factorial of a negative number")
-    out = LaurentPoly.one()
-    for k in range(2, n + 1):
-        out = out * quantum_integer(k)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from operator import mul
 
 from .errors import BudgetExceeded, InputError
@@ -43,6 +44,11 @@ DEFAULT_END_BUDGET = 10 ** 5
 
 _PRIMES = (2, 3, 5)
 
+# A refused count is given exactly only while it has at most this many bits:
+# a wider one takes long to build, and Python will not print an int of more
+# than 4300 digits.
+_EXACT_BITS = 4096
+
 
 def default_budget(kind="rep"):
     """The budget of one kind; QI_BUDGET, when set, replaces all three."""
@@ -60,6 +66,23 @@ def default_budget(kind="rep"):
 def _check_prime(q):
     if q not in _PRIMES:
         raise InputError(f"field size must be one of {_PRIMES}, got {q}")
+
+
+def _check_budget(noun, lower, upper, exact, budget):
+    """Refuse when the count of ``noun`` exceeds ``budget``.  The count is
+    at least 2^lower, has at most ``upper()`` bits, and ``exact()`` computes
+    it.  Since 2^lower > budget once lower >= budget.bit_length(), it is
+    built only when it may be within the budget or is printable; otherwise
+    the refusal names the lower bound and omits ``required``."""
+    if lower < budget.bit_length() or upper() <= _EXACT_BITS:
+        total = exact()
+        if total <= budget:
+            return
+        if total.bit_length() <= _EXACT_BITS:
+            raise BudgetExceeded(f"{total} {noun} exceed the budget {budget}",
+                                 required=total, budget=budget)
+    raise BudgetExceeded(f"at least 2^{lower} {noun} exceed the budget {budget}",
+                         budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +190,12 @@ def enumerate_reps(quiver, d, q, budget=None):
     _check_prime(q)
     quiver.check_vector(d)
     budget = budget if budget is not None else default_budget("rep")
-    total = rep_count(quiver, d, q)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} representations exceed the budget {budget}",
-            required=total, budget=budget)
     dims = quiver.tup(d)
     shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_pairs]
     cells = sum(r * c for r, c in shapes)
+    # q^cells >= 2^cells
+    _check_budget("representations", cells, lambda: cells * q.bit_length(),
+                  lambda: q ** cells, budget)
     trusted = FFRep._trusted
     for flat in product(range(q), repeat=cells):
         mats = []
@@ -353,23 +374,27 @@ def is_stable(X: FFRep, theta: Stability, budget=None) -> bool:
     return not _has_destabilizing(X, theta, strict=False, budget=budget)
 
 
+@lru_cache(maxsize=None)
+def _check_subspace_budget(dims, q, budget):
+    """Refuse when the subspace tuples of F_q^dims exceed ``budget``;
+    cached, since every rep of one dimension vector asks the same."""
+    # a huge total dimension is refused with its exact size, as hn.mass does
+    size = sum(dims)
+    if size > VECTOR_BUDGET:
+        raise BudgetExceeded(
+            f"total dimension {size} exceeds the budget {VECTOR_BUDGET}",
+            required=size, budget=VECTOR_BUDGET)
+    # F_q^n has at least 2^n subspaces and, with the Gaussian binomials
+    # [n, r]_q < 4 q^(r(n - r)), fewer than 4 (n + 1) q^(n^2 / 4)
+    _check_budget("subspace tuples", size,
+                  lambda: sum((n * n // 4 + n + 2) * q.bit_length() for n in dims),
+                  lambda: prod(subspace_count(n, q) for n in dims), budget)
+
+
 def _has_destabilizing(X, theta, strict, budget):
     budget = budget if budget is not None else default_budget("subspace")
     Q, q = X.quiver, X.q
-    # subspace_count(n, q) takes n + 1 steps: refuse a huge total dimension
-    # before taking any, as hn.mass does
-    required = sum(X.dims)
-    if required > VECTOR_BUDGET:
-        raise BudgetExceeded(
-            f"total dimension {required} exceeds the budget {VECTOR_BUDGET}",
-            required=required, budget=VECTOR_BUDGET)
-    total = 1
-    for n in X.dims:
-        total *= subspace_count(n, q)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} subspace tuples exceed the budget {budget}",
-            required=total, budget=budget)
+    _check_subspace_budget(X.dims, q, budget)
     slots, candidates = _destab_plan(Q.arrow_pairs, theta.key(Q), X.dims, q,
                                      strict)
     mats = X.mats

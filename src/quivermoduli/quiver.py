@@ -219,22 +219,9 @@ class Quiver:
         """Euler form <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j."""
         return _context(self).euler(self.tup(d), self.tup(e))
 
-    def euler_matrix(self):
-        n = len(self.vertices)
-        rows = []
-        for i, vi in enumerate(self.vertices):
-            rows.append(tuple((1 if i == j else 0) - self.arrow_count(vi, vj)
-                              for j, vj in enumerate(self.vertices)))
-        return tuple(rows)
-
     def symmetric_form(self, d, e):
         """(d, e) = <d,e> + <e,d>, the Cartan pairing."""
         return self.euler(d, e) + self.euler(e, d)
-
-    def cartan_matrix(self):
-        E = self.euler_matrix()
-        n = len(E)
-        return tuple(tuple(E[i][j] + E[j][i] for j in range(n)) for i in range(n))
 
     def undirected_adjacent(self, u, v):
         return self.arrow_count(u, v) + self.arrow_count(v, u) > 0
@@ -326,10 +313,6 @@ class Stability:
         if total == 0:
             raise InputError("slope of the zero dimension vector is undefined")
         return Fraction(self.value(d), total)
-
-    def king_weight(self, ambient, e):
-        """King's modified functional mu(ambient) * dim e - theta(e)."""
-        return self.slope(ambient) * e.total() - self.value(e)
 
     def key(self, quiver):
         """theta as a tuple in the quiver's vertex order; theta must name

@@ -5,6 +5,7 @@ forms for products of Schur-root strata."""
 from __future__ import annotations
 
 from enum import Enum
+from operator import le
 
 from .errors import BudgetExceeded, InputError
 from .generic import generic_decomposition, generic_ext, schur_test
@@ -38,32 +39,30 @@ def word_weight(quiver: Quiver, word) -> DimVector:
     return DimVector(w)
 
 
+def _later_counts(quiver, word):
+    """For each vertex index a, one list per occurrence of a in ``word``:
+    how many of each later vertex b > a come before that occurrence."""
+    seen = [0] * len(quiver.vertices)
+    out = [[] for _ in seen]
+    for x in word:
+        a = quiver.index(x)
+        out[a].append(seen[a + 1:])
+        seen[a] += 1
+    return out
+
+
 def word_leq(quiver: Quiver, w, w2) -> bool:
     """Degeneration order: generated by u i j u' < u j i u' for i before j
-    in the canonical vertex order.  BFS upward from w within the weight
-    class."""
+    in the canonical vertex order.  It is the weak order on words of one
+    weight, so w <= w2 iff for all vertices a < b and every p, w has at most
+    as many b's before its p-th a as w2 has: O(len * |V|), no search."""
     w = _check_word(quiver, w)
     w2 = _check_word(quiver, w2)
     if word_weight(quiver, w) != word_weight(quiver, w2):
         return False
-    if w == w2:
-        return True
-    idx = quiver.index
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for p in range(len(u) - 1):
-                if idx(u[p]) < idx(u[p + 1]):  # move the larger letter left
-                    v = u[:p] + (u[p + 1], u[p]) + u[p + 2:]
-                    if v == w2:
-                        return True
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return False
+    return all(all(map(le, x, y))
+               for xs, ys in zip(_later_counts(quiver, w), _later_counts(quiver, w2))
+               for x, y in zip(xs, ys))
 
 
 class MonoidOutcome(Enum):

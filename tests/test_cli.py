@@ -96,6 +96,15 @@ class TestBasicCommands:
                        "--w", "iij", "--w2", "iji")
         assert doc["result"]["equal"] is True
 
+    def test_long_word_leq(self, capsys):
+        # i^n j^n <= j^n i^n is decided by counting, with no search
+        n = 200
+        start = time.perf_counter()
+        doc = run_json(capsys, "word", "leq", "--quiver", K3,
+                       "--w", "i" * n + "j" * n, "--w2", "j" * n + "i" * n)
+        assert time.perf_counter() - start < 1
+        assert doc["result"]["leq"] is True
+
     def test_oracle_count(self, capsys):
         doc = run_json(capsys, "oracle", "count-ss", "--quiver", A2,
                        "--dim", D11, "--theta", THETA, "--q", "3")
@@ -245,6 +254,23 @@ class TestExitCodes:
         assert doc["error_class"] == "budget"
         assert doc["required"] == str(10 ** 30)
         assert doc["budget"] == str(VECTOR_BUDGET)
+
+    # counts too wide to build or to print are refused on a lower bound:
+    # at least 2^cells representations, 2^(dim d) subspace tuples
+    @pytest.mark.parametrize("dim, q", [(HUGE, "2"), ('{"i": 100, "j": 100}', "5"),
+                                        ('{"i": 3000}', "2")],
+                             ids=["2^(10^30) reps", "5^10000 reps", "F_2^3000"])
+    def test_unprintable_count_is_3(self, capsys, dim, q):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "count-ss", "--quiver", A2, "--dim", dim,
+                             "--theta", THETA, "--q", q)
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["error"].startswith("at least 2^")
+        assert "required" not in doc
 
     def test_monoid_undecided_is_3(self, capsys):
         code, out, err = run(capsys, "monoid", "equal", "--quiver", A2,

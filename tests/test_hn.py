@@ -10,11 +10,11 @@ from quivermoduli.generic import generic_subrep
 from quivermoduli.hn import (CycloFrac, betti_coefficients, betti_via_mass,
                              hn_types, mass, mass_ss, mass_ss_closed,
                              poincare, ss_nonempty)
-from quivermoduli.laurent import LaurentPoly, RationalFunc
+from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _context,
                                  _contexts, kronecker_quiver)
 
-from conftest import dv
+from conftest import Frac, dv, fraction_divexact
 
 
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -30,7 +30,7 @@ def nonzero_below(quiver, *bound):
 
 
 def R(num, den=None):
-    return RationalFunc(LaurentPoly(num), LaurentPoly(den) if den else None)
+    return Frac(LaurentPoly(num), LaurentPoly(den) if den else None)
 
 
 class TestCycloFrac:
@@ -78,20 +78,29 @@ class TestCycloFracProperties:
             den[e] = den.get(e, 0) + m
         cf = CycloFrac(p * binomial_product(shared), den)
         r = cf.reduce()
-        full = RationalFunc(r.num, r.den)
-        assert (full.num, full.den) == (r.num, r.den)
-        assert r == RationalFunc(cf.num, binomial_product(den))
+        assert r == Frac(cf.num, binomial_product(den))
+        # canonical: the denominator has low exponent 0 and a positive
+        # leading coefficient, and it is a product of cyclotomics, its
+        # irreducible factors, none of which divides the numerator
+        assert r.den.low() == 0 and r.den.coeff(r.den.degree()) > 0
+        rest = r.den
+        for n in range(1, max(den, default=0) + 1):
+            phi = cyclotomic(n)
+            while (q := fraction_divexact(rest, phi)) is not None:
+                assert fraction_divexact(r.num, phi) is None, n
+                rest = q
+        assert rest == 1
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(small_polys, cyclo_dens), max_size=12))
     def test_sum_matches_rational_function_sum(self, parts):
         # the reference expands each denominator by plain multiplication and
-        # adds canonical rational functions, so it shares no code with the
+        # adds reference fractions, so it shares no code with the
         # common-denominator bookkeeping or the packed lifts of CycloFrac.sum
         terms = [CycloFrac(p, den) for p, den in parts]
-        expected = RationalFunc.zero()
+        expected = Frac(0)
         for p, den in parts:
-            expected = expected + RationalFunc(p, binomial_product(den))
+            expected = expected + Frac(p, binomial_product(den))
         assert CycloFrac.sum(iter(terms)).reduce() == expected
 
 
@@ -105,16 +114,16 @@ class TestDenseCycloFracProperties:
     @given(st.lists(dense_parts, min_size=1, max_size=6), st.integers(-9, 9),
            st.integers(-3, 3))
     def test_matches_rational_functions(self, parts, k, c):
-        # the dense numerators against LaurentPoly / RationalFunc arithmetic;
-        # wide operands take the packed product
+        # the dense numerators against LaurentPoly / reference fraction
+        # arithmetic; wide operands take the packed product
         terms = [CycloFrac(p, den) for p, den in parts]
-        refs = [RationalFunc(p, binomial_product(den)) for p, den in parts]
+        refs = [Frac(p, binomial_product(den)) for p, den in parts]
         (a, b), (ra, rb) = (terms[0], terms[-1]), (refs[0], refs[-1])
-        x_k = RationalFunc(LaurentPoly({k: 1}))
+        x_k = Frac(LaurentPoly({k: 1}))
         results = {"product": (a * b, ra * rb), "scaled": (a * c, ra * c),
                    "shift": (a.shift(k), ra * x_k), "negation": (-a, -ra),
                    "difference": (a - b, ra - rb),
-                   "sum": (CycloFrac.sum(iter(terms)), sum(refs, RationalFunc.zero()))}
+                   "sum": (CycloFrac.sum(iter(terms)), sum(refs, Frac(0)))}
         for name, (got, want) in results.items():
             assert got.reduce() == want, name
             # a dense numerator with nonzero ends, or () for zero
@@ -194,15 +203,15 @@ class TestMassSS:
         # sum over HN types of q^{-sum_{k<l} <d^l, d^k>} prod mass_ss(d^k)
         # recovers the full stack mass
         for d in [dv(i=1, j=1), dv(i=2, j=1), dv(i=2, j=2)]:
-            total = RationalFunc.zero()
+            total = Frac(0)
             for t in hn_types(k3, theta_i, d):
-                term = RationalFunc.one()
+                term = Frac(1)
                 for p in t.parts:
                     term = term * mass_ss(k3, theta_i, p)
                 shift = -sum(k3.euler(t.parts[l], t.parts[k])
                              for k in range(len(t.parts))
                              for l in range(k + 1, len(t.parts)))
-                term = term * RationalFunc(LaurentPoly({shift: 1}))
+                term = term * LaurentPoly({shift: 1})
                 total = total + term
             assert total == mass(k3, d)
 

@@ -1,13 +1,14 @@
 from fractions import Fraction
-from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
-from quivermoduli.laurent import (LaurentPoly, RationalFunc, _binomial_lift_sum,
-                                  _kronecker_mul, _pack, _poly_gcd, _unpack,
-                                  cyclotomic, quantum_factorial, quantum_integer)
+from quivermoduli.hn import CycloFrac
+from quivermoduli.laurent import (LaurentPoly, RationalFunc, _kronecker_mul, _lift_sum,
+                                  _pack, _unpack, cyclotomic)
+
+from conftest import fraction_divexact
 
 
 def P(d):
@@ -56,8 +57,9 @@ class TestLaurentPoly:
 
     def test_json_round_trip(self):
         p = P({-1: 2, 3: -5})
-        assert LaurentPoly.from_json(p.to_json()) == p
-        assert p.to_json()["terms"][0]["coeff"] == "2"
+        terms = p.to_json()["terms"]
+        assert P({t["exp"]: int(t["coeff"]) for t in terms}) == p
+        assert terms[0]["coeff"] == "2"
 
 
 class TestIntegerKernels:
@@ -77,8 +79,7 @@ class TestIntegerKernels:
         ones = P({i: 1 for i in range(40)})
         assert ones * P({1: 1, 0: -1}) == P({40: 1, 0: -1})
         assert _kronecker_mul((-1, 1), (1,) * 40) == (-1,) + (0,) * 39 + (1,)
-        lifted = _binomial_lift_sum([(ones, {1: 1}), (-ones, {1: 1})])
-        assert lifted.is_zero()
+        assert _lift_sum([(0, (1,) * 40, {1: 1}), (0, (-1,) * 40, {1: 1})]) == (0, ())
 
     def test_large_coefficients_and_negative_exponents(self):
         big = 2 ** 100
@@ -101,8 +102,6 @@ class TestIntegerKernels:
         a = P({0: 1, 10 ** 9: 1})
         b = P({i: i + 1 for i in range(40)})
         assert len((a * b).items()) == 80
-        lifted = _binomial_lift_sum([(a, {1: 1}), (b, {})])
-        assert lifted == a * P({1: 1, 0: -1}) + b
 
 
 def schoolbook(a, b):
@@ -112,27 +111,6 @@ def schoolbook(a, b):
         for e2, a2 in b.items():
             c[e1 + e2] = c.get(e1 + e2, 0) + a1 * a2
     return LaurentPoly(c)
-
-
-def fraction_divexact(a, b):
-    """Reference exact division: long division over Q, then integrality."""
-    num, nlo = a.shifted_coeffs()
-    den, dlo = b.shifted_coeffs()
-    if a.is_zero():
-        return LaurentPoly()
-    if len(num) < len(den):
-        return None
-    num = [Fraction(x) for x in num]
-    dn = len(den)
-    quot = [Fraction(0)] * (len(num) - dn + 1)
-    for i in range(len(num) - dn, -1, -1):
-        c = num[i + dn - 1] / den[-1]
-        quot[i] = c
-        for j in range(dn):
-            num[i + j] -= c * den[j]
-    if any(num) or any(c.denominator != 1 for c in quot):
-        return None
-    return LaurentPoly({nlo - dlo + i: int(c) for i, c in enumerate(quot)})
 
 
 def binomial_lift_reference(p, factors):
@@ -188,143 +166,48 @@ class TestIntegerKernelProperties:
         want = LaurentPoly()
         for p, f in terms:
             want = want + binomial_lift_reference(p, f)
-        assert _binomial_lift_sum(terms) == want
-
-
-def fraction_poly_gcd(a, b):
-    """Reference gcd of ascending coefficient lists: Euclid over Q, made
-    monic, then scaled to a primitive integer polynomial."""
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim([Fraction(x) for x in a]), trim([Fraction(x) for x in b])
-    while b:
-        r = a[:]
-        while len(r) >= len(b):
-            c, off = r[-1] / b[-1], len(r) - len(b)
-            for i, x in enumerate(b):
-                r[off + i] -= c * x
-            r = trim(r)
-        a, b = b, r
-    if not a:
-        return [0]
-    monic = [x / a[-1] for x in a]
-    scale = lcm(*(x.denominator for x in monic))
-    ints = [int(x * scale) for x in monic]
-    g = gcd(*ints)
-    return [x // g for x in ints]
-
-
-def convolve(f, g):
-    out = [0] * max(len(f) + len(g) - 1, 0)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] += x * y
-    return out
-
-
-gcd_factors = st.lists(st.one_of(st.integers(-6, 6), st.integers(-2 ** 40, 2 ** 40)),
-                       max_size=6)
-
-
-class TestPolyGcdProperties:
-    @settings(deadline=None, max_examples=300)
-    @given(gcd_factors, gcd_factors, gcd_factors, st.integers(-6, 6), st.integers(-6, 6))
-    def test_matches_fraction_reference(self, f, g, h, cf, cg):
-        # a shared factor h and integer contents cf, cg, so the gcd is
-        # usually nontrivial; trailing zeros and zero inputs included
-        a = [cf * x for x in convolve(f, h)]
-        b = [cg * x for x in convolve(g, h)]
-        got = _poly_gcd(a, b)
-        assert got == fraction_poly_gcd(a, b)
-        assert got == [0] or (got[-1] > 0 and gcd(*got) == 1)
-
-    def test_examples(self):
-        assert _poly_gcd([-1, 0, 1], [2, 2]) == [1, 1]      # gcd(x^2-1, 2x+2)
-        assert _poly_gcd([6], [4]) == [1]
-        assert _poly_gcd([0, 0], []) == [0]
-        assert _poly_gcd([0, -4, 0], [0]) == [0, 1]
-        assert _poly_gcd([1, 1], [1, 2, 1, 0]) == [1, 1]
+        dense = [(p.low(), p.shifted_coeffs()[0], f) for p, f in terms if p]
+        lo, co = _lift_sum(dense) if dense else (0, ())
+        assert LaurentPoly.from_coeff_list(co, lo) == want
+        assert not co or (co[0] and co[-1])
 
 
 class TestRationalFunc:
     def test_canonical_cancellation(self):
-        r = RationalFunc(P({2: 1, 0: -1}), P({1: 1, 0: -1}))
+        # the canonical form comes from CycloFrac.reduce
+        r = CycloFrac(P({2: 1, 0: -1}), {1: 1}).reduce()
         assert r == RationalFunc(P({1: 1, 0: 1}))
         assert r.to_polynomial() == P({1: 1, 0: 1})
 
-    def test_denominator_normalization(self):
-        # common content and sign are removed, lowest denominator exponent 0
-        a = RationalFunc(P({0: 2}), P({1: -4, 0: 4}))
-        b = RationalFunc(P({0: -1}), P({1: 2, 0: -2}))
-        assert a == b
+    def test_denominator_needs_proof(self):
+        # no gcd normalizes a denominator, so one not proven canonical is refused
+        with pytest.raises(InputError):
+            RationalFunc(P({0: 2}), P({1: -4, 0: 4}))
+        with pytest.raises(InputError):
+            RationalFunc(P({0: -1}), P({1: 2, 0: -2}))
 
-    def test_field_ops(self):
-        x = RationalFunc(LaurentPoly.var())
-        r = (x + 1) / (x - 1)
-        assert r * (x - 1) == x + 1
-        assert r - r == RationalFunc.zero()
-        assert r.inverse() * r == RationalFunc.one()
-        assert (x ** -2) * (x ** 2) == RationalFunc.one()
+    def test_hash_agrees_with_equality(self):
+        for value in (0, 5, LaurentPoly.var()):
+            poly = P({0: value}) if isinstance(value, int) else value
+            rf = RationalFunc(value)
+            assert poly == value and rf == value and rf == poly
+            assert hash(poly) == hash(value) == hash(rf)
+            assert len({value, poly, rf}) == 1
 
     def test_to_polynomial_failure_carries_witness(self):
-        r = RationalFunc(LaurentPoly.one(), P({1: 1, 0: -1}))
+        r = RationalFunc(LaurentPoly.one(), P({1: 1, 0: -1}), _canonical=True)
         with pytest.raises(NonPolynomialError) as exc:
             r.to_polynomial()
         assert exc.value.remainder == P({1: 1, 0: -1})
 
     def test_evaluate_and_poles(self):
-        r = RationalFunc(P({1: 1, 0: 1}), P({1: 1, 0: -1}))
+        r = RationalFunc(P({1: 1, 0: 1}), P({1: 1, 0: -1}), _canonical=True)
         assert r.evaluate(2) == 3
         with pytest.raises(ZeroDivisionError):
             r.evaluate(1)
 
 
-small_poly = st.builds(
-    lambda terms: LaurentPoly(dict(terms)),
-    st.lists(st.tuples(st.integers(min_value=-3, max_value=3),
-                       st.integers(min_value=-5, max_value=5)),
-             max_size=4))
-
-
-class TestRationalFuncProperties:
-    @given(small_poly, small_poly, small_poly)
-    def test_add_mul_consistent(self, a, b, c):
-        # (a + b) * c == a*c + b*c through the canonical form
-        if c.is_zero():
-            return
-        ra, rb, rc = RationalFunc(a), RationalFunc(b), RationalFunc(c, P({1: 1, 0: -1}))
-        assert (ra + rb) * rc == ra * rc + rb * rc
-
-    @given(small_poly, small_poly)
-    def test_sub_then_add_round_trip(self, a, b):
-        ra = RationalFunc(a, P({2: 1, 0: -1}))
-        rb = RationalFunc(b, P({1: 1, 0: -1}))
-        assert ra - rb + rb == ra
-
-
 class TestQuantumNumbers:
-    def test_quantum_integers(self):
-        assert quantum_integer(1) == LaurentPoly.one()
-        assert quantum_integer(2) == P({1: 1, -1: 1})
-        assert quantum_integer(3) == P({2: 1, 0: 1, -2: 1})
-
-    def test_factorial_values(self):
-        assert quantum_factorial(0) == LaurentPoly.one()
-        assert quantum_factorial(2) == P({1: 1, -1: 1})
-        # [3]! = [2] [3]
-        assert quantum_factorial(3) == quantum_integer(2) * quantum_integer(3)
-
-    @given(st.integers(min_value=0, max_value=6))
-    def test_factorial_palindromic_and_counts(self, n):
-        f = quantum_factorial(n)
-        assert f.is_palindromic()
-        # at v = 1 the quantum factorial specializes to n!
-        import math
-        assert f.evaluate(1) == math.factorial(n)
-
     def test_cyclotomics(self):
         assert cyclotomic(1) == P({1: 1, 0: -1})
         assert cyclotomic(2) == P({1: 1, 0: 1})

@@ -68,7 +68,8 @@ class TestQuiver:
         assert k3.euler(dv(j=1), dv(i=1)) == 0
 
     def test_cartan_is_symmetrized_euler(self, a2):
-        C = a2.cartan_matrix()
+        simples = [a2.simple(v) for v in a2.vertices]
+        C = tuple(tuple(a2.symmetric_form(s, t) for t in simples) for s in simples)
         assert C == ((2, -1), (-1, 2))
 
     def test_json_round_trip(self, k2):
@@ -106,13 +107,6 @@ class TestStability:
         assert theta_i.slope(dv(i=2, j=3)) == Fraction(2, 5)
         with pytest.raises(InputError):
             theta_i.slope(dv())
-
-    def test_king_weight_sign(self, theta_i):
-        d = dv(i=1, j=1)
-        # subobject of larger slope gets positive King weight deficit
-        assert theta_i.king_weight(d, dv(i=1)) < 0
-        assert theta_i.king_weight(d, dv(j=1)) > 0
-        assert theta_i.king_weight(d, d) == 0
 
 
 coeff = st.integers(min_value=0, max_value=4)

@@ -37,6 +37,31 @@ class TestWeightAndOrder:
                         assert word_leq(k2, u, w)
 
 
+def search_word_leq(quiver, w, w2):
+    """Reference: breadth-first search upward from w by the generating moves
+    u i j u' -> u j i u' (i before j) within the weight class."""
+    w, w2 = tuple(w), tuple(w2)
+    if word_weight(quiver, w) != word_weight(quiver, w2):
+        return False
+    idx = quiver.index
+    seen, frontier = {w}, [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for p in range(len(u) - 1):
+                if idx(u[p]) < idx(u[p + 1]):  # move the larger letter left
+                    v = u[:p] + (u[p + 1], u[p]) + u[p + 2:]
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+        frontier = nxt
+    return w2 in seen
+
+
+LEQ_QUIVERS = {"A3": Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")]),
+               "D4": Quiver(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "d")]),
+               "K3": kronecker_quiver(3)}
+
 small_word = st.lists(st.sampled_from("ij"), max_size=5).map(tuple)
 
 
@@ -47,6 +72,20 @@ class TestOrderProperties:
         q = kronecker_quiver(2)
         if u != v:
             assert not (word_leq(q, u, v) and word_leq(q, v, u))
+
+    @pytest.mark.parametrize("name", sorted(LEQ_QUIVERS))
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_counts_match_search(self, name, data):
+        # the weak-order count against the search it replaced, on words of
+        # one weight (and of two, when w2 drops or adds a letter)
+        quiver = LEQ_QUIVERS[name]
+        letters = st.sampled_from(quiver.vertices)
+        w = data.draw(st.lists(letters, max_size=8))
+        w2 = data.draw(st.permutations(w))
+        if data.draw(st.booleans()):
+            w2 = w2[1:] + data.draw(st.lists(letters, max_size=1))
+        assert word_leq(quiver, w, w2) == search_word_leq(quiver, w, w2)
 
     @settings(deadline=None, max_examples=60)
     @given(small_word)
