@@ -373,7 +373,6 @@ def _build_parser():
     ap = _Parser(
         prog="quivermoduli",
         description="Exact invariants of quiver representation varieties")
-    ap.add_argument("--format", choices=["json", "table"], default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
@@ -501,18 +500,6 @@ def _dispatch(args):
     return args.fn(args)
 
 
-def _render_table(payload, out):
-    def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk(f"{prefix}{k}.", v)
-        elif isinstance(obj, list):
-            print(f"{prefix[:-1]}: {' '.join(str(x) for x in obj)}", file=out)
-        else:
-            print(f"{prefix[:-1]}: {obj}", file=out)
-    walk("", payload)
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     command = None  # until argv parses
@@ -549,10 +536,7 @@ def main(argv=None):
         "result": _stringify(payload),
         "timing_ms": f"{(time.perf_counter() - started) * 1000:.1f}",
     }
-    if args.format == "table":
-        _render_table(result["result"], sys.stdout)
-    else:
-        print(json.dumps(result, sort_keys=True))
+    print(json.dumps(result, sort_keys=True))
     return 0
 
 

@@ -1,17 +1,18 @@
 """Exact Laurent polynomials and canonical rational functions in one variable.
 
-Coefficients are arbitrary-precision integers.  A LaurentPoly is sparse, a
-dict from exponent to coefficient.  The kernels below it work on dense
-coefficient sequences (lowest first, with the low exponent kept apart),
-which the dense numerators of ``hn.CycloFrac`` use directly.  The hot paths
-use integers only.  Exact division is integer synthetic division that gives
-up at the first coefficient the divisor's leading coefficient does not
-divide.  Products of large operands, and the lifts of numerators by
-products of binomials x^e - 1 (:func:`_lift_sum`), use Kronecker
-substitution: coefficients become the base-2^k digits of one integer, so a
-single big-integer multiply does the work.  Digits are balanced (signed),
-and k always comes from a proven bound on the result's coefficients, never
-from a guess.
+Coefficients are arbitrary-precision integers.  There is one polynomial
+format, dense: a low exponent and a tuple of coefficients, lowest first,
+with nonzero ends, so storage grows with the span of the exponents.  A
+LaurentPoly holds it as ``lo`` and ``co``, and the numerators of
+``hn.CycloFrac`` hold it inline; the kernels below work on the coefficient
+sequences of both.  The hot paths use integers only.  Exact division is
+integer synthetic division that gives up at the first coefficient the
+divisor's leading coefficient does not divide.  Products of large operands,
+and the lifts of numerators by products of binomials x^e - 1
+(:func:`_lift_sum`), use Kronecker substitution: coefficients become the
+base-2^k digits of one integer, so a single big-integer multiply does the
+work.  Digits are balanced (signed), and k always comes from a proven bound
+on the result's coefficients, never from a guess.
 
 A RationalFunc is a result, not a field element: ``hn.CycloFrac.reduce``
 builds it in canonical form (no common factor, denominator with lowest
@@ -26,6 +27,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 
 from .errors import InputError, NonPolynomialError
 
@@ -36,33 +38,15 @@ __all__ = [
 ]
 
 
-def _as_coeff_dict(value):
+_set = object.__setattr__
+
+
+def _as_poly(value):
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
         return LaurentPoly({0: value})
     return NotImplemented
-
-
-def _wrap(c):
-    """A LaurentPoly around a trusted dict without zero coefficients."""
-    out = LaurentPoly()
-    object.__setattr__(out, "_c", c)
-    return out
-
-
-def _coeffs(c, lo):
-    """The dense coefficient list of the dict ``c`` from exponent lo <= min(c)
-    to max(c)."""
-    out = [0] * (max(c) - lo + 1)
-    for e, a in c.items():
-        out[e - lo] = a
-    return out
-
-
-def _sparse(co, lo):
-    """The coefficient dict of the sequence ``co`` from exponent lo."""
-    return {lo + i: a for i, a in enumerate(co) if a}
 
 
 # -- Kronecker substitution ----------------------------------------------------
@@ -78,16 +62,12 @@ def _sparse(co, lo):
 # word size k the digits u_i are a signed ``array`` and neither direction
 # loops over coefficients in Python.
 
-# Multiplication goes by Kronecker substitution when the shorter operand has
-# at least this many terms and the operands have at least this many term
-# pairs; schoolbook is faster otherwise.  Timed on operand pairs sampled from
-# Betti computations on K3, this rule came within 1% of taking the faster
-# method for every pair; for the dense products of CycloFrac numerators,
-# with sequence lengths as term counts, it came within 3%, as good as any
-# rule of the grid tried.  LaurentPoly.__mul__ adds a third condition,
-# exponent spans adding up to at most the number of term pairs, which keeps
-# sparse wide operands, which would pack into mostly empty digits, on
-# schoolbook.
+# Multiplication goes by Kronecker substitution when the shorter coefficient
+# sequence has at least this many entries and the two have at least this
+# many entry pairs; schoolbook is faster otherwise.  Timed on the dense
+# products of CycloFrac numerators from Betti computations on K3, this rule
+# came within 3% of taking the faster method for every pair, as good as any
+# rule of the grid tried.
 _KRONECKER_MIN_TERMS = 4
 _KRONECKER_MIN_PAIRS = 128
 
@@ -179,8 +159,9 @@ def _mul_coeffs(a, b):
 
 
 def _trimmed(lo, co):
-    """(lo, co) with the zero coefficients at both ends of ``co`` dropped;
-    (0, ()) when every coefficient is zero."""
+    """(lo, co) with the zero coefficients at both ends of the sequence ``co``
+    dropped and the rest as a tuple; (0, ()) when every coefficient is
+    zero."""
     i, j = 0, len(co)
     while j and not co[j - 1]:
         j -= 1
@@ -188,7 +169,7 @@ def _trimmed(lo, co):
         return 0, ()
     while not co[i]:
         i += 1
-    return lo + i, co[i:j]
+    return lo + i, tuple(co[i:j])
 
 
 def _lift_sum(terms):
@@ -252,19 +233,35 @@ def _divexact(co, dco):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with integer coefficients."""
+    """Laurent polynomial with integer coefficients, x^lo (co[0] + co[1] x
+    + ...): ``co`` is a tuple with nonzero ends, and zero is (0, ())."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("lo", "co")
 
     def __init__(self, coeffs=None):
-        c = {}
+        lo, co = 0, ()
         if coeffs:
             for e, a in coeffs.items():
                 if not isinstance(e, int) or not isinstance(a, int):
                     raise InputError("exponents and coefficients must be integers")
-                if a != 0:
-                    c[e] = a
-        object.__setattr__(self, "_c", c)
+            terms = {e: a for e, a in coeffs.items() if a}
+            if terms:
+                lo = min(terms)
+                dense = [0] * (max(terms) - lo + 1)
+                for e, a in terms.items():
+                    dense[e - lo] = a
+                co = tuple(dense)
+        _set(self, "lo", lo)
+        _set(self, "co", co)
+
+    @classmethod
+    def _of(cls, lo, co):
+        """A LaurentPoly around trusted parts: a tuple ``co`` with nonzero
+        ends, or (0, ())."""
+        out = object.__new__(cls)
+        _set(out, "lo", lo)
+        _set(out, "co", co)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -273,107 +270,80 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of(0, ())
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls._of(0, (1,))
 
     @classmethod
     def var(cls, power=1):
-        return cls({power: 1})
+        return cls._of(power, (1,))
 
     # -- structure ---------------------------------------------------------
 
     def items(self):
-        return self._c.items()
-
-    def coeff(self, e):
-        return self._c.get(e, 0)
+        """The nonzero terms as (exponent, coefficient) pairs, ascending."""
+        return [(e, a) for e, a in enumerate(self.co, self.lo) if a]
 
     def is_zero(self):
-        return not self._c
-
-    def degree(self):
-        if not self._c:
-            raise InputError("degree of the zero polynomial is undefined")
-        return max(self._c)
-
-    def low(self):
-        if not self._c:
-            raise InputError("low exponent of the zero polynomial is undefined")
-        return min(self._c)
+        return not self.co
 
     def __eq__(self, other):
-        other = _as_coeff_dict(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._c == other._c
+        return self.lo == other.lo and self.co == other.co
 
     def __hash__(self):
         # a constant hashes like the int it equals
-        if self._c.keys() <= {0}:
-            return hash(self._c.get(0, 0))
-        return hash(frozenset(self._c.items()))
+        if not self.co:
+            return hash(0)
+        if self.lo == 0 and len(self.co) == 1:
+            return hash(self.co[0])
+        return hash((self.lo, self.co))
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self.co)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_coeff_dict(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self._c)
-        for e, a in other._c.items():
-            b = c.get(e, 0) + a
-            if b:
-                c[e] = b
-            else:
-                c.pop(e, None)
-        out = LaurentPoly()
-        object.__setattr__(out, "_c", c)
-        return out
+        if not other.co:
+            return self
+        if not self.co:
+            return other
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.lo + len(self.co), other.lo + len(other.co)) - lo)
+        for p in (self, other):
+            for i, a in enumerate(p.co, p.lo - lo):
+                out[i] += a
+        return LaurentPoly._of(*_trimmed(lo, out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly()
-        object.__setattr__(out, "_c", {e: -a for e, a in self._c.items()})
-        return out
+        return LaurentPoly._of(self.lo, tuple(map(neg, self.co)))
 
     def __sub__(self, other):
-        other = _as_coeff_dict(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_coeff_dict(other) - self
+        return _as_poly(other) - self
 
     def __mul__(self, other):
-        other = _as_coeff_dict(other)
+        other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._c or not other._c:
-            return LaurentPoly()
-        a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        pairs = len(a) * len(b)
-        if (len(a) >= _KRONECKER_MIN_TERMS and pairs >= _KRONECKER_MIN_PAIRS
-                and max(a) - min(a) + max(b) - min(b) <= pairs):
-            alo, blo = min(a), min(b)
-            return _wrap(_sparse(_kronecker_mul(_coeffs(a, alo), _coeffs(b, blo)),
-                                 alo + blo))
-        c = {}
-        get = c.get
-        for e1, a1 in a.items():
-            for e2, a2 in b.items():
-                e = e1 + e2
-                c[e] = get(e, 0) + a1 * a2
-        return _wrap({e: v for e, v in c.items() if v})
+        if not self.co or not other.co:
+            return LaurentPoly.zero()
+        return LaurentPoly._of(self.lo + other.lo, _mul_coeffs(self.co, other.co))
 
     __rmul__ = __mul__
 
@@ -381,10 +351,9 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if len(self._c) == 1:
-                ((e, a),) = self._c.items()
-                if a in (1, -1):
-                    return LaurentPoly({e * n: -1 if (a == -1 and n % 2) else 1})
+            if self.co in ((1,), (-1,)):
+                sign = -1 if self.co[0] == -1 and n % 2 else 1
+                return LaurentPoly._of(self.lo * n, (sign,))
             raise InputError("negative powers only for unit monomials")
         out = LaurentPoly.one()
         base = self
@@ -398,68 +367,52 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by the variable to the k-th power."""
-        out = LaurentPoly()
-        object.__setattr__(out, "_c", {e + k: a for e, a in self._c.items()})
-        return out
-
-    # -- polynomial views --------------------------------------------------
-
-    def shifted_coeffs(self):
-        """(ascending coefficient list, low exponent) with constant term nonzero."""
-        if not self._c:
-            return [], 0
-        lo = self.low()
-        return _coeffs(self._c, lo), lo
-
-    @classmethod
-    def from_coeff_list(cls, coeffs, low=0):
-        return cls({low + i: a for i, a in enumerate(coeffs) if a})
+        return LaurentPoly._of(self.lo + k, self.co) if self.co else self
 
     def divexact(self, other):
         """Exact division; returns None when the quotient is not an integer
         Laurent polynomial (see :func:`_divexact`)."""
-        if not other._c:
+        if not other.co:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self._c:
-            return LaurentPoly()
-        nlo, dlo = min(self._c), min(other._c)
-        quot = _divexact(_coeffs(self._c, nlo), _coeffs(other._c, dlo))
-        return None if quot is None else _wrap(_sparse(quot, nlo - dlo))
+        if not self.co:
+            return self
+        quot = _divexact(self.co, other.co)
+        return None if quot is None else LaurentPoly._of(self.lo - other.lo, quot)
+
+    # -- polynomial views --------------------------------------------------
 
     def evaluate(self, v0):
         """Exact value at a rational point (nonzero when negative exponents occur)."""
         v0 = Fraction(v0)
-        if v0 == 0 and self._c and self.low() < 0:
+        if v0 == 0 and self.co and self.lo < 0:
             raise InputError("cannot evaluate negative exponents at 0")
-        return sum((Fraction(a) * v0 ** e for e, a in self._c.items()), Fraction(0))
+        return sum((Fraction(a) * v0 ** e for e, a in self.items()), Fraction(0))
 
     def is_palindromic(self):
         """Invariant under inverting the variable."""
-        return all(self.coeff(-e) == a for e, a in self._c.items())
-
-    def even_exponents_only(self):
-        return all(e % 2 == 0 for e in self._c)
+        return not self.co or (2 * self.lo + len(self.co) == 1
+                               and self.co == self.co[::-1])
 
     def halve_exponents(self):
         """Substitute x^2 -> x; requires all exponents even."""
-        if not self.even_exponents_only():
+        if self.co and (self.lo % 2 or any(self.co[1::2])):
             raise InputError("polynomial has odd exponents")
-        return LaurentPoly({e // 2: a for e, a in self._c.items()})
+        return LaurentPoly._of(self.lo // 2, self.co[::2])
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self, variable="v"):
-        terms = [{"exp": e, "coeff": str(a)} for e, a in sorted(self._c.items())]
+        terms = [{"exp": e, "coeff": str(a)} for e, a in self.items()]
         return {"variable": variable, "terms": terms}
 
     def __repr__(self):
         return f"LaurentPoly({self})"
 
     def __str__(self, variable="v"):
-        if not self._c:
+        if not self.co:
             return "0"
         parts = []
-        for e, a in sorted(self._c.items(), reverse=True):
+        for e, a in reversed(self.items()):
             if e == 0:
                 term = str(abs(a))
             else:

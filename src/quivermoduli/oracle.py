@@ -504,8 +504,15 @@ def has_comp_series(X: FFRep, word) -> bool:
     if n == 0:
         return False
     # subreps of codimension 1 at the head: hyperplanes W there that contain
-    # the images of all arrows into it
-    for rows, members in _member_spaces(n, n - 1, X.q):
+    # the images of all arrows into it.  The (q^n - 1)/(q - 1) hyperplanes
+    # have q^(n - 1) members each, at least 2^(2n - 2) and at most
+    # q^(2n - 1) in all; refuse before building them.
+    q = X.q
+    _check_budget("hyperplane members", 2 * n - 2,
+                  lambda: (2 * n - 1) * q.bit_length(),
+                  lambda: (q ** n - 1) // (q - 1) * q ** (n - 1),
+                  default_budget("subspace"))
+    for rows, members in _member_spaces(n, n - 1, q):
         sub = _restrict(X, h, rows, members)
         if sub is not None and has_comp_series(sub, word[1:]):
             return True

@@ -80,8 +80,8 @@ class Frac:
 
 def fraction_divexact(a, b):
     """Reference exact division: long division over Q, then integrality."""
-    num, nlo = a.shifted_coeffs()
-    den, dlo = b.shifted_coeffs()
+    num, nlo = a.co, a.lo
+    den, dlo = b.co, b.lo
     if a.is_zero():
         return LaurentPoly()
     if len(num) < len(den):

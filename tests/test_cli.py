@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import generic
+from quivermoduli import generic, oracle
 from quivermoduli.cli import main
 from quivermoduli.quiver import VECTOR_BUDGET
 
@@ -255,6 +255,27 @@ class TestExitCodes:
         assert doc["required"] == str(10 ** 30)
         assert doc["budget"] == str(VECTOR_BUDGET)
 
+    # refused on the size of what they would build: the mass's canonical
+    # denominator of degree sum d_i (d_i + 1) / 2, and the hyperplanes of
+    # F_q^n at the head of the word with q^(n - 1) members each
+    @pytest.mark.parametrize("argv, required, budget, seconds", [
+        (["mass", "--dim", '{"i": 1000}'], 500500, VECTOR_BUDGET, 1),
+        (["oracle", "comp-series", "--word", "i" * 16, "--q", "2"],
+         (2 ** 16 - 1) * 2 ** 15, oracle.default_budget("subspace"), 5),
+        (["oracle", "comp-series", "--word", "i" * 30, "--q", "2"],
+         (2 ** 30 - 1) * 2 ** 29, oracle.default_budget("subspace"), 5),
+    ], ids=["mass i=1000", "comp-series i^16", "comp-series i^30"])
+    def test_large_result_is_3(self, capsys, argv, required, budget, seconds):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--quiver", A2)
+        assert time.perf_counter() - start < seconds
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["required"] == str(required)
+        assert doc["budget"] == str(budget)
+
     # counts too wide to build or to print are refused on a lower bound:
     # at least 2^cells representations, 2^(dim d) subspace tuples
     @pytest.mark.parametrize("dim, q", [(HUGE, "2"), ('{"i": 100, "j": 100}', "5"),
@@ -330,12 +351,6 @@ class TestFixtures:
 
 
 class TestFormats:
-    def test_table_format(self, capsys):
-        code, out, err = run(capsys, "--format", "table", "euler",
-                             "--quiver", K3, "--d", D11, "--e", D11)
-        assert code == 0
-        assert "value: -1" in out
-
     def test_quiver_from_file(self, capsys, tmp_path):
         path = tmp_path / "quiver.json"
         path.write_text(K3)

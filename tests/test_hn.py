@@ -82,7 +82,7 @@ class TestCycloFracProperties:
         # canonical: the denominator has low exponent 0 and a positive
         # leading coefficient, and it is a product of cyclotomics, its
         # irreducible factors, none of which divides the numerator
-        assert r.den.low() == 0 and r.den.coeff(r.den.degree()) > 0
+        assert r.den.lo == 0 and r.den.co[-1] > 0
         rest = r.den
         for n in range(1, max(den, default=0) + 1):
             phi = cyclotomic(n)
