@@ -4,6 +4,10 @@ Every command prints a CommandResult object: the command echo, parsed
 inputs, the result payload, and timing.  All numbers in payloads are
 decimal strings.  Exit codes: 0 success, 2 input error, 3 budget refusal
 or undecided-at-budget.
+
+Commands and their flags are declared once, in ``_COMMANDS``.  The parser
+is built from that table, and ``_run`` reads a parsed command's flags in
+declared order, echoes them as its inputs and calls its payload function.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from importlib import resources
+from operator import methodcaller
 
 from . import generic, hn, oracle, roots, series, words
 from .errors import BudgetExceeded, InputError
@@ -23,8 +29,6 @@ from .quiver import DimVector, Quiver, Stability
 
 
 def _load_json_arg(text, what):
-    if text is None:
-        raise InputError(f"missing {what}")
     if os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
@@ -32,14 +36,6 @@ def _load_json_arg(text, what):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad {what} JSON: {exc}") from None
-
-
-def _quiver(args):
-    return Quiver.from_json(_load_json_arg(args.quiver, "quiver"))
-
-
-def _dimvec(text, what="dimension vector"):
-    return _dimvec_data(_load_json_arg(text, what), what)
 
 
 def _int(value):
@@ -50,23 +46,14 @@ def _int(value):
     return int(value)
 
 
-def _dimvec_data(data, what):
+def _vector_data(cls, data, what):
+    """A DimVector or Stability (``cls``) from a JSON object of integers."""
     if not isinstance(data, dict):
         raise InputError(f"{what} must be a JSON object")
     try:
-        return DimVector({k: _int(v) for k, v in data.items()})
+        return cls({k: _int(v) for k, v in data.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad {what}: {exc}") from None
-
-
-def _theta(text):
-    data = _load_json_arg(text, "theta")
-    if not isinstance(data, dict):
-        raise InputError("theta must be a JSON object")
-    try:
-        return Stability({k: _int(v) for k, v in data.items()})
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad theta: {exc}") from None
 
 
 def _stringify(obj):
@@ -83,7 +70,7 @@ def _stringify(obj):
     return obj
 
 
-def _mats_arg(text):
+def _mats(text):
     data = _load_json_arg(text, "matrix tuple")
     if not isinstance(data, list):
         raise InputError("matrix tuple must be a JSON list")
@@ -93,101 +80,14 @@ def _mats_arg(text):
         raise InputError(f"bad matrix tuple: {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# command implementations; each returns (payload, inputs_echo)
-
-def _cmd_euler(args):
-    Q = _quiver(args)
-    d, e = _dimvec(args.d, "--d"), _dimvec(args.e, "--e")
-    return ({"value": Q.euler(d, e)},
-            {"quiver": Q.to_json(), "d": d.to_json(), "e": e.to_json()})
+def _parts(text):
+    data = _load_json_arg(text, "--parts")
+    if not isinstance(data, list):
+        raise InputError("--parts must be a JSON list of dimension vectors")
+    return [_vector_data(DimVector, p, "--parts entry") for p in data]
 
 
-def _cmd_root_classify(args):
-    Q = _quiver(args)
-    d = _dimvec(args.dim, "--dim")
-    return (roots.classify_root(Q, d).to_json(),
-            {"quiver": Q.to_json(), "dim": d.to_json()})
-
-
-def _cmd_root_list(args):
-    Q = _quiver(args)
-    bound = _dimvec(args.bound, "--bound")
-    found = [{"dim": d.to_json(), "kind": kind}
-             for d, kind in roots.positive_roots_up_to(Q, bound)]
-    return ({"roots": found},
-            {"quiver": Q.to_json(), "bound": bound.to_json()})
-
-
-def _cmd_ext(args):
-    Q = _quiver(args)
-    d, e = _dimvec(args.d, "--d"), _dimvec(args.e, "--e")
-    return ({"value": generic.generic_ext(Q, d, e)},
-            {"quiver": Q.to_json(), "d": d.to_json(), "e": e.to_json()})
-
-
-def _cmd_hom(args):
-    Q = _quiver(args)
-    d, e = _dimvec(args.d, "--d"), _dimvec(args.e, "--e")
-    return ({"value": generic.generic_hom(Q, d, e)},
-            {"quiver": Q.to_json(), "d": d.to_json(), "e": e.to_json()})
-
-
-def _cmd_schur(args):
-    Q = _quiver(args)
-    d = _dimvec(args.dim, "--dim")
-    return ({"schur": generic.schur_test(Q, d)},
-            {"quiver": Q.to_json(), "dim": d.to_json()})
-
-
-def _cmd_decompose(args):
-    Q = _quiver(args)
-    d = _dimvec(args.dim, "--dim")
-    parts = generic.generic_decomposition(Q, d)
-    return ({"parts": [p.to_json() for p in parts]},
-            {"quiver": Q.to_json(), "dim": d.to_json()})
-
-
-def _cmd_ss_nonempty(args):
-    Q = _quiver(args)
-    d, th = _dimvec(args.dim, "--dim"), _theta(args.theta)
-    return ({"nonempty": hn.ss_nonempty(Q, th, d)},
-            {"quiver": Q.to_json(), "dim": d.to_json(), "theta": th.to_json()})
-
-
-def _cmd_hn_types(args):
-    Q = _quiver(args)
-    d, th = _dimvec(args.dim, "--dim"), _theta(args.theta)
-    types = [t.to_json() for t in hn.hn_types(Q, th, d)]
-    return ({"types": types},
-            {"quiver": Q.to_json(), "dim": d.to_json(), "theta": th.to_json()})
-
-
-def _cmd_mass(args):
-    Q = _quiver(args)
-    d = _dimvec(args.dim, "--dim")
-    return ({"mass": hn.mass(Q, d).to_json(variable="q")},
-            {"quiver": Q.to_json(), "dim": d.to_json()})
-
-
-def _cmd_mass_ss(args):
-    Q = _quiver(args)
-    d, th = _dimvec(args.dim, "--dim"), _theta(args.theta)
-    fn = hn.mass_ss_closed if args.method == "closed" else hn.mass_ss
-    return ({"mass_ss": fn(Q, th, d).to_json(variable="q"),
-             "method": args.method},
-            {"quiver": Q.to_json(), "dim": d.to_json(), "theta": th.to_json()})
-
-
-def _cmd_betti(args):
-    Q = _quiver(args)
-    d, th = _dimvec(args.dim, "--dim"), _theta(args.theta)
-    coeffs = hn.betti_coefficients(Q, th, d, method=args.method)
-    return ({"coefficients": coeffs, "method": args.method},
-            {"quiver": Q.to_json(), "dim": d.to_json(), "theta": th.to_json()})
-
-
-def _word_arg(text):
+def _word(text):
     """A word is spelled 'iij' for single-letter vertices or 'a,a,b' in
     general."""
     if text == "":
@@ -195,89 +95,78 @@ def _word_arg(text):
     return tuple(text.split(",")) if "," in text else tuple(text)
 
 
-def _cmd_word_leq(args):
-    Q = _quiver(args)
-    return ({"leq": words.word_leq(Q, _word_arg(args.w), _word_arg(args.w2))},
-            {"quiver": Q.to_json(), "w": args.w, "w2": args.w2})
+def _budget(value):
+    if value is not None and value <= 0:
+        raise InputError(f"--budget must be positive, got {value}")
+    return value
 
 
-def _cmd_monoid_equal(args):
-    Q = _quiver(args)
-    budget = words.DEFAULT_WORD_BUDGET if args.budget is None else args.budget
-    if budget <= 0:
-        raise InputError(f"--budget must be positive, got {budget}")
-    outcome = words.monoid_equal(Q, _word_arg(args.w), _word_arg(args.w2),
-                                 budget=budget)
+def _same(value):
+    return value
+
+
+# ---------------------------------------------------------------------------
+# flags: each is declared once and shared by the commands that take it
+
+_Flag = namedtuple("_Flag", "name dest kw read echo")
+
+
+def _flag(name, read=_same, echo=None, **kw):
+    """The flag ``name`` with argparse keywords ``kw``.  After parsing,
+    ``read`` turns its text into the value the payload function gets, and
+    ``echo`` turns that value into its entry of the inputs (none when
+    None)."""
+    return _Flag(name, kw.get("dest", name.lstrip("-")), kw, read, echo)
+
+
+def _vector(name, cls=DimVector, what=None):
+    what = what or name
+    return _flag(name, lambda text: _vector_data(cls, _load_json_arg(text, what), what),
+                 methodcaller("to_json"), required=True)
+
+
+def _method(*choices):
+    return _flag("--method", choices=list(choices), default=choices[0])
+
+
+_QUIVER = _flag("--quiver", lambda text: Quiver.from_json(_load_json_arg(text, "quiver")),
+                methodcaller("to_json"), required=True,
+                help="quiver JSON (inline or a file path)")
+_D, _E, _DIM, _BOUND = map(_vector, ("--d", "--e", "--dim", "--bound"))
+_THETA = _vector("--theta", Stability, "theta")
+_W, _W2 = (_flag(name, echo=_same, required=True) for name in ("--w", "--w2"))
+_Q = _flag("--q", echo=_same, type=int, required=True)
+_N = _flag("--n", echo=_same, type=int, required=True)
+_BUDGET = _flag("--budget", _budget, type=int)
+
+
+# ---------------------------------------------------------------------------
+# payload functions that do more than one call
+
+def _monoid_equal(Q, w, w2, budget):
+    budget = words.DEFAULT_WORD_BUDGET if budget is None else budget
+    outcome = words.monoid_equal(Q, _word(w), _word(w2), budget=budget)
     if outcome is words.MonoidOutcome.UNDECIDED:
         raise BudgetExceeded("congruence closure exceeded the word budget",
                              budget=budget)
-    return ({"outcome": outcome.value,
-             "equal": outcome is words.MonoidOutcome.EQUAL},
-            {"quiver": Q.to_json(), "w": args.w, "w2": args.w2})
+    return {"outcome": outcome.value,
+            "equal": outcome is words.MonoidOutcome.EQUAL}
 
 
-def _cmd_monoid_normalize(args):
-    Q = _quiver(args)
-    data = _load_json_arg(args.parts, "--parts")
-    if not isinstance(data, list):
-        raise InputError("--parts must be a JSON list of dimension vectors")
-    parts = [_dimvec_data(p, "--parts entry") for p in data]
-    out = words.schur_normal_form(Q, parts)
-    return ({"parts": [p.to_json() for p in out]},
-            {"quiver": Q.to_json(), "parts": [p.to_json() for p in parts]})
+def _counted(count, Q, d, q):
+    return {"count": count, "total": oracle.rep_count(Q, d, q)}
 
 
-def _cmd_oracle_count(args, which):
-    Q = _quiver(args)
-    d = _dimvec(args.dim, "--dim")
-    q = args.q
-    if which == "count-indec":
-        count = oracle.count_indecomposable(Q, d, q, budget=args.budget)
-        inputs = {"quiver": Q.to_json(), "dim": d.to_json(), "q": q}
-    else:
-        th = _theta(args.theta)
-        fn = oracle.count_semistable if which == "count-ss" else oracle.count_stable
-        count = fn(Q, th, d, q, budget=args.budget)
-        inputs = {"quiver": Q.to_json(), "dim": d.to_json(),
-                  "theta": th.to_json(), "q": q}
-    return ({"count": count, "total": oracle.rep_count(Q, d, q)}, inputs)
+def _kron_quadric(mats, q):
+    coeffs, rank = oracle.kronecker_quadratic_form(mats, q)
+    return {"coefficients": {f"{k},{l}": c for (k, l), c in sorted(coeffs.items())},
+            "rank": rank}
 
 
-def _cmd_oracle_generic_ext(args):
-    Q = _quiver(args)
-    d, e = _dimvec(args.d, "--d"), _dimvec(args.e, "--e")
-    val = oracle.min_generic_ext(Q, d, e, args.q, budget=args.budget)
-    return ({"min_ext": val},
-            {"quiver": Q.to_json(), "d": d.to_json(), "e": e.to_json(),
-             "q": args.q})
-
-
-def _cmd_oracle_kron_quadric(args):
-    mats = _mats_arg(args.mats)
-    coeffs, rank = oracle.kronecker_quadratic_form(mats, args.q)
-    return ({"coefficients": {f"{k},{l}": c for (k, l), c in sorted(coeffs.items())},
-             "rank": rank},
-            {"mats": mats, "q": args.q})
-
-
-def _cmd_oracle_comp_series(args):
-    Q = _quiver(args)
-    word = _word_arg(args.word)
-    pts = oracle.comp_series_point_set(Q, word, args.q, budget=args.budget)
-    d = words.word_weight(Q, word)
-    return ({"count": len(pts), "total": oracle.rep_count(Q, d, args.q)},
-            {"quiver": Q.to_json(), "word": args.word, "q": args.q})
-
-
-def _cmd_series_two_row(args):
-    out = series.two_row_partition_series(args.n)
-    return ({"coefficients": list(out.coeffs)}, {"n": args.n})
-
-
-def _cmd_series_drezet(args):
-    out = series.drezet_series(args.d_size, args.e_size, args.n)
-    return ({"coefficients": list(out.coeffs)},
-            {"d": args.d_size, "e": args.e_size, "n": args.n})
+def _comp_series(Q, text, q, budget):
+    word = _word(text)
+    pts = oracle.comp_series_point_set(Q, word, q, budget=budget)
+    return _counted(len(pts), Q, words.word_weight(Q, word), q)
 
 
 def _load_fixtures(path):
@@ -314,18 +203,17 @@ def _parse_fixture_argv(name, argv):
         raise InputError(f"fixture {name!r}: bad argv: {exc}") from None
     except SystemExit:  # --help
         raise InputError(f"fixture {name!r}: bad argv: exited") from None
-    if args.fn is _cmd_fixtures_run:
+    if args.key == "fixtures run":
         raise InputError(f"fixture {name!r}: fixtures cannot run fixtures")
     return args
 
 
-def _cmd_fixtures_run(args):
-    fixtures = _load_fixtures(args.path)
+def _fixtures_run(path):
     report = []
     failures = 0
-    for fx in fixtures:
+    for fx in _load_fixtures(path):
         name = fx.get("name", " ".join(fx["argv"]))
-        payload, _ = _dispatch(_parse_fixture_argv(name, fx["argv"]))
+        payload, _ = _run(_parse_fixture_argv(name, fx["argv"]))
         payload = _stringify(payload)
         ok = True
         detail = None
@@ -349,7 +237,7 @@ def _cmd_fixtures_run(args):
     payload = {"fixtures": report, "total": len(report), "failed": failures}
     if failures:
         raise _FixtureFailure(payload)
-    return payload, {"path": args.path or "bundled k3_tables.json"}
+    return payload
 
 
 class _FixtureFailure(Exception):
@@ -359,7 +247,79 @@ class _FixtureFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table: name -> (flags in parse and read order, payload function
+# of their values).  A two-word name is a subcommand of its first word.
+
+_COMMANDS = {
+    "euler": ((_QUIVER, _D, _E), lambda Q, d, e: {"value": Q.euler(d, e)}),
+    "root classify": ((_QUIVER, _DIM),
+                      lambda Q, d: roots.classify_root(Q, d).to_json()),
+    "root list": ((_QUIVER, _BOUND), lambda Q, bound: {"roots": [
+        {"dim": d.to_json(), "kind": kind}
+        for d, kind in roots.positive_roots_up_to(Q, bound)]}),
+    "ext": ((_QUIVER, _D, _E),
+            lambda Q, d, e: {"value": generic.generic_ext(Q, d, e)}),
+    "hom": ((_QUIVER, _D, _E),
+            lambda Q, d, e: {"value": generic.generic_hom(Q, d, e)}),
+    "schur": ((_QUIVER, _DIM), lambda Q, d: {"schur": generic.schur_test(Q, d)}),
+    "decompose": ((_QUIVER, _DIM), lambda Q, d: {
+        "parts": [p.to_json() for p in generic.generic_decomposition(Q, d)]}),
+    "ss-nonempty": ((_QUIVER, _DIM, _THETA),
+                    lambda Q, d, th: {"nonempty": hn.ss_nonempty(Q, th, d)}),
+    "hn-types": ((_QUIVER, _DIM, _THETA), lambda Q, d, th: {
+        "types": [t.to_json() for t in hn.hn_types(Q, th, d)]}),
+    "mass": ((_QUIVER, _DIM),
+             lambda Q, d: {"mass": hn.mass(Q, d).to_json(variable="q")}),
+    "mass-ss": ((_QUIVER, _DIM, _THETA, _method("recursive", "closed")),
+                lambda Q, d, th, method: {
+                    "mass_ss": (hn.mass_ss_closed if method == "closed" else hn.mass_ss)(
+                        Q, th, d).to_json(variable="q"),
+                    "method": method}),
+    "betti": ((_QUIVER, _DIM, _THETA, _method("closed", "mass")),
+              lambda Q, d, th, method: {
+                  "coefficients": hn.betti_coefficients(Q, th, d, method=method),
+                  "method": method}),
+    "word leq": ((_QUIVER, _W, _W2),
+                 lambda Q, w, w2: {"leq": words.word_leq(Q, _word(w), _word(w2))}),
+    "monoid equal": ((_QUIVER, _W, _W2, _BUDGET), _monoid_equal),
+    "monoid normalize": (
+        (_QUIVER, _flag("--parts", _parts, lambda parts: [p.to_json() for p in parts],
+                        required=True)),
+        lambda Q, parts: {"parts": [p.to_json()
+                                    for p in words.schur_normal_form(Q, parts)]}),
+    "oracle count-ss": ((_QUIVER, _DIM, _THETA, _Q, _BUDGET),
+                        lambda Q, d, th, q, budget: _counted(
+                            oracle.count_semistable(Q, th, d, q, budget=budget), Q, d, q)),
+    "oracle count-stable": ((_QUIVER, _DIM, _THETA, _Q, _BUDGET),
+                            lambda Q, d, th, q, budget: _counted(
+                                oracle.count_stable(Q, th, d, q, budget=budget), Q, d, q)),
+    "oracle count-indec": ((_QUIVER, _DIM, _Q, _BUDGET),
+                           lambda Q, d, q, budget: _counted(
+                               oracle.count_indecomposable(Q, d, q, budget=budget),
+                               Q, d, q)),
+    "oracle generic-ext": ((_QUIVER, _D, _E, _Q, _BUDGET),
+                           lambda Q, d, e, q, budget: {
+                               "min_ext": oracle.min_generic_ext(Q, d, e, q,
+                                                                 budget=budget)}),
+    "oracle kron-quadric": ((_flag("--mats", _mats, _same, required=True,
+                                   help="JSON list of 2x2 integer matrices"), _Q),
+                            _kron_quadric),
+    "oracle comp-series": ((_QUIVER, _flag("--word", echo=_same, required=True), _Q,
+                            _BUDGET), _comp_series),
+    "series two-row": ((_N,), lambda n: {
+        "coefficients": list(series.two_row_partition_series(n).coeffs)}),
+    "series drezet": ((_flag("--d", echo=_same, dest="d_size", type=int, required=True),
+                       _flag("--e", echo=_same, dest="e_size", type=int, required=True),
+                       _N),
+                      lambda d, e, n: {
+                          "coefficients": list(series.drezet_series(d, e, n).coeffs)}),
+    "fixtures run": ((_flag("path", echo=lambda path: path or "bundled k3_tables.json",
+                            nargs="?"),), _fixtures_run),
+}
+
+
+# ---------------------------------------------------------------------------
+# parser and runner
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are input errors: exit 2 with JSON, like
@@ -373,116 +333,20 @@ def _build_parser():
     ap = _Parser(
         prog="quivermoduli",
         description="Exact invariants of quiver representation varieties")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
-        p = sub.add_parser(name)
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    qf = {"required": True, "help": "quiver JSON (inline or a file path)"}
-    add("euler", _cmd_euler, **{"--quiver": qf, "--d": {"required": True},
-                                "--e": {"required": True}})
-
-    root = sub.add_parser("root").add_subparsers(dest="sub", required=True)
-    p = root.add_parser("classify")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--dim", required=True)
-    p.set_defaults(fn=_cmd_root_classify)
-    p = root.add_parser("list")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--bound", required=True)
-    p.set_defaults(fn=_cmd_root_list)
-
-    add("ext", _cmd_ext, **{"--quiver": qf, "--d": {"required": True},
-                            "--e": {"required": True}})
-    add("hom", _cmd_hom, **{"--quiver": qf, "--d": {"required": True},
-                            "--e": {"required": True}})
-    add("schur", _cmd_schur, **{"--quiver": qf, "--dim": {"required": True}})
-    add("decompose", _cmd_decompose,
-        **{"--quiver": qf, "--dim": {"required": True}})
-    add("ss-nonempty", _cmd_ss_nonempty,
-        **{"--quiver": qf, "--dim": {"required": True},
-           "--theta": {"required": True}})
-    add("hn-types", _cmd_hn_types,
-        **{"--quiver": qf, "--dim": {"required": True},
-           "--theta": {"required": True}})
-    add("mass", _cmd_mass, **{"--quiver": qf, "--dim": {"required": True}})
-    p = add("mass-ss", _cmd_mass_ss,
-            **{"--quiver": qf, "--dim": {"required": True},
-               "--theta": {"required": True}})
-    p.add_argument("--method", choices=["recursive", "closed"],
-                   default="recursive")
-    p = add("betti", _cmd_betti,
-            **{"--quiver": qf, "--dim": {"required": True},
-               "--theta": {"required": True}})
-    p.add_argument("--method", choices=["closed", "mass"], default="closed")
-
-    word = sub.add_parser("word").add_subparsers(dest="sub", required=True)
-    p = word.add_parser("leq")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--w", required=True)
-    p.add_argument("--w2", required=True)
-    p.set_defaults(fn=_cmd_word_leq)
-
-    monoid = sub.add_parser("monoid").add_subparsers(dest="sub", required=True)
-    p = monoid.add_parser("equal")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--w", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=_cmd_monoid_equal)
-    p = monoid.add_parser("normalize")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--parts", required=True)
-    p.set_defaults(fn=_cmd_monoid_normalize)
-
-    orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
-    for which in ("count-ss", "count-stable", "count-indec"):
-        p = orc.add_parser(which)
-        p.add_argument("--quiver", **qf)
-        p.add_argument("--dim", required=True)
-        if which != "count-indec":
-            p.add_argument("--theta", required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--budget", type=int)
-        p.set_defaults(fn=lambda a, w=which: _cmd_oracle_count(a, w))
-    p = orc.add_parser("generic-ext")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--d", required=True)
-    p.add_argument("--e", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=_cmd_oracle_generic_ext)
-    p = orc.add_parser("kron-quadric")
-    p.add_argument("--mats", required=True,
-                   help="JSON list of 2x2 integer matrices")
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(fn=_cmd_oracle_kron_quadric)
-    p = orc.add_parser("comp-series")
-    p.add_argument("--quiver", **qf)
-    p.add_argument("--word", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=_cmd_oracle_comp_series)
-
-    ser = sub.add_parser("series").add_subparsers(dest="sub", required=True)
-    p = ser.add_parser("two-row")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_series_two_row)
-    p = ser.add_parser("drezet")
-    p.add_argument("--d", dest="d_size", type=int, required=True)
-    p.add_argument("--e", dest="e_size", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_series_drezet)
-
-    fix = sub.add_parser("fixtures").add_subparsers(dest="sub", required=True)
-    p = fix.add_parser("run")
-    p.add_argument("path", nargs="?")
-    p.set_defaults(fn=_cmd_fixtures_run)
-
+    top = ap.add_subparsers(dest="command", required=True)
+    groups = {}
+    for key, (flags, _) in _COMMANDS.items():
+        name, _, sub = key.partition(" ")
+        if sub:
+            if name not in groups:
+                groups[name] = top.add_parser(name).add_subparsers(dest="sub",
+                                                                   required=True)
+            p = groups[name].add_parser(sub)
+        else:
+            p = top.add_parser(name)
+        for f in flags:
+            p.add_argument(f.name, **f.kw)
+        p.set_defaults(key=key)
     return ap
 
 
@@ -496,8 +360,12 @@ def _parse(argv):
     return _PARSER.parse_args(argv)
 
 
-def _dispatch(args):
-    return args.fn(args)
+def _run(args):
+    """The payload and the inputs echo of the parsed command ``args``."""
+    flags, payload = _COMMANDS[args.key]
+    values = [f.read(getattr(args, f.dest)) for f in flags]
+    inputs = {f.name.lstrip("-"): f.echo(v) for f, v in zip(flags, values) if f.echo}
+    return payload(*values), inputs
 
 
 def main(argv=None):
@@ -506,9 +374,8 @@ def main(argv=None):
     try:
         args = _parse(argv)
         started = time.perf_counter()
-        command = " ".join(
-            [args.command] + ([args.sub] if getattr(args, "sub", None) else []))
-        payload, inputs = _dispatch(args)
+        command = args.key
+        payload, inputs = _run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except BudgetExceeded as exc:

@@ -218,9 +218,23 @@ class CycloFrac:
                     break
                 co = q
                 cyc[n] -= 1
-        den = LaurentPoly.one()
+        # x^e - 1 is the product of the cyclotomics of the divisors of e: take
+        # out whole binomials, largest e first, lift them by shifts in one
+        # step and multiply in only the cyclotomics left over
+        binomials = {}
+        for e in range(max(cyc, default=0), 0, -1):
+            if not cyc.get(e):
+                continue
+            divisors = [n for n in range(1, e + 1) if e % n == 0]
+            m = min(cyc[n] for n in divisors)
+            if m:
+                binomials[e] = m
+                for n in divisors:
+                    cyc[n] -= m
+        den = LaurentPoly._of(*_lift_sum([(0, (1,), binomials)]))
         for n, m in cyc.items():
-            den = den * cyclotomic(n) ** m
+            if m:
+                den = den * cyclotomic(n) ** m
         return RationalFunc(LaurentPoly._of(self.lo, co), den, _canonical=True)
 
 

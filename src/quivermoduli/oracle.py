@@ -51,13 +51,17 @@ _EXACT_BITS = 4096
 
 
 def default_budget(kind="rep"):
-    """The budget of one kind; QI_BUDGET, when set, replaces all three."""
+    """The budget of one kind; QI_BUDGET, when set, replaces all three and
+    must be positive."""
     env = os.environ.get("QI_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise InputError(f"QI_BUDGET must be an integer, got {env!r}") from None
+        if budget <= 0:
+            raise InputError(f"QI_BUDGET must be positive, got {budget}")
+        return budget
     return {"rep": DEFAULT_REP_BUDGET,
             "subspace": DEFAULT_SUBSPACE_BUDGET,
             "end": DEFAULT_END_BUDGET}[kind]

@@ -7,6 +7,7 @@ stored order), which is also the total order used by the word combinatorics.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections.abc import Mapping
@@ -156,20 +157,23 @@ class Quiver:
 
     @staticmethod
     def _topological_order(vertices, arrows):
-        succ = {v: [] for v in vertices}
-        indeg = {v: 0 for v in vertices}
+        """Kahn's algorithm over a heap of input positions: the earliest-listed
+        vertex with no arrow left into it comes next."""
+        succ = [[] for _ in vertices]
+        indeg = [0] * len(vertices)
+        position = {v: i for i, v in enumerate(vertices)}
         for s, t in arrows:
-            succ[s].append(t)
-            indeg[t] += 1
-        # Kahn's algorithm, ties broken by input order for determinism.
+            succ[position[s]].append(position[t])
+            indeg[position[t]] += 1
+        ready = [i for i, n in enumerate(indeg) if n == 0]
         order = []
-        ready = [v for v in vertices if indeg[v] == 0]
         while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for t in succ[v]:
-                indeg[t] -= 1
-            ready = [w for w in vertices if indeg[w] == 0 and w not in order]
+            i = heapq.heappop(ready)
+            order.append(vertices[i])
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, j)
         if len(order) != len(vertices):
             raise InputError("quiver contains an oriented cycle")
         return tuple(order)

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import generic, oracle
-from quivermoduli.cli import main
+from quivermoduli.cli import _COMMANDS, main
 from quivermoduli.quiver import VECTOR_BUDGET
 
 K3 = json.dumps({"vertices": ["i", "j"],
@@ -30,6 +33,24 @@ def run_json(capsys, *argv):
     doc = json.loads(out)
     assert set(doc) == {"command", "inputs", "result", "timing_ms"}
     return doc
+
+
+# valid flag values, by the name each is parsed into
+VALID = {"quiver": A2, "d": D11, "e": D11, "dim": D11, "theta": THETA, "q": "3",
+         "w": "ij", "w2": "ji", "word": "ij"}
+BUDGETED = [key for key, (flags, _) in _COMMANDS.items()
+            if any(flag.name == "--budget" for flag in flags)]
+
+
+def valid_argv(key, budget=None):
+    """Valid argv for the command ``key``; with --budget only when given."""
+    argv = key.split()
+    for flag in _COMMANDS[key][0]:
+        if flag.name != "--budget":
+            argv += [flag.name, VALID[flag.dest]]
+        elif budget is not None:
+            argv += [flag.name, budget]
+    return argv
 
 
 class TestBasicCommands:
@@ -293,6 +314,22 @@ class TestExitCodes:
         assert doc["error"].startswith("at least 2^")
         assert "required" not in doc
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("key", BUDGETED)
+    def test_nonpositive_budget_is_2(self, capsys, key, budget):
+        code, out, err = run(capsys, *valid_argv(key, budget))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"--budget must be positive, got {budget}"
+
+    @pytest.mark.parametrize("key", [key for key in BUDGETED if key.startswith("oracle")])
+    def test_nonpositive_qi_budget_is_2(self, capsys, monkeypatch, key):
+        monkeypatch.setenv("QI_BUDGET", "0")
+        code, out, err = run(capsys, *valid_argv(key))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "QI_BUDGET must be positive, got 0"
+
     def test_monoid_undecided_is_3(self, capsys):
         code, out, err = run(capsys, "monoid", "equal", "--quiver", A2,
                              "--w", "iijj", "--w2", "jjii", "--budget", "1")
@@ -381,31 +418,35 @@ def vectors(values):
 
 dims = vectors(st.one_of(st.integers(-1, 2), st.sampled_from(["1", "x", 1.5, True, None])))
 thetas = vectors(st.one_of(st.integers(-2, 2), st.sampled_from(["-1", 0.5, False])))
-flags = {"--q": st.sampled_from(["2", "3", "4", "0", "x"]),
-         "--budget": st.sampled_from(["50", "1", "0", "-1", "x"]),
-         "--method": st.sampled_from(["closed", "mass", "recursive", "bogus"])}
-# command words and the flags each takes ("--dim" etc. get a dimension vector)
-COMMANDS = [
-    (["euler"], ["--d", "--e"]), (["ext"], ["--d", "--e"]), (["hom"], ["--d", "--e"]),
-    (["root", "classify"], ["--dim"]), (["root", "list"], ["--bound"]),
-    (["schur"], ["--dim"]), (["decompose"], ["--dim"]), (["mass"], ["--dim"]),
-    (["ss-nonempty"], ["--dim", "--theta"]), (["hn-types"], ["--dim", "--theta"]),
-    (["mass-ss"], ["--dim", "--theta", "--method"]),
-    (["betti"], ["--dim", "--theta", "--method"]),
-    (["oracle", "count-ss"], ["--dim", "--theta", "--q", "--budget"]),
-    (["oracle", "count-stable"], ["--dim", "--theta", "--q", "--budget"]),
-    (["oracle", "count-indec"], ["--dim", "--q", "--budget"]),
-    (["oracle", "generic-ext"], ["--d", "--e", "--q", "--budget"]),
-]
+# words of at most 3 letters: a longer comp-series word admits far more
+# representations within the budget
+words = st.builds(str.join, st.sampled_from(["", ","]),
+                  st.lists(st.sampled_from(VERTICES + ["x"]), max_size=3))
+entries = st.one_of(st.integers(-2, 2), st.sampled_from(["1", 0.5, True]))
+mats = st.lists(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=1,
+                         max_size=2), max_size=3).map(json.dumps)
+parts = st.one_of(st.lists(dims.map(json.loads), max_size=3).map(json.dumps),
+                  st.just('{"i": 1}'))
+# one strategy per flag, by the name its value is parsed into
+FLAGS = {"quiver": quivers(), "d": dims, "e": dims, "dim": dims, "bound": dims,
+         "theta": thetas, "w": words, "w2": words, "word": words, "parts": parts,
+         "mats": mats,
+         "q": st.sampled_from(["2", "3", "4", "0", "x"]),
+         "budget": st.sampled_from(["50", "1", "0", "-1", "x"]),
+         "method": st.sampled_from(["closed", "mass", "recursive", "bogus"]),
+         "n": st.sampled_from(["-1", "0", "1", "7", "x"]),
+         "d_size": st.sampled_from(["0", "1", "3", "x"]),
+         "e_size": st.sampled_from(["0", "1", "3", "x"])}
+# every command of the table but fixtures run, which has its own tests
+COMMANDS = {key: flags for key, (flags, _) in _COMMANDS.items() if key != "fixtures run"}
 
 
 @st.composite
 def argvs(draw):
-    words, names = draw(st.sampled_from(COMMANDS))
-    argv = words + ["--quiver", draw(quivers())]
-    for name in names:
-        value = flags.get(name, thetas if name == "--theta" else dims)
-        argv += [name, draw(value)]
+    key = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = key.split()
+    for flag in COMMANDS[key]:
+        argv += [flag.name, draw(FLAGS[flag.dest])]
     return argv
 
 
@@ -421,3 +462,23 @@ class TestArgvFuzz:
         assert (out if code else err).getvalue() == ""
         doc = json.loads(text)
         assert isinstance(doc, dict) and ("error" in doc) == (code != 0)
+
+
+def readme_examples():
+    """The quivermoduli lines of README's CLI example, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 if "quivermoduli " in b)
+    q3 = re.search(r"Q3='(.*?)'", block, re.S).group(1)
+    return [shlex.split(line.replace('"$Q3"', shlex.quote(q3)))[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("quivermoduli ")]
+
+
+def test_readme_examples_run(capsys):
+    examples = readme_examples()
+    assert examples
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert isinstance(json.loads(out), dict), argv

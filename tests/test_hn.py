@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -139,6 +140,22 @@ class TestMass:
         # d = 2: 1 / |GL_2| = 1 / (q (q-1)(q^2-1))
         assert mass(q, DimVector({"x": 2})) == \
             R({0: 1}, {4: 1, 3: -1, 2: -1, 1: 1})
+
+    def test_single_vertex_denominator(self):
+        # 1 / |GL_n(q)| = q^(-n(n-1)/2) / prod_{k <= n} (q^k - 1)
+        q = Quiver(["x"], [])
+        want = LaurentPoly.one()
+        for n in range(1, 31):
+            want = want * LaurentPoly({n: 1, 0: -1})
+            got = mass(q, DimVector({"x": n}))
+            assert got.den == want
+            assert got.num == LaurentPoly({-n * (n - 1) // 2: 1})
+
+    def test_single_vertex_at_300(self):
+        # the canonical denominator is lifted from whole binomials q^k - 1
+        start = time.perf_counter()
+        mass(Quiver(["x"], []), DimVector({"x": 300}))
+        assert time.perf_counter() - start < 10
 
     def test_k2_one_one(self, k2):
         # q^2 / (q-1)^2

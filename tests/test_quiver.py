@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,10 +46,56 @@ class TestDimVector:
         assert list(d.to_json()) == ["a", "b"]
 
 
+def reference_topological_order(vertices, arrows):
+    """The quadratic Kahn loop that first ordered the vertices: after each
+    step, the earliest-listed vertex with no arrow left into it comes next."""
+    succ = {v: [] for v in vertices}
+    indeg = {v: 0 for v in vertices}
+    for s, t in arrows:
+        succ[s].append(t)
+        indeg[t] += 1
+    order = []
+    ready = [v for v in vertices if indeg[v] == 0]
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for t in succ[v]:
+            indeg[t] -= 1
+        ready = [w for w in vertices if indeg[w] == 0 and w not in order]
+    if len(order) != len(vertices):
+        raise InputError("quiver contains an oriented cycle")
+    return tuple(order)
+
+
 class TestQuiver:
     def test_topological_order(self):
         q = Quiver(["c", "a", "b"], [("b", "a"), ("a", "c")])
         assert q.vertices == ("b", "a", "c")
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.permutations([str(v) for v in range(n)]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda a: a[0] != a[1]), max_size=12))))
+    def test_topological_order_matches_reference(self, graph):
+        vertices, pairs = graph
+        arrows = [(str(s), str(t)) for s, t in pairs]
+        try:
+            want = reference_topological_order(vertices, arrows)
+        except InputError:
+            want = None
+        try:
+            got = Quiver(vertices, arrows).vertices
+        except InputError:
+            got = None
+        assert got == want
+
+    def test_large_quiver_builds_fast(self):
+        n = 5000
+        start = time.perf_counter()
+        q = Quiver([str(v) for v in reversed(range(n))],
+                   [(str(v), str(v + 1)) for v in range(n - 1)])
+        assert time.perf_counter() - start < 1
+        assert q.vertices == tuple(str(v) for v in range(n))
 
     def test_rejects_loops_and_cycles(self):
         with pytest.raises(InputError):
