@@ -5,16 +5,14 @@ inputs, the result payload, and timing.  All numbers in payloads are
 decimal strings.  Exit codes: 0 success, 2 input error, 3 budget refusal
 or undecided-at-budget.
 
-Commands and their flags are declared once, in ``_COMMANDS``.  The parser
-is built from that table, and ``_run`` reads a parsed command's flags in
-declared order, echoes them as its inputs and calls its payload function.
+Commands and their flags are declared once, in ``_COMMANDS``.  ``_parse``
+reads argv against that table, and ``_run`` reads a parsed command's flags
+in declared order, echoes them as its inputs and calls its payload function.
+``--help`` or ``-h`` prints the table as JSON.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
 import json
 import os
 import sys
@@ -29,7 +27,9 @@ from .quiver import DimVector, Quiver, Stability
 
 
 def _load_json_arg(text, what):
-    if os.path.exists(text):
+    """JSON given inline or as a file path.  Text that starts with { or [ is
+    inline JSON and costs no file lookup."""
+    if text.lstrip()[:1] not in ("{", "[") and os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
     try:
@@ -112,7 +112,12 @@ _Flag = namedtuple("_Flag", "name dest kw read echo")
 
 
 def _flag(name, read=_same, echo=None, **kw):
-    """The flag ``name`` with argparse keywords ``kw``.  After parsing,
+    """The flag ``name`` with keywords ``kw``: ``type`` converts its text,
+    ``choices`` lists the values allowed, ``default`` stands in when it is
+    absent, ``required`` makes it compulsory, ``help`` describes it in
+    --help, and ``dest`` names the value (the name without dashes by
+    default).  A name without dashes is the command's one optional
+    positional.  After parsing,
     ``read`` turns its text into the value the payload function gets, and
     ``echo`` turns that value into its entry of the inputs (none when
     None)."""
@@ -194,18 +199,17 @@ def _load_fixtures(path):
 
 
 def _parse_fixture_argv(name, argv):
-    """Parse a fixture's argv; a parse error is an input error, not an exit."""
-    usage = io.StringIO()
+    """Parse a fixture's argv; a usage error or a request for help is an
+    input error of the fixture file."""
     try:
-        with contextlib.redirect_stdout(usage), contextlib.redirect_stderr(usage):
-            args = _parse(argv)
+        key, values = _parse(argv)
     except InputError as exc:
         raise InputError(f"fixture {name!r}: bad argv: {exc}") from None
-    except SystemExit:  # --help
-        raise InputError(f"fixture {name!r}: bad argv: exited") from None
-    if args.key == "fixtures run":
+    except _Help:
+        raise InputError(f"fixture {name!r}: bad argv: asks for help") from None
+    if key == "fixtures run":
         raise InputError(f"fixture {name!r}: fixtures cannot run fixtures")
-    return args
+    return key, values
 
 
 def _fixtures_run(path):
@@ -213,7 +217,7 @@ def _fixtures_run(path):
     failures = 0
     for fx in _load_fixtures(path):
         name = fx.get("name", " ".join(fx["argv"]))
-        payload, _ = _run(_parse_fixture_argv(name, fx["argv"]))
+        payload, _ = _run(*_parse_fixture_argv(name, fx["argv"]))
         payload = _stringify(payload)
         ok = True
         detail = None
@@ -314,56 +318,132 @@ _COMMANDS = {
                       lambda d, e, n: {
                           "coefficients": list(series.drezet_series(d, e, n).coeffs)}),
     "fixtures run": ((_flag("path", echo=lambda path: path or "bundled k3_tables.json",
-                            nargs="?"),), _fixtures_run),
+                            help="fixture file (the bundled table when omitted)"),),
+                     _fixtures_run),
 }
 
 
 # ---------------------------------------------------------------------------
-# parser and runner
+# argv reader and runner
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors are input errors: exit 2 with JSON, like
-    every other bad input.  Subcommand parsers are of the same class."""
-
-    def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
-
-
-def _build_parser():
-    ap = _Parser(
-        prog="quivermoduli",
-        description="Exact invariants of quiver representation varieties")
-    top = ap.add_subparsers(dest="command", required=True)
-    groups = {}
-    for key, (flags, _) in _COMMANDS.items():
-        name, _, sub = key.partition(" ")
-        if sub:
-            if name not in groups:
-                groups[name] = top.add_parser(name).add_subparsers(dest="sub",
-                                                                   required=True)
-            p = groups[name].add_parser(sub)
-        else:
-            p = top.add_parser(name)
-        for f in flags:
-            p.add_argument(f.name, **f.kw)
-        p.set_defaults(key=key)
-    return ap
+_PROG = "quivermoduli"
+_HELP = ("--help", "-h")
+_GROUPS = {key.partition(" ")[0] for key in _COMMANDS if " " in key}
+# command -> ({flag name: its position in the command's flags}, the position
+# of its positional or None)
+_POSITIONS = {key: ({f.name: i for i, f in enumerate(flags)},
+                    next((i for i, f in enumerate(flags) if not f.name.startswith("-")),
+                         None))
+              for key, (flags, _) in _COMMANDS.items()}
 
 
-_PARSER = None
+class _Help(Exception):
+    """Raised by ``_parse`` on --help or -h; ``doc`` is the JSON to print."""
+
+    def __init__(self, doc):
+        super().__init__("help")
+        self.doc = doc
+
+
+def _commands_help(group=None):
+    """The commands, or those of one group word."""
+    return {"commands": [key for key in _COMMANDS
+                         if group is None or key.partition(" ")[0] == group]}
+
+
+def _flags_help(key):
+    return {"command": key, "flags": [
+        {"name": f.name, "required": f.kw.get("required", False),
+         "choices": f.kw.get("choices"), "default": f.kw.get("default"),
+         "help": f.kw.get("help")}
+        for f in _COMMANDS[key][0]]}
+
+
+def _command(argv):
+    """The command key that ``argv`` starts with, and its number of words."""
+    word = argv[0] if argv else None
+    if word in _COMMANDS and " " not in word:
+        return word, 1
+    if word in _GROUPS:
+        sub = argv[1] if len(argv) > 1 else None
+        key = f"{word} {sub}"
+        if key in _COMMANDS:
+            return key, 2
+        if sub in _HELP:
+            raise _Help(_commands_help(word))
+        if sub is None:
+            raise InputError(f"{_PROG} {word}: the following arguments are required: "
+                             f"subcommand")
+        raise InputError(f"{_PROG} {word}: unknown subcommand {sub!r}; "
+                         f"--help lists the commands")
+    if word in _HELP:
+        raise _Help(_commands_help())
+    if word is None:
+        raise InputError(f"{_PROG}: the following arguments are required: command")
+    raise InputError(f"{_PROG}: unknown command {word!r}; --help lists the commands")
 
 
 def _parse(argv):
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER.parse_args(argv)
+    """The command key of ``argv`` and the text of its flags in declared
+    order, each converted by its type, checked against its choices, and
+    the default where absent.  Flag names are exact; ``--flag value`` and
+    ``--flag=value`` both set a flag, the word after a flag is its value
+    even when it starts with a dash, and a repeated flag keeps its last
+    value.  Raises ``_Help`` on --help or -h, else InputError on any usage
+    error."""
+    key, start = _command(argv)
+    prog = f"{_PROG} {key}"
+    flags = _COMMANDS[key][0]
+    index, positional = _POSITIONS[key]
+    given = [False] * len(flags)
+    values = [f.kw.get("default") for f in flags]
+    i = start
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if word in _HELP:
+            raise _Help(_flags_help(key))
+        if word.startswith("--"):
+            name, eq, value = word.partition("=")
+            j = index.get(name)
+            if j is None:
+                raise InputError(f"{prog}: unrecognized arguments: {name}")
+            if not eq:
+                if i == len(argv):
+                    raise InputError(f"{prog}: argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+        else:
+            j = None if word.startswith("-") else positional
+            if j is None or given[j]:
+                raise InputError(f"{prog}: unrecognized arguments: {word}")
+            value = word
+        f = flags[j]
+        convert = f.kw.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise InputError(f"{prog}: argument {f.name}: invalid "
+                                 f"{convert.__name__} value: {value!r}") from None
+        choices = f.kw.get("choices")
+        if choices is not None and value not in choices:
+            raise InputError(f"{prog}: argument {f.name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        values[j] = value
+        given[j] = True
+    missing = [f.name for f, g in zip(flags, given) if f.kw.get("required") and not g]
+    if missing:
+        raise InputError(f"{prog}: the following arguments are required: "
+                         f"{', '.join(missing)}")
+    return key, values
 
 
-def _run(args):
-    """The payload and the inputs echo of the parsed command ``args``."""
-    flags, payload = _COMMANDS[args.key]
-    values = [f.read(getattr(args, f.dest)) for f in flags]
+def _run(key, texts):
+    """The payload and the inputs echo of the command ``key`` whose flags
+    ``_parse`` read as ``texts``."""
+    flags, payload = _COMMANDS[key]
+    values = [f.read(text) for f, text in zip(flags, texts)]
     inputs = {f.name.lstrip("-"): f.echo(v) for f, v in zip(flags, values) if f.echo}
     return payload(*values), inputs
 
@@ -372,12 +452,12 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     command = None  # until argv parses
     try:
-        args = _parse(argv)
+        command, texts = _parse(argv)
         started = time.perf_counter()
-        command = args.key
-        payload, inputs = _run(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        payload, inputs = _run(command, texts)
+    except _Help as exc:
+        print(json.dumps(exc.doc, sort_keys=True))
+        return 0
     except BudgetExceeded as exc:
         err = {"command": command, "error": str(exc),
                "error_class": "budget"}

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import re
 import shlex
@@ -36,21 +37,34 @@ def run_json(capsys, *argv):
 
 
 # valid flag values, by the name each is parsed into
-VALID = {"quiver": A2, "d": D11, "e": D11, "dim": D11, "theta": THETA, "q": "3",
-         "w": "ij", "w2": "ji", "word": "ij"}
+VALID = {"quiver": A2, "d": D11, "e": D11, "dim": D11, "bound": D11, "theta": THETA,
+         "q": "3", "w": "ij", "w2": "ji", "word": "ij", "parts": '[{"i": 1}]',
+         "mats": "[[[1, 0], [0, 1]]]", "n": "5", "d_size": "1", "e_size": "1"}
 BUDGETED = [key for key, (flags, _) in _COMMANDS.items()
             if any(flag.name == "--budget" for flag in flags)]
 
 
-def valid_argv(key, budget=None):
-    """Valid argv for the command ``key``; with --budget only when given."""
-    argv = key.split()
+def valid_pairs(key, budget=None):
+    """[flag, value] pairs of a valid argv for the command ``key``: a flag
+    with choices at its last choice, and --budget only when given."""
+    pairs = []
     for flag in _COMMANDS[key][0]:
-        if flag.name != "--budget":
-            argv += [flag.name, VALID[flag.dest]]
-        elif budget is not None:
-            argv += [flag.name, budget]
-    return argv
+        if flag.name == "--budget":
+            if budget is not None:
+                pairs.append([flag.name, budget])
+        elif "choices" in flag.kw:
+            pairs.append([flag.name, flag.kw["choices"][-1]])
+        else:
+            pairs.append([flag.name, VALID[flag.dest]])
+    return pairs
+
+
+def as_words(pairs):
+    return [word for pair in pairs for word in pair]
+
+
+def valid_argv(key, budget=None):
+    return key.split() + as_words(valid_pairs(key, budget))
 
 
 class TestBasicCommands:
@@ -203,6 +217,22 @@ class TestExitCodes:
         pytest.param(["betti", "--quiver", A2, "--dim", D11],
                      "the following arguments are required: --theta",
                      id="usage-missing-flag"),
+        # flag names are exact: an abbreviation is an unknown flag
+        pytest.param(["betti", "--quiver", A2, "--dim", D11, "--th", THETA],
+                     "unrecognized arguments: --th", id="usage-abbreviated-flag"),
+        pytest.param(["series", "two-row", "--n", "6", "stray"],
+                     "unrecognized arguments: stray", id="usage-stray-word"),
+        pytest.param(["series", "two-row", "--n"],
+                     "argument --n: expected one argument", id="usage-no-value"),
+        pytest.param(["betti", "--quiver", A2, "--dim", D11, "--theta", THETA,
+                      "--method", "recursive"],
+                     "argument --method: invalid choice: 'recursive' "
+                     "(choose from 'closed', 'mass')", id="usage-bad-choice"),
+        pytest.param(["nosuch"], "unknown command 'nosuch'", id="usage-unknown-command"),
+        pytest.param(["series two-row", "--n", "6"], "unknown command 'series two-row'",
+                     id="usage-joined-command"),
+        pytest.param(["oracle"], "required: subcommand", id="usage-no-subcommand"),
+        pytest.param([], "required: command", id="usage-empty"),
     ])
     def test_more_input_errors_are_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -341,6 +371,44 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestReader:
+    def test_repeated_flag_keeps_last_value(self, capsys):
+        doc = run_json(capsys, "series", "two-row", "--n", "2", "--n=6")
+        assert doc["inputs"] == {"n": "6"}
+        assert len(doc["result"]["coefficients"]) == 7
+
+    def test_value_may_start_with_a_dash(self, capsys):
+        code, out, err = run(capsys, "series", "two-row", "--n", "-1")
+        assert code == 2
+        assert json.loads(err) == {"command": "series two-row", "error_class": "input",
+                                   "error": "cutoff must be nonnegative"}
+
+    @pytest.mark.parametrize("argv, group", [(["--help"], None), (["-h"], None),
+                                             (["oracle", "--help"], "oracle")])
+    def test_help_lists_commands_as_json(self, capsys, argv, group):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        commands = json.loads(out)["commands"]
+        assert commands == [key for key in _COMMANDS
+                            if group is None or key.split()[0] == group]
+
+    @pytest.mark.parametrize("key", list(_COMMANDS))
+    def test_help_lists_flags_as_json(self, capsys, key):
+        code, out, err = run(capsys, *key.split(), "--help")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["command"] == key
+        flags = _COMMANDS[key][0]
+        assert [f["name"] for f in doc["flags"]] == [flag.name for flag in flags]
+        for entry, flag in zip(doc["flags"], flags):
+            assert entry["required"] is flag.kw.get("required", False)
+            assert entry["choices"] == flag.kw.get("choices")
+            assert entry["default"] == flag.kw.get("default")
+
+    def test_help_after_flags(self, capsys):
+        assert run(capsys, "betti", "--quiver", A2, "-h") == run(capsys, "betti", "--help")
+
+
 class TestFixtures:
     def test_bundled_fixtures_pass(self, capsys):
         code, out, err = run(capsys, "fixtures", "run")
@@ -395,29 +463,48 @@ class TestFormats:
                        "--d", D11, "--e", D11)
         assert doc["result"]["value"] == "-1"
 
+    def test_inline_json_is_not_a_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / D11).write_text('{"i": 2}')
+        (tmp_path / K3).write_text(A2)
+        doc = run_json(capsys, "euler", "--quiver", K3, "--d", D11, "--e", D11)
+        assert doc["inputs"]["d"] == {"i": "1", "j": "1"}
+        assert doc["result"]["value"] == "-1"
 
-# argv fuzzing: small quivers (loops and cycles included), dimension vectors
-# and theta with stray vertices and non-integer entries, and flag values
-# outside their ranges
+
+# argv fuzzing: small quivers, acyclic or with loops and cycles; dimension
+# vectors and theta either well formed (nonzero integer entries on the
+# quiver's own vertices) or with stray vertices and non-integer entries; and
+# flag values outside their ranges
 VERTICES = ["i", "j", "k"]
 
 
-@st.composite
-def quivers(draw):
-    vertices = VERTICES[:draw(st.integers(1, 3))]
+def quivers(vertices):
     ends = st.sampled_from(vertices)
-    arrows = draw(st.lists(st.tuples(ends, ends), max_size=3))
-    return json.dumps({"vertices": vertices,
-                       "arrows": [{"from": s, "to": t} for s, t in arrows]})
+    forward = list(itertools.combinations(vertices, 2))
+    acyclic = st.lists(st.sampled_from(forward), max_size=3) if forward else st.just([])
+    return st.one_of(acyclic, st.lists(st.tuples(ends, ends), max_size=3)).map(
+        lambda arrows: json.dumps({"vertices": vertices, "arrows": [
+            {"from": s, "to": t} for s, t in arrows]}))
 
 
-def vectors(values):
-    return st.dictionaries(st.sampled_from(VERTICES + ["x"]), values,
+def vectors(vertices, values, min_size=0):
+    return st.dictionaries(st.sampled_from(vertices), values, min_size=min_size,
                            max_size=3).map(json.dumps)
 
 
-dims = vectors(st.one_of(st.integers(-1, 2), st.sampled_from(["1", "x", 1.5, True, None])))
-thetas = vectors(st.one_of(st.integers(-2, 2), st.sampled_from(["-1", 0.5, False])))
+def dims(vertices):
+    return st.one_of(vectors(vertices, st.integers(1, 2), min_size=1),
+                     vectors(VERTICES + ["x"], st.one_of(
+                         st.integers(-1, 2), st.sampled_from(["1", "x", 1.5, True, None]))))
+
+
+def thetas(vertices):
+    return st.one_of(vectors(vertices, st.integers(-2, 2)),
+                     vectors(VERTICES + ["x"], st.one_of(
+                         st.integers(-2, 2), st.sampled_from(["-1", 0.5, False]))))
+
+
 # words of at most 3 letters: a longer comp-series word admits far more
 # representations within the budget
 words = st.builds(str.join, st.sampled_from(["", ","]),
@@ -425,18 +512,25 @@ words = st.builds(str.join, st.sampled_from(["", ","]),
 entries = st.one_of(st.integers(-2, 2), st.sampled_from(["1", 0.5, True]))
 mats = st.lists(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=1,
                          max_size=2), max_size=3).map(json.dumps)
-parts = st.one_of(st.lists(dims.map(json.loads), max_size=3).map(json.dumps),
-                  st.just('{"i": 1}'))
-# one strategy per flag, by the name its value is parsed into
-FLAGS = {"quiver": quivers(), "d": dims, "e": dims, "dim": dims, "bound": dims,
-         "theta": thetas, "w": words, "w2": words, "word": words, "parts": parts,
-         "mats": mats,
-         "q": st.sampled_from(["2", "3", "4", "0", "x"]),
-         "budget": st.sampled_from(["50", "1", "0", "-1", "x"]),
-         "method": st.sampled_from(["closed", "mass", "recursive", "bogus"]),
-         "n": st.sampled_from(["-1", "0", "1", "7", "x"]),
-         "d_size": st.sampled_from(["0", "1", "3", "x"]),
-         "e_size": st.sampled_from(["0", "1", "3", "x"])}
+
+
+def flag_values(vertices):
+    """One strategy per flag, by the name its value is parsed into, for a
+    quiver on ``vertices``."""
+    dim = dims(vertices)
+    return {"quiver": quivers(vertices), "d": dim, "e": dim, "dim": dim, "bound": dim,
+            "theta": thetas(vertices), "w": words, "w2": words, "word": words,
+            "parts": st.one_of(st.lists(dim.map(json.loads), max_size=3).map(json.dumps),
+                               st.just('{"i": 1}')),
+            "mats": mats,
+            "q": st.sampled_from(["2", "3", "4", "0", "x"]),
+            "budget": st.sampled_from(["50", "1", "0", "-1", "x"]),
+            "method": st.sampled_from(["closed", "mass", "recursive", "bogus"]),
+            "n": st.sampled_from(["-1", "0", "1", "7", "x"]),
+            "d_size": st.sampled_from(["0", "1", "3", "x"]),
+            "e_size": st.sampled_from(["0", "1", "3", "x"])}
+
+
 # every command of the table but fixtures run, which has its own tests
 COMMANDS = {key: flags for key, (flags, _) in _COMMANDS.items() if key != "fixtures run"}
 
@@ -444,24 +538,103 @@ COMMANDS = {key: flags for key, (flags, _) in _COMMANDS.items() if key != "fixtu
 @st.composite
 def argvs(draw):
     key = draw(st.sampled_from(sorted(COMMANDS)))
+    values = flag_values(VERTICES[:draw(st.integers(1, 3))])
     argv = key.split()
     for flag in COMMANDS[key]:
-        argv += [flag.name, draw(FLAGS[flag.dest])]
+        argv += [flag.name, draw(values[flag.dest])]
     return argv
+
+
+def main_once(argv):
+    """Exit code and the one JSON object that ``main(argv)`` printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    text = (err if code else out).getvalue()
+    assert (out if code else err).getvalue() == ""
+    doc = json.loads(text)
+    assert isinstance(doc, dict) and ("error" in doc) == (code != 0)
+    return code, doc
+
+
+# reader fuzzing: a valid argv whose flags are shuffled, given as one word
+# --flag=value, dropped, repeated, abbreviated, or joined by an unknown flag or a
+# stray word
+@st.composite
+def reordered(draw):
+    """A command, its valid argv, and that argv with its flags in another
+    order, some given as --flag=value."""
+    key = draw(st.sampled_from(sorted(COMMANDS)))
+    pairs = valid_pairs(key, budget="1000")
+    shuffled = [[f"{name}={value}"] if draw(st.booleans()) else [name, value]
+                for name, value in draw(st.permutations(pairs))]
+    return key, key.split() + as_words(pairs), key.split() + as_words(shuffled)
+
+
+@st.composite
+def mangled(draw):
+    """A valid argv after a few edits, and whether they made it a usage
+    error (exit 2 with command null)."""
+    if draw(st.integers(0, 20)) == 0:
+        return [], True
+    key = draw(st.sampled_from(sorted(COMMANDS)))
+    pairs = draw(st.permutations(valid_pairs(key, budget="1000")))
+    flags = {flag.name: flag for flag in COMMANDS[key]}
+    bad = False
+    for edit in draw(st.lists(st.sampled_from(["drop", "repeat", "equals", "abbreviate",
+                                               "unknown", "stray"]), max_size=3)):
+        if edit in ("unknown", "stray"):
+            at = draw(st.integers(0, len(pairs)))
+            pairs.insert(at, ["--x", "1"] if edit == "unknown" else ["stray"])
+            bad = True
+            continue
+        known = [i for i, pair in enumerate(pairs) if pair[0] in flags]
+        if not known:
+            continue
+        i = draw(st.sampled_from(known))
+        name = pairs[i][0]
+        if edit == "drop":
+            del pairs[i]
+        elif edit == "repeat":
+            pairs.insert(draw(st.integers(0, len(pairs))), list(pairs[i]))
+        elif edit == "equals":
+            pairs[i] = [f"{name}={pairs[i][1]}"]
+        elif len(name) > 3:
+            pairs[i][0] = name[:draw(st.integers(3, len(name) - 1))]
+            bad = True
+    given = {pair[0].partition("=")[0] for pair in pairs}
+    bad = bad or any(flag.kw.get("required") and name not in given
+                     for name, flag in flags.items())
+    return key.split() + as_words(pairs), bad
 
 
 class TestArgvFuzz:
     @settings(deadline=None, max_examples=250)
     @given(argvs())
     def test_exit_code_and_one_json_object(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3)
-        text = (err if code else out).getvalue()
-        assert (out if code else err).getvalue() == ""
-        doc = json.loads(text)
-        assert isinstance(doc, dict) and ("error" in doc) == (code != 0)
+        main_once(argv)
+
+    @settings(deadline=None, max_examples=150)
+    @given(reordered())
+    def test_flag_order_and_spelling_do_not_matter(self, case):
+        key, argv, shuffled = case
+        code, doc = main_once(argv)
+        assert code == 0 and doc["command"] == key
+        code, same = main_once(shuffled)
+        assert code == 0
+        del same["timing_ms"], doc["timing_ms"]
+        assert same == doc
+
+    @settings(deadline=None, max_examples=250)
+    @given(mangled())
+    def test_mangled_argv(self, case):
+        argv, bad = case
+        code, doc = main_once(argv)
+        if bad:
+            assert code == 2 and doc["command"] is None
+        else:
+            assert code == 0
 
 
 def readme_examples():
