@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from collections import namedtuple
+from functools import lru_cache
 from importlib import resources
 from operator import methodcaller
 
@@ -26,10 +27,15 @@ from .errors import BudgetExceeded, InputError
 from .quiver import DimVector, Quiver, Stability
 
 
+def _inline(text):
+    """Whether ``text`` is inline JSON: its first non-blank character is { or [."""
+    return text.lstrip()[:1] in ("{", "[")
+
+
 def _load_json_arg(text, what):
-    """JSON given inline or as a file path.  Text that starts with { or [ is
-    inline JSON and costs no file lookup."""
-    if text.lstrip()[:1] not in ("{", "[") and os.path.exists(text):
+    """JSON given inline or as a file path.  Inline JSON costs no file
+    lookup."""
+    if not _inline(text) and os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
     try:
@@ -58,16 +64,16 @@ def _vector_data(cls, data, what):
 
 def _stringify(obj):
     """Replace every int (except bool) in a JSON-like tree by its decimal
-    string."""
-    if isinstance(obj, bool):
+    string.  A list or dict converts its int leaves itself, with no call
+    per leaf."""
+    kind = type(obj)
+    if kind is list:
+        return [str(x) if type(x) is int else _stringify(x) for x in obj]
+    if kind is dict:
+        return {k: str(v) if type(v) is int else _stringify(v) for k, v in obj.items()}
+    if kind is bool or not isinstance(obj, int):
         return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, list):
-        return [_stringify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    return obj
+    return str(obj)
 
 
 def _mats(text):
@@ -134,8 +140,21 @@ def _method(*choices):
     return _flag("--method", choices=list(choices), default=choices[0])
 
 
-_QUIVER = _flag("--quiver", lambda text: Quiver.from_json(_load_json_arg(text, "quiver")),
-                methodcaller("to_json"), required=True,
+def _read_quiver(text):
+    return Quiver.from_json(_load_json_arg(text, "quiver"))
+
+
+# inline quivers by exact text: a Quiver is immutable and keeps the arrow order
+_inline_quiver = lru_cache(maxsize=128)(_read_quiver)
+
+
+def _quiver(text):
+    """The quiver of --quiver.  Inline JSON is parsed once per text; a file
+    path is read on every call, as the file may change."""
+    return (_inline_quiver if _inline(text) else _read_quiver)(text)
+
+
+_QUIVER = _flag("--quiver", _quiver, methodcaller("to_json"), required=True,
                 help="quiver JSON (inline or a file path)")
 _D, _E, _DIM, _BOUND = map(_vector, ("--d", "--e", "--dim", "--bound"))
 _THETA = _vector("--theta", Stability, "theta")

@@ -1,13 +1,23 @@
 """Word combinatorics of composition series: the degeneration order on
 words, the abstract monoid with its straightening relations, and normal
-forms for products of Schur-root strata."""
+forms for products of Schur-root strata.
+
+The congruence closure codes vertex i as the character chr(i), so a word is
+a string.  It searches breadth-first from the given word, trying the
+relations in ``_relations`` order, each forward then backward, at ascending
+positions.  ``budget`` counts distinct words, the start word included: the
+search refuses when a new word would make more than ``budget`` of them.
+``monoid_equal`` returns EQUAL as soon as it reaches the second word, so
+the answer is EQUAL whenever that word comes before the refusal, UNDECIDED
+after a refusal, and NOT_EQUAL only after a complete search.
+"""
 
 from __future__ import annotations
 
 from enum import Enum
 from operator import le
 
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded
 from .generic import generic_decomposition, generic_ext, schur_test
 from .quiver import DimVector, Quiver
 
@@ -72,11 +82,12 @@ class MonoidOutcome(Enum):
 
 
 def _relations(quiver):
-    """Straightening relations as unordered rewrite pairs (lhs, rhs).
+    """Straightening relations, each once, as unordered pairs (lhs, rhs) of
+    words in first-seen order.
 
     For vertices i != j with no arrow j -> i and n = #arrows i -> j:
     i^{n+1} j  ~  i^n j i   and   i j^{n+1}  ~  j i j^n.
-    (With n = 0 both reduce to the commutation i j ~ j i.)
+    (With n = 0 both reduce to the commutation i j ~ j i, listed once.)
     """
     rels = []
     for i in quiver.vertices:
@@ -84,53 +95,73 @@ def _relations(quiver):
             if i == j or quiver.arrow_count(j, i) > 0:
                 continue
             n = quiver.arrow_count(i, j)
-            rels.append(((i,) * (n + 1) + (j,), (i,) * n + (j, i)))
-            rels.append(((i,) + (j,) * (n + 1), (j, i) + (j,) * n))
-    return [r for r in rels if r[0] != r[1]]
+            for lhs, rhs in (((i,) * (n + 1) + (j,), (i,) * n + (j, i)),
+                             ((i,) + (j,) * (n + 1), (j, i) + (j,) * n)):
+                if (lhs, rhs) not in rels and (rhs, lhs) not in rels:
+                    rels.append((lhs, rhs))
+    return rels
 
 
-def _rewrites(word, rels):
-    for lhs, rhs in rels:
-        for a, b in ((lhs, rhs), (rhs, lhs)):
-            n = len(a)
-            for p in range(len(word) - n + 1):
-                if word[p:p + n] == a:
-                    yield word[:p] + b + word[p + n:]
+def _code(quiver, word):
+    """``word`` as a string of one character chr(i) per letter, i its vertex
+    index, so code point order is the canonical vertex order."""
+    return "".join(chr(quiver.index(str(x))) for x in word)
+
+
+def _decode(quiver, coded):
+    return tuple(quiver.vertices[ord(c)] for c in coded)
+
+
+def _closure(quiver, coded, budget, goal=None):
+    """(set of coded words reachable from ``coded``, closure-completed flag).
+
+    Stops, incomplete, once ``goal`` is reached or a new word would make the
+    set larger than ``budget``."""
+    rules = []
+    for lhs, rhs in _relations(quiver):
+        lhs, rhs = _code(quiver, lhs), _code(quiver, rhs)
+        rules += [(lhs, rhs, len(lhs)), (rhs, lhs, len(rhs))]
+    seen = {coded}
+    frontier = [coded]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for a, b, n in rules:
+                p = u.find(a)
+                while p >= 0:
+                    v = u[:p] + b + u[p + n:]
+                    if v not in seen:
+                        if len(seen) >= budget:
+                            return seen, False
+                        seen.add(v)
+                        if v == goal:
+                            return seen, False
+                        nxt.append(v)
+                    p = u.find(a, p + 1)
+        frontier = nxt
+    return seen, True
 
 
 def monoid_class(quiver: Quiver, word, budget=DEFAULT_WORD_BUDGET):
     """(set of words reachable from word, closure-completed flag)."""
-    word = _check_word(quiver, word)
-    rels = _relations(quiver)
-    seen = {word}
-    frontier = [word]
-    complete = True
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in _rewrites(u, rels):
-                if v not in seen:
-                    if len(seen) >= budget:
-                        return seen, False
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen, complete
+    seen, complete = _closure(quiver, _code(quiver, word), budget)
+    return {_decode(quiver, u) for u in seen}, complete
 
 
 def monoid_equal(quiver: Quiver, w, w2,
                  budget=DEFAULT_WORD_BUDGET) -> MonoidOutcome:
     """Congruence of two words under the straightening relations.
 
-    Tri-state: the closure may hit the node budget, in which case neither
-    equality nor inequality is claimed.
+    Tri-state: the closure may hit the word budget before reaching ``w2``,
+    in which case neither equality nor inequality is claimed.
     """
-    w = _check_word(quiver, w)
-    w2 = _check_word(quiver, w2)
-    if word_weight(quiver, w) != word_weight(quiver, w2):
+    w, w2 = _code(quiver, w), _code(quiver, w2)
+    if sorted(w) != sorted(w2):
         return MonoidOutcome.NOT_EQUAL
-    cls, complete = monoid_class(quiver, w, budget)
-    if w2 in cls:
+    if w == w2:
+        return MonoidOutcome.EQUAL
+    seen, complete = _closure(quiver, w, budget, goal=w2)
+    if w2 in seen:
         return MonoidOutcome.EQUAL
     return MonoidOutcome.NOT_EQUAL if complete else MonoidOutcome.UNDECIDED
 
@@ -138,13 +169,11 @@ def monoid_equal(quiver: Quiver, w, w2,
 def canonical_word(quiver: Quiver, word, budget=DEFAULT_WORD_BUDGET):
     """Lexicographically least word (in canonical vertex order) of the
     congruence class; raises when the closure exceeds the budget."""
-    word = _check_word(quiver, word)
-    cls, complete = monoid_class(quiver, word, budget)
+    seen, complete = _closure(quiver, _code(quiver, word), budget)
     if not complete:
         raise BudgetExceeded("congruence closure exceeded the word budget",
                              required=None, budget=budget)
-    idx = quiver.index
-    return min(cls, key=lambda u: tuple(idx(x) for x in u))
+    return _decode(quiver, min(seen))
 
 
 def schur_normal_form(quiver: Quiver, parts):

@@ -97,3 +97,72 @@ def fraction_divexact(a, b):
     if any(num) or any(c.denominator != 1 for c in quot):
         return None
     return LaurentPoly({nlo - dlo + i: int(c) for i, c in enumerate(quot)})
+
+
+class ReferenceMonoid:
+    """Reference congruence closure: a breadth-first search over tuples of
+    vertex names that slices every position for every relation, each
+    relation as often as the loops below list it.  It shares no code with
+    ``words``."""
+
+    @staticmethod
+    def relations(quiver):
+        rels = []
+        for i in quiver.vertices:
+            for j in quiver.vertices:
+                if i == j or quiver.arrow_count(j, i) > 0:
+                    continue
+                n = quiver.arrow_count(i, j)
+                rels.append(((i,) * (n + 1) + (j,), (i,) * n + (j, i)))
+                rels.append(((i,) + (j,) * (n + 1), (j, i) + (j,) * n))
+        return [r for r in rels if r[0] != r[1]]
+
+    @staticmethod
+    def rewrites(word, rels):
+        for lhs, rhs in rels:
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                n = len(a)
+                for p in range(len(word) - n + 1):
+                    if word[p:p + n] == a:
+                        yield word[:p] + b + word[p + n:]
+
+    @classmethod
+    def monoid_class(cls, quiver, word, budget):
+        """(set of words reachable from word, closure-completed flag)."""
+        word = tuple(word)
+        rels = cls.relations(quiver)
+        seen = {word}
+        frontier = [word]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in cls.rewrites(u, rels):
+                    if v not in seen:
+                        if len(seen) >= budget:
+                            return seen, False
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        return seen, True
+
+    @classmethod
+    def outcomes(cls, quiver, w, w2, size):
+        """The values of ``MonoidOutcome`` for w against w2 at the budgets 1 to
+        size + 1, where the class of w has ``size`` words.  The closure at
+        budget b is the first min(b, size) words found, complete when
+        b >= size, so it holds w2 from one budget on; that budget is found by
+        bisection."""
+        w, w2 = tuple(w), tuple(w2)
+        budgets = range(1, size + 2)
+        if sorted(w) != sorted(w2):
+            return ["not-equal" for _ in budgets]
+        lo, hi = 1, size + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if w2 in cls.monoid_class(quiver, w, mid)[0]:
+                hi = mid
+            else:
+                lo = mid + 1
+        found = w2 in cls.monoid_class(quiver, w, lo)[0]
+        return ["equal" if found and b >= lo else
+                "not-equal" if b >= size else "undecided-at-budget" for b in budgets]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import generic, oracle
-from quivermoduli.cli import _COMMANDS, main
+from quivermoduli.cli import _COMMANDS, _QUIVER, main
 from quivermoduli.quiver import VECTOR_BUDGET
 
 K3 = json.dumps({"vertices": ["i", "j"],
@@ -471,6 +471,20 @@ class TestFormats:
         assert doc["inputs"]["d"] == {"i": "1", "j": "1"}
         assert doc["result"]["value"] == "-1"
 
+    def test_inline_quiver_is_parsed_once(self):
+        assert _QUIVER.read(A2) is _QUIVER.read(A2)
+        assert _QUIVER.read(" " + A2) is not _QUIVER.read(A2)
+
+    def test_quiver_file_is_read_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "quiver.json"
+        path.write_text(A2)
+        doc = run_json(capsys, "euler", "--quiver", str(path), "--d", D11, "--e", D11)
+        assert doc["result"]["value"] == "1"
+        path.write_text(K3)
+        doc = run_json(capsys, "euler", "--quiver", str(path), "--d", D11, "--e", D11)
+        assert len(doc["inputs"]["quiver"]["arrows"]) == 3
+        assert doc["result"]["value"] == "-1"
+
 
 # argv fuzzing: small quivers, acyclic or with loops and cycles; dimension
 # vectors and theta either well formed (nonzero integer entries on the
@@ -558,6 +572,15 @@ def main_once(argv):
     return code, doc
 
 
+def json_numbers(doc):
+    """The JSON numbers (booleans aside) anywhere in the parsed ``doc``."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in json_numbers(item)]
+    return [doc] if type(doc) in (int, float) else []
+
+
 # reader fuzzing: a valid argv whose flags are shuffled, given as one word
 # --flag=value, dropped, repeated, abbreviated, or joined by an unknown flag or a
 # stray word
@@ -614,6 +637,13 @@ class TestArgvFuzz:
     @given(argvs())
     def test_exit_code_and_one_json_object(self, argv):
         main_once(argv)
+
+    @settings(deadline=None, max_examples=150)
+    @given(argvs())
+    def test_numbers_are_decimal_strings(self, argv):
+        code, doc = main_once(argv)
+        if code == 0:
+            assert not json_numbers(doc)
 
     @settings(deadline=None, max_examples=150)
     @given(reordered())

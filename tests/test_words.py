@@ -7,7 +7,7 @@ from quivermoduli.words import (MonoidOutcome, canonical_word, monoid_class,
                                 monoid_equal, schur_normal_form, word_leq,
                                 word_weight)
 
-from conftest import dv
+from conftest import ReferenceMonoid, dv
 
 
 class TestWeightAndOrder:
@@ -130,6 +130,51 @@ class TestMonoid:
         with pytest.raises(BudgetExceeded) as exc:
             canonical_word(a2, "ijijij", budget=1)
         assert exc.value.budget == 1
+
+
+CLOSURE_QUIVERS = {
+    **{f"K{m}": kronecker_quiver(m) for m in (1, 2, 3, 4)},
+    "A2": Quiver(["i", "j"], [("i", "j")]),
+    "A3": LEQ_QUIVERS["A3"],
+    "A3-sink": Quiver(["1", "2", "3"], [("1", "2"), ("3", "2")]),
+    "D4": LEQ_QUIVERS["D4"],
+    "no-arrows": Quiver(["a", "b"], []),
+    # names of more than one character, spelled a1,a1,a2 on the command line;
+    # the topological order (a10, a1, a2) differs from the listed one
+    "long-names": Quiver(["a1", "a2", "a10"],
+                         [("a1", "a2"), ("a1", "a2"), ("a10", "a1")]),
+}
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("name", sorted(CLOSURE_QUIVERS))
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_every_budget(self, name, data):
+        # the string closure against the tuple search it replaced: the same
+        # class, at full budget and at one drawn budget, and the same answers
+        # of monoid_equal and canonical_word at every budget up to one past
+        # the class size
+        quiver = CLOSURE_QUIVERS[name]
+        letters = st.sampled_from(quiver.vertices)
+        w = tuple(data.draw(st.lists(letters, max_size=8)))
+        w2 = tuple(data.draw(st.permutations(w)))
+        if data.draw(st.booleans()):
+            w2 = w2[1:] + tuple(data.draw(st.lists(letters, max_size=1)))
+        cls, complete = ReferenceMonoid.monoid_class(quiver, w, 10 ** 6)
+        assert monoid_class(quiver, w) == (cls, complete)
+        size = len(cls)
+        cut = data.draw(st.integers(1, size + 1))
+        assert monoid_class(quiver, w, cut) == ReferenceMonoid.monoid_class(quiver, w, cut)
+        least = min(cls, key=lambda u: tuple(map(quiver.index, u)))
+        outcomes = ReferenceMonoid.outcomes(quiver, w, w2, size)
+        for budget, outcome in enumerate(outcomes, 1):
+            assert monoid_equal(quiver, w, w2, budget).value == outcome
+            if budget >= size:
+                assert canonical_word(quiver, w, budget) == least
+            else:
+                with pytest.raises(BudgetExceeded):
+                    canonical_word(quiver, w, budget)
 
 
 class TestSchurNormalForm:
