@@ -20,14 +20,12 @@ from .errors import BudgetExceeded, InputError
 __all__ = [
     "DimVector",
     "Quiver",
-    "RelaxedQuiver",
     "Stability",
     "LoopReduction",
     "kronecker_quiver",
     "linear_quiver",
     "local_quiver",
     "birational_type",
-    "loop_reduction",
 ]
 
 
@@ -227,9 +225,6 @@ class Quiver:
         """(d, e) = <d,e> + <e,d>, the Cartan pairing."""
         return self.euler(d, e) + self.euler(e, d)
 
-    def undirected_adjacent(self, u, v):
-        return self.arrow_count(u, v) + self.arrow_count(v, u) > 0
-
     # -- enumeration helpers ----------------------------------------------
 
     def vectors_below(self, bound):
@@ -256,38 +251,13 @@ class Quiver:
             arrows = [(a["from"], a["to"]) for a in data["arrows"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad quiver JSON structure: {exc}") from None
+        if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+            raise InputError("bad quiver JSON structure: vertices must be a list of strings")
+        if not (isinstance(data["arrows"], list)
+                and all(isinstance(v, str) for arrow in arrows for v in arrow)):
+            raise InputError("bad quiver JSON structure: arrows must be a list of "
+                             "objects whose from and to are strings")
         return cls(vertices, arrows)
-
-
-class RelaxedQuiver:
-    """Quiver allowed to carry loops; only produced by :func:`local_quiver`.
-
-    No computations beyond pretty-printing are supported here.
-    """
-
-    __slots__ = ("vertices", "loop_counts", "arrow_counts")
-
-    def __init__(self, vertices, arrow_counts):
-        self.vertices = tuple(vertices)
-        self.arrow_counts = dict(arrow_counts)
-        self.loop_counts = {v: self.arrow_counts.get((v, v), 0) for v in self.vertices}
-
-    def arrow_count(self, s, t):
-        return self.arrow_counts.get((s, t), 0)
-
-    def __repr__(self):
-        parts = []
-        for (s, t), n in sorted(self.arrow_counts.items()):
-            if n:
-                parts.append(f"{s}->{t} x{n}")
-        return f"RelaxedQuiver({list(self.vertices)}; {', '.join(parts)})"
-
-    def to_json(self):
-        return {
-            "vertices": list(self.vertices),
-            "arrows": [{"from": s, "to": t, "count": n}
-                       for (s, t), n in sorted(self.arrow_counts.items()) if n],
-        }
 
 
 class Stability:
@@ -438,8 +408,9 @@ def local_quiver(quiver, stables):
     """Local quiver of a polystable point sum_k X_k^{m_k}.
 
     ``stables`` is a list of (dimension vector, multiplicity) pairs. The
-    result has delta_{k,l} - <e_k, e_l> arrows from k to l (loops allowed)
-    and dimension vector (m_1, ..., m_s).
+    result is the arrow counts ``{(k, l): delta_{k,l} - <e_k, e_l>}`` on the
+    vertices "1", ..., "s", zero counts left out and loops allowed, and the
+    dimension vector (m_1, ..., m_s).
     """
     if not stables:
         raise InputError("need at least one stable summand")
@@ -465,7 +436,7 @@ def local_quiver(quiver, stables):
                     "input is not a geometrically sensible polystable point")
             if n:
                 counts[(names[k], names[l])] = n
-    return RelaxedQuiver(names, counts), DimVector(dict(zip(names, mults)))
+    return counts, DimVector(dict(zip(names, mults)))
 
 
 def birational_type(quiver, d):
@@ -483,9 +454,11 @@ class LoopReduction:
 
     A tuple (A_1, ..., A_m) maps to the K_{m+1}-representation
     (id_n, A_1, ..., A_m) of dimension vector n i + n j, with stability i*.
+    Every representation with an invertible first arrow is semistable, and it
+    is stable iff the tuple of A_0^{-1} A_k has no proper invariant subspace.
     """
 
-    __slots__ = ("m", "n", "quiver", "dim", "stability", "identity_arrow_index")
+    __slots__ = ("m", "n", "quiver", "dim", "stability")
 
     def __init__(self, m, n):
         if m < 0 or n < 1:
@@ -495,7 +468,6 @@ class LoopReduction:
         self.quiver = kronecker_quiver(m + 1)
         self.dim = DimVector({"i": n, "j": n})
         self.stability = Stability({"i": 1, "j": 0})
-        self.identity_arrow_index = 0
 
     def embed(self, mats):
         """Prefix an m-tuple of n x n matrices with the identity matrix."""
@@ -503,28 +475,3 @@ class LoopReduction:
             raise InputError(f"expected {self.m} matrices, got {len(mats)}")
         ident = tuple(tuple(1 if r == c else 0 for c in range(self.n)) for r in range(self.n))
         return (ident,) + tuple(tuple(tuple(row) for row in a) for a in mats)
-
-    def rank_stratum(self, r):
-        """Metadata for the stratum where the first arrow has rank r."""
-        if not 0 <= r <= self.n:
-            raise InputError(f"rank must lie in 0..{self.n}")
-        if r == self.n:
-            reduces_to = f"{self.m}-tuples of {self.n}x{self.n} matrices up to conjugation"
-        elif r == 0:
-            reduces_to = f"representations of K_{self.m} with dimension vector ({self.n},{self.n})"
-        else:
-            reduces_to = "intermediate stratum (no known reduction)"
-        return {"rank": r, "reduces_to": reduces_to}
-
-    def to_json(self):
-        return {
-            "quiver": self.quiver.to_json(),
-            "dim": self.dim.to_json(),
-            "theta": self.stability.to_json(),
-            "identity_arrow_index": self.identity_arrow_index,
-            "rank_strata": [self.rank_stratum(r) for r in range(self.n + 1)],
-        }
-
-
-def loop_reduction(m, n):
-    return LoopReduction(m, n)

@@ -3,15 +3,19 @@
 Classification uses reflection descent on the symmetrized Euler form: real
 roots descend to a simple root through Weyl reflections, imaginary roots
 descend into the fundamental domain (all pairings nonpositive, connected
-support).
+support).  The descent runs on integer tuples in vertex order; a reflection
+lowers the sum of the entries by at least 1, so it refuses with
+``BudgetExceeded`` when one more reflection would make the witness longer
+than ``quiver.VECTOR_BUDGET`` (10^5), and every d with entries summing to at
+most 10^5 + 1 is classified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .quiver import DimVector, Quiver
+from .errors import BudgetExceeded, InputError
+from .quiver import VECTOR_BUDGET, DimVector, Quiver, _below
 
 __all__ = [
     "RootClassification",
@@ -38,78 +42,82 @@ class RootClassification:
         return out
 
 
-def _is_simple(quiver, d):
-    t = quiver.tup(d)
-    return sum(t) == 1
+def _pairings(arrows, d):
+    """The pairings (d, e_v) of the tuple d with every simple root: 2 d_v
+    minus d at the other end of each arrow at v."""
+    p = [2 * x for x in d]
+    for s, t in arrows:
+        p[s] -= d[t]
+        p[t] -= d[s]
+    return p
 
 
-def _support_connected(quiver, d):
-    supp = d.support()
-    if not supp:
-        return False
-    seen = {next(iter(supp))}
-    frontier = list(seen)
-    while frontier:
-        u = frontier.pop()
-        for v in supp:
-            if v not in seen and quiver.undirected_adjacent(u, v):
-                seen.add(v)
-                frontier.append(v)
+def _connected(arrows, d):
+    """Whether the support of the nonzero tuple d is connected."""
+    supp = {v for v, x in enumerate(d) if x}
+    seen = {min(supp)}
+    grew = True
+    while grew:
+        grew = False
+        for s, t in arrows:
+            if s in supp and t in supp and (s in seen) != (t in seen):
+                seen.update((s, t))
+                grew = True
     return seen == supp
+
+
+def _descend(arrows, t):
+    """(kind, witness as vertex indices, endpoint list or None) of the
+    nonzero tuple t.  Each step reflects at the first vertex whose pairing is
+    positive and at most its entry, so the entries stay nonnegative."""
+    d = list(t)
+    witness = []
+    while sum(d) != 1:
+        p = _pairings(arrows, d)
+        v = next((v for v, (x, y) in enumerate(zip(d, p)) if 0 < y <= x), None)
+        if v is None:
+            # every positive-pairing reflection leaves the positive cone;
+            # with none, d is in the fundamental domain
+            if max(p) > 0 or not _connected(arrows, d):
+                return "not-root", witness, None
+            return "imaginary", witness, d
+        if len(witness) == VECTOR_BUDGET:
+            raise BudgetExceeded(
+                f"the reflection descent of {list(t)} takes more than {VECTOR_BUDGET} "
+                "reflections", budget=VECTOR_BUDGET)
+        d[v] -= p[v]
+        witness.append(v)
+    return "real", witness, d
 
 
 def classify_root(quiver: Quiver, d: DimVector) -> RootClassification:
     """Classify d as a positive real root, imaginary root, or non-root."""
-    quiver.check_vector(d)
-    if d.is_zero():
+    t = quiver.tup(d)
+    if not any(t):
         raise InputError("cannot classify the zero vector")
-    witness = []
-    while True:
-        if _is_simple(quiver, d):
-            return RootClassification("real", tuple(witness), d)
-        # pairing with each simple, smallest vertex index first
-        reflected = False
-        positive_pairing = False
-        for v in quiver.vertices:
-            if d[v] == 0:
-                continue
-            p = quiver.symmetric_form(d, quiver.simple(v))
-            if p <= 0:
-                continue
-            positive_pairing = True
-            if d[v] - p >= 0:
-                d = DimVector({w: d[w] - (p if w == v else 0)
-                               for w in quiver.vertices})
-                witness.append(v)
-                reflected = True
-                break
-        if reflected:
-            continue
-        if positive_pairing:
-            # every positive-pairing reflection leaves the positive cone
-            return RootClassification("not-root", tuple(witness), None)
-        # fundamental domain: all pairings on the support are <= 0
-        if _support_connected(quiver, d):
-            return RootClassification("imaginary", tuple(witness), d)
-        return RootClassification("not-root", tuple(witness), None)
+    kind, witness, end = _descend(quiver.arrow_pairs, t)
+    if end is not None:
+        # unreflected, the endpoint is d itself, whose JSON keeps the keys given
+        end = quiver.vec(end) if witness else d
+    return RootClassification(kind, tuple(quiver.vertices[v] for v in witness), end)
 
 
 def replay_witness(quiver, endpoint, witness):
     """Apply the recorded reflections in reverse to recover the input."""
-    d = endpoint
-    for v in reversed(witness):
-        p = quiver.symmetric_form(d, quiver.simple(v))
-        d = DimVector({w: d[w] - (p if w == v else 0) for w in quiver.vertices})
-    return d
+    d = list(quiver.tup(endpoint))
+    for name in reversed(witness):
+        v = quiver.index(name)
+        d[v] -= _pairings(quiver.arrow_pairs, d)[v]
+    return quiver.vec(d)
 
 
 def positive_roots_up_to(quiver: Quiver, bound: DimVector):
     """All roots 0 < d <= bound with their kinds, lexicographically ordered."""
     out = []
-    for d in quiver.vectors_below(bound):
-        cls = classify_root(quiver, d)
-        if cls.is_root:
-            out.append((d, cls.kind))
+    for t in _below(quiver.tup(bound)):
+        kind = _descend(quiver.arrow_pairs, t)[0]
+        if kind != "not-root":
+            out.append((quiver.vec(t), kind))
     return out
 
 

@@ -166,3 +166,67 @@ class ReferenceMonoid:
         found = w2 in cls.monoid_class(quiver, w, lo)[0]
         return ["equal" if found and b >= lo else
                 "not-equal" if b >= size else "undecided-at-budget" for b in budgets]
+
+
+class ReferenceRoots:
+    """Reference reflection descent on ``DimVector``s through
+    ``Quiver.symmetric_form``, as ``roots`` ran before it moved to tuples.
+    It shares no code with ``roots`` and has no reflection budget;
+    ``classify_root`` gives (kind, witness, endpoint)."""
+
+    @staticmethod
+    def _is_simple(quiver, d):
+        return sum(quiver.tup(d)) == 1
+
+    @staticmethod
+    def _support_connected(quiver, d):
+        supp = d.support()
+        if not supp:
+            return False
+        seen = {next(iter(supp))}
+        frontier = list(seen)
+        while frontier:
+            u = frontier.pop()
+            for v in supp:
+                if v not in seen and quiver.arrow_count(u, v) + quiver.arrow_count(v, u):
+                    seen.add(v)
+                    frontier.append(v)
+        return seen == supp
+
+    @classmethod
+    def classify_root(cls, quiver, d):
+        witness = []
+        while True:
+            if cls._is_simple(quiver, d):
+                return "real", tuple(witness), d
+            reflected = False
+            positive_pairing = False
+            for v in quiver.vertices:
+                if d[v] == 0:
+                    continue
+                p = quiver.symmetric_form(d, quiver.simple(v))
+                if p <= 0:
+                    continue
+                positive_pairing = True
+                if d[v] - p >= 0:
+                    d = DimVector({w: d[w] - (p if w == v else 0)
+                                   for w in quiver.vertices})
+                    witness.append(v)
+                    reflected = True
+                    break
+            if reflected:
+                continue
+            if positive_pairing:
+                return "not-root", tuple(witness), None
+            if cls._support_connected(quiver, d):
+                return "imaginary", tuple(witness), d
+            return "not-root", tuple(witness), None
+
+    @classmethod
+    def positive_roots_up_to(cls, quiver, bound):
+        out = []
+        for d in quiver.vectors_below(bound):
+            kind = cls.classify_root(quiver, d)[0]
+            if kind != "not-root":
+                out.append((d, kind))
+        return out

@@ -18,6 +18,8 @@ K3 = json.dumps({"vertices": ["i", "j"],
                  "arrows": [{"from": "i", "to": "j"}] * 3})
 A2 = json.dumps({"vertices": ["i", "j"],
                  "arrows": [{"from": "i", "to": "j"}]})
+K2 = json.dumps({"vertices": ["i", "j"],
+                 "arrows": [{"from": "i", "to": "j"}] * 2})
 D11 = '{"i": 1, "j": 1}'
 THETA = '{"i": 1}'
 
@@ -228,6 +230,24 @@ class TestExitCodes:
                       "--method", "recursive"],
                      "argument --method: invalid choice: 'recursive' "
                      "(choose from 'closed', 'mass')", id="usage-bad-choice"),
+        # vertex names and arrow ends are JSON strings, nothing else
+        pytest.param(["mass", "--quiver", '{"vertices": "ij", "arrows": []}',
+                      "--dim", D11], "vertices must be a list of strings",
+                     id="quiver-vertices-string"),
+        pytest.param(["mass", "--quiver", '{"vertices": [["a"], ["b"]], "arrows": []}',
+                      "--dim", D11], "vertices must be a list of strings",
+                     id="quiver-vertices-lists"),
+        pytest.param(["mass", "--quiver", '{"vertices": {"i": 0, "j": 1}, "arrows": []}',
+                      "--dim", D11], "vertices must be a list of strings",
+                     id="quiver-vertices-object"),
+        pytest.param(["mass", "--quiver",
+                      '{"vertices": [1, 2], "arrows": [{"from": 1, "to": 2}]}',
+                      "--dim", D11], "vertices must be a list of strings",
+                     id="quiver-vertices-numbers"),
+        pytest.param(["mass", "--quiver",
+                      '{"vertices": ["1", "2"], "arrows": [{"from": 1, "to": 2}]}',
+                      "--dim", D11], "from and to are strings",
+                     id="quiver-arrow-ends-numbers"),
         pytest.param(["nosuch"], "unknown command 'nosuch'", id="usage-unknown-command"),
         pytest.param(["series two-row", "--n", "6"], "unknown command 'series two-row'",
                      id="usage-joined-command"),
@@ -304,6 +324,28 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["error_class"] == "budget"
         assert doc["required"] == str(10 ** 30)
+        assert doc["budget"] == str(VECTOR_BUDGET)
+
+    # K2 at (n, n + 1) reaches a simple root in n reflections; the witness may
+    # hold VECTOR_BUDGET of them
+    def test_longest_witness_is_classified(self, capsys):
+        n = VECTOR_BUDGET
+        doc = run_json(capsys, "root", "classify", "--quiver", K2,
+                       "--dim", json.dumps({"i": n, "j": n + 1}))
+        assert doc["result"]["kind"] == "real"
+        assert len(doc["result"]["witness"]) == n
+
+    @pytest.mark.parametrize("n", [VECTOR_BUDGET + 1, 10 ** 30],
+                             ids=["budget+1", "10^30"])
+    def test_longer_descent_is_3(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "root", "classify", "--quiver", K2,
+                             "--dim", json.dumps({"i": n, "j": n + 1}))
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
         assert doc["budget"] == str(VECTOR_BUDGET)
 
     # refused on the size of what they would build: the mass's canonical

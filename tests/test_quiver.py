@@ -1,14 +1,16 @@
 import json
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from quivermoduli import oracle
 from quivermoduli.errors import InputError
-from quivermoduli.quiver import (DimVector, Quiver, Stability, birational_type,
-                                 kronecker_quiver, linear_quiver, local_quiver,
-                                 loop_reduction)
+from quivermoduli.quiver import (DimVector, LoopReduction, Quiver, Stability,
+                                 birational_type, kronecker_quiver, linear_quiver,
+                                 local_quiver)
 
 from conftest import dv
 
@@ -156,6 +158,14 @@ class TestStability:
             theta_i.slope(dv())
 
 
+def determinant(m):
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * determinant([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)))
+
+
 coeff = st.integers(min_value=0, max_value=4)
 vec = st.builds(lambda a, b: DimVector({"i": a, "j": b}), coeff, coeff)
 
@@ -181,14 +191,16 @@ class TestFormProperties:
 class TestDerivedConstructions:
     def test_local_quiver_of_double_stable(self, k3):
         # two copies of the same stable: one vertex, 1 - <e,e> loops
-        rq, dX = local_quiver(k3, [(dv(i=1, j=1), 2)])
-        assert rq.vertices == ("1",)
-        assert rq.loop_counts["1"] == 2
+        counts, dX = local_quiver(k3, [(dv(i=1, j=1), 2)])
+        assert counts == {("1", "1"): 2}
         assert dX == DimVector({"1": 2})
 
     def test_local_quiver_two_stables(self, k3):
-        rq, dX = local_quiver(k3, [(dv(i=1, j=1), 1), (dv(i=1, j=2), 1)])
-        assert rq.arrow_count("1", "2") == -k3.euler(dv(i=1, j=1), dv(i=1, j=2))
+        e, f = dv(i=1, j=1), dv(i=1, j=2)
+        counts, dX = local_quiver(k3, [(e, 1), (f, 1)])
+        assert counts == {("1", "1"): 1 - k3.euler(e, e), ("1", "2"): -k3.euler(e, f),
+                          ("2", "2"): 1 - k3.euler(f, f)}
+        assert k3.euler(f, e) == 0
         assert dX == DimVector({"1": 1, "2": 1})
 
     def test_birational_type(self, k3):
@@ -196,19 +208,36 @@ class TestDerivedConstructions:
         assert birational_type(k3, dv(i=2, j=2)) == (2, 2)
 
     def test_loop_reduction_shape(self):
-        red = loop_reduction(2, 2)
+        red = LoopReduction(2, 2)
         assert red.quiver == kronecker_quiver(3)
         assert red.dim == DimVector({"i": 2, "j": 2})
         emb = red.embed([[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
         assert emb[0] == ((1, 0), (0, 1))
         assert len(emb) == 3
 
-    def test_loop_reduction_rank_strata(self):
-        red = loop_reduction(2, 2)
-        full = red.rank_stratum(2)
-        assert "conjugation" in full["reduces_to"]
-        zero = red.rank_stratum(0)
-        assert "K_2" in zero["reduces_to"]
+    # (2, 2, 3) holds too, with 196,992 stable representations, but takes 19 s
+    @pytest.mark.parametrize("m, n, q", [
+        (m, n, q) for m in (0, 1, 2) for n in (1, 2) for q in (2, 3)
+        if (m, n, q) != (2, 2, 3)])
+    def test_loop_reduction_stable_count(self, m, n, q):
+        """A tuple is simple iff its embedding is i*-stable; the
+        representations with an invertible first arrow are all semistable,
+        and gl_n(q) times the simple tuples of them are stable."""
+        red = LoopReduction(m, n)
+        entries = list(product(range(q), repeat=n * n))
+        matrices = [[row[k * n:(k + 1) * n] for k in range(n)] for row in entries]
+        simple = 0
+        for mats in product(matrices, repeat=m):
+            X = oracle.FFRep(red.quiver, q, red.dim, red.embed(mats))
+            is_simple = oracle.is_simple_tuple(n, mats, q)
+            assert oracle.is_stable(X, red.stability) == is_simple
+            simple += is_simple
+        stable = 0
+        for X in oracle.enumerate_reps(red.quiver, red.dim, q):
+            if determinant(X.mats[0]) % q:
+                assert oracle.is_semistable(X, red.stability)
+                stable += oracle.is_stable(X, red.stability)
+        assert stable == oracle.gl_order(n, q) * simple
 
     def test_linear_quiver(self):
         q = linear_quiver(3)
