@@ -35,10 +35,17 @@ computes each X(e, f) once (see the comment above the HN recursion).
 Below the public functions, everything runs on integer tuples in vertex
 order against the context of (quiver, theta), in the one store it shares
 with ``generic``; slopes are reduced (theta(e), dim e) pairs compared by
-cross-multiplying.  Sums are kept as CycloFrac, a dense numerator (low
-exponent and coefficient tuple) over factors x^k - 1: numerators are lifted
-to a common denominator by packed-integer multiplies (see ``laurent``), and
-only final results are reduced, by integer trial division through
+cross-multiplying.  Each quantity of a dimension vector g in either sum is
+kept as an integer numerator over one fixed denominator,
+
+    D(g) = prod_i prod_{k <= g_i} (x^k - 1) = |G_g| / q^(sum_i C(g_i, 2)),
+
+which every term of the sums for g divides (Reineke, Invent. Math. 152,
+2003, weighs each representation by 1 / |G_g|).  A sum for g is then a
+convolution with the Gaussian binomials B(g, e) = D(g) / (D(e) D(g - e)):
+its terms are packed into big integers at one digit width, proven from a
+bound, added and unpacked once (see ``laurent``).  Only a final result
+becomes a CycloFrac over D(d), reduced by integer trial division through
 cyclotomic polynomials.
 """
 
@@ -49,11 +56,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
-from .laurent import (LaurentPoly, RationalFunc, _divexact, _lift_sum, _mul_coeffs,
-                      cyclotomic)
+from .laurent import (LaurentPoly, RationalFunc, _digit_bits, _divexact,
+                      _gaussian_binomial, _lift_sum, _max_abs, _mul_coeffs, _pack,
+                      _trimmed, _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
                      _memoized, _minus, clear_caches)
 
@@ -75,10 +83,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # factored rational arithmetic
 
-# CycloFrac.sum lifts its terms this many at a time: a larger batch lifts the
-# running total fewer times but keeps more terms alive at once.
-_SUM_BATCH = 8
-
 _set = object.__setattr__
 
 
@@ -87,9 +91,10 @@ class CycloFrac:
     numerator, a coefficient tuple ``co`` with nonzero ends (empty for 0),
     over a dict ``den`` of factors; no cancellation until :meth:`reduce`.
 
-    The numerator's parts are those of a LaurentPoly, kept inline: holding a
-    LaurentPoly instead costs one more object per operation, about 27k per
-    pass of betti on K3, and made that pass 5-9% slower."""
+    The recursions below keep numerators over the fixed denominator D(g) of
+    each dimension vector and build a CycloFrac only around a result, to
+    reduce it.  Sums of CycloFracs lift their numerators to the least
+    common denominator."""
 
     __slots__ = ("lo", "co", "den")
 
@@ -136,21 +141,10 @@ class CycloFrac:
 
     @classmethod
     def sum(cls, terms):
-        """The sum of the iterable ``terms``, taken _SUM_BATCH terms at a time
-        so that few of them are alive at once."""
-        batch = []
-        for t in terms:
-            if t.co:
-                batch.append(t)
-                if len(batch) == _SUM_BATCH:
-                    total = cls._sum(batch)
-                    batch = [total] if total.co else []
-        return cls._sum(batch)
-
-    @classmethod
-    def _sum(cls, terms):
-        """The sum of nonzero ``terms`` over their least common denominator;
-        the numerators are lifted to it and added as packed integers."""
+        """The sum of the iterable ``terms`` over their least common
+        denominator; the numerators are lifted to it and added as packed
+        integers."""
+        terms = [t for t in terms if t.co]
         if len(terms) < 2:
             return terms[0] if terms else cls.zero()
         den = {}
@@ -269,12 +263,15 @@ def _checked_coprime(quiver, theta, d):
 # ---------------------------------------------------------------------------
 # per-part weights
 
-@_memoized
-def _mass_cf(ctx, e):
-    """|R_e| / |G_e| as a CycloFrac in q."""
-    exp = ctx.arrow_pairing(e, e) - sum(n * (n - 1) // 2 for n in e)
-    den = Counter(k for n in e for k in range(1, n + 1))
-    return CycloFrac._of(exp, (1,), den)
+def _weight_exp(ctx, e):
+    """The exponent of the numerator of w(e) = |R_e| / |G_e| over D(e)."""
+    return ctx.arrow_pairing(e, e) - sum(n * (n - 1) // 2 for n in e)
+
+
+def _den(g):
+    """D(g) = |G_g| / q^(sum_i C(g_i, 2)) as a dict of factors
+    {k: multiplicity of x^k - 1}."""
+    return Counter(k for n in g for k in range(1, n + 1))
 
 
 def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
@@ -293,7 +290,7 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
         raise BudgetExceeded(
             f"the mass of {list(t)} has a denominator of degree {required}",
             required=required, budget=VECTOR_BUDGET)
-    return _mass_cf(_context(quiver), t).reduce()
+    return CycloFrac._of(_weight_exp(_context(quiver), t), (1,), _den(t)).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +351,117 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 
 
 # ---------------------------------------------------------------------------
+# numerators over the fixed denominator of each dimension vector
+
+# Every term of either sum for g below has a denominator that divides
+#   D(g) = prod_i prod_{k <= g_i} (x^k - 1),
+# so each quantity of g is kept as its numerator over D(g): a record
+# (lo, co, height, length) of a low exponent, a coefficient tuple with
+# nonzero ends (empty for zero), max |co| and sum |co| (both 0 for zero).
+# A product of quantities of e and g - e is over D(e) D(g - e), and
+#   D(g) / (D(e) D(g - e)) = B(g, e) = prod_i [g_i choose e_i]_x,
+# so a sum for g is a convolution with Gaussian binomials.
+
+_ZERO = (0, (), 0, 0)
+
+
+@_memoized
+def _packed_binomial(ctx, n, m, width):
+    """[n choose m]_x packed at ``width`` bits a digit."""
+    return _pack(_gaussian_binomial(n, m), width)
+
+
+def _lifted(ctx, key, p, n, m, width):
+    """[n choose m]_x P packed at ``width`` bits a digit, for the numerator
+    P that ``key`` names; it recurs in the sums of every g with the same
+    last entry n, so it is memoized."""
+    key = (_lifted, key, n, width)
+    value = ctx.memo.get(key)
+    if value is None:
+        value = ctx.memo[key] = _pack(p[1], width) * _packed_binomial(ctx, n, m, width)
+    return value
+
+
+def _binomial_sum(ctx, g, terms, cuts=()):
+    """Numerators over D(g) of
+
+        x^(w(g)) - sum_j x^(s_j) B(g, e_j) P_j Q_j
+
+    over the terms (e_j, s_j, key_j, P_j, Q_j) of ``terms``: P_j is a
+    nonzero numerator named by the hashable key_j, and Q_j another one or
+    None.  One numerator is returned for each c in the ascending ``cuts``,
+    taking the first c terms, then one for the whole sum.
+
+    Everything is packed at one digit width (see ``laurent``) and added as
+    integers.  The width comes from a bound that covers every partial sum:
+    B(g, e) has positive coefficients summing to prod_i C(g_i, e_i), so
+      |coefficient of B(g, e) P Q|
+        <= prod_i C(g_i, e_i) min(height P length Q, length P height Q),
+    and the coefficients of B(g, e) P are at most prod_i C(g_i, e_i)
+    height P.  Consecutive terms whose e agree but for the last entry share
+    the binomials of the other vertices, which multiply their packed sum
+    once."""
+    w = _weight_exp(ctx, g)
+    lo = hi = w
+    bound = 1
+    shifts = []
+    for e, s, _, p, q in terms:
+        s += p[0]
+        size = len(p[1]) - 1 + sum(map(mul, e, _minus(g, e)))
+        if q is None:
+            height = p[2]
+        else:
+            s += q[0]
+            size += len(q[1]) - 1
+            height = min(p[2] * q[3], p[3] * q[2])
+        bound += height * math.prod(map(math.comb, g, e))
+        shifts.append(s)
+        lo, hi = min(lo, s), max(hi, s + size)
+    k = _digit_bits(bound)
+    last = len(g) - 1
+    total = 1 << (k * (w - lo))
+    group, head, sums = 0, None, []
+
+    def flush():
+        nonlocal total, group
+        if group:
+            for n, m in zip(g, head):
+                if 0 < m < n:
+                    group *= _packed_binomial(ctx, n, m, k)
+            total -= group
+            group = 0
+
+    c = 0
+    for j, ((e, _, key, p, q), s) in enumerate(zip(terms, shifts)):
+        while c < len(cuts) and cuts[c] == j:
+            flush()
+            sums.append(total)
+            c += 1
+        if e[:last] != head:
+            flush()
+            head = e[:last]
+        if 0 < e[last] < g[last]:
+            value = _lifted(ctx, key, p, g[last], e[last], k)
+        else:
+            value = _pack(p[1], k)
+        if q is not None:
+            value *= _pack(q[1], k)
+        group += value << (k * (s - lo))
+    flush()
+    sums += [total] * (len(cuts) - c + 1)
+    out = []
+    for value in sums:
+        low, co = _trimmed(lo, _unpack(value, hi - lo + 1, k))
+        out.append((low, co, _max_abs(co), sum(map(abs, co))) if co else _ZERO)
+    return out
+
+
+def _fraction(g, numerator):
+    """The quantity of g with this numerator, as a CycloFrac over D(g)."""
+    return CycloFrac._of(numerator[0], numerator[1], _den(g))
+
+
+# ---------------------------------------------------------------------------
 # semistable masses (recursive / HN form)
 
 # The HN recursion.  T(f; b) is the mass of the representations of dimension
@@ -367,9 +475,12 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 # One pass per f walks the parts e < f above mu(f) by descending slope,
 # computes each X(e, f) once and folds it into a running difference that
 # starts at mass(f): read at each bound it is T(f; b), and at the end it is
-# mass_ss(f).  Under a top-level d, T(f; b) is asked for only at the bounds
-#   B(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
-# so the memo keeps mass_ss(f) and T(f; b) for b in B(f), and a warm context
+# mass_ss(f).  Over D(f) the term X(e, f) has the numerator
+#   B(f, e) x^{-<f - e, e>} times those of mass_ss(e) over D(e) and of
+#   T(f - e; mu(e)) over D(f - e).
+# Under a top-level d, T(f; b) is asked for only at the bounds
+#   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
+# so the memo keeps mass_ss(f) and T(f; b) for b in L(f), and a warm context
 # asked for a bound it never stored runs the pass of f again.
 
 # Slopes in descending order, compared by cross-multiplying.
@@ -378,7 +489,8 @@ _DESCENDING = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
 
 def _hn(ctx, f, top, bound=None):
     """The memo entry (mass_ss(f), {b: T(f; b)}) of f under the top-level d
-    ``top``; it is refilled when it lacks ``bound``."""
+    ``top``, as numerators over D(f); it is refilled when it lacks
+    ``bound``."""
     key = (_hn, f)
     entry = ctx.memo.get(key)
     if entry is None or (bound is not None and bound not in entry[1]):
@@ -387,7 +499,7 @@ def _hn(ctx, f, top, bound=None):
 
 
 def _hn_pass(ctx, f, top, old):
-    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in B(f) and every
+    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f) and every
     bound of the entry ``old`` it replaces."""
     mu_f = ctx.slope(f)
     bounds = {b for e in _below(_minus(top, f)) if _less(mu_f, b := ctx.slope(e))}
@@ -396,34 +508,32 @@ def _hn_pass(ctx, f, top, old):
     bounds = sorted(bounds, key=_DESCENDING)
     parts = sorted(((mu, e) for e in _below(f) if _less(mu_f, mu := ctx.slope(e))),
                    key=lambda p: _DESCENDING(p[0]))
-
-    def peeled(chunk):
-        # -X(e, f) for the nonzero X; mu(f - e) < mu(f) < mu(e) and
-        # e <= top - (f - e), so mu(e) is in B(f - e)
-        for mu, e in chunk:
+    terms, cuts, i = [], [], 0
+    for b in chain(bounds, (mu_f,)):  # every part lies above mu(f)
+        chunk = []
+        while i < len(parts) and not _less(parts[i][0], b):
+            # X(e, f) for the nonzero X; mu(f - e) < mu(f) < mu(e) and
+            # e <= top - (f - e), so mu(e) is in L(f - e)
+            mu, e = parts[i]
+            i += 1
             ss = _hn(ctx, e, top)[0]
-            if ss.is_zero():
+            if not ss[1]:
                 continue
             rest = _minus(f, e)
             below = _hn(ctx, rest, top, mu)[1][mu]
-            if not below.is_zero():
-                yield -(ss * below).shift(-ctx.euler(rest, e))
-
-    running, table, i = _mass_cf(ctx, f), {}, 0
-    for b in chain(bounds, (mu_f,)):  # every part lies above mu(f)
-        j = i
-        while j < len(parts) and not _less(parts[j][0], b):
-            j += 1
-        if j > i:
-            running = CycloFrac.sum(chain((running,), peeled(parts[i:j])))
-        table[b], i = running, j
-    return table.pop(mu_f), table
+            if below[1]:
+                chunk.append((e, -ctx.euler(rest, e), (_hn, e), ss, below))
+        # in lexicographic order, terms that share binomials are adjacent
+        terms += sorted(chunk, key=itemgetter(0))
+        cuts.append(len(terms))
+    *values, ss = _binomial_sum(ctx, f, terms, cuts[:-1])
+    return ss, dict(zip(bounds, values))
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _hn(ctx, t, t)[0].reduce()
+    return _fraction(t, _hn(ctx, t, t)[0]).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -431,52 +541,47 @@ def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
 
 @_memoized
 def _resolved(ctx, g, mu):
-    """R(g; mu): the signed sum over tuples of g whose proper suffix sums all
-    have slope above mu.  The caller gates g itself.  Every weight has a
-    monomial numerator, so each product with an inner sum is a shift."""
-    def terms():
-        for e in _below(g):
-            term = _mass_cf(ctx, e)
-            rest = _minus(g, e)
-            if e != g:
-                if not _less(mu, ctx.slope(rest)):
-                    continue
-                inner = _resolved(ctx, rest, mu)
-                if inner.is_zero():
-                    continue
-                term = -(term * inner)
-            yield term.shift(-ctx.euler(e, rest))
-
-    return CycloFrac.sum(terms())
+    """The numerator over D(g) of R(g; mu): the signed sum over tuples of g
+    whose proper suffix sums all have slope above mu.  The caller gates g
+    itself.  Over D(g) the term of e < g is
+    -B(g, e) x^(w(e) - <e, g - e>) N(g - e), with N the numerator of
+    R(g - e; mu), and the term of g is x^(w(g))."""
+    terms = []
+    for e in _below(g):
+        rest = _minus(g, e)
+        if e != g and _less(mu, ctx.slope(rest)):
+            inner = _resolved(ctx, rest, mu)
+            if inner[1]:
+                terms.append((e, _weight_exp(ctx, e) - ctx.euler(e, rest),
+                              (_resolved, rest, mu), inner, None))
+    return _binomial_sum(ctx, g, terms)[0]
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _resolved(ctx, t, ctx.slope(t)).reduce()
+    return _fraction(t, _resolved(ctx, t, ctx.slope(t))).reduce()
 
 
 # ---------------------------------------------------------------------------
 # Poincare polynomials of stable moduli
 
-def _times_q_minus_one(cf):
-    """(q - 1) cf as a polynomial in q.  A nonzero semistable mass has a
-    factor q - 1 in its denominator (every part weight has one), and the
-    product takes it away."""
-    if cf.is_zero():
+def _times_q_minus_one(g, numerator):
+    """(q - 1) times the semistable mass of g with this numerator over D(g),
+    as a polynomial in q.  D(g) has a factor q - 1 for each nonzero entry,
+    and the product takes one away."""
+    if not numerator[1]:
         return LaurentPoly()
-    den = dict(cf.den)
-    if not den.get(1):
-        raise AssertionError("semistable mass without a factor q - 1")
+    den = _den(g)
     den[1] -= 1
-    return CycloFrac._of(cf.lo, cf.co, den).reduce().to_polynomial()
+    return CycloFrac._of(numerator[0], numerator[1], den).reduce().to_polynomial()
 
 
 def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(_resolved(ctx, t, ctx.slope(t)))
+    return _times_q_minus_one(t, _resolved(ctx, t, ctx.slope(t)))
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -493,7 +598,7 @@ def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPol
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(_hn(ctx, t, t)[0])
+    return _times_q_minus_one(t, _hn(ctx, t, t)[0])
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

@@ -3,16 +3,18 @@
 Coefficients are arbitrary-precision integers.  There is one polynomial
 format, dense: a low exponent and a tuple of coefficients, lowest first,
 with nonzero ends, so storage grows with the span of the exponents.  A
-LaurentPoly holds it as ``lo`` and ``co``, and the numerators of
-``hn.CycloFrac`` hold it inline; the kernels below work on the coefficient
-sequences of both.  The hot paths use integers only.  Exact division is
-integer synthetic division that gives up at the first coefficient the
-divisor's leading coefficient does not divide.  Products of large operands,
-and the lifts of numerators by products of binomials x^e - 1
-(:func:`_lift_sum`), use Kronecker substitution: coefficients become the
-base-2^k digits of one integer, so a single big-integer multiply does the
-work.  Digits are balanced (signed), and k always comes from a proven bound
-on the result's coefficients, never from a guess.
+LaurentPoly holds it as ``lo`` and ``co``, and ``hn.CycloFrac`` and the
+numerators of the ``hn`` recursions hold it inline; the kernels below work
+on the coefficient sequences.  The hot paths use integers only.  Exact
+division is integer synthetic division that gives up at the first
+coefficient the divisor's leading coefficient does not divide.  Products of
+large operands, the lifts of numerators by products of binomials x^e - 1
+(:func:`_lift_sum`), and the sums of ``hn`` over the fixed denominator of a
+dimension vector, which convolve numerators with the Gaussian binomials of
+:func:`_gaussian_binomial`, use Kronecker substitution: coefficients become
+the base-2^k digits of one integer, so a single big-integer multiply or add
+does the work.  Digits are balanced (signed), and k always comes from a
+proven bound on the result's coefficients, never from a guess.
 
 A RationalFunc is a result, not a field element: ``hn.CycloFrac.reduce``
 builds it in canonical form (no common factor, denominator with lowest
@@ -491,6 +493,29 @@ class RationalFunc:
         if self.den == LaurentPoly.one():
             return f"RationalFunc({self.num})"
         return f"RationalFunc(({self.num}) / ({self.den}))"
+
+
+@lru_cache(maxsize=None)
+def _gaussian_binomial(n, k):
+    """The coefficient tuple, lowest first, of the Gaussian binomial
+    [n choose k]_x = prod_{i <= k} (x^(n-k+i) - 1) / (x^i - 1), 0 <= k <= n:
+    a polynomial of degree k (n - k) with positive coefficients summing to
+    C(n, k).  Built factor by factor; each partial product is again a
+    Gaussian binomial, so every division is exact."""
+    k = min(k, n - k)
+    co = [1]
+    for i in range(1, k + 1):
+        # times x^m - 1, then the quotient by x^i - 1: if p = q (x^i - 1),
+        # then q_j = q_(j-i) - p_j
+        m = n - k + i
+        p = [-c for c in co] + [0] * m
+        for j, c in enumerate(co, m):
+            p[j] += c
+        q = p[:len(p) - i]
+        for j in range(len(q)):
+            q[j] = (q[j - i] if j >= i else 0) - p[j]
+        co = q
+    return tuple(co)
 
 
 @lru_cache(maxsize=None)

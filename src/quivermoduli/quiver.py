@@ -122,12 +122,18 @@ class Quiver:
                  "_key", "_hash")
 
     def __init__(self, vertices, arrows):
-        vertices = tuple(str(v) for v in vertices)
+        vertices = tuple(vertices)
+        for v in vertices:
+            if not isinstance(v, str):
+                raise InputError(f"vertices must be a list of strings, got {v!r}")
         if len(set(vertices)) != len(vertices):
             raise InputError("duplicate vertex names")
-        arrows = tuple((str(s), str(t)) for s, t in arrows)
+        arrows = tuple((s, t) for s, t in arrows)
         vset = set(vertices)
         for s, t in arrows:
+            if not (isinstance(s, str) and isinstance(t, str)):
+                raise InputError("arrows must be pairs whose from and to are strings, "
+                                 f"got {s!r} -> {t!r}")
             if s not in vset or t not in vset:
                 raise InputError(f"arrow {s}->{t} uses an unknown vertex")
             if s == t:
@@ -251,10 +257,10 @@ class Quiver:
             arrows = [(a["from"], a["to"]) for a in data["arrows"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad quiver JSON structure: {exc}") from None
-        if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+        # Quiver checks the names themselves
+        if not isinstance(vertices, list):
             raise InputError("bad quiver JSON structure: vertices must be a list of strings")
-        if not (isinstance(data["arrows"], list)
-                and all(isinstance(v, str) for arrow in arrows for v in arrow)):
+        if not isinstance(data["arrows"], list):
             raise InputError("bad quiver JSON structure: arrows must be a list of "
                              "objects whose from and to are strings")
         return cls(vertices, arrows)

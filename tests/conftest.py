@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quivermoduli import generic, hn
-from quivermoduli.laurent import LaurentPoly
+from quivermoduli.laurent import LaurentPoly, cyclotomic
 from quivermoduli.quiver import DimVector, Quiver, Stability, kronecker_quiver
 
 
@@ -230,3 +231,174 @@ class ReferenceRoots:
             if kind != "not-root":
                 out.append((d, kind))
         return out
+
+
+class ReferenceHN:
+    """Reference semistable masses for one (quiver, theta): the resolved sum
+    and the HN pass as they ran on ``hn.CycloFrac``, over least common
+    denominators, before each quantity was kept over the fixed denominator
+    of its dimension vector.  Fractions are pairs (LaurentPoly numerator,
+    {e: m} for prod_e (x^e - 1)^m) added by lifting to the lcm with
+    LaurentPoly products, and reduced by trial division through cyclotomic
+    polynomials.  It shares no code with ``hn``; ``mass_ss``,
+    ``mass_ss_closed``, ``poincare`` and ``betti_via_mass`` return what the
+    functions of ``hn`` of the same names return."""
+
+    def __init__(self, quiver, theta):
+        self.pairs = quiver.arrow_pairs
+        self.theta = theta.key(quiver)
+        self.quiver = quiver
+        self.memo = {}
+
+    # -- fractions ---------------------------------------------------------
+
+    @staticmethod
+    def binomials(den):
+        out = LaurentPoly.one()
+        for e, m in den.items():
+            out = out * LaurentPoly({e: 1, 0: -1}) ** m
+        return out
+
+    @classmethod
+    def add(cls, terms):
+        terms = [t for t in terms if not t[0].is_zero()]
+        den = {}
+        for _, d in terms:
+            for e, m in d.items():
+                den[e] = max(den.get(e, 0), m)
+        num = LaurentPoly.zero()
+        for n, d in terms:
+            num = num + n * cls.binomials({e: m - d.get(e, 0) for e, m in den.items()})
+        return (num, den) if not num.is_zero() else (num, {})
+
+    @staticmethod
+    def mul(a, b):
+        den = dict(a[1])
+        for e, m in b[1].items():
+            den[e] = den.get(e, 0) + m
+        return a[0] * b[0], den
+
+    @staticmethod
+    def canonical(frac):
+        """(numerator, denominator) in the canonical form of RationalFunc."""
+        num, den = frac
+        if num.is_zero():
+            return LaurentPoly.zero(), LaurentPoly.one()
+        cyc = {}
+        for e, m in den.items():
+            for n in range(1, e + 1):
+                if e % n == 0:
+                    cyc[n] = cyc.get(n, 0) + m
+        out = LaurentPoly.one()
+        for n in sorted(cyc):
+            for _ in range(cyc[n]):
+                q = num.divexact(cyclotomic(n))
+                if q is None:
+                    out = out * cyclotomic(n)
+                else:
+                    num = q
+        return num, out
+
+    # -- quiver data -------------------------------------------------------
+
+    def below(self, g):
+        return [e for e in product(*(range(n + 1) for n in g)) if any(e)]
+
+    def slope(self, e):
+        return Fraction(sum(a * b for a, b in zip(self.theta, e)), sum(e))
+
+    def euler(self, x, y):
+        return (sum(a * b for a, b in zip(x, y))
+                - sum(x[s] * y[t] for s, t in self.pairs))
+
+    def weight(self, e):
+        exp = (sum(e[s] * e[t] for s, t in self.pairs)
+               - sum(n * (n - 1) // 2 for n in e))
+        den = {}
+        for n in e:
+            for k in range(1, n + 1):
+                den[k] = den.get(k, 0) + 1
+        return LaurentPoly({exp: 1}), den
+
+    # -- the recursions ----------------------------------------------------
+
+    def resolved(self, g, mu):
+        key = ("resolved", g, mu)
+        if key not in self.memo:
+            terms = []
+            for e in self.below(g):
+                term = self.weight(e)
+                rest = tuple(x - y for x, y in zip(g, e))
+                if e != g:
+                    if not self.slope(rest) > mu:
+                        continue
+                    inner = self.resolved(rest, mu)
+                    if inner[0].is_zero():
+                        continue
+                    term = self.mul(term, inner)
+                    term = (-term[0], term[1])
+                shift = LaurentPoly({-self.euler(e, rest): 1})
+                terms.append((term[0] * shift, term[1]))
+            self.memo[key] = self.add(terms)
+        return self.memo[key]
+
+    def hn(self, f, top, bound=None):
+        key = ("hn", f)
+        entry = self.memo.get(key)
+        if entry is None or (bound is not None and bound not in entry[1]):
+            entry = self.memo[key] = self.hn_pass(f, top, entry)
+        return entry
+
+    def hn_pass(self, f, top, old):
+        mu_f = self.slope(f)
+        rest_top = tuple(x - y for x, y in zip(top, f))
+        bounds = {b for e in self.below(rest_top) if (b := self.slope(e)) > mu_f}
+        if old is not None:
+            bounds |= old[1].keys()
+        parts = sorted(((self.slope(e), e) for e in self.below(f)
+                        if self.slope(e) > mu_f), key=lambda p: -p[0])
+        running, table, i = self.weight(f), {}, 0
+        for b in sorted(bounds, reverse=True) + [mu_f]:
+            terms = [running]
+            while i < len(parts) and parts[i][0] >= b:
+                mu, e = parts[i]
+                i += 1
+                ss = self.hn(e, top)[0]
+                if ss[0].is_zero():
+                    continue
+                rest = tuple(x - y for x, y in zip(f, e))
+                num, den = self.mul(ss, self.hn(rest, top, mu)[1][mu])
+                terms.append((-num * LaurentPoly({-self.euler(rest, e): 1}), den))
+            running = table[b] = self.add(terms)
+        return table.pop(mu_f), table
+
+    # -- the answers -------------------------------------------------------
+
+    def mass_ss_closed(self, d):
+        t = self.quiver.tup(d)
+        return self.canonical(self.resolved(t, self.slope(t)))
+
+    def mass_ss(self, d):
+        t = self.quiver.tup(d)
+        return self.canonical(self.hn(t, t)[0])
+
+    @classmethod
+    def times_q_minus_one(cls, frac):
+        num, den = frac
+        if num.is_zero():
+            return LaurentPoly.zero()
+        den = dict(den)
+        den[1] -= 1
+        num, den = cls.canonical((num, den))
+        if den != LaurentPoly.one():
+            raise ValueError("not a polynomial")
+        return num
+
+    def poincare(self, d):
+        t = self.quiver.tup(d)
+        p = self.times_q_minus_one(self.resolved(t, self.slope(t)))
+        return LaurentPoly({2 * e: a for e, a in p.items()})
+
+    def betti_via_mass(self, d):
+        t = self.quiver.tup(d)
+        return self.times_q_minus_one(self.hn(t, t)[0])

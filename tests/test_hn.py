@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,7 @@ from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _context,
                                  _contexts, kronecker_quiver)
 
-from conftest import Frac, dv, fraction_divexact
+from conftest import Frac, ReferenceHN, dv, fraction_divexact
 
 
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -352,6 +353,55 @@ class TestPoincareTwoWays:
         assert compared >= 5
 
 
+class TestAgainstReference:
+    # K1-K4 at d <= (5, 5) with four stabilities; A3 and the D4 star with
+    # three each
+    CASES = {f"K{m}": (kronecker_quiver(m),
+                       [Stability({"i": a, "j": b}) for a, b in KRONECKER_THETAS],
+                       (5, 5)) for m in (1, 2, 3, 4)}
+    CASES["A3"] = (A3, A3_THETAS + [Stability({"1": 1, "3": -1})], (2, 2, 2))
+    CASES["D4"] = (D4, D4_THETAS + [Stability({"a": 1, "b": 1, "c": 1, "d": -1})],
+                   (2, 1, 1, 2))
+
+    @staticmethod
+    def answers(source, quiver, theta, d):
+        """mass_ss and mass_ss_closed as (num, den), then poincare and
+        betti_via_mass, None where theta(d) and dim d are not coprime."""
+        if source is hn:
+            def call(name):
+                out = getattr(hn, name)(quiver, theta, d)
+                return (out.num, out.den) if isinstance(out, RationalFunc) else out
+        else:
+            def call(name):
+                return getattr(source, name)(d)
+        out = [call("mass_ss"), call("mass_ss_closed")]
+        coprime = math.gcd(theta.value(d), d.total()) == 1
+        out += [call("poincare"), call("betti_via_mass")] if coprime else [None, None]
+        return out
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_reference(self, name):
+        # every answer equals, part for part, that of the least-common-
+        # denominator recursions, cold and on a context that served the
+        # largest d first
+        quiver, thetas, bound = self.CASES[name]
+        largest = DimVector(dict(zip(quiver.vertices, bound)))
+        dims = nonzero_below(quiver, *bound)
+        nonzero = 0
+        for theta in thetas:
+            reference = ReferenceHN(quiver, theta)
+            expected = [self.answers(reference, quiver, theta, d) for d in dims]
+            for d, want in zip(dims, expected):
+                hn.clear_caches()
+                assert self.answers(hn, quiver, theta, d) == want, (theta, d)
+                nonzero += not want[0][0].is_zero()
+            hn.clear_caches()
+            self.answers(hn, quiver, theta, largest)
+            for d, want in zip(dims, expected):
+                assert self.answers(hn, quiver, theta, d) == want, (theta, d)
+        assert nonzero >= len(thetas)
+
+
 def king_semistable(quiver, theta, d):
     """King's criterion on the general representation of dimension d: it has
     no subrepresentation of larger slope, where its subrepresentation
@@ -389,6 +439,72 @@ class TestSemistabilityThreeWays:
                 assert by_hn == (not mass_ss(quiver, theta, d).is_zero()), (values, d)
                 empty += not by_hn
         assert empty  # every case has empty loci, so the deciders are tested both ways
+
+
+def numerators(max_coeff):
+    """Nonzero numerator records (lo, co, height, length) with coefficients
+    up to max_coeff in absolute value, all positive half of the time, so
+    that no cancellation hides a digit width that is too narrow."""
+    coeffs = st.one_of(st.integers(1, max_coeff), st.integers(-max_coeff, max_coeff))
+
+    def record(args):
+        lo, co = args
+        co = [c or 1 for c in co]
+        return lo, tuple(co), max(map(abs, co)), sum(map(abs, co))
+
+    return st.tuples(st.integers(-6, 6),
+                     st.lists(coeffs, min_size=1, max_size=24)).map(record)
+
+
+def fixed_denominator(g):
+    out = LaurentPoly.one()
+    for n in g:
+        for k in range(1, n + 1):
+            out = out * LaurentPoly({k: 1, 0: -1})
+    return out
+
+
+class TestBinomialSum:
+    @settings(deadline=None, max_examples=120)
+    @given(st.data())
+    def test_matches_laurent_arithmetic(self, data):
+        # the packed convolution against plain LaurentPoly products, with
+        # B(g, e) found by exact division of the fixed denominators
+        quiver = data.draw(st.sampled_from([kronecker_quiver(2), A3]))
+        g = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(quiver.vertices),
+                                     max_size=len(quiver.vertices))))
+        parts = [e for e in product(*(range(n + 1) for n in g)) if any(e)]
+        if not parts:
+            return
+        big = data.draw(st.sampled_from([2 ** 8, 2 ** 40, 2 ** 62, 2 ** 90]))
+        terms = []
+        for j in range(data.draw(st.integers(0, 8))):
+            e = data.draw(st.sampled_from(parts))
+            q = data.draw(st.one_of(st.none(), numerators(big)))
+            terms.append((e, data.draw(st.integers(-8, 8)), ("test", j),
+                          data.draw(numerators(big)), q))
+        terms.sort(key=lambda t: t[0])
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=3)))
+        hn.clear_caches()
+        ctx = _context(quiver, Stability({}))
+        got = hn._binomial_sum(ctx, g, terms, cuts)
+        running = LaurentPoly({hn._weight_exp(ctx, g): 1})
+        sums = []
+        for j, (e, s, _, p, q) in enumerate(terms):
+            sums += [running] * cuts.count(j)
+            rest = tuple(x - y for x, y in zip(g, e))
+            binomial = fixed_denominator(g).divexact(
+                fixed_denominator(e) * fixed_denominator(rest))
+            term = binomial * LaurentPoly._of(p[0] + s, p[1])
+            if q is not None:
+                term = term * LaurentPoly._of(q[0], q[1])
+            running = running - term
+        sums += [running] * (cuts.count(len(terms)) + 1)
+        assert len(got) == len(sums)
+        for (lo, co, height, length), want in zip(got, sums):
+            assert LaurentPoly._of(lo, co) == want
+            assert (height, length) == ((max(map(abs, co)), sum(map(abs, co)))
+                                        if co else (0, 0))
 
 
 class TestCaches:

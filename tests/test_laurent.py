@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
 from quivermoduli.hn import CycloFrac
-from quivermoduli.laurent import (LaurentPoly, RationalFunc, _kronecker_mul, _lift_sum,
-                                  _pack, _unpack, cyclotomic)
+from quivermoduli.laurent import (LaurentPoly, RationalFunc, _gaussian_binomial,
+                                  _kronecker_mul, _lift_sum, _pack, _unpack, cyclotomic)
 
 from conftest import fraction_divexact
 
@@ -246,3 +247,16 @@ class TestQuantumNumbers:
             if n % d == 0:
                 prod = prod * cyclotomic(d)
         assert prod == P({12: 1, 0: -1})
+
+    def test_gaussian_binomials(self):
+        # [n choose k]_x D(k) D(n - k) = D(n) for D(n) = prod_{i <= n} (x^i - 1);
+        # it is palindromic and its value at 1 is C(n, k)
+        dens = [LaurentPoly.one()]
+        for n in range(1, 26):
+            dens.append(dens[-1] * P({n: 1, 0: -1}))
+        for n in range(26):
+            for k in range(n + 1):
+                g = LaurentPoly._of(0, _gaussian_binomial(n, k))
+                assert g * dens[k] * dens[n - k] == dens[n], (n, k)
+                assert g.co == g.co[::-1] and g.co[0] == 1
+                assert sum(g.co) == math.comb(n, k)

@@ -111,6 +111,15 @@ class TestQuiver:
         with pytest.raises(InputError):
             Quiver(["a", "a"], [])
 
+    @pytest.mark.parametrize("vertices, arrows", [
+        ([1, 2], [(1, 2)]), (["1", 2], []), (["1", "2"], [(1, "2")]),
+        (["1", "2"], [("1", 2)]), ([("a",), ("b",)], []), (["a", None], [])])
+    def test_rejects_names_that_are_not_strings(self, vertices, arrows):
+        # as Quiver.from_json does: the Python API turns no name into a
+        # string, so Quiver([1, 2], [(1, 2)]) is no quiver on "1", "2"
+        with pytest.raises(InputError, match="strings"):
+            Quiver(vertices, arrows)
+
     def test_euler_form_k3(self, k3):
         assert k3.euler(dv(i=1, j=1), dv(i=1, j=1)) == -1
         assert k3.euler(dv(i=1), dv(j=1)) == -3
