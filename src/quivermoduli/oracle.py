@@ -92,40 +92,51 @@ def _check_budget(noun, lower, upper, exact, budget):
 # ---------------------------------------------------------------------------
 # dense linear algebra mod p
 
-def _rref(rows, p):
-    """Row-reduce in place; returns (rref rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+def _echelon(rows, p):
+    """Forward elimination mod p: (echelon rows, pivot columns).  Each pivot
+    row has a leading 1 and is reduced mod p; only the entries below a pivot
+    are cleared, since a rank needs no more and a kernel back-substitutes.
+    The given rows are left as they are: a changed row is a new list."""
+    rows = list(rows)
     pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pr is None:
+    r, n = 0, len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, n):
+            x = rows[i][c] % p
+            if x:
+                break
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        top = rows[i]
+        rows[i] = rows[r]
+        inv = pow(x, p - 2, p)
+        rows[r] = top = [y * inv % p for y in top]
+        for i in range(r + 1, n):
+            f = rows[i][c] % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
-    return [rows[i] for i in range(r)], pivots
+    return rows[:r], pivots
 
 
 def _nullspace(rows, ncols, p):
-    """Basis of the right kernel of the matrix (rows over F_p)."""
-    rref, pivots = _rref(rows, p) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel of the matrix (rows over F_p): for each free
+    column, the solution that is 1 there and 0 at the other free columns."""
+    echelon, pivots = _echelon(rows, p)
+    pivot_set = set(pivots)
+    steps = list(zip(reversed(pivots), reversed(echelon)))
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [0] * ncols
         vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-rref[r][f]) % p
+        # the pivot entry is 1 and the entries before it vanish mod p
+        for c, row in steps:
+            vec[c] = -sum(map(mul, row[c + 1:], vec[c + 1:])) % p
         basis.append(vec)
     return basis
 
@@ -248,7 +259,7 @@ def hom_dim(M: FFRep, N: FFRep) -> int:
     """dim of the space of homomorphisms M -> N, by Gaussian elimination on
     the intertwining equations g_j M_a = N_a g_i."""
     rows, n, _ = _intertwining(M, N)
-    return n - len(_rref(rows, M.q)[1])
+    return n - len(_echelon(rows, M.q)[1])
 
 
 def _hom_basis(M, N):
@@ -368,14 +379,16 @@ def is_semistable(X: FFRep, theta: Stability, budget=None) -> bool:
     Only candidate subspace tuples whose dimension vector already
     destabilizes are enumerated; the rest cannot violate semistability.
     """
-    return not _has_destabilizing(X, theta, strict=True, budget=budget)
+    plan = _plan(X.quiver, theta, X.dims, X.q, True, budget)
+    return not _destabilized(X.mats, plan, X.q)
 
 
 def is_stable(X: FFRep, theta: Stability, budget=None) -> bool:
     """Every proper nonzero subrepresentation has strictly smaller slope."""
     if X.dim.is_zero():
         return False
-    return not _has_destabilizing(X, theta, strict=False, budget=budget)
+    plan = _plan(X.quiver, theta, X.dims, X.q, False, budget)
+    return not _destabilized(X.mats, plan, X.q)
 
 
 @lru_cache(maxsize=None)
@@ -395,13 +408,18 @@ def _check_subspace_budget(dims, q, budget):
                   lambda: prod(subspace_count(n, q) for n in dims), budget)
 
 
-def _has_destabilizing(X, theta, strict, budget):
+def _plan(quiver, theta, dims, q, strict, budget):
+    """The search plan of :func:`_destab_plan` for every rep of dimension
+    ``dims``, once the subspace budget admits it."""
     budget = budget if budget is not None else default_budget("subspace")
-    Q, q = X.quiver, X.q
-    _check_subspace_budget(X.dims, q, budget)
-    slots, candidates = _destab_plan(Q.arrow_pairs, theta.key(Q), X.dims, q,
-                                     strict)
-    mats = X.mats
+    _check_subspace_budget(dims, q, budget)
+    return _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict)
+
+
+def _destabilized(mats, plan, q):
+    """Whether some candidate of ``plan`` is a subrepresentation of the rep
+    with matrices ``mats``."""
+    slots, candidates = plan
     # packed images, each computed the first time a check needs it
     images = [None] * len(slots)
     for checks in candidates:
@@ -565,20 +583,32 @@ def kronecker_quadratic_form(mats, q):
             (a2, b2), (c2, d2) = mats[l]
             coeffs[(k, l)] = x = (a * d2 + a2 * d - b * c2 - b2 * c) % q
             gram[k][l] = gram[l][k] = x * inv2 % q
-    return coeffs, len(_rref(gram, q)[1])
+    return coeffs, len(_echelon(gram, q)[1])
 
 
 # ---------------------------------------------------------------------------
 # aggregate counts
 
+def _count_undestabilized(quiver, theta, d, q, budget, strict):
+    """The number of reps of R_d(F_q) with no destabilizing candidate, all
+    searched with one plan.  The plan is built at the first draw, so that
+    the rep budget refuses before the subspace budget."""
+    plan, count = None, 0
+    for X in enumerate_reps(quiver, d, q, budget):
+        if plan is None:
+            if not strict and X.dim.is_zero():
+                return 0  # the zero rep, the only one, is not stable
+            plan = _plan(quiver, theta, X.dims, q, strict, None)
+        count += not _destabilized(X.mats, plan, q)
+    return count
+
+
 def count_semistable(quiver, theta, d, q, budget=None):
-    return sum(1 for X in enumerate_reps(quiver, d, q, budget)
-               if is_semistable(X, theta))
+    return _count_undestabilized(quiver, theta, d, q, budget, strict=True)
 
 
 def count_stable(quiver, theta, d, q, budget=None):
-    return sum(1 for X in enumerate_reps(quiver, d, q, budget)
-               if is_stable(X, theta))
+    return _count_undestabilized(quiver, theta, d, q, budget, strict=False)
 
 
 def count_indecomposable(quiver, d, q, budget=None):
@@ -588,7 +618,15 @@ def count_indecomposable(quiver, d, q, budget=None):
 
 def min_generic_ext(quiver, d, e, q, budget=None):
     """min over all pairs (M, N) of dim Ext(M, N): the oracle's value of the
-    generic ext."""
+    generic ext.  The pairs, at least 2^(cells of d + cells of e), count
+    against the rep budget before any is drawn."""
+    _check_prime(q)
+    quiver.check_vector(d)
+    quiver.check_vector(e)
+    budget = budget if budget is not None else default_budget("rep")
+    cells = sum(d[s] * d[t] + e[s] * e[t] for s, t in quiver.arrows)
+    _check_budget("representation pairs", cells, lambda: cells * q.bit_length(),
+                  lambda: q ** cells, budget)
     best = None
     for M in enumerate_reps(quiver, d, q, budget):
         for N in enumerate_reps(quiver, e, q, budget):

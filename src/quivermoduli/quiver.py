@@ -269,7 +269,7 @@ class Quiver:
 class Stability:
     """Integer linear functional theta with its exact rational slope."""
 
-    __slots__ = ("theta",)
+    __slots__ = ("theta", "_keys")
 
     def __init__(self, theta):
         clean = {}
@@ -278,6 +278,9 @@ class Stability:
                 raise InputError(f"theta at {v!r} must be an integer, got {n!r}")
             clean[str(v)] = n
         object.__setattr__(self, "theta", clean)
+        # key() by vertex order: the order alone decides both the tuple and
+        # whether theta names a vertex outside it
+        object.__setattr__(self, "_keys", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Stability is immutable")
@@ -297,9 +300,13 @@ class Stability:
     def key(self, quiver):
         """theta as a tuple in the quiver's vertex order; theta must name
         only vertices of the quiver."""
-        for v in self.theta:
-            quiver.index(v)
-        return tuple(self[v] for v in quiver.vertices)
+        vertices = quiver.vertices
+        key = self._keys.get(vertices)
+        if key is None:
+            for v in self.theta:
+                quiver.index(v)
+            key = self._keys[vertices] = tuple(self[v] for v in vertices)
+        return key
 
     def to_json(self):
         return {v: n for v, n in sorted(self.theta.items())}

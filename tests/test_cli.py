@@ -386,6 +386,21 @@ class TestExitCodes:
         assert doc["error"].startswith("at least 2^")
         assert "required" not in doc
 
+    # 3^12 reps on each side, within the budget; the 3^24 pairs are not, and
+    # the generic Ext there (2) is above the bound (1) that ends the search
+    def test_generic_ext_pairs_are_budgeted(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", "generic-ext", "--quiver", K3,
+                             "--d", '{"i": 2, "j": 2}', "--e", '{"i": 2, "j": 2}',
+                             "--q", "3")
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["required"] == str(3 ** 24)
+        assert doc["budget"] == str(oracle.default_budget("rep"))
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     @pytest.mark.parametrize("key", BUDGETED)
     def test_nonpositive_budget_is_2(self, capsys, key, budget):

@@ -4,9 +4,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivermoduli import oracle
 from quivermoduli.errors import BudgetExceeded, InputError
@@ -104,6 +106,92 @@ class TestHomExt:
             hom_dim(a2_rep(a2, 2, [(0,)]), a2_rep(a2, 3, [(0,)]))
 
 
+# Reference linear algebra: full reduction to reduced row echelon form, and
+# the kernel read off it, as the oracle computed them before it switched to
+# forward elimination and back-substitution.
+
+def reference_rref(rows, p):
+    """Row-reduce in place; returns (rref rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [rows[i] for i in range(r)], pivots
+
+
+def reference_nullspace(rows, ncols, p):
+    """Basis of the right kernel of the matrix (rows over F_p)."""
+    rref, pivots = reference_rref(rows, p) if rows else ([], [])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-rref[r][f]) % p
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(rows, ncols, p): at most 6 x 8 over F_2, F_3 or F_5, with unreduced
+    and negative entries, rows that vanish mod p and rows repeating an
+    earlier one."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ncols = draw(st.integers(0, 8))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("any", "zero", "repeat")), max_size=6)):
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            entry = st.integers(-2 * p, 2 * p)
+            if kind == "zero":
+                entry = entry.map(lambda x: x * p)
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows, ncols, p
+
+
+class TestLinearAlgebraAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(matrices_mod_p())
+    def test_echelon_and_nullspace(self, case):
+        rows, ncols, p = case
+        given_rows = [list(row) for row in rows]
+        echelon, pivots = oracle._echelon(rows, p)
+        assert len(pivots) == len(reference_rref(rows, p)[1])
+        # echelon rows: reduced mod p, a leading 1 at the pivot
+        for row, c in zip(echelon, pivots):
+            assert all(0 <= x < p for x in row)
+            assert row[:c] == [0] * c and row[c] == 1
+        basis = oracle._nullspace(rows, ncols, p)
+        assert basis == reference_nullspace(rows, ncols, p)
+        for vec in basis:
+            assert all(sum(map(mul, row, vec)) % p == 0 for row in rows)
+        assert rows == given_rows
+
+    def test_hom_basis_is_the_reference_kernel(self, k2):
+        for X in enumerate_reps(k2, dv(i=1, j=2), 2):
+            rows, n, offs = oracle._intertwining(X, X)
+            assert oracle._hom_basis(X, X) == (reference_nullspace(rows, n, 2), offs)
+            assert hom_dim(X, X) == n - len(reference_rref(rows, 2)[1])
+
+
 class TestStability:
     def test_a2_semistable(self, a2, theta_i):
         iso = a2_rep(a2, 2, [(1,)])
@@ -178,6 +266,68 @@ def reference_stability(subdims, d, theta):
     slopes = [Fraction(sum(map(int.__mul__, theta, e)), sum(e)) for e in proper]
     return (all(s <= slope for s in slopes),
             any(d) and all(s < slope for s in slopes))
+
+
+def per_rep_count(check, quiver, theta, d, q):
+    return sum(check(X, theta) for X in enumerate_reps(quiver, d, q))
+
+
+# every d <= (2, 2) but K3 (2, 2) over F_3, whose 3^12 reps would take minutes
+KRONECKER_PLANS = [(m, q) for m in (1, 2, 3) for q in (2, 3)]
+
+
+class TestCountsShareOnePlan:
+    """A count searches every rep with one plan: it must equal the sum of
+    the per-rep tests, which each look the plan up."""
+
+    @pytest.mark.parametrize("m, q", KRONECKER_PLANS,
+                             ids=[f"K{m}-F{q}" for m, q in KRONECKER_PLANS])
+    def test_kronecker(self, m, q):
+        quiver = kronecker_quiver(m)
+        for d in product(range(3), repeat=2):
+            if (m, d, q) == (3, (2, 2), 3):
+                continue
+            dim = quiver.vec(d)
+            for t in ((1, 0), (0, 1), (-1, 2)):
+                self.check(quiver, Stability(dict(zip(quiver.vertices, t))), dim, q)
+
+    @pytest.mark.parametrize("q", (2, 3))
+    def test_a3(self, a3, q):
+        for d in product(range(2), repeat=3):
+            dim = a3.vec(d)
+            for t in ((1, 0, 0), (0, 0, 1), (-1, 2, 1)):
+                self.check(a3, Stability(dict(zip(a3.vertices, t))), dim, q)
+
+    @staticmethod
+    def check(quiver, theta, d, q):
+        assert count_stable(quiver, theta, d, q) == \
+            per_rep_count(is_stable, quiver, theta, d, q)
+        if d.is_zero():
+            with pytest.raises(InputError, match="zero dimension vector"):
+                count_semistable(quiver, theta, d, q)
+            with pytest.raises(InputError, match="zero dimension vector"):
+                per_rep_count(is_semistable, quiver, theta, d, q)
+        else:
+            assert count_semistable(quiver, theta, d, q) == \
+                per_rep_count(is_semistable, quiver, theta, d, q)
+
+    def test_zero_vector(self, k2, theta_i):
+        assert count_stable(k2, theta_i, dv(), 2) == 0
+        with pytest.raises(InputError, match="zero dimension vector"):
+            count_semistable(k2, theta_i, dv(), 2)
+
+    def test_rep_budget_refuses_before_subspace_budget(self, k2, theta_i,
+                                                       monkeypatch):
+        # QI_BUDGET sets both budgets: 2^8 reps and 5 * 5 subspace tuples
+        # both exceed 24
+        monkeypatch.setenv("QI_BUDGET", "24")
+        for count in (count_semistable, count_stable):
+            with pytest.raises(BudgetExceeded) as exc:
+                count(k2, theta_i, dv(i=2, j=2), 2)
+            assert str(exc.value) == "256 representations exceed the budget 24"
+            with pytest.raises(BudgetExceeded) as exc:
+                count(k2, theta_i, dv(i=2, j=2), 2, budget=256)
+            assert str(exc.value) == "25 subspace tuples exceed the budget 24"
 
 
 class TestStabilityAgainstReference:
@@ -481,6 +631,15 @@ class TestMinGenericExt:
         assert min_generic_ext(a2, dv(i=1), dv(j=1), 2) == 1
         assert min_generic_ext(a2, dv(j=1), dv(i=1), 2) == 0
         assert min_generic_ext(a2, dv(i=1, j=1), dv(i=1, j=1), 2) == 0
+
+    def test_pairs_are_budgeted(self, k2):
+        # 2^2 reps on each side, 16 pairs
+        d = dv(i=1, j=1)
+        with pytest.raises(BudgetExceeded) as exc:
+            min_generic_ext(k2, d, d, 2, budget=15)
+        assert exc.value.required == 16
+        assert str(exc.value) == "16 representation pairs exceed the budget 15"
+        assert min_generic_ext(k2, d, d, 2, budget=16) == 0
 
 
 # The oracle is the brute-force check on the symbolic code, so it must not

@@ -166,6 +166,23 @@ class TestStability:
         with pytest.raises(InputError):
             theta_i.slope(dv())
 
+    def test_key_follows_each_vertex_order(self, k2):
+        theta = Stability({"i": 1, "j": -2})
+        assert theta.key(k2) == (1, -2)
+        assert theta.key(k2) == (1, -2)
+        # topological order j, i
+        assert theta.key(Quiver(["i", "j"], [("j", "i")])) == (-2, 1)
+        assert theta.key(Quiver(["i", "j", "k"], [])) == (1, -2, 0)
+
+    def test_unknown_vertex_refused_for_every_order(self, k2):
+        theta = Stability({"i": 1, "x": 1})
+        for quiver in (k2, k2, Quiver(["j", "i"], [("j", "i")]), k2):
+            with pytest.raises(InputError):
+                theta.key(quiver)
+        assert theta.key(Quiver(["i", "x"], [])) == (1, 1)
+        with pytest.raises(InputError):
+            theta.key(k2)
+
 
 def determinant(m):
     """Laplace expansion along the first row."""
