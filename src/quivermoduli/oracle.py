@@ -225,6 +225,36 @@ def enumerate_reps(quiver, d, q, budget=None):
 # ---------------------------------------------------------------------------
 # hom and ext
 
+@lru_cache(maxsize=None)
+def _intertwining_template(arrows, d, e):
+    """Where the entries of the equations g_t M_a - N_a g_s = 0 come from,
+    for reps of dimensions ``d`` and ``e``: (unknowns, offsets, rows).  A row
+    gives, per unknown, an index into the entries of M's matrices followed by
+    the negated entries of N's and one 0."""
+    offs = []
+    n = 0
+    for dv, ev in zip(d, e):
+        offs.append(n)
+        n += ev * dv
+    size_m = sum(d[t] * d[s] for s, t in arrows)
+    zero = size_m + sum(e[t] * e[s] for s, t in arrows)
+    rows = []
+    base_m = base_n = 0
+    for s, t in arrows:
+        # entry (r, c) of the equation: r < e_t, c < d_s
+        for r in range(e[t]):
+            for c in range(d[s]):
+                row = [zero] * n
+                for k in range(d[t]):  # g_t[r][k] * Ma[k][c]
+                    row[offs[t] + r * d[t] + k] = base_m + k * d[s] + c
+                for k in range(e[s]):  # -Na[r][k] * g_s[k][c]
+                    row[offs[s] + k * d[s] + c] = size_m + base_n + r * e[s] + k
+                rows.append(tuple(row))
+        base_m += d[t] * d[s]
+        base_n += e[t] * e[s]
+    return n, tuple(offs), tuple(rows)
+
+
 def _intertwining(M, N):
     """The equations g_t M_a - N_a g_s = 0 on the unknowns g_v (e_v x d_v,
     flattened row-major in vertex order): (nonzero rows, unknowns, offsets)."""
@@ -232,26 +262,14 @@ def _intertwining(M, N):
     if (M.quiver.vertices, M.quiver.arrows, M.q) != \
             (N.quiver.vertices, N.quiver.arrows, N.q):
         raise InputError("representations live over different quivers or fields")
-    p, d, e = M.q, M.dims, N.dims
-    offs = []
-    n = 0
-    for dv, ev in zip(d, e):
-        offs.append(n)
-        n += ev * dv
-    rows = []
-    for (s, t), Ma, Na in zip(M.quiver.arrow_pairs, M.mats, N.mats):
-        # entry (r, c) of the equation: r < e_t, c < d_s
-        for r in range(e[t]):
-            for c in range(d[s]):
-                row = [0] * n
-                for k in range(d[t]):  # g_t[r][k] * Ma[k][c]
-                    i = offs[t] + r * d[t] + k
-                    row[i] = (row[i] + Ma[k][c]) % p
-                for k in range(e[s]):  # -Na[r][k] * g_s[k][c]
-                    i = offs[s] + k * d[s] + c
-                    row[i] = (row[i] - Na[r][k]) % p
-                if any(row):
-                    rows.append(row)
+    p = M.q
+    n, offs, template = _intertwining_template(M.quiver.arrow_pairs, M.dims, N.dims)
+    # the entries are reduced mod p, and no unknown meets both M and N
+    entries = [x for m in M.mats for row in m for x in row]
+    entries += [-x % p for m in N.mats for row in m for x in row]
+    entries.append(0)
+    get = entries.__getitem__
+    rows = [row for row in (list(map(get, src)) for src in template) if any(row)]
     return rows, n, offs
 
 
@@ -342,16 +360,28 @@ def _member_spaces(n, r, q):
     return tuple(out)
 
 
+# A plan tabulates its arrows only while every (source, target) table has at
+# most this many entries, q^(d_s d_t) matrices times the candidates.
+_TABLE_CAP = 2 ** 16
+
+
 @lru_cache(maxsize=None)
-def _destab_plan(arrows, tkey, dims, q, strict):
+def _destab_plan(arrows, tkey, dims, q, strict, cap):
     """The rep-independent part of the search for destabilizing subspace
-    tuples: (slots, candidates).
+    tuples: (slots, candidates, tables).
 
     ``arrows`` are (source, target) vertex-index pairs, ``tkey`` is theta in
     vertex order.  ``slots`` lists the (arrow, source basis vector) pairs
     whose images some check needs.  A candidate is a tuple of (slot, target
     members) checks, met iff every image lies in its target; checks that
-    always pass (zero source, whole target) are left out.
+    always pass (zero source, whole target) are left out.  A candidate with
+    no checks left destabilizes every rep, and is then the only one kept.
+
+    ``tables`` is None, or one dict per arrow from each d_t x d_s matrix to
+    the bitmask of the candidates whose checks on that arrow it passes (bit
+    i for candidate i); parallel arrows share one.  There are tables only
+    when every arrow has a parallel one, so that each table serves several
+    lookups per rep, and each has at most ``cap`` matrices times candidates.
     """
     value, size = sum(map(mul, tkey, dims)), sum(dims)
     if not size:
@@ -370,7 +400,48 @@ def _destab_plan(arrows, tkey, dims, q, strict):
                 (slot_of.setdefault((a, vec), len(slot_of)), combo[t][1])
                 for a, (s, t) in enumerate(arrows) if combo[t][1] is not None
                 for vec in combo[s][0]))
-    return tuple(slot_of), tuple(candidates)
+    if () in candidates:
+        # a candidate without checks is a subrepresentation of every rep
+        return (), ((),), None
+    slots = tuple(slot_of)
+    tables = None
+    pairs = set(arrows)
+    if arrows and all(arrows.count((s, t)) > 1
+                      and q ** (dims[s] * dims[t]) * len(candidates) <= cap
+                      for s, t in pairs):
+        by_pair = {(s, t): _mask_table(slots, candidates, arrows.index((s, t)),
+                                       dims[t], dims[s], q)
+                   for s, t in pairs}
+        tables = tuple(map(by_pair.__getitem__, arrows))
+    return slots, tuple(candidates), tables
+
+
+def _mask_table(slots, candidates, arrow, rows, cols, q):
+    """For every rows x cols matrix over F_q, the bitmask of the candidates
+    whose checks on ``arrow`` it passes."""
+    # (source vector, target members) -> bits of the candidates checking it
+    needs = {}
+    for i, checks in enumerate(candidates):
+        for k, members in checks:
+            a, vec = slots[k]
+            if a == arrow:
+                key = (vec, members)
+                needs[key] = needs.get(key, 0) | 1 << i
+    by_vec = {}
+    for (vec, members), bits in needs.items():
+        by_vec.setdefault(vec, []).append((members, bits))
+    full = (1 << len(candidates)) - 1
+    table = {}
+    for flat in product(range(q), repeat=rows * cols):
+        m = tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+        failed = 0
+        for vec, tests in by_vec.items():
+            img = _image(m, vec, q)
+            for members, bits in tests:
+                if img not in members:
+                    failed |= bits
+        table[m] = full & ~failed
+    return table
 
 
 def is_semistable(X: FFRep, theta: Stability, budget=None) -> bool:
@@ -413,13 +484,23 @@ def _plan(quiver, theta, dims, q, strict, budget):
     ``dims``, once the subspace budget admits it."""
     budget = budget if budget is not None else default_budget("subspace")
     _check_subspace_budget(dims, q, budget)
-    return _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict)
+    return _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict,
+                        _TABLE_CAP)
 
 
 def _destabilized(mats, plan, q):
     """Whether some candidate of ``plan`` is a subrepresentation of the rep
     with matrices ``mats``."""
-    slots, candidates = plan
+    slots, candidates, tables = plan
+    if tables is not None:
+        # a plan has tables only if it has arrows: the first lookup bounds
+        # the mask by the candidates
+        mask = -1
+        for table, m in zip(tables, mats):
+            mask &= table[m]
+            if not mask:
+                return False
+        return True
     # packed images, each computed the first time a check needs it
     images = [None] * len(slots)
     for checks in candidates:
@@ -517,6 +598,13 @@ def has_comp_series(X: FFRep, word) -> bool:
     word = tuple(str(x) for x in word)
     for x in word:
         X.quiver.index(x)
+    return _has_comp_series(X, word, None)
+
+
+def _has_comp_series(X, word, budget):
+    """:func:`has_comp_series` on a checked word.  ``budget`` is the subspace
+    budget, read at the first level that needs it when None and passed
+    down."""
     if len(word) != X.dim.total():
         return False
     if not word:
@@ -530,13 +618,14 @@ def has_comp_series(X: FFRep, word) -> bool:
     # have q^(n - 1) members each, at least 2^(2n - 2) and at most
     # q^(2n - 1) in all; refuse before building them.
     q = X.q
+    if budget is None:
+        budget = default_budget("subspace")
     _check_budget("hyperplane members", 2 * n - 2,
                   lambda: (2 * n - 1) * q.bit_length(),
-                  lambda: (q ** n - 1) // (q - 1) * q ** (n - 1),
-                  default_budget("subspace"))
+                  lambda: (q ** n - 1) // (q - 1) * q ** (n - 1), budget)
     for rows, members in _member_spaces(n, n - 1, q):
         sub = _restrict(X, h, rows, members)
-        if sub is not None and has_comp_series(sub, word[1:]):
+        if sub is not None and _has_comp_series(sub, word[1:], budget):
             return True
     return False
 
@@ -545,13 +634,21 @@ def comp_series_point_set(quiver, word, q, budget=None):
     """All representations of the word's weight admitting a composition
     series of that type; the oracle's version of the stratum closure
     question."""
+    word = tuple(map(str, word))
     weight = {}
-    for x in map(str, word):
+    for x in word:
         quiver.index(x)
         weight[x] = weight.get(x, 0) + 1
     d = DimVector(weight)
-    return frozenset(X for X in enumerate_reps(quiver, d, q, budget)
-                     if has_comp_series(X, word))
+    limit, points = None, []
+    for X in enumerate_reps(quiver, d, q, budget):
+        # read at the first draw, after the rep budget: every rep of a
+        # nonempty word reaches the first hyperplane check
+        if limit is None and word:
+            limit = default_budget("subspace")
+        if _has_comp_series(X, word, limit):
+            points.append(X)
+    return frozenset(points)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +709,16 @@ def count_stable(quiver, theta, d, q, budget=None):
 
 
 def count_indecomposable(quiver, d, q, budget=None):
-    return sum(1 for X in enumerate_reps(quiver, d, q, budget)
-               if is_indecomposable(X))
+    """The indecomposable reps of R_d(F_q).  The End budget is read once, at
+    the first draw, so that the rep budget refuses first."""
+    end, count = None, 0
+    for X in enumerate_reps(quiver, d, q, budget):
+        if end is None:
+            if X.dim.is_zero():
+                return 0  # the zero rep, the only one, is decomposable
+            end = default_budget("end")
+        count += is_indecomposable(X, end)
+    return count
 
 
 def min_generic_ext(quiver, d, e, q, budget=None):

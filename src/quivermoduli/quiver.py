@@ -205,14 +205,19 @@ class Quiver:
         return self._arrow_counts.get((s, t), 0)
 
     def check_vector(self, d):
-        if not set(d.support()) <= set(self.vertices):
-            extra = sorted(set(d.support()) - set(self.vertices))
-            raise InputError(f"dimension vector mentions unknown vertices {extra}")
+        """Refuse a dimension vector with a nonzero entry at an unknown
+        vertex; a zero entry there is accepted."""
+        entries = d._entries
+        if not entries.keys() <= self._index.keys():
+            extra = sorted(v for v, n in entries.items() if n and v not in self._index)
+            if extra:
+                raise InputError(f"dimension vector mentions unknown vertices {extra}")
 
     def tup(self, d):
         """Dimension vector as a tuple in the canonical vertex order."""
         self.check_vector(d)
-        return tuple(d[v] for v in self.vertices)
+        get = d._entries.get
+        return tuple([get(v, 0) for v in self.vertices])
 
     def vec(self, t):
         return DimVector(dict(zip(self.vertices, t)))

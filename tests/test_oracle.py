@@ -192,6 +192,56 @@ class TestLinearAlgebraAgainstReference:
             assert hom_dim(X, X) == n - len(reference_rref(rows, 2)[1])
 
 
+def reference_intertwining(M, N):
+    """The intertwining equations built entry by entry, as the oracle built
+    them before it filled a cached template."""
+    p, d, e = M.q, M.dims, N.dims
+    offs = []
+    n = 0
+    for dv_, ev in zip(d, e):
+        offs.append(n)
+        n += ev * dv_
+    rows = []
+    for (s, t), Ma, Na in zip(M.quiver.arrow_pairs, M.mats, N.mats):
+        for r in range(e[t]):
+            for c in range(d[s]):
+                row = [0] * n
+                for k in range(d[t]):
+                    i = offs[t] + r * d[t] + k
+                    row[i] = (row[i] + Ma[k][c]) % p
+                for k in range(e[s]):
+                    i = offs[s] + k * d[s] + c
+                    row[i] = (row[i] - Na[r][k]) % p
+                if any(row):
+                    rows.append(row)
+    return rows, n, offs
+
+
+class TestIntertwiningTemplate:
+    @pytest.mark.parametrize("quiver", [
+        kronecker_quiver(2), kronecker_quiver(3),
+        Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")]),
+        Quiver(["i", "j", "k"], [("j", "k"), ("i", "j"), ("i", "k"), ("i", "j")]),
+    ], ids=["K2", "K3", "A3", "mixed"])
+    def test_rows_are_the_reference_rows(self, quiver):
+        rng = random.Random(str(quiver))
+        for _ in range(150):
+            q = rng.choice((2, 3, 5))
+            reps = []
+            for _ in range(2):
+                d = [rng.randrange(3) for _ in quiver.vertices]
+                mats = [[[rng.randrange(q) for _ in range(d[s])] for _ in range(d[t])]
+                        for s, t in quiver.arrow_pairs]
+                reps.append(FFRep(quiver, q, quiver.vec(d), mats))
+            M, N = reps
+            rows, n, offs = oracle._intertwining(M, N)
+            expected = reference_intertwining(M, N)
+            assert (rows, n, list(offs)) == expected
+            assert oracle._hom_basis(M, N) == \
+                (reference_nullspace(expected[0], n, q), offs)
+            assert hom_dim(M, N) == n - len(reference_rref(expected[0], q)[1])
+
+
 class TestStability:
     def test_a2_semistable(self, a2, theta_i):
         iso = a2_rep(a2, 2, [(1,)])
@@ -379,6 +429,109 @@ class TestStabilityAgainstReference:
         assert exc.value.required == 3583232 ** 2
 
 
+THETAS_2 = ((1, 0), (0, 1), (-1, 2))
+
+
+def some_reps(quiver, d, q, limit=3 ** 8, samples=1000):
+    """Every rep of dimension ``d`` when there are at most ``limit``, else
+    the zero rep and a seeded sample."""
+    dim = quiver.vec(d)
+    if rep_count(quiver, dim, q) <= limit:
+        return list(enumerate_reps(quiver, dim, q))
+    rng = random.Random(f"{quiver}{d}{q}")
+    shapes = [(d[t], d[s]) for s, t in quiver.arrow_pairs]
+    return [FFRep(quiver, q, dim, [[[rng.randrange(q) * bool(k) for _ in range(c)]
+                                    for _ in range(r)] for r, c in shapes])
+            for k in range(samples)]
+
+
+def stability_answers(quiver, reps, thetas):
+    thetas = [Stability(dict(zip(quiver.vertices, t))) for t in thetas]
+    return [(is_semistable(X, theta), is_stable(X, theta))
+            for X in reps for theta in thetas]
+
+
+def plan_of(quiver, t, d, q, strict=True):
+    theta = Stability(dict(zip(quiver.vertices, t)))
+    return oracle._plan(quiver, theta, d, q, strict, None)
+
+
+class TestPlanRegimes:
+    """A plan looks up one candidate mask per arrow when every arrow has a
+    parallel one and its tables are small, and searches the candidates
+    otherwise.  With the cap at 0 every plan searches: both must answer
+    alike."""
+
+    @pytest.mark.parametrize("m, q", [(m, q) for m in (2, 3, 4) for q in (2, 3)])
+    def test_tables_agree_with_search(self, m, q, monkeypatch):
+        quiver = kronecker_quiver(m)
+        # every rep, but a sample of K3 (2, 2) over F_3 and K4 (2, 2)
+        reps = [X for d in product(range(3), repeat=2) if any(d)
+                for X in some_reps(quiver, d, q)]
+        tabulated = stability_answers(quiver, reps, THETAS_2)
+        for strict in (True, False):
+            assert plan_of(quiver, (1, 0), (2, 2), q, strict)[2] is not None
+            # the subrep (0, 1) destabilizes every rep: one candidate, no checks
+            assert plan_of(quiver, (0, 1), (2, 2), q, strict)[1:] == (((),), None)
+        monkeypatch.setattr(oracle, "_TABLE_CAP", 0)
+        assert plan_of(quiver, (1, 0), (2, 2), q)[2] is None
+        assert stability_answers(quiver, reps, THETAS_2) == tabulated
+
+    @pytest.mark.parametrize("arrows", [
+        [("i", "j"), ("i", "j"), ("j", "k")],
+        [("j", "k"), ("i", "j"), ("i", "j")],
+        [("i", "j"), ("j", "k"), ("i", "j"), ("j", "k")],
+        [("j", "k"), ("j", "k"), ("i", "j"), ("i", "j")],
+    ], ids=["ij-ij-jk", "jk-ij-ij", "ij-jk-ij-jk", "jk-jk-ij-ij"])
+    def test_mixed_arrows_against_reference(self, arrows, monkeypatch):
+        # i => j -> k searches, for its single arrow; i => j => k tabulates
+        quiver = Quiver(["i", "j", "k"], arrows)
+        parallel = all(arrows.count(a) > 1 for a in arrows)
+        thetas = ((1, 0, 0), (0, 0, 1), (-1, 2, 1), (2, 1, 0))
+        for d, q in (((1, 1, 1), 3), ((1, 2, 1), 2), ((2, 1, 1), 2)):
+            reps = list(enumerate_reps(quiver, quiver.vec(d), q))
+            expected = []
+            for X in reps:
+                subdims = reference_subrep_dims(X)
+                expected += [reference_stability(subdims, d, t) for t in thetas]
+            assert stability_answers(quiver, reps, thetas) == expected
+            for t in thetas:
+                plan = plan_of(quiver, t, d, q)
+                if plan[1] != ((),):
+                    assert (plan[2] is not None) == parallel
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_TABLE_CAP", 0)
+                assert stability_answers(quiver, reps, thetas) == expected
+
+    def test_tables_stay_under_the_cap(self):
+        cap, tabulated = oracle._TABLE_CAP, 0
+        for m, q in product((2, 3), (2, 3)):
+            quiver = kronecker_quiver(m)
+            for d in product(range(4), repeat=2):
+                if not any(d):
+                    continue
+                for t, strict in product(THETAS_2, (True, False)):
+                    key = (quiver.arrow_pairs, t, d, q, strict, cap)
+                    slots, candidates, tables = oracle._destab_plan.__wrapped__(*key)
+                    if tables is None:
+                        continue
+                    tabulated += 1
+                    table = tables[0]
+                    # one table, shared by the parallel arrows, with every
+                    # matrix, built whole from the plan key alone
+                    assert all(x is table for x in tables)
+                    assert len(table) == q ** (d[0] * d[1])
+                    assert len(table) * len(candidates) <= cap
+                    assert all(0 <= mask < 1 << len(candidates)
+                               for mask in table.values())
+                    assert oracle._destab_plan.__wrapped__(*key)[2] == tables
+        assert tabulated > 100
+        # 3^9 matrices times hundreds of candidates: K2 (3, 3) over F_3
+        # stays on the search
+        for t, strict in product(THETAS_2, (True, False)):
+            assert plan_of(kronecker_quiver(2), t, (3, 3), 3, strict)[2] is None
+
+
 def reference_comp_series(X, word):
     """A chain of subreps from X down to 0 whose k-th quotient is the simple
     rep at word[k]."""
@@ -520,6 +673,63 @@ class TestArrowOrder:
         assert X != Y and len({X, Y}) == 2
         again = FFRep(self.a, 3, dim, [[[1]], [[1]], [[0]]])
         assert X == again and hash(X) == hash(again)
+
+
+class TestBudgetsReadOnce:
+    def test_each_budget_once_per_public_call(self, k2, a3, monkeypatch):
+        reads = []
+        read = oracle.default_budget
+
+        def spy(kind="rep"):
+            reads.append(kind)
+            return read(kind)
+
+        monkeypatch.setattr(oracle, "default_budget", spy)
+        assert count_indecomposable(k2, dv(i=1, j=2), 3) == \
+            sum(map(is_indecomposable, enumerate_reps(k2, dv(i=1, j=2), 3)))
+        reads.clear()
+        count_indecomposable(k2, dv(i=1, j=2), 3)
+        assert reads == ["rep", "end"]
+        reads.clear()
+        points = oracle.comp_series_point_set(a3, ["3", "2", "1"], 2)
+        assert reads == ["rep", "subspace"]
+        reads.clear()
+        X = next(iter(points))
+        assert has_comp_series(X, ["3", "2", "1"])
+        assert reads == ["subspace"]
+
+    def test_refusals_keep_their_order(self, k2, monkeypatch):
+        monkeypatch.setenv("QI_BUDGET", "many")
+        # an explicit rep budget refuses before the bad variable is read
+        with pytest.raises(BudgetExceeded, match="256 representations"):
+            count_indecomposable(k2, dv(i=2, j=2), 2, budget=10)
+        with pytest.raises(BudgetExceeded, match="256 representations"):
+            oracle.comp_series_point_set(k2, ["j", "j", "i", "i"], 2, budget=10)
+        # nothing reads it for the zero vector
+        assert count_indecomposable(k2, dv(), 2, budget=10) == 0
+        assert len(oracle.comp_series_point_set(k2, [], 2, budget=10)) == 1
+        for call in (lambda: count_indecomposable(k2, dv(i=1, j=1), 2, budget=10),
+                     lambda: oracle.comp_series_point_set(k2, ["j", "i"], 2, budget=10)):
+            with pytest.raises(InputError, match="QI_BUDGET must be an integer"):
+                call()
+
+    def test_budget_refusals_are_unchanged(self, k2, monkeypatch):
+        monkeypatch.setenv("QI_BUDGET", "8")
+        with pytest.raises(BudgetExceeded) as exc:
+            count_indecomposable(k2, dv(i=1, j=2), 2)
+        assert str(exc.value) == "16 representations exceed the budget 8"
+        monkeypatch.setenv("QI_BUDGET", "40")
+        # the zero rep of (2, 2) over F_2: End has dimension 8
+        with pytest.raises(BudgetExceeded) as exc:
+            count_indecomposable(k2, dv(i=2, j=2), 2, budget=256)
+        assert (exc.value.required, exc.value.budget) == (2 ** 8, 40)
+        assert str(exc.value) == "|End| = 2^8 exceeds the budget 40"
+        # the first hyperplane level of (0, 4) over F_2 has 15 * 8 members
+        monkeypatch.setenv("QI_BUDGET", "100")
+        with pytest.raises(BudgetExceeded) as exc:
+            oracle.comp_series_point_set(k2, ["j"] * 4, 2)
+        assert (exc.value.required, exc.value.budget) == (120, 100)
+        assert str(exc.value) == "120 hyperplane members exceed the budget 100"
 
 
 class TestIndecomposable:

@@ -111,6 +111,21 @@ class TestQuiver:
         with pytest.raises(InputError):
             Quiver(["a", "a"], [])
 
+    def test_vector_check_and_tuple(self, a3):
+        # entries at unknown vertices: refused when nonzero, named in
+        # sorted order; accepted when zero
+        with pytest.raises(InputError) as exc:
+            a3.tup(DimVector({"2": 1, "z": 2, "x": 1, "y": 0}))
+        assert str(exc.value) == "dimension vector mentions unknown vertices ['x', 'z']"
+        with pytest.raises(InputError, match=r"unknown vertices \['x'\]"):
+            a3.check_vector(DimVector({"x": 3}))
+        assert a3.tup(DimVector({"3": 2, "x": 0, "1": 1})) == (1, 0, 2)
+        assert a3.tup(DimVector({})) == (0, 0, 0)
+        a3.check_vector(DimVector({"y": 0}))
+        # the tuple follows the topological order, not the listed one
+        q = Quiver(["b", "a"], [("a", "b")])
+        assert q.tup(DimVector({"a": 1, "b": 2})) == (1, 2)
+
     @pytest.mark.parametrize("vertices, arrows", [
         ([1, 2], [(1, 2)]), (["1", 2], []), (["1", "2"], [(1, "2")]),
         (["1", "2"], [("1", 2)]), ([("a",), ("b",)], []), (["a", None], [])])
