@@ -366,7 +366,7 @@ _TABLE_CAP = 2 ** 16
 
 
 @lru_cache(maxsize=None)
-def _destab_plan(arrows, tkey, dims, q, strict, cap):
+def _destab_plan(arrows, tkey, dims, q, strict):
     """The rep-independent part of the search for destabilizing subspace
     tuples: (slots, candidates, tables).
 
@@ -375,13 +375,15 @@ def _destab_plan(arrows, tkey, dims, q, strict, cap):
     whose images some check needs.  A candidate is a tuple of (slot, target
     members) checks, met iff every image lies in its target; checks that
     always pass (zero source, whole target) are left out.  A candidate with
-    no checks left destabilizes every rep, and is then the only one kept.
+    no checks left destabilizes every rep, and is then the only one kept;
+    with no candidates at all nothing destabilizes.
 
     ``tables`` is None, or one dict per arrow from each d_t x d_s matrix to
     the bitmask of the candidates whose checks on that arrow it passes (bit
     i for candidate i); parallel arrows share one.  There are tables only
-    when every arrow has a parallel one, so that each table serves several
-    lookups per rep, and each has at most ``cap`` matrices times candidates.
+    when there are candidates and every arrow has a parallel one, so that
+    each table serves several lookups per rep, and each has at most
+    ``_TABLE_CAP`` matrices times candidates.
     """
     value, size = sum(map(mul, tkey, dims)), sum(dims)
     if not size:
@@ -400,6 +402,10 @@ def _destab_plan(arrows, tkey, dims, q, strict, cap):
                 (slot_of.setdefault((a, vec), len(slot_of)), combo[t][1])
                 for a, (s, t) in enumerate(arrows) if combo[t][1] is not None
                 for vec in combo[s][0]))
+    if not candidates:
+        # no dimension vector destabilizes (say theta gives every vector one
+        # slope): no table, whose matrices would escape every budget
+        return (), (), None
     if () in candidates:
         # a candidate without checks is a subrepresentation of every rep
         return (), ((),), None
@@ -407,7 +413,7 @@ def _destab_plan(arrows, tkey, dims, q, strict, cap):
     tables = None
     pairs = set(arrows)
     if arrows and all(arrows.count((s, t)) > 1
-                      and q ** (dims[s] * dims[t]) * len(candidates) <= cap
+                      and q ** (dims[s] * dims[t]) * len(candidates) <= _TABLE_CAP
                       for s, t in pairs):
         by_pair = {(s, t): _mask_table(slots, candidates, arrows.index((s, t)),
                                        dims[t], dims[s], q)
@@ -484,8 +490,7 @@ def _plan(quiver, theta, dims, q, strict, budget):
     ``dims``, once the subspace budget admits it."""
     budget = budget if budget is not None else default_budget("subspace")
     _check_subspace_budget(dims, q, budget)
-    return _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict,
-                        _TABLE_CAP)
+    return _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict)
 
 
 def _destabilized(mats, plan, q):

@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
@@ -456,6 +457,20 @@ def plan_of(quiver, t, d, q, strict=True):
     return oracle._plan(quiver, theta, d, q, strict, None)
 
 
+@contextmanager
+def search_plans_only():
+    """Plans built inside search their candidates: the cap is 0, and the
+    plans cached under the real cap are dropped on the way in and out."""
+    cap = oracle._TABLE_CAP
+    oracle._destab_plan.cache_clear()
+    oracle._TABLE_CAP = 0
+    try:
+        yield
+    finally:
+        oracle._TABLE_CAP = cap
+        oracle._destab_plan.cache_clear()
+
+
 class TestPlanRegimes:
     """A plan looks up one candidate mask per arrow when every arrow has a
     parallel one and its tables are small, and searches the candidates
@@ -463,7 +478,7 @@ class TestPlanRegimes:
     alike."""
 
     @pytest.mark.parametrize("m, q", [(m, q) for m in (2, 3, 4) for q in (2, 3)])
-    def test_tables_agree_with_search(self, m, q, monkeypatch):
+    def test_tables_agree_with_search(self, m, q):
         quiver = kronecker_quiver(m)
         # every rep, but a sample of K3 (2, 2) over F_3 and K4 (2, 2)
         reps = [X for d in product(range(3), repeat=2) if any(d)
@@ -473,9 +488,10 @@ class TestPlanRegimes:
             assert plan_of(quiver, (1, 0), (2, 2), q, strict)[2] is not None
             # the subrep (0, 1) destabilizes every rep: one candidate, no checks
             assert plan_of(quiver, (0, 1), (2, 2), q, strict)[1:] == (((),), None)
-        monkeypatch.setattr(oracle, "_TABLE_CAP", 0)
-        assert plan_of(quiver, (1, 0), (2, 2), q)[2] is None
-        assert stability_answers(quiver, reps, THETAS_2) == tabulated
+        with search_plans_only():
+            assert plan_of(quiver, (1, 0), (2, 2), q)[2] is None
+            assert stability_answers(quiver, reps, THETAS_2) == tabulated
+        assert plan_of(quiver, (1, 0), (2, 2), q)[2] is not None
 
     @pytest.mark.parametrize("arrows", [
         [("i", "j"), ("i", "j"), ("j", "k")],
@@ -483,7 +499,7 @@ class TestPlanRegimes:
         [("i", "j"), ("j", "k"), ("i", "j"), ("j", "k")],
         [("j", "k"), ("j", "k"), ("i", "j"), ("i", "j")],
     ], ids=["ij-ij-jk", "jk-ij-ij", "ij-jk-ij-jk", "jk-jk-ij-ij"])
-    def test_mixed_arrows_against_reference(self, arrows, monkeypatch):
+    def test_mixed_arrows_against_reference(self, arrows):
         # i => j -> k searches, for its single arrow; i => j => k tabulates
         quiver = Quiver(["i", "j", "k"], arrows)
         parallel = all(arrows.count(a) > 1 for a in arrows)
@@ -499,8 +515,7 @@ class TestPlanRegimes:
                 plan = plan_of(quiver, t, d, q)
                 if plan[1] != ((),):
                     assert (plan[2] is not None) == parallel
-            with monkeypatch.context() as patch:
-                patch.setattr(oracle, "_TABLE_CAP", 0)
+            with search_plans_only():
                 assert stability_answers(quiver, reps, thetas) == expected
 
     def test_tables_stay_under_the_cap(self):
@@ -511,7 +526,7 @@ class TestPlanRegimes:
                 if not any(d):
                     continue
                 for t, strict in product(THETAS_2, (True, False)):
-                    key = (quiver.arrow_pairs, t, d, q, strict, cap)
+                    key = (quiver.arrow_pairs, t, d, q, strict)
                     slots, candidates, tables = oracle._destab_plan.__wrapped__(*key)
                     if tables is None:
                         continue
@@ -521,15 +536,31 @@ class TestPlanRegimes:
                     # matrix, built whole from the plan key alone
                     assert all(x is table for x in tables)
                     assert len(table) == q ** (d[0] * d[1])
-                    assert len(table) * len(candidates) <= cap
+                    assert 0 < len(table) * len(candidates) <= cap
                     assert all(0 <= mask < 1 << len(candidates)
                                for mask in table.values())
                     assert oracle._destab_plan.__wrapped__(*key)[2] == tables
-        assert tabulated > 100
+        # 66 plans: those without candidates carry no table
+        assert tabulated > 60
         # 3^9 matrices times hundreds of candidates: K2 (3, 3) over F_3
         # stays on the search
         for t, strict in product(THETAS_2, (True, False)):
             assert plan_of(kronecker_quiver(2), t, (3, 3), 3, strict)[2] is None
+
+    @pytest.mark.parametrize("theta", [{}, {"i": 1, "j": 1}], ids=["zero", "11"])
+    def test_no_candidates_no_tables(self, theta):
+        # every vector has one slope: no candidate destabilizes, and no
+        # table of the 2^25 matrices of K2 (5, 5) over F_2 is built
+        quiver = kronecker_quiver(2)
+        t = Stability(theta).key(quiver)
+        # (2, 2) first, so that a plan which tabulates fails here cheaply
+        assert plan_of(quiver, t, (2, 2), 2) == ((), (), None)
+        rng = random.Random(5)
+        mats = [[tuple(rng.randrange(2) for _ in range(5)) for _ in range(5)]
+                for _ in range(2)]
+        X = FFRep(quiver, 2, quiver.vec((5, 5)), mats)
+        assert is_semistable(X, Stability(theta))
+        assert plan_of(quiver, t, (5, 5), 2) == ((), (), None)
 
 
 def reference_comp_series(X, word):
