@@ -34,8 +34,10 @@ computes each X(e, f) once (see the comment above the HN recursion).
 
 Below the public functions, everything runs on integer tuples in vertex
 order against the context of (quiver, theta), in the one store it shares
-with ``generic``; slopes are reduced (theta(e), dim e) pairs compared by
-cross-multiplying.  Each quantity of a dimension vector g in either sum is
+with ``generic``; slopes are reduced (theta(e), dim e) pairs.  A cold query
+for d builds one slope table, which lives as long as the call: the slope
+rank of each e <= d and, for each h <= d, the set of ranks below h, so both
+sums compare slopes as integer ranks.  Each quantity of a dimension vector g in either sum is
 kept as an integer numerator over one fixed denominator,
 
     D(g) = prod_i prod_{k <= g_i} (x^k - 1) = |G_g| / q^(sum_i C(g_i, 2)),
@@ -45,8 +47,9 @@ which every term of the sums for g divides (Reineke, Invent. Math. 152,
 convolution with the Gaussian binomials B(g, e) = D(g) / (D(e) D(g - e)):
 its terms are packed into big integers at one digit width, proven from a
 bound, added and unpacked once (see ``laurent``).  Only a final result
-becomes a CycloFrac over D(d), reduced by integer trial division through
-cyclotomic polynomials.
+becomes a CycloFrac over D(d), reduced by exact division through whole
+binomials x^k - 1 first and through cyclotomic polynomials only where a
+binomial fails.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import chain
 from operator import itemgetter, mul, neg
 
@@ -188,22 +190,34 @@ class CycloFrac:
     def reduce(self) -> RationalFunc:
         """Cancel and return the canonical rational function.
 
-        Each x^e - 1 factors into cyclotomics; exact trial division strips
-        every shared cyclotomic from the numerator.  The gcd of what is left
-        is 1: each cyclotomic left in the denominator is irreducible and
-        failed trial division (over Z, which for a monic divisor is the same
-        as over Q), and the denominator, a product of monic factors with
-        nonzero constant term, is already in canonical form.  So the result
-        is canonical by construction, and no gcd is ever taken.
+        Exact division first strips whole factors x^e - 1 while they divide
+        the numerator, each a division with a one-term tail.  Each factor
+        that fails splits into cyclotomics, and trial division strips every
+        shared cyclotomic that is left.  Either way each cyclotomic is taken
+        out min(multiplicity, valuation) times, and a Betti polynomial needs
+        no cyclotomic at all.  The gcd of what is left is 1: each cyclotomic
+        left in the denominator is irreducible and failed trial division
+        (over Z, which for a monic divisor is the same as over Q), and the
+        denominator, a product of monic factors with nonzero constant term,
+        is already in canonical form.  So the result is canonical by
+        construction, and no gcd is ever taken.
         """
         if self.is_zero():
             return RationalFunc.zero()
-        cyc = {}
-        for e, m in self.den.items():
-            for n in range(1, e + 1):
-                if e % n == 0:
-                    cyc[n] = cyc.get(n, 0) + m
         co = self.co
+        cyc = {}
+        for e, m in sorted(self.den.items(), reverse=True):
+            binomial = (-1,) + (0,) * (e - 1) + (1,)
+            while m:
+                q = _divexact(co, binomial)
+                if q is None:
+                    break
+                co = q
+                m -= 1
+            if m:
+                for n in range(1, e + 1):
+                    if e % n == 0:
+                        cyc[n] = cyc.get(n, 0) + m
         for n in sorted(cyc):
             divisor = cyclotomic(n).co
             while cyc[n]:
@@ -462,6 +476,74 @@ def _fraction(g, numerator):
 
 
 # ---------------------------------------------------------------------------
+# the slope table of one query
+
+class _SlopeTable:
+    """The slopes below the top-level d of one query.  It is built on the
+    query's first memo miss and dropped when the public call returns; the
+    memo keeps slopes as reduced pairs, which outlive any one table.
+
+    ``slopes`` holds the distinct slopes of 0 < e <= d in descending order
+    and ``rank[e]`` the index of mu(e) there, so a smaller rank is a steeper
+    slope.  ``below[h]`` is the set of ranks of 0 < e <= h, for 0 <= h <= d,
+    as a bitmask: the rank of h and the sets of each h minus a unit vector.
+    ``weight[e]`` is the exponent of w(e) over D(e), kept for the resolved
+    sum only."""
+
+    __slots__ = ("top", "slopes", "index", "rank", "below", "weight")
+
+    def __init__(self, ctx, top, weights=False):
+        self.top = top
+        mu = {e: ctx.slope(e) for e in _below(top)}
+        distinct = set(mu.values())
+        # n / m sorts as n (scale / m), for a common multiple scale of the m
+        scale = math.lcm(*(m for _, m in distinct))
+        self.slopes = sorted(distinct, key=lambda s: -s[0] * (scale // s[1]))
+        self.index = {s: r for r, s in enumerate(self.slopes)}
+        self.rank = rank = {e: self.index[s] for e, s in mu.items()}
+        self.below = below = {(0,) * len(top): 0}
+        for h, r in rank.items():  # lexicographic, so each h - unit comes first
+            mask = 1 << r
+            for i, n in enumerate(h):
+                if n:
+                    mask |= below[h[:i] + (n - 1,) + h[i + 1:]]
+            below[h] = mask
+        self.weight = {e: _weight_exp(ctx, e) for e in rank} if weights else None
+
+    def bounds(self, f, old=()):
+        """(u, b) for the bounds b of L(f) and of ``old`` by descending b,
+        where the parts of f of rank below u are those of slope >= b."""
+        slopes = self.slopes
+        mask = self.below[_minus(self.top, f)] & ((1 << self.rank[f]) - 1)
+        stale = []
+        for b in old:
+            r = self.index.get(b)
+            if r is None:
+                stale.append(b)
+            else:
+                mask |= 1 << r
+        out = []
+        while mask:
+            r = (mask & -mask).bit_length() - 1
+            out.append((r + 1, slopes[r]))
+            mask &= mask - 1
+        if stale:
+            # a bound kept from another top-level d that no 0 < e <= d has:
+            # it lies strictly between two slopes of the table
+            out += [(sum(_less(b, s) for s in slopes), b) for b in stale]
+            out.sort(key=itemgetter(0))
+        return out
+
+    def parts(self, f):
+        """(rank, e) for the parts 0 < e <= f steeper than f, by rank and
+        lexicographically within a rank."""
+        rank = self.rank
+        r_f = rank[f]
+        return sorted(((r, e) for e in _below(f) if (r := rank[e]) < r_f),
+                      key=itemgetter(0))
+
+
+# ---------------------------------------------------------------------------
 # semistable masses (recursive / HN form)
 
 # The HN recursion.  T(f; b) is the mass of the representations of dimension
@@ -481,86 +563,109 @@ def _fraction(g, numerator):
 # Under a top-level d, T(f; b) is asked for only at the bounds
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
 # so the memo keeps mass_ss(f) and T(f; b) for b in L(f), and a warm context
-# asked for a bound it never stored runs the pass of f again.
+# asked for a bound it never stored runs the pass of f again.  The slope
+# table of the query gives L(f) as the ranks below d - f that are steeper
+# than f, a bitmask read off in ascending rank, and the parts of f as the
+# e <= f of rank below that of f, sorted by rank.  The memo keys bounds by
+# slope, so a refill also keeps bounds of another top-level d that this
+# table lacks, placed between its ranks.
 
-# Slopes in descending order, compared by cross-multiplying.
-_DESCENDING = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
-
-
-def _hn(ctx, f, top, bound=None):
+def _hn(ctx, f, table, bound=None):
     """The memo entry (mass_ss(f), {b: T(f; b)}) of f under the top-level d
-    ``top``, as numerators over D(f); it is refilled when it lacks
-    ``bound``."""
+    of the slope table ``table``, as numerators over D(f); it is refilled
+    when it lacks ``bound``."""
     key = (_hn, f)
     entry = ctx.memo.get(key)
     if entry is None or (bound is not None and bound not in entry[1]):
-        entry = ctx.memo[key] = _hn_pass(ctx, f, top, entry)
+        entry = ctx.memo[key] = _hn_pass(ctx, f, table, entry)
     return entry
 
 
-def _hn_pass(ctx, f, top, old):
+def _hn_pass(ctx, f, table, old):
     """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f) and every
     bound of the entry ``old`` it replaces."""
-    mu_f = ctx.slope(f)
-    bounds = {b for e in _below(_minus(top, f)) if _less(mu_f, b := ctx.slope(e))}
-    if old is not None:
-        bounds |= old[1].keys()
-    bounds = sorted(bounds, key=_DESCENDING)
-    parts = sorted(((mu, e) for e in _below(f) if _less(mu_f, mu := ctx.slope(e))),
-                   key=lambda p: _DESCENDING(p[0]))
+    slopes = table.slopes
+    r_f = table.rank[f]
+    bounds = table.bounds(f, () if old is None else old[1])
+    parts = table.parts(f)
     terms, cuts, i = [], [], 0
-    for b in chain(bounds, (mu_f,)):  # every part lies above mu(f)
+    for upto, _ in chain(bounds, ((r_f, None),)):  # every part lies above mu(f)
         chunk = []
-        while i < len(parts) and not _less(parts[i][0], b):
+        while i < len(parts) and parts[i][0] < upto:
             # X(e, f) for the nonzero X; mu(f - e) < mu(f) < mu(e) and
             # e <= top - (f - e), so mu(e) is in L(f - e)
-            mu, e = parts[i]
+            r, e = parts[i]
             i += 1
-            ss = _hn(ctx, e, top)[0]
+            ss = _hn(ctx, e, table)[0]
             if not ss[1]:
                 continue
             rest = _minus(f, e)
-            below = _hn(ctx, rest, top, mu)[1][mu]
+            mu = slopes[r]
+            below = _hn(ctx, rest, table, mu)[1][mu]
             if below[1]:
                 chunk.append((e, -ctx.euler(rest, e), (_hn, e), ss, below))
         # in lexicographic order, terms that share binomials are adjacent
         terms += sorted(chunk, key=itemgetter(0))
         cuts.append(len(terms))
     *values, ss = _binomial_sum(ctx, f, terms, cuts[:-1])
-    return ss, dict(zip(bounds, values))
+    return ss, dict(zip(map(itemgetter(1), bounds), values))
+
+
+def _mass_ss_numerator(ctx, t):
+    """The numerator of mass_ss(t) over D(t); only a cold query builds a
+    slope table."""
+    entry = ctx.memo.get((_hn, t))
+    if entry is None:
+        entry = _hn(ctx, t, _SlopeTable(ctx, t))
+    return entry[0]
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _fraction(t, _hn(ctx, t, t)[0]).reduce()
+    return _fraction(t, _mass_ss_numerator(ctx, t)).reduce()
 
 
 # ---------------------------------------------------------------------------
 # the resolved sum: closed semistable masses and Poincare polynomials
 
-@_memoized
-def _resolved(ctx, g, mu):
-    """The numerator over D(g) of R(g; mu): the signed sum over tuples of g
-    whose proper suffix sums all have slope above mu.  The caller gates g
-    itself.  Over D(g) the term of e < g is
-    -B(g, e) x^(w(e) - <e, g - e>) N(g - e), with N the numerator of
-    R(g - e; mu), and the term of g is x^(w(g))."""
-    terms = []
-    for e in _below(g):
-        rest = _minus(g, e)
-        if e != g and _less(mu, ctx.slope(rest)):
-            inner = _resolved(ctx, rest, mu)
-            if inner[1]:
-                terms.append((e, _weight_exp(ctx, e) - ctx.euler(e, rest),
-                              (_resolved, rest, mu), inner, None))
-    return _binomial_sum(ctx, g, terms)[0]
+def _resolved(ctx, g, mu, table):
+    """The numerator over D(g) of R(g; mu), for mu the slope of the top-level
+    d of the slope table ``table``: the signed sum over tuples of g whose
+    proper suffix sums all have slope above mu.  The caller gates g itself.
+    Over D(g) the term of e < g is -B(g, e) x^(w(e) - <e, g - e>) N(g - e),
+    with N the numerator of R(g - e; mu), and the term of g is x^(w(g))."""
+    key = (_resolved, g, mu)
+    value = ctx.memo.get(key)
+    if value is None:
+        rank, weight = table.rank, table.weight
+        gate = rank[table.top]
+        terms = []
+        for e in _below(g):
+            rest = _minus(g, e)
+            if e != g and rank[rest] < gate:
+                inner = _resolved(ctx, rest, mu, table)
+                if inner[1]:
+                    terms.append((e, weight[e] - ctx.euler(e, rest),
+                                  (_resolved, rest, mu), inner, None))
+        value = ctx.memo[key] = _binomial_sum(ctx, g, terms)[0]
+    return value
+
+
+def _closed_numerator(ctx, t):
+    """The numerator of mass_ss_closed(t) over D(t); only a cold query builds
+    a slope table."""
+    mu = ctx.slope(t)
+    value = ctx.memo.get((_resolved, t, mu))
+    if value is None:
+        value = _resolved(ctx, t, mu, _SlopeTable(ctx, t, weights=True))
+    return value
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _fraction(t, _resolved(ctx, t, ctx.slope(t))).reduce()
+    return _fraction(t, _closed_numerator(ctx, t)).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +686,7 @@ def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(t, _resolved(ctx, t, ctx.slope(t)))
+    return _times_q_minus_one(t, _closed_numerator(ctx, t))
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -598,7 +703,7 @@ def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPol
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(t, _hn(ctx, t, t)[0])
+    return _times_q_minus_one(t, _mass_ss_numerator(ctx, t))
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

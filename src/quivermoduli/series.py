@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
-from .errors import InputError, MixedCutoffError
+from .errors import BudgetExceeded, InputError, MixedCutoffError
 
 __all__ = ["TruncatedSeries", "two_row_partition_series", "drezet_series"]
+
+# The most coefficient updates that one partition series may make; n = 3000
+# in the two-row series, about 9 * 10^6 updates, takes over a second.
+UPDATE_BUDGET = 10 ** 6
+
+
+def _check_budget(required):
+    if required > UPDATE_BUDGET:
+        raise BudgetExceeded(f"the series needs {required} coefficient updates",
+                             required=required, budget=UPDATE_BUDGET)
 
 
 class TruncatedSeries:
@@ -88,6 +98,8 @@ def two_row_partition_series(n):
     """
     if n < 0:
         raise InputError("cutoff must be nonnegative")
+    # two divisions by each 1 - q^i, of n + 1 - i updates each
+    _check_budget(n * (n + 1))
     s = TruncatedSeries.one(n)
     for i in range(1, n + 1):
         s = s.divide_one_minus_qk(i).divide_one_minus_qk(i)
@@ -100,6 +112,8 @@ def drezet_series(d, e, n):
         raise InputError("both block sizes must be at least 1")
     if n < 0:
         raise InputError("cutoff must be nonnegative")
+    # one division by each 1 - q^i, of at most n updates each
+    _check_budget(n * (min(d, n) + min(e, n)))
     s = TruncatedSeries.one(n)
     for i in range(1, min(d, n) + 1):
         s = s.divide_one_minus_qk(i)

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
 
 from quivermoduli import generic, hn
 from quivermoduli.laurent import LaurentPoly, cyclotomic
-from quivermoduli.quiver import DimVector, Quiver, Stability, kronecker_quiver
+from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _minus,
+                                 kronecker_quiver)
 
 
 @pytest.fixture(scope="session")
@@ -402,3 +404,24 @@ class ReferenceHN:
     def betti_via_mass(self, d):
         t = self.quiver.tup(d)
         return self.times_q_minus_one(self.hn(t, t)[0])
+
+
+# The HN pass found its bounds and parts by these comprehensions over the
+# context's reduced slope pairs before it read them off the slope table of
+# its query; the table is tested against them.
+DESCENDING = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
+
+
+def reference_bounds(ctx, top, f):
+    """L(f) = {mu(e) : 0 < e <= top - f, mu(e) > mu(f)} by descending slope."""
+    mu_f = ctx.slope(f)
+    return sorted({b for e in _below(_minus(top, f)) if hn._less(mu_f, b := ctx.slope(e))},
+                  key=DESCENDING)
+
+
+def reference_parts(ctx, f):
+    """(mu(e), e) for 0 < e <= f with mu(e) > mu(f) by descending slope, in
+    lexicographic order within one slope."""
+    mu_f = ctx.slope(f)
+    return sorted(((mu, e) for e in _below(f) if hn._less(mu_f, mu := ctx.slope(e))),
+                  key=lambda p: DESCENDING(p[0]))

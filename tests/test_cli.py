@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import generic, oracle
+from quivermoduli import generic, oracle, series
 from quivermoduli.cli import _COMMANDS, _QUIVER, main
 from quivermoduli.quiver import VECTOR_BUDGET
 
@@ -400,6 +400,25 @@ class TestExitCodes:
         assert doc["error_class"] == "budget"
         assert doc["required"] == str(3 ** 24)
         assert doc["budget"] == str(oracle.default_budget("rep"))
+
+    # n (n + 1) coefficient updates for the two-row series, and
+    # n (min(d, n) + min(e, n)) for Drezet's
+    @pytest.mark.parametrize("argv, required", [
+        (["two-row", "--n", "1000"], 1000 * 1001),
+        (["two-row", "--n", "1000000"], 10 ** 6 * (10 ** 6 + 1)),
+        (["drezet", "--d", "3", "--e", str(10 ** 9), "--n", "10000000"],
+         10 ** 7 * (3 + 10 ** 7)),
+    ], ids=["two-row n=1000", "two-row n=10^6", "drezet n=10^7"])
+    def test_long_series_is_3(self, capsys, argv, required):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "series", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["required"] == str(required)
+        assert doc["budget"] == str(series.UPDATE_BUDGET)
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     @pytest.mark.parametrize("key", BUDGETED)

@@ -1,7 +1,7 @@
 import math
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +16,8 @@ from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _context,
                                  _contexts, kronecker_quiver)
 
-from conftest import Frac, ReferenceHN, dv, fraction_divexact
+from conftest import (DESCENDING, Frac, ReferenceHN, dv, fraction_divexact,
+                      reference_bounds, reference_parts)
 
 
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -104,6 +105,22 @@ class TestCycloFracProperties:
         for p, den in parts:
             expected = expected + Frac(p, binomial_product(den))
         assert CycloFrac.sum(iter(terms)).reduce() == expected
+
+    @settings(deadline=None)
+    @given(small_polys, st.integers(2, 12), st.integers(1, 3), cyclo_dens, st.data())
+    def test_reduce_partial_binomial(self, p, e, m, den, data):
+        # the numerator shares some but not all cyclotomic factors of
+        # x^e - 1, so that whole binomial fails and its cyclotomics are
+        # tried one by one; the reference does trial division only
+        divisors = [n for n in range(1, e + 1) if e % n == 0]
+        shared = data.draw(st.lists(st.sampled_from(divisors), min_size=1,
+                                    max_size=len(divisors) - 1, unique=True))
+        num = p
+        for n in shared:
+            num = num * cyclotomic(n)
+        den[e] = den.get(e, 0) + m
+        r = CycloFrac(num, den).reduce()
+        assert (r.num, r.den) == ReferenceHN.canonical((num, den))
 
 
 wide_polys = st.dictionaries(st.integers(-20, 40), st.integers(-2 ** 70, 2 ** 70),
@@ -507,6 +524,42 @@ class TestBinomialSum:
                                         if co else (0, 0))
 
 
+class TestSlopeTable:
+    # every top-level d up to the bound, every f <= d
+    CASES = {f"K{m}": (kronecker_quiver(m),
+                       [Stability({"i": a, "j": b}) for a, b in KRONECKER_THETAS],
+                       (6, 6)) for m in (1, 2, 3, 4)}
+    CASES["A3"] = (A3, A3_THETAS, (2, 2, 2))
+    CASES["D4"] = (D4, D4_THETAS, (1, 1, 1, 2))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bounds_and_parts_match_reference(self, name):
+        # L(f) and the parts of f from the table against the comprehensions
+        # over slope pairs that the HN pass ran before; the bounds of the
+        # largest d stand for those a refill keeps from another top-level d
+        quiver, thetas, bound = self.CASES[name]
+        tops = [quiver.tup(d) for d in nonzero_below(quiver, *bound)]
+        for theta in thetas:
+            ctx = _context(quiver, theta)
+            for top in tops:
+                table = hn._SlopeTable(ctx, top)
+                for f in table.rank:
+                    want = reference_bounds(ctx, top, f)
+                    bounds = table.bounds(f)
+                    assert [b for _, b in bounds] == want, (theta, top, f)
+                    parts = table.parts(f)
+                    want_parts = reference_parts(ctx, f)
+                    assert [(table.slopes[r], e) for r, e in parts] == want_parts
+                    old = reference_bounds(ctx, tops[-1], f)
+                    merged = table.bounds(f, old)
+                    assert [b for _, b in merged] == \
+                        sorted(set(want) | set(old), key=DESCENDING)
+                    # the parts of rank below u are those of slope >= b
+                    for u, b in merged:
+                        assert [e for r, e in parts if r < u] == \
+                            [e for mu, e in want_parts if not hn._less(mu, b)]
+
+
 class TestCaches:
     def test_warm_equals_cold(self, k3):
         questions = [(k3, Stability({"i": 1}), DimVector({"i": 2, "j": 3})),
@@ -591,7 +644,7 @@ class TestCaches:
             cold[d] = self.mass_answers(quiver, theta, d)
             hn.clear_caches()
             assert cold[d][0] == mass_ss_closed(quiver, theta, d)
-        for order in ([small, large], [large, small, other]):
+        for order in permutations((small, large, other)):
             hn.clear_caches()
             for d in order:
                 assert self.mass_answers(quiver, theta, d) == cold[d], (order, d)

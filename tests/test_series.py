@@ -1,7 +1,7 @@
 import pytest
 
-from quivermoduli.errors import InputError, MixedCutoffError
-from quivermoduli.series import (TruncatedSeries, drezet_series,
+from quivermoduli.errors import BudgetExceeded, InputError, MixedCutoffError
+from quivermoduli.series import (UPDATE_BUDGET, TruncatedSeries, drezet_series,
                                  two_row_partition_series)
 
 
@@ -54,3 +54,15 @@ class TestPartitionSeries:
             drezet_series(0, 1, 3)
         with pytest.raises(InputError):
             two_row_partition_series(-1)
+
+    def test_update_budget(self):
+        # the largest two-row cutoff within the budget runs; one more refuses
+        # before it starts, as does a Drezet series with a huge cutoff
+        n = max(n for n in range(2000) if n * (n + 1) <= UPDATE_BUDGET)
+        assert len(two_row_partition_series(n).coeffs) == n + 1
+        with pytest.raises(BudgetExceeded) as exc:
+            two_row_partition_series(n + 1)
+        assert (exc.value.required, exc.value.budget) == ((n + 1) * (n + 2), UPDATE_BUDGET)
+        with pytest.raises(BudgetExceeded):
+            drezet_series(2, 10 ** 9, 10 ** 9)
+        assert drezet_series(10 ** 9, 10 ** 9, 28) == two_row_partition_series(28)
