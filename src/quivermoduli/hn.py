@@ -37,8 +37,8 @@ order against the context of (quiver, theta), in the one store it shares
 with ``generic``; slopes are reduced (theta(e), dim e) pairs.  A cold query
 for d builds one slope table, which lives as long as the call: the slope
 rank of each e <= d and, for each h <= d, the set of ranks below h, so both
-sums compare slopes as integer ranks.  Each quantity of a dimension vector g in either sum is
-kept as an integer numerator over one fixed denominator,
+sums compare slopes as integer ranks.  Each quantity of a dimension vector
+g in either sum is kept as an integer numerator over one fixed denominator,
 
     D(g) = prod_i prod_{k <= g_i} (x^k - 1) = |G_g| / q^(sum_i C(g_i, 2)),
 

@@ -415,8 +415,8 @@ DESCENDING = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
 def reference_bounds(ctx, top, f):
     """L(f) = {mu(e) : 0 < e <= top - f, mu(e) > mu(f)} by descending slope."""
     mu_f = ctx.slope(f)
-    return sorted({b for e in _below(_minus(top, f)) if hn._less(mu_f, b := ctx.slope(e))},
-                  key=DESCENDING)
+    return sorted({b for e in _below(_minus(top, f))
+                   if hn._less(mu_f, b := ctx.slope(e))}, key=DESCENDING)
 
 
 def reference_parts(ctx, f):
