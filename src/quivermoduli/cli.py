@@ -8,6 +8,9 @@ or undecided-at-budget.
 Commands and their flags are declared once, in ``_COMMANDS``.  ``_parse``
 reads argv against that table, and ``_run`` reads a parsed command's flags
 in declared order, echoes them as its inputs and calls its payload function.
+``main`` joins the printed object from JSON texts: the echo of each input
+(encoded once per inline JSON text, and on every call for the other
+flags) and the encoded payload.
 ``--help`` or ``-h`` prints the table as JSON.
 """
 
@@ -20,7 +23,6 @@ import time
 from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
-from operator import methodcaller
 
 from . import generic, hn, oracle, roots, series, words
 from .errors import BudgetExceeded, InputError
@@ -76,6 +78,12 @@ def _stringify(obj):
     return str(obj)
 
 
+def _encode(obj):
+    """``obj`` as printed: JSON text with every int a decimal string and
+    keys sorted."""
+    return json.dumps(_stringify(obj), sort_keys=True)
+
+
 def _mats(text):
     data = _load_json_arg(text, "matrix tuple")
     if not isinstance(data, list):
@@ -114,7 +122,7 @@ def _same(value):
 # ---------------------------------------------------------------------------
 # flags: each is declared once and shared by the commands that take it
 
-_Flag = namedtuple("_Flag", "name dest kw read echo")
+_Flag = namedtuple("_Flag", "name dest kw read")
 
 
 def _flag(name, read=_same, echo=None, **kw):
@@ -123,39 +131,50 @@ def _flag(name, read=_same, echo=None, **kw):
     absent, ``required`` makes it compulsory, ``help`` describes it in
     --help, and ``dest`` names the value (the name without dashes by
     default).  A name without dashes is the command's one optional
-    positional.  After parsing,
-    ``read`` turns its text into the value the payload function gets, and
-    ``echo`` turns that value into its entry of the inputs (none when
-    None)."""
-    return _Flag(name, kw.get("dest", name.lstrip("-")), kw, read, echo)
+    positional.  After parsing, the flag's ``read`` turns its text into a
+    pair: the value the payload function gets, ``read(text)``, and its entry
+    of the inputs, ``echo`` of that value encoded by :func:`_encode` (None
+    when ``echo`` is None)."""
+    def load(text):
+        value = read(text)
+        return value, None if echo is None else _encode(echo(value))
+
+    return _Flag(name, kw.get("dest", name.lstrip("-")), kw, load)
+
+
+@lru_cache(maxsize=1024)
+def _inline_json(load, text):
+    """``load(text)`` for inline JSON ``text``, computed once per loader and
+    text; an error is raised again on every call, as lru_cache keeps only
+    returns."""
+    return load(text)
+
+
+def _json_flag(name, parse, what, **kw):
+    """A required flag of JSON, inline or a file path, that ``parse`` turns
+    into a value with ``to_json`` for its echo.  Inline text is parsed and
+    its echo encoded once per text (the value is immutable); a file path is
+    read on every call, as the file may change."""
+    def load(text):
+        value = parse(_load_json_arg(text, what))
+        return value, _encode(value.to_json())
+
+    return _Flag(name, name.lstrip("-"), dict(kw, required=True),
+                 lambda text: _inline_json(load, text) if _inline(text) else load(text))
 
 
 def _vector(name, cls=DimVector, what=None):
     what = what or name
-    return _flag(name, lambda text: _vector_data(cls, _load_json_arg(text, what), what),
-                 methodcaller("to_json"), required=True)
+    return _json_flag(name, lambda data: _vector_data(cls, data, what), what)
 
 
 def _method(*choices):
     return _flag("--method", choices=list(choices), default=choices[0])
 
 
-def _read_quiver(text):
-    return Quiver.from_json(_load_json_arg(text, "quiver"))
-
-
-# inline quivers by exact text: a Quiver is immutable and keeps the arrow order
-_inline_quiver = lru_cache(maxsize=128)(_read_quiver)
-
-
-def _quiver(text):
-    """The quiver of --quiver.  Inline JSON is parsed once per text; a file
-    path is read on every call, as the file may change."""
-    return (_inline_quiver if _inline(text) else _read_quiver)(text)
-
-
-_QUIVER = _flag("--quiver", _quiver, methodcaller("to_json"), required=True,
-                help="quiver JSON (inline or a file path)")
+# a Quiver is immutable and keeps the arrow order of its text
+_QUIVER = _json_flag("--quiver", Quiver.from_json, "quiver",
+                     help="quiver JSON (inline or a file path)")
 _D, _E, _DIM, _BOUND = map(_vector, ("--d", "--e", "--dim", "--bound"))
 _THETA = _vector("--theta", Stability, "theta")
 _W, _W2 = (_flag(name, echo=_same, required=True) for name in ("--w", "--w2"))
@@ -459,12 +478,28 @@ def _parse(argv):
 
 
 def _run(key, texts):
-    """The payload and the inputs echo of the command ``key`` whose flags
-    ``_parse`` read as ``texts``."""
+    """The payload of the command ``key`` whose flags ``_parse`` read as
+    ``texts``, and its inputs as (name, encoded echo) pairs."""
     flags, payload = _COMMANDS[key]
-    values = [f.read(text) for f, text in zip(flags, texts)]
-    inputs = {f.name.lstrip("-"): f.echo(v) for f, v in zip(flags, values) if f.echo}
+    values, inputs = [], []
+    for f, text in zip(flags, texts):
+        value, echo = f.read(text)
+        values.append(value)
+        if echo is not None:
+            inputs.append((f.name.lstrip("-"), echo))
     return payload(*values), inputs
+
+
+def _render(command, inputs, result, started):
+    """The printed CommandResult, equal to ``json.dumps`` with sorted keys of
+    {"command": command, "inputs": {name: echo}, "result": result,
+    "timing_ms": ...}, joined from the encoded echoes of the (name, echo)
+    pairs ``inputs`` and the encoded ``result``.  Command keys and flag
+    names need no JSON escapes."""
+    fields = ", ".join(f'"{name}": {echo}' for name, echo in sorted(inputs))
+    ms = (time.perf_counter() - started) * 1000
+    return (f'{{"command": "{command}", "inputs": {{{fields}}}, "result": {result}, '
+            f'"timing_ms": "{ms:.1f}"}}')
 
 
 def main(argv=None):
@@ -487,22 +522,13 @@ def main(argv=None):
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 3
     except _FixtureFailure as exc:
-        result = {"command": command, "inputs": {},
-                  "result": _stringify(exc.payload),
-                  "timing_ms": f"{(time.perf_counter() - started) * 1000:.1f}"}
-        print(json.dumps(result, sort_keys=True))
+        print(_render(command, [], _encode(exc.payload), started))
         return 1
     except InputError as exc:
         err = {"command": command, "error": str(exc), "error_class": "input"}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 2
-    result = {
-        "command": command,
-        "inputs": _stringify(inputs),
-        "result": _stringify(payload),
-        "timing_ms": f"{(time.perf_counter() - started) * 1000:.1f}",
-    }
-    print(json.dumps(result, sort_keys=True))
+    print(_render(command, inputs, _encode(payload), started))
     return 0
 
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter, mul, neg
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
@@ -249,6 +249,15 @@ class CycloFrac:
 # ---------------------------------------------------------------------------
 # helpers on the shared integer-tuple context (see ``quiver``)
 
+def _splits(g):
+    """The pairs (e, g - e) for the nonzero tuples e <= g, lexicographically
+    in e: g - e runs through descending ranges in lockstep."""
+    below = _below(g)  # refuses before any range is built
+    rests = product(*(range(n, -1, -1) for n in g))
+    next(rests)
+    return zip(below, rests)
+
+
 def _less(a, b):
     """a < b for slopes given as (numerator, denominator > 0) pairs."""
     return a[0] * b[1] < b[0] * a[1]
@@ -351,17 +360,25 @@ class HNType:
         return {"parts": [p.to_json() for p in self.parts], "codim": self.codim}
 
 
-def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
-    """All Harder-Narasimhan types of dimension d with their codimensions."""
-    ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
+@_memoized
+def _hn_type_codims(ctx, d):
+    """The HN types of d as (parts, codimension) pairs of integers."""
     out = []
-    for parts in _hn_types(ctx, t):
+    for parts in _hn_types(ctx, d):
         codim = -sum(ctx.euler(a, b)
                      for k, a in enumerate(parts) for b in parts[k + 1:])
         if codim < 0:
             raise AssertionError("HN stratum with negative codimension")
-        out.append(HNType(tuple(map(quiver.vec, parts)), codim))
-    return out
+        out.append((parts, codim))
+    return tuple(out)
+
+
+def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
+    """All Harder-Narasimhan types of dimension d with their codimensions.
+    The types are found once per context; each call builds its own list."""
+    ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
+    return [HNType(tuple(map(quiver.vec, parts)), codim)
+            for parts, codim in _hn_type_codims(ctx, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +504,12 @@ class _SlopeTable:
     and ``rank[e]`` the index of mu(e) there, so a smaller rank is a steeper
     slope.  ``below[h]`` is the set of ranks of 0 < e <= h, for 0 <= h <= d,
     as a bitmask: the rank of h and the sets of each h minus a unit vector.
-    ``weight[e]`` is the exponent of w(e) over D(e), kept for the resolved
-    sum only."""
+    ``square[e]`` is <e, e>, so that <e, g - e> = <e, g> - <e, e> and
+    <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
+    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e), kept for
+    the resolved sum only."""
 
-    __slots__ = ("top", "slopes", "index", "rank", "below", "weight")
+    __slots__ = ("top", "slopes", "index", "rank", "below", "square", "weight")
 
     def __init__(self, ctx, top, weights=False):
         self.top = top
@@ -508,6 +527,7 @@ class _SlopeTable:
                 if n:
                     mask |= below[h[:i] + (n - 1,) + h[i + 1:]]
             below[h] = mask
+        self.square = {e: ctx.euler(e, e) for e in rank}
         self.weight = {e: _weight_exp(ctx, e) for e in rank} if weights else None
 
     def bounds(self, f, old=()):
@@ -584,8 +604,9 @@ def _hn(ctx, f, table, bound=None):
 def _hn_pass(ctx, f, table, old):
     """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f) and every
     bound of the entry ``old`` it replaces."""
-    slopes = table.slopes
+    slopes, square = table.slopes, table.square
     r_f = table.rank[f]
+    column = ctx.column(f)  # <f, e> = sum(column * e)
     bounds = table.bounds(f, () if old is None else old[1])
     parts = table.parts(f)
     terms, cuts, i = [], [], 0
@@ -603,7 +624,8 @@ def _hn_pass(ctx, f, table, old):
             mu = slopes[r]
             below = _hn(ctx, rest, table, mu)[1][mu]
             if below[1]:
-                chunk.append((e, -ctx.euler(rest, e), (_hn, e), ss, below))
+                chunk.append((e, square[e] - sum(map(mul, column, e)), (_hn, e), ss,
+                              below))
         # in lexicographic order, terms that share binomials are adjacent
         terms += sorted(chunk, key=itemgetter(0))
         cuts.append(len(terms))
@@ -638,15 +660,16 @@ def _resolved(ctx, g, mu, table):
     key = (_resolved, g, mu)
     value = ctx.memo.get(key)
     if value is None:
-        rank, weight = table.rank, table.weight
+        rank, square, weight = table.rank, table.square, table.weight
         gate = rank[table.top]
+        row = ctx.row(g)  # <e, g> = sum(e * row)
         terms = []
-        for e in _below(g):
-            rest = _minus(g, e)
+        for e, rest in _splits(g):
             if e != g and rank[rest] < gate:
                 inner = _resolved(ctx, rest, mu, table)
                 if inner[1]:
-                    terms.append((e, weight[e] - ctx.euler(e, rest),
+                    # w(e) - <e, g - e>
+                    terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
                                   (_resolved, rest, mu), inner, None))
         value = ctx.memo[key] = _binomial_sum(ctx, g, terms)[0]
     return value

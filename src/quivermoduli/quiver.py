@@ -346,6 +346,20 @@ class _Context:
     def euler(self, x, y):
         return sum(map(mul, x, y)) - self.arrow_pairing(x, y)
 
+    def row(self, y):
+        """The coefficients c of <x, y> = sum_i c_i x_i."""
+        c = list(y)
+        for s, t in self.arrows:
+            c[s] -= y[t]
+        return c
+
+    def column(self, x):
+        """The coefficients c of <x, y> = sum_i c_i y_i."""
+        c = list(x)
+        for s, t in self.arrows:
+            c[t] -= x[s]
+        return c
+
     def slope(self, e):
         """theta(e) / dim e as a reduced (numerator, denominator > 0) pair."""
         num, den = sum(map(mul, self.theta, e)), sum(e)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
@@ -425,3 +426,38 @@ def reference_parts(ctx, f):
     mu_f = ctx.slope(f)
     return sorted(((mu, e) for e in _below(f) if hn._less(mu_f, mu := ctx.slope(e))),
                   key=lambda p: DESCENDING(p[0]))
+
+
+# ``cli.main`` printed its CommandResult by this renderer, from echo objects
+# of the parsed values, before it joined the object from encoded parts; the
+# printed output is tested against it.
+def reference_stringify(obj):
+    """Every int (bool aside) in a JSON-like tree as its decimal string."""
+    if isinstance(obj, list):
+        return [reference_stringify(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: reference_stringify(v) for k, v in obj.items()}
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    return obj
+
+
+def reference_echo(name, value):
+    """The inputs entry of the flag ``name`` for its parsed ``value``, or
+    None for a flag that is not echoed."""
+    if name in ("--budget", "--method"):
+        return None
+    if name == "path":
+        return value or "bundled k3_tables.json"
+    if name == "--parts":
+        return [p.to_json() for p in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def reference_render(command, inputs, result, timing_ms):
+    """The printed CommandResult of ``command`` with the echo objects
+    ``inputs`` (a dict by flag name without dashes) and the payload
+    ``result``."""
+    return json.dumps({"command": command, "inputs": reference_stringify(inputs),
+                       "result": reference_stringify(result), "timing_ms": timing_ms},
+                      sort_keys=True)

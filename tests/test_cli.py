@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import generic, oracle, series
-from quivermoduli.cli import _COMMANDS, _QUIVER, main
+from quivermoduli.cli import (_COMMANDS, _DIM, _QUIVER, _THETA, _FixtureFailure,
+                              _inline_json, _parse, main)
 from quivermoduli.quiver import VECTOR_BUDGET
+
+from conftest import reference_echo, reference_render
 
 K3 = json.dumps({"vertices": ["i", "j"],
                  "arrows": [{"from": "i", "to": "j"}] * 3})
@@ -24,9 +27,16 @@ D11 = '{"i": 1, "j": 1}'
 THETA = '{"i": 1}'
 
 
+def assert_canonical(text):
+    """``text`` is one JSON object as ``json.dumps`` with sorted keys prints
+    it, and a newline."""
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    assert_canonical(captured.err if code in (2, 3) else captured.out)
     return code, captured.out, captured.err
 
 
@@ -561,6 +571,45 @@ class TestFormats:
         assert len(doc["inputs"]["quiver"]["arrows"]) == 3
         assert doc["result"]["value"] == "-1"
 
+    def test_inline_vector_is_parsed_once(self):
+        assert _DIM.read(D11) is _DIM.read(D11)
+        assert _DIM.read(D11)[0] is _DIM.read(D11)[0]
+        assert _DIM.read(" " + D11)[0] is not _DIM.read(D11)[0]
+        # the flags keep their own entries of one text
+        assert _THETA.read(D11)[0] is not _DIM.read(D11)[0]
+        assert _DIM.read(D11)[1] == '{"i": "1", "j": "1"}'
+
+    def test_vector_file_is_read_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(D11)
+        doc = run_json(capsys, "euler", "--quiver", K3, "--d", str(path), "--e", D11)
+        assert doc["inputs"]["d"] == {"i": "1", "j": "1"}
+        assert doc["result"]["value"] == "-1"
+        path.write_text('{"i": 2}')
+        doc = run_json(capsys, "euler", "--quiver", K3, "--d", str(path), "--e", D11)
+        assert doc["inputs"]["d"] == {"i": "2"}
+        assert doc["result"]["value"] == "-4"
+
+    @pytest.mark.parametrize("flag, text", [("--dim", '{"i": 1.5}'), ("--dim", "{oops"),
+                                            ("--dim", "[1]"), ("--theta", '{"i": true}'),
+                                            ("--quiver", '{"vertices": ["i"]}')])
+    def test_bad_inline_text_is_2_every_time(self, capsys, flag, text):
+        argv = dict(zip(["--quiver", "--dim", "--theta"], [A2, D11, THETA]))
+        argv[flag] = text
+        argv = ["ss-nonempty", *itertools.chain.from_iterable(argv.items())]
+        first = run(capsys, *argv)
+        assert first[0] == 2 and first == run(capsys, *argv)
+
+    def test_caches_are_bounded(self, capsys):
+        size = _inline_json.cache_info().maxsize
+        assert size is not None
+        for n in range(size + 10):
+            assert _DIM.read(f'{{"i": {n}}}')[0]["i"] == n
+        assert _inline_json.cache_info().currsize == size
+        # an evicted text still reads right
+        doc = run_json(capsys, "euler", "--quiver", K3, "--d", '{"i": 0}', "--e", D11)
+        assert doc["inputs"]["d"] == {"i": "0"}
+
 
 # argv fuzzing: small quivers, acyclic or with loops and cycles; dimension
 # vectors and theta either well formed (nonzero integer entries on the
@@ -643,6 +692,7 @@ def main_once(argv):
     assert code in (0, 2, 3)
     text = (err if code else out).getvalue()
     assert (out if code else err).getvalue() == ""
+    assert_canonical(text)
     doc = json.loads(text)
     assert isinstance(doc, dict) and ("error" in doc) == (code != 0)
     return code, doc
@@ -761,3 +811,64 @@ def test_readme_examples_run(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         assert isinstance(json.loads(out), dict), argv
+
+
+def reference_output(argv, timing_ms):
+    """What ``main(argv)`` prints on standard output, by the reference
+    renderer of conftest, with ``timing_ms`` for the timing."""
+    key, texts = _parse(argv)
+    flags, payload = _COMMANDS[key]
+    values = [flag.read(text)[0] for flag, text in zip(flags, texts)]
+    inputs = {flag.name.lstrip("-"): echo for flag, value in zip(flags, values)
+              if (echo := reference_echo(flag.name, value)) is not None}
+    try:
+        result = payload(*values)
+    except _FixtureFailure as exc:
+        inputs, result = {}, exc.payload
+    return reference_render(key, inputs, result, timing_ms) + "\n"
+
+
+BUNDLED = json.loads((Path(__file__).resolve().parent.parent
+                      / "src/quivermoduli/fixtures/k3_tables.json").read_text())
+
+
+class TestOutput:
+    """Standard output is the reference renderer's apart from timing_ms."""
+
+    def assert_reference(self, capsys, argv, code=0):
+        got, out, err = run(capsys, *argv)
+        assert got == code and err == ""
+        assert out == reference_output(argv, json.loads(out)["timing_ms"])
+
+    @pytest.mark.parametrize("argv", [fx["argv"] for fx in BUNDLED],
+                             ids=[fx["name"] for fx in BUNDLED])
+    def test_bundled_fixture_argv(self, capsys, argv):
+        self.assert_reference(capsys, argv)
+
+    @pytest.mark.parametrize("key", list(_COMMANDS))
+    def test_each_command(self, capsys, key):
+        self.assert_reference(capsys, ["fixtures", "run"] if key == "fixtures run"
+                              else valid_argv(key, budget="1000"))
+
+    def test_fixture_failure_is_1(self, capsys, tmp_path):
+        path = tmp_path / "fx.json"
+        path.write_text(json.dumps([
+            {"name": "wrong", "argv": ["euler", "--quiver", K3, "--d", D11, "--e", D11],
+             "expected": {"value": "999"}},
+            {"argv": ["series", "two-row", "--n", "3"], "expected_prefix": [1, 2]}]))
+        self.assert_reference(capsys, ["fixtures", "run", str(path)], code=1)
+
+    @pytest.mark.parametrize("argv, code, keys", [
+        (["euler", "--quiver", "{oops", "--d", D11, "--e", D11], 2, set()),
+        (["euler", "--quiver", A2, "--d", '{"x": 1}', "--e", D11], 2, set()),
+        (["nosuch"], 2, set()),
+        (["series", "two-row", "--n", "1000000"], 3, {"required", "budget"}),
+        (["monoid", "equal", "--quiver", A2, "--w", "iijj", "--w2", "jjii",
+          "--budget", "1"], 3, {"budget"}),
+    ])
+    def test_error_objects(self, capsys, argv, code, keys):
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        doc = json.loads(err)
+        assert set(doc) == {"command", "error", "error_class"} | keys
+        assert doc["error_class"] == ("input" if code == 2 else "budget")

@@ -649,6 +649,31 @@ class TestCaches:
             for d in order:
                 assert self.mass_answers(quiver, theta, d) == cold[d], (order, d)
 
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_warm_hn_types_equal_cold(self, name):
+        quiver, theta, values = self.WARM_CASES[name]
+        dims = [DimVector(dict(zip(quiver.vertices, v))) for v in values]
+        cold = {}
+        for d in dims:
+            hn.clear_caches()
+            cold[d] = hn_types(quiver, theta, d)
+            assert cold[d]
+        for order in permutations(dims):
+            hn.clear_caches()
+            for d in order:
+                assert hn_types(quiver, theta, d) == cold[d], (order, d)
+                assert hn_types(quiver, theta, d) == cold[d], (order, d)
+
+    def test_hn_types_list_is_the_callers(self, k3, theta_i):
+        d = dv(i=2, j=3)
+        hn.clear_caches()
+        first = hn_types(k3, theta_i, d)
+        want = list(first)
+        first.reverse()
+        first.append(None)
+        assert hn_types(k3, theta_i, d) == want
+        assert hn_types(k3, theta_i, d) is not hn_types(k3, theta_i, d)
+
     def test_missing_bound_refills(self, k3, monkeypatch):
         passes = []
         real = hn._hn_pass
