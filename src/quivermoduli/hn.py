@@ -49,7 +49,11 @@ its terms are packed into big integers at one digit width, proven from a
 bound, added and unpacked once (see ``laurent``).  Only a final result
 becomes a CycloFrac over D(d), reduced by exact division through whole
 binomials x^k - 1 first and through cyclotomic polynomials only where a
-binomial fails.
+binomial fails.  The memo keeps each answer in its final, immutable form
+next to the numerator it comes from: the reduced masses, the Betti
+polynomials (q - 1) mass_ss and the HN types as HNType objects.  A warm
+query reduces nothing and builds no DimVector; one that returns a list
+returns a new list of the shared objects.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .laurent import (LaurentPoly, RationalFunc, _digit_bits, _divexact,
                       _gaussian_binomial, _lift_sum, _max_abs, _mul_coeffs, _pack,
                       _trimmed, _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
-                     _memoized, _minus, clear_caches)
+                     _memoized, _minus, _vector, clear_caches)
 
 __all__ = [
     "CycloFrac",
@@ -297,6 +301,11 @@ def _den(g):
     return Counter(k for n in g for k in range(1, n + 1))
 
 
+def _weight(ctx, e):
+    """The numerator of w(e) = mass(e) over D(e)."""
+    return _weight_exp(ctx, e), (1,)
+
+
 def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
     """Stack mass |R_d|/|G_d| of all representations of dimension d, in q."""
     t = quiver.tup(d)
@@ -313,7 +322,7 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
         raise BudgetExceeded(
             f"the mass of {list(t)} has a denominator of degree {required}",
             required=required, budget=VECTOR_BUDGET)
-    return CycloFrac._of(_weight_exp(_context(quiver), t), (1,), _den(t)).reduce()
+    return _reduced(_context(quiver), t, _weight)
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +370,24 @@ class HNType:
 
 
 @_memoized
-def _hn_type_codims(ctx, d):
-    """The HN types of d as (parts, codimension) pairs of integers."""
+def _hn_type_objects(ctx, d):
+    """The HN types of d as a tuple of HNType objects."""
     out = []
     for parts in _hn_types(ctx, d):
         codim = -sum(ctx.euler(a, b)
                      for k, a in enumerate(parts) for b in parts[k + 1:])
         if codim < 0:
             raise AssertionError("HN stratum with negative codimension")
-        out.append((parts, codim))
+        out.append(HNType(tuple(_vector(ctx, p) for p in parts), codim))
     return tuple(out)
 
 
 def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
     """All Harder-Narasimhan types of dimension d with their codimensions.
-    The types are found once per context; each call builds its own list."""
+    The HNType objects are built once per context and shared; each call
+    returns a new list of them."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
-    return [HNType(tuple(map(quiver.vec, parts)), codim)
-            for parts, codim in _hn_type_codims(ctx, t)]
+    return list(_hn_type_objects(ctx, t))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +496,12 @@ def _binomial_sum(ctx, g, terms, cuts=()):
     return out
 
 
-def _fraction(g, numerator):
-    """The quantity of g with this numerator, as a CycloFrac over D(g)."""
-    return CycloFrac._of(numerator[0], numerator[1], _den(g))
+@_memoized
+def _reduced(ctx, g, numerator):
+    """The quantity of g whose numerator over D(g) is ``numerator(ctx, g)``,
+    reduced to a RationalFunc."""
+    lo, co, *_ = numerator(ctx, g)
+    return CycloFrac._of(lo, co, _den(g)).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +657,7 @@ def _mass_ss_numerator(ctx, t):
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _fraction(t, _mass_ss_numerator(ctx, t)).reduce()
+    return _reduced(ctx, t, _mass_ss_numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -688,28 +700,30 @@ def _closed_numerator(ctx, t):
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _fraction(t, _closed_numerator(ctx, t)).reduce()
+    return _reduced(ctx, t, _closed_numerator)
 
 
 # ---------------------------------------------------------------------------
 # Poincare polynomials of stable moduli
 
-def _times_q_minus_one(g, numerator):
-    """(q - 1) times the semistable mass of g with this numerator over D(g),
-    as a polynomial in q.  D(g) has a factor q - 1 for each nonzero entry,
-    and the product takes one away."""
-    if not numerator[1]:
+@_memoized
+def _times_q_minus_one(ctx, g, numerator):
+    """(q - 1) times the semistable mass of g whose numerator over D(g) is
+    ``numerator(ctx, g)``, as a polynomial in q.  D(g) has a factor q - 1
+    for each nonzero entry, and the product takes one away."""
+    lo, co, *_ = numerator(ctx, g)
+    if not co:
         return LaurentPoly()
     den = _den(g)
     den[1] -= 1
-    return CycloFrac._of(numerator[0], numerator[1], den).reduce().to_polynomial()
+    return CycloFrac._of(lo, co, den).reduce().to_polynomial()
 
 
 def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(t, _closed_numerator(ctx, t))
+    return _times_q_minus_one(ctx, t, _closed_numerator)
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -726,7 +740,7 @@ def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPol
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(t, _mass_ss_numerator(ctx, t))
+    return _times_q_minus_one(ctx, t, _mass_ss_numerator)
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

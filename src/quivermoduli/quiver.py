@@ -332,9 +332,10 @@ class _Context:
     """A quiver and a stability as integer tuples in vertex order, with the
     memo of every recursion that ``hn`` and ``generic`` run on them."""
 
-    __slots__ = ("arrows", "theta", "memo")
+    __slots__ = ("vertices", "arrows", "theta", "memo")
 
     def __init__(self, quiver, theta):
+        self.vertices = quiver.vertices
         self.arrows = quiver.arrow_pairs
         self.theta = theta
         self.memo = {}
@@ -389,6 +390,13 @@ def _memoized(fn):
             value = ctx.memo[key] = fn(ctx, *args)
         return value
     return wrapper
+
+
+@_memoized
+def _vector(ctx, t):
+    """t as a DimVector of the quiver, built once per context, so the
+    answers kept in the memo share their parts."""
+    return DimVector(dict(zip(ctx.vertices, t)))
 
 
 def clear_caches():

@@ -7,8 +7,8 @@ import pytest
 
 from quivermoduli import generic, hn
 from quivermoduli.laurent import LaurentPoly, cyclotomic
-from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _minus,
-                                 kronecker_quiver)
+from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _contexts,
+                                 _minus, kronecker_quiver)
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +43,11 @@ def theta_i():
 
 def dv(**kw):
     return DimVector(kw)
+
+
+def memo_entries():
+    """The number of entries over every context's memo."""
+    return sum(len(ctx.memo) for ctx in _contexts.values())
 
 
 class Frac:

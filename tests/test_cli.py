@@ -180,6 +180,31 @@ class TestBasicCommands:
         assert only_strings(doc)
 
 
+D23 = '{"i": 2, "j": 3}'  # theta(d) = 2 and dim d = 5 are coprime
+WARM_ARGVS = [
+    ["mass", "--quiver", K3, "--dim", D23],
+    ["mass-ss", "--quiver", K3, "--dim", D23, "--theta", THETA],
+    ["mass-ss", "--quiver", K3, "--dim", D23, "--theta", THETA, "--method", "closed"],
+    ["betti", "--quiver", K3, "--dim", D23, "--theta", THETA],
+    ["betti", "--quiver", K3, "--dim", D23, "--theta", THETA, "--method", "mass"],
+    ["hn-types", "--quiver", K3, "--dim", D23, "--theta", THETA],
+    ["decompose", "--quiver", K3, "--dim", D23],
+]
+
+
+class TestWarmSession:
+    @pytest.mark.parametrize("argv", WARM_ARGVS,
+                             ids=[" ".join(a[:1] + a[7:]) for a in WARM_ARGVS])
+    def test_second_answer_equals_first(self, capsys, argv):
+        # one process, as a catalog session runs: the first query is cold,
+        # the second answers from the memo and must print the same object
+        generic.clear_caches()
+        first = run_json(capsys, *argv)
+        second = run_json(capsys, *argv)
+        del first["timing_ms"], second["timing_ms"]
+        assert second == first
+
+
 class TestExitCodes:
     def test_input_error_is_2(self, capsys):
         code, out, err = run(capsys, "euler", "--quiver", K3,

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from quivermoduli.generic import (generic_decomposition, generic_ext,
                                   generic_hom, generic_subrep, schur_test)
 from quivermoduli.quiver import DimVector, Quiver, kronecker_quiver
 
-from conftest import dv
+from conftest import dv, memo_entries
 
 
 class TestExtHom:
@@ -139,6 +140,57 @@ class TestDecomposition:
 vec = st.builds(lambda a, b: DimVector({"i": a, "j": b}),
                 st.integers(min_value=0, max_value=3),
                 st.integers(min_value=0, max_value=3))
+
+
+A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
+D4 = Quiver(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "d")])
+# the quivers of the hn warm-answer cases, with their bounds
+WARM_CASES = {f"K{m}": (kronecker_quiver(m), (5, 5)) for m in (1, 2, 3, 4)}
+WARM_CASES["A3"] = (A3, (2, 2, 2))
+WARM_CASES["D4"] = (D4, (1, 1, 1, 2))
+
+
+class TestWarmAnswers:
+    @staticmethod
+    def answers(quiver, d, dims):
+        """The JSON text of every memoized public answer at d."""
+        return json.dumps({
+            "decomposition": [p.to_json() for p in generic_decomposition(quiver, d)],
+            "schur": schur_test(quiver, d),
+            "ext": [generic_ext(quiver, d, e) for e in dims],
+            "hom": [generic_hom(quiver, e, d) for e in dims],
+            "subrep": [generic_subrep(quiver, e, d) for e in dims if e <= d],
+        }, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(WARM_CASES))
+    def test_second_call_equals_cold(self, name):
+        # a repeat answers from the memo, in the final form a cold call
+        # built; a list the caller changes is its own
+        quiver, bound = WARM_CASES[name]
+        top = DimVector(dict(zip(quiver.vertices, bound)))
+        dims = [d for d in quiver.vectors_below(top) if not d.is_zero()]
+        for d in dims:
+            generic.clear_caches()
+            cold = self.answers(quiver, d, dims)
+            assert self.answers(quiver, d, dims) == cold, d
+            parts = generic_decomposition(quiver, d)
+            parts.reverse()
+            parts.append(None)
+            assert self.answers(quiver, d, dims) == cold, d
+
+    def test_refusals_on_every_call(self, k3, monkeypatch):
+        # the zero vector is refused before any memo lookup, and a broken
+        # decomposition is refused each time it is asked for: the second
+        # refusal shows that the first stored nothing
+        generic.clear_caches()
+        for _ in range(2):
+            with pytest.raises(InputError):
+                schur_test(k3, dv())
+        assert memo_entries() == 0
+        monkeypatch.setattr(generic, "_decompose", lambda ctx, d: ((1, 0),))
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="does not sum to"):
+                generic_decomposition(k3, dv(i=2))
 
 
 class TestProperties:

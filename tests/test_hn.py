@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import time
 from fractions import Fraction
@@ -7,17 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import generic, hn
-from quivermoduli.errors import CoprimalityError, InputError
+from quivermoduli.errors import BudgetExceeded, CoprimalityError, InputError
 from quivermoduli.generic import generic_subrep
 from quivermoduli.hn import (CycloFrac, betti_coefficients, betti_via_mass,
                              hn_types, mass, mass_ss, mass_ss_closed,
                              poincare, ss_nonempty)
 from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
-from quivermoduli.quiver import (DimVector, Quiver, Stability, _context,
-                                 _contexts, kronecker_quiver)
+from quivermoduli.quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability,
+                                 _context, _contexts, kronecker_quiver)
 
 from conftest import (DESCENDING, Frac, ReferenceHN, dv, fraction_divexact,
-                      reference_bounds, reference_parts)
+                      memo_entries, reference_bounds, reference_parts)
 
 
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -702,6 +704,138 @@ class TestCaches:
         hn.clear_caches()
         assert warm == mass_ss(k3, theta, dv(i=3, j=4)) == \
             mass_ss_closed(k3, theta, dv(i=3, j=4))
+
+
+def assert_refused(error, call):
+    """``call()`` raises ``error`` and adds no memo entry."""
+    before = memo_entries()
+    with pytest.raises(error):
+        call()
+    assert memo_entries() == before
+
+
+BETTI_CALLS = {
+    "poincare": lambda q, th, d: hn.poincare(q, th, d).to_json(),
+    "betti_via_mass": lambda q, th, d: hn.betti_via_mass(q, th, d).to_json(),
+    "betti closed": lambda q, th, d: hn.betti_coefficients(q, th, d, method="closed"),
+    "betti mass": lambda q, th, d: hn.betti_coefficients(q, th, d, method="mass"),
+}
+
+
+def hn_answers(quiver, theta, d):
+    """The JSON text of every memoized public answer of ``hn`` at d.  Where
+    theta(d) and dim d are not coprime, each Betti call must be refused
+    without a memo entry.  Names are looked up on the module, so a wrapped
+    public name is the one called."""
+    out = {"mass": hn.mass(quiver, d).to_json(),
+           "ss_nonempty": hn.ss_nonempty(quiver, theta, d),
+           "hn_types": [t.to_json() for t in hn.hn_types(quiver, theta, d)],
+           "mass_ss": hn.mass_ss(quiver, theta, d).to_json(),
+           "mass_ss_closed": hn.mass_ss_closed(quiver, theta, d).to_json()}
+    coprime = math.gcd(theta.value(d), d.total()) == 1
+    for name, call in BETTI_CALLS.items():
+        if coprime:
+            out[name] = call(quiver, theta, d)
+        else:
+            assert_refused(CoprimalityError, lambda: call(quiver, theta, d))
+    return json.dumps(out, sort_keys=True)
+
+
+class TestWarmAnswers:
+    # K1-K4 at d <= (5, 5) with four stabilities, A3 at d <= (2, 2, 2) and
+    # the D4 star at d <= (1, 1, 1, 2)
+    CASES = TestPoincareTwoWays.CASES
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_second_call_equals_cold(self, name):
+        # a repeat answers from the memo, in the final form a cold call
+        # built; a list the caller changes is its own
+        quiver, thetas, bound = self.CASES[name]
+        for theta in thetas:
+            for d in nonzero_below(quiver, *bound):
+                hn.clear_caches()
+                cold = hn_answers(quiver, theta, d)
+                assert hn_answers(quiver, theta, d) == cold, (theta, d)
+                types = hn.hn_types(quiver, theta, d)
+                types.reverse()
+                types.append(None)
+                assert hn_answers(quiver, theta, d) == cold, (theta, d)
+
+    def test_refusals_on_every_call(self, k3, theta_i):
+        # refusals run before any memo lookup, on a cold store and a warm one
+        single = Quiver(["x"], [])
+        zero, even = dv(), dv(i=2, j=2)  # theta(even) = 2, dim even = 4
+        calls = [(InputError, lambda fn=fn: fn(k3, theta_i, zero))
+                 for fn in (hn.ss_nonempty, hn.hn_types, hn.mass_ss,
+                            hn.mass_ss_closed, hn.poincare, hn.betti_via_mass,
+                            hn.betti_coefficients)]
+        calls += [(CoprimalityError, lambda call=call: call(k3, theta_i, even))
+                  for call in BETTI_CALLS.values()]
+        # more factors than the budget, and a denominator of degree 500500
+        calls += [(BudgetExceeded, lambda n=n: hn.mass(single, DimVector({"x": n})))
+                  for n in (VECTOR_BUDGET + 1, 1000)]
+        hn.clear_caches()
+        for _ in range(2):
+            for error, call in calls:
+                assert_refused(error, call)
+        assert memo_entries() == 0
+        hn_answers(k3, theta_i, even)
+        hn.mass(single, DimVector({"x": 3}))
+        assert memo_entries()
+        for _ in range(2):
+            for error, call in calls:
+                assert_refused(error, call)
+
+
+class TestWrappedPublicNames:
+    QUESTIONS = [
+        (kronecker_quiver(3), Stability({"i": 1}), DimVector({"i": 2, "j": 3})),
+        (A3, A3_THETAS[1], DimVector({"1": 1, "2": 2, "3": 1})),
+        (D4, D4_THETAS[0], DimVector({"a": 1, "b": 1, "c": 1, "d": 2}))]
+
+    @classmethod
+    def answers(cls):
+        out = []
+        for q, theta, d in cls.QUESTIONS:
+            out += [hn_answers(q, theta, d),
+                    [p.to_json() for p in generic.generic_decomposition(q, d)],
+                    generic.schur_test(q, d), generic.generic_ext(q, d, d),
+                    generic.generic_hom(q, d, d), generic.generic_subrep(q, d, d)]
+        return out
+
+    def test_warm_repeat_adds_no_entry(self, monkeypatch):
+        # the bench tracer rebinds each public function of a module to a
+        # pass-through wrapper for its traced passes only; memo keys are
+        # private functions, so a repeat through the wrappers finds what a
+        # plain pass stored, and the other way round
+        def wrap(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def wrap_public_names():
+            for module in (hn, generic):
+                for name in module.__all__:
+                    fn = getattr(module, name)
+                    if name != "clear_caches" and not isinstance(fn, type):
+                        monkeypatch.setattr(module, name, wrap(fn))
+
+        for wrapped_first in (False, True):
+            monkeypatch.undo()
+            hn.clear_caches()
+            if wrapped_first:
+                wrap_public_names()
+            first = self.answers()
+            entries = memo_entries()
+            if wrapped_first:
+                monkeypatch.undo()
+            else:
+                wrap_public_names()
+            assert self.answers() == first
+            assert memo_entries() == entries
+            assert all(key[0].__name__.startswith("_")
+                       for ctx in _contexts.values() for key in ctx.memo)
 
 
 class TestInputEdge:
