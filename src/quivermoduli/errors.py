@@ -28,9 +28,5 @@ class NonPolynomialError(ValueError):
         self.remainder = remainder
 
 
-class MixedCutoffError(ValueError):
-    """Arithmetic between truncated series with different cutoffs."""
-
-
 class CoprimalityError(InputError):
     """The Betti formula requires theta(d) and dim d to be coprime."""

@@ -62,12 +62,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
 from .laurent import (LaurentPoly, RationalFunc, _digit_bits, _divexact,
-                      _gaussian_binomial, _lift_sum, _max_abs, _mul_coeffs, _pack,
-                      _trimmed, _unpack, cyclotomic)
+                      _gaussian_binomial, _lift_sum, _max_abs, _pack, _trimmed,
+                      _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
                      _memoized, _minus, _vector, clear_caches)
 
@@ -99,8 +99,7 @@ class CycloFrac:
 
     The recursions below keep numerators over the fixed denominator D(g) of
     each dimension vector and build a CycloFrac only around a result, to
-    reduce it.  Sums of CycloFracs lift their numerators to the least
-    common denominator."""
+    reduce it."""
 
     __slots__ = ("lo", "co", "den")
 
@@ -134,62 +133,25 @@ class CycloFrac:
         """The numerator as a LaurentPoly."""
         return LaurentPoly._of(self.lo, self.co)
 
-    @classmethod
-    def zero(cls):
-        return cls._of(0, (), {})
-
-    @classmethod
-    def one(cls):
-        return cls._of(0, (1,), {})
-
     def is_zero(self):
         return not self.co
 
-    @classmethod
-    def sum(cls, terms):
-        """The sum of the iterable ``terms`` over their least common
-        denominator; the numerators are lifted to it and added as packed
-        integers."""
-        terms = [t for t in terms if t.co]
-        if len(terms) < 2:
-            return terms[0] if terms else cls.zero()
-        den = {}
-        for t in terms:
-            for e, m in t.den.items():
-                if m > den.get(e, 0):
-                    den[e] = m
+    def __add__(self, other):
+        """The sum over the least common denominator; both numerators are
+        lifted to it and added as packed integers."""
+        if not other.co:
+            return self
+        if not self.co:
+            return other
+        den = dict(self.den)
+        for e, m in other.den.items():
+            if m > den.get(e, 0):
+                den[e] = m
         lo, co = _lift_sum(
             [(t.lo, t.co, {e: m - t.den.get(e, 0) for e, m in den.items()
                            if m != t.den.get(e, 0)})
-             for t in terms])
-        return cls._of(lo, co, den)
-
-    def __add__(self, other):
-        return CycloFrac.sum((self, other))
-
-    def __neg__(self):
-        return CycloFrac._of(self.lo, tuple(map(neg, self.co)), self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other or not self.co:
-                return CycloFrac.zero()
-            return CycloFrac._of(self.lo, _mul_coeffs(self.co, (other,)), self.den)
-        if not self.co or not other.co:
-            return CycloFrac.zero()
-        den = dict(self.den)
-        for e, m in other.den.items():
-            den[e] = den.get(e, 0) + m
-        return CycloFrac._of(self.lo + other.lo, _mul_coeffs(self.co, other.co), den)
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        return CycloFrac._of(self.lo + k, self.co, self.den) if self.co else self
+             for t in (self, other)])
+        return CycloFrac._of(lo, co, den)
 
     def reduce(self) -> RationalFunc:
         """Cancel and return the canonical rational function.

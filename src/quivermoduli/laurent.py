@@ -7,10 +7,10 @@ LaurentPoly holds it as ``lo`` and ``co``, and ``hn.CycloFrac`` and the
 numerators of the ``hn`` recursions hold it inline; the kernels below work
 on the coefficient sequences.  The hot paths use integers only.  Exact
 division is integer synthetic division that gives up at the first
-coefficient the divisor's leading coefficient does not divide.  Products of
-large operands, the lifts of numerators by products of binomials x^e - 1
-(:func:`_lift_sum`), and the sums of ``hn`` over the fixed denominator of a
-dimension vector, which convolve numerators with the Gaussian binomials of
+coefficient the divisor's leading coefficient does not divide.  The lifts
+of numerators by products of binomials x^e - 1 (:func:`_lift_sum`) and the
+sums of ``hn`` over the fixed denominator of a dimension vector, which
+convolve numerators with the Gaussian binomials of
 :func:`_gaussian_binomial`, use Kronecker substitution: coefficients become
 the base-2^k digits of one integer, so a single big-integer multiply or add
 does the work.  Digits are balanced (signed), and k always comes from a
@@ -63,15 +63,6 @@ def _as_poly(value):
 # for U the integer with digits u_i, and unpacking inverts this: at a machine
 # word size k the digits u_i are a signed ``array`` and neither direction
 # loops over coefficients in Python.
-
-# Multiplication goes by Kronecker substitution when the shorter coefficient
-# sequence has at least this many entries and the two have at least this
-# many entry pairs; schoolbook is faster otherwise.  Timed on the dense
-# products of CycloFrac numerators from Betti computations on K3, this rule
-# came within 3% of taking the faster method for every pair, as good as any
-# rule of the grid tried.
-_KRONECKER_MIN_TERMS = 4
-_KRONECKER_MIN_PAIRS = 128
 
 # Signed array type code of each machine-word digit width, in bits.  Rounding
 # k up to a word size widens the packed integers, yet on K3 Betti
@@ -131,33 +122,6 @@ def _unpack(value, n, k):
 
 def _max_abs(co):
     return max(max(co), -min(co))
-
-
-def _kronecker_mul(a, b):
-    """Product of two nonempty coefficient sequences by one multiply of
-    packed integers.  A coefficient of the product sums at most
-    min(len(a), len(b)) terms, each at most max|a| max|b|."""
-    k = _digit_bits(_max_abs(a) * _max_abs(b) * min(len(a), len(b)))
-    return _unpack(_pack(a, k) * _pack(b, k), len(a) + len(b) - 1, k)
-
-
-def _mul_coeffs(a, b):
-    """Product of two nonempty coefficient sequences, as a tuple: a scaling
-    when one is a single term, else Kronecker substitution or schoolbook by
-    the cutover above."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        c = a[0]
-        return tuple(b) if c == 1 else tuple([c * x for x in b])
-    if len(a) >= _KRONECKER_MIN_TERMS and len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
-        return _kronecker_mul(a, b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return tuple(out)
 
 
 def _trimmed(lo, co):
@@ -278,10 +242,6 @@ class LaurentPoly:
     def one(cls):
         return cls._of(0, (1,))
 
-    @classmethod
-    def var(cls, power=1):
-        return cls._of(power, (1,))
-
     # -- structure ---------------------------------------------------------
 
     def items(self):
@@ -336,16 +296,18 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _as_poly(other) - self
-
     def __mul__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         if not self.co or not other.co:
             return LaurentPoly.zero()
-        return LaurentPoly._of(self.lo + other.lo, _mul_coeffs(self.co, other.co))
+        out = [0] * (len(self.co) + len(other.co) - 1)
+        for i, x in enumerate(self.co):
+            if x:
+                for j, y in enumerate(other.co, i):
+                    out[j] += x * y
+        return LaurentPoly._of(self.lo + other.lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -389,17 +351,6 @@ class LaurentPoly:
         if v0 == 0 and self.co and self.lo < 0:
             raise InputError("cannot evaluate negative exponents at 0")
         return sum((Fraction(a) * v0 ** e for e, a in self.items()), Fraction(0))
-
-    def is_palindromic(self):
-        """Invariant under inverting the variable."""
-        return not self.co or (2 * self.lo + len(self.co) == 1
-                               and self.co == self.co[::-1])
-
-    def halve_exponents(self):
-        """Substitute x^2 -> x; requires all exponents even."""
-        if self.co and (self.lo % 2 or any(self.co[1::2])):
-            raise InputError("polynomial has odd exponents")
-        return LaurentPoly._of(self.lo // 2, self.co[::2])
 
     # -- serialization -----------------------------------------------------
 

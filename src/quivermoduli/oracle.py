@@ -34,13 +34,15 @@ __all__ = [
     "count_indecomposable",
     "min_generic_ext",
     "comp_series_point_set",
-    "gl_order",
     "default_budget",
 ]
 
 DEFAULT_REP_BUDGET = 10 ** 7
 DEFAULT_SUBSPACE_BUDGET = 10 ** 6
 DEFAULT_END_BUDGET = 10 ** 5
+_DEFAULT_BUDGETS = {"rep": DEFAULT_REP_BUDGET,
+                    "subspace": DEFAULT_SUBSPACE_BUDGET,
+                    "end": DEFAULT_END_BUDGET}
 
 _PRIMES = (2, 3, 5)
 
@@ -62,9 +64,7 @@ def default_budget(kind="rep"):
         if budget <= 0:
             raise InputError(f"QI_BUDGET must be positive, got {budget}")
         return budget
-    return {"rep": DEFAULT_REP_BUDGET,
-            "subspace": DEFAULT_SUBSPACE_BUDGET,
-            "end": DEFAULT_END_BUDGET}[kind]
+    return _DEFAULT_BUDGETS[kind]
 
 
 def _check_prime(q):
@@ -746,17 +746,3 @@ def min_generic_ext(quiver, d, e, q, budget=None):
                 if best == max(0, -quiver.euler(d, e)):
                     return best  # cannot go lower
     return best
-
-
-def gl_order(n, q):
-    out = 1
-    for k in range(n):
-        out *= q ** n - q ** k
-    return out
-
-
-def group_order(quiver, d, q):
-    out = 1
-    for v in quiver.vertices:
-        out *= gl_order(d[v], q)
-    return out

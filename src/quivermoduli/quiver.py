@@ -232,10 +232,6 @@ class Quiver:
         """Euler form <d, e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j."""
         return _context(self).euler(self.tup(d), self.tup(e))
 
-    def symmetric_form(self, d, e):
-        """(d, e) = <d,e> + <e,d>, the Cartan pairing."""
-        return self.euler(d, e) + self.euler(e, d)
-
     # -- enumeration helpers ----------------------------------------------
 
     def vectors_below(self, bound):

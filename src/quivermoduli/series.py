@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, InputError, MixedCutoffError
+from .errors import BudgetExceeded, InputError
 
 __all__ = ["TruncatedSeries", "two_row_partition_series", "drezet_series"]
 
@@ -18,11 +18,7 @@ def _check_budget(required):
 
 
 class TruncatedSeries:
-    """Power series in q kept exactly up to a fixed cutoff degree.
-
-    Mixing different cutoffs raises; silent precision loss is the main bug
-    risk with truncated arithmetic.
-    """
+    """Power series in q kept exactly up to a fixed cutoff degree."""
 
     __slots__ = ("coeffs", "cutoff")
 
@@ -43,11 +39,6 @@ class TruncatedSeries:
     def one(cls, cutoff):
         return cls([1], cutoff)
 
-    def _check(self, other):
-        if self.cutoff != other.cutoff:
-            raise MixedCutoffError(
-                f"cutoffs differ: {self.cutoff} vs {other.cutoff}")
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -55,21 +46,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.coeffs, self.cutoff))
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.cutoff)
-
-    def __mul__(self, other):
-        self._check(other)
-        n = self.cutoff
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                    out[i + j] += a * b
-        return TruncatedSeries(out, n)
 
     def times_one_minus_qk(self, k):
         """Multiply by (1 - q^k)."""

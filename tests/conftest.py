@@ -87,6 +87,33 @@ class Frac:
         return self.num * o.den == o.num * self.den
 
 
+def halve_exponents(p):
+    """p with x^2 replaced by x; every exponent of p must be even."""
+    assert not p.co or (p.lo % 2 == 0 and not any(p.co[1::2])), p
+    return LaurentPoly._of(p.lo // 2, p.co[::2])
+
+
+def symmetric_form(quiver, d, e):
+    """(d, e) = <d, e> + <e, d>, the Cartan pairing."""
+    return quiver.euler(d, e) + quiver.euler(e, d)
+
+
+def gl_order(n, q):
+    """|GL_n(F_q)|."""
+    out = 1
+    for k in range(n):
+        out *= q ** n - q ** k
+    return out
+
+
+def group_order(quiver, d, q):
+    """|G_d| = prod over the vertices i of |GL_(d_i)(F_q)|."""
+    out = 1
+    for v in quiver.vertices:
+        out *= gl_order(d[v], q)
+    return out
+
+
 def fraction_divexact(a, b):
     """Reference exact division: long division over Q, then integrality."""
     num, nlo = a.co, a.lo
@@ -179,7 +206,7 @@ class ReferenceMonoid:
 
 class ReferenceRoots:
     """Reference reflection descent on ``DimVector``s through
-    ``Quiver.symmetric_form``, as ``roots`` ran before it moved to tuples.
+    :func:`symmetric_form`, as ``roots`` ran before it moved to tuples.
     It shares no code with ``roots`` and has no reflection budget;
     ``classify_root`` gives (kind, witness, endpoint)."""
 
@@ -213,7 +240,7 @@ class ReferenceRoots:
             for v in quiver.vertices:
                 if d[v] == 0:
                     continue
-                p = quiver.symmetric_form(d, quiver.simple(v))
+                p = symmetric_form(quiver, d, quiver.simple(v))
                 if p <= 0:
                     continue
                 positive_pairing = True

@@ -15,7 +15,7 @@ from quivermoduli import oracle
 from quivermoduli.errors import BudgetExceeded, InputError
 from quivermoduli.oracle import (FFRep, count_indecomposable, count_semistable,
                                  count_stable, enumerate_reps, ext_dim,
-                                 group_order, gl_order, has_comp_series,
+                                 has_comp_series,
                                  hom_dim, is_indecomposable, is_semistable,
                                  is_simple_tuple, is_stable,
                                  kronecker_quadratic_form, min_generic_ext,
@@ -54,11 +54,6 @@ class TestRepBasics:
         with pytest.raises(InputError):
             FFRep(a2, 4, dv(i=1, j=1), [[(0,)]])  # 4 is not prime
 
-    def test_group_order(self, a2):
-        assert gl_order(2, 2) == 6
-        assert group_order(a2, dv(i=2, j=1), 2) == 6 * 1
-        assert subspace_count(2, 2) == 5  # 0, three lines, the plane
-
     def test_enumeration_equals_validated_reps(self, a2, k2, a3):
         for quiver, d, q in ((a2, dv(i=1, j=2), 3), (k2, dv(i=1, j=2), 2),
                              (a3, DimVector({"1": 1, "2": 2, "3": 1}), 2)):
@@ -76,6 +71,7 @@ class TestRepBasics:
             for n in range(5):
                 assert subspace_count(n, q) == sum(
                     len(oracle._subspaces(n, r, q)) for r in range(n + 1))
+        assert subspace_count(2, 2) == 5  # 0, three lines, the plane
         assert subspace_count(3, 3) == 28
         assert subspace_count(6, 5) == 3583232  # counted, not enumerated
 

@@ -12,7 +12,7 @@ from quivermoduli.quiver import (DimVector, LoopReduction, Quiver, Stability,
                                  birational_type, kronecker_quiver, linear_quiver,
                                  local_quiver)
 
-from conftest import dv
+from conftest import dv, gl_order, symmetric_form
 
 
 class TestDimVector:
@@ -142,7 +142,7 @@ class TestQuiver:
 
     def test_cartan_is_symmetrized_euler(self, a2):
         simples = [a2.simple(v) for v in a2.vertices]
-        C = tuple(tuple(a2.symmetric_form(s, t) for t in simples) for s in simples)
+        C = tuple(tuple(symmetric_form(a2, s, t) for t in simples) for s in simples)
         assert C == ((2, -1), (-1, 2))
 
     def test_json_round_trip(self, k2):
@@ -278,7 +278,7 @@ class TestDerivedConstructions:
             if determinant(X.mats[0]) % q:
                 assert oracle.is_semistable(X, red.stability)
                 stable += oracle.is_stable(X, red.stability)
-        assert stable == oracle.gl_order(n, q) * simple
+        assert stable == gl_order(n, q) * simple
 
     def test_linear_quiver(self):
         q = linear_quiver(3)

@@ -6,7 +6,7 @@ from quivermoduli.quiver import DimVector, Quiver, kronecker_quiver
 from quivermoduli.roots import (classify_root, decomposition_stratum_nonempty,
                                 positive_roots_up_to, replay_witness)
 
-from conftest import ReferenceRoots, dv
+from conftest import ReferenceRoots, dv, symmetric_form
 
 
 class TestClassify:
@@ -42,7 +42,7 @@ class TestClassify:
         assert cls.kind == "imaginary"
         e = cls.endpoint
         for v in e.support():
-            assert k3.symmetric_form(e, k3.simple(v)) <= 0
+            assert symmetric_form(k3, e, k3.simple(v)) <= 0
 
 
 class TestEnumeration:

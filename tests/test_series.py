@@ -1,6 +1,6 @@
 import pytest
 
-from quivermoduli.errors import BudgetExceeded, InputError, MixedCutoffError
+from quivermoduli.errors import BudgetExceeded, InputError
 from quivermoduli.series import (UPDATE_BUDGET, TruncatedSeries, drezet_series,
                                  two_row_partition_series)
 
@@ -9,18 +9,6 @@ class TestTruncatedSeries:
     def test_padding_and_equality(self):
         assert TruncatedSeries([1, 2], 4).coeffs == (1, 2, 0, 0, 0)
         assert TruncatedSeries([1], 2) == TruncatedSeries([1, 0, 0], 2)
-
-    def test_mixed_cutoff_rejected(self):
-        with pytest.raises(MixedCutoffError):
-            TruncatedSeries([1], 2) + TruncatedSeries([1], 3)
-        with pytest.raises(MixedCutoffError):
-            TruncatedSeries([1], 2) * TruncatedSeries([1], 3)
-
-    def test_mul_truncates(self):
-        a = TruncatedSeries([1, 1], 2)   # 1 + q
-        assert a * a == TruncatedSeries([1, 2, 1], 2)
-        b = TruncatedSeries([0, 0, 1], 2)  # q^2
-        assert b * b == TruncatedSeries([0, 0, 0], 2)
 
     def test_geometric_inverse(self):
         one = TruncatedSeries.one(5)
