@@ -6,11 +6,23 @@ decimal strings.  Exit codes: 0 success, 2 input error, 3 budget refusal
 or undecided-at-budget.
 
 Commands and their flags are declared once, in ``_COMMANDS``.  ``_parse``
-reads argv against that table, and ``_run`` reads a parsed command's flags
-in declared order, echoes them as its inputs and calls its payload function.
-``main`` joins the printed object from JSON texts: the echo of each input
-(encoded once per inline JSON text, and on every call for the other
-flags) and the encoded payload.
+reads argv against that table: it walks the flag words once per argv
+shape (the command words and the flag names, each other word a
+placeholder), keeps that walk's plan in a bounded cache, and converts and
+checks the real values on every call.  ``_answer`` reads a parsed
+command's flags in declared order, echoes them as its inputs and encodes
+the result of its payload function.  ``main`` joins the printed object
+from JSON texts: the echo of each input (encoded once per inline JSON
+text, and on every call for the other flags) and the encoded result.
+
+In a long-lived process the encoded result of each ``--quiver`` command
+outside the ``oracle`` group is kept in the quiver's memo store, keyed by
+the command and the echo of every other input (``--method`` and
+``--budget`` by value), so ``clear_caches`` empties it with every other
+memo.  Argv reading and every flag's checks still run on every call, and
+a refusal is never kept, so it repeats.  ``oracle`` commands read
+``QI_BUDGET`` on every call, ``fixtures run`` reads a file and ``series``
+has no quiver: none of them is kept.
 ``--help`` or ``-h`` prints the table as JSON.
 """
 
@@ -26,7 +38,7 @@ from importlib import resources
 
 from . import generic, hn, oracle, roots, series, words
 from .errors import BudgetExceeded, InputError
-from .quiver import DimVector, Quiver, Stability
+from .quiver import DimVector, Quiver, Stability, _context
 
 
 def _inline(text):
@@ -255,8 +267,8 @@ def _fixtures_run(path):
     failures = 0
     for fx in _load_fixtures(path):
         name = fx.get("name", " ".join(fx["argv"]))
-        payload, _ = _run(*_parse_fixture_argv(name, fx["argv"]))
-        payload = _stringify(payload)
+        key, texts = _parse_fixture_argv(name, fx["argv"])
+        payload = _stringify(_COMMANDS[key][1](*_read(key, texts)[0]))
         ok = True
         detail = None
         if "expected" in fx:
@@ -365,6 +377,10 @@ _COMMANDS = {
 # argv reader and runner
 
 _PROG = "quivermoduli"
+# the commands whose encoded result the quiver's memo keeps: those on a
+# quiver, but not the oracle's, which read QI_BUDGET on every call
+_KEPT = frozenset(key for key, (flags, _) in _COMMANDS.items()
+                  if flags[0] is _QUIVER and key.partition(" ")[0] != "oracle")
 _HELP = ("--help", "-h")
 _GROUPS = {key.partition(" ")[0] for key in _COMMANDS if " " in key}
 # command -> ({flag name: its position in the command's flags}, the position
@@ -421,20 +437,19 @@ def _command(argv):
     raise InputError(f"{_PROG}: unknown command {word!r}; --help lists the commands")
 
 
-def _parse(argv):
-    """The command key of ``argv`` and the text of its flags in declared
-    order, each converted by its type, checked against its choices, and
-    the default where absent.  Flag names are exact; ``--flag value`` and
-    ``--flag=value`` both set a flag, the word after a flag is its value
-    even when it starts with a dash, and a repeated flag keeps its last
-    value.  Raises ``_Help`` on --help or -h, else InputError on any usage
-    error."""
-    key, start = _command(argv)
+def _steps(key, start, argv):
+    """The flag walk of ``argv`` after its ``start`` command words: for each
+    flag value in argv order, (the flag's position in the command's flags,
+    the position of the word that holds the value, where the value starts in
+    that word).  Raises ``_Help`` on --help or -h, and InputError on an
+    unknown flag or word, a flag without its value or a missing required
+    flag, each when the walk reaches it.  The walk reads the words that
+    start with a dash, up to their first =, and only the places of the
+    others."""
     prog = f"{_PROG} {key}"
     flags = _COMMANDS[key][0]
     index, positional = _POSITIONS[key]
     given = [False] * len(flags)
-    values = [f.kw.get("default") for f in flags]
     i = start
     while i < len(argv):
         word = argv[i]
@@ -442,52 +457,112 @@ def _parse(argv):
         if word in _HELP:
             raise _Help(_flags_help(key))
         if word.startswith("--"):
-            name, eq, value = word.partition("=")
+            name, eq, _ = word.partition("=")
             j = index.get(name)
             if j is None:
                 raise InputError(f"{prog}: unrecognized arguments: {name}")
-            if not eq:
-                if i == len(argv):
-                    raise InputError(f"{prog}: argument {name}: expected one argument")
-                value = argv[i]
+            if eq:
+                yield j, i - 1, len(name) + 1
+            elif i == len(argv):
+                raise InputError(f"{prog}: argument {name}: expected one argument")
+            else:
+                yield j, i, 0
                 i += 1
         else:
             j = None if word.startswith("-") else positional
             if j is None or given[j]:
                 raise InputError(f"{prog}: unrecognized arguments: {word}")
-            value = word
-        f = flags[j]
-        convert = f.kw.get("type")
-        if convert is not None:
-            try:
-                value = convert(value)
-            except ValueError:
-                raise InputError(f"{prog}: argument {f.name}: invalid "
-                                 f"{convert.__name__} value: {value!r}") from None
-        choices = f.kw.get("choices")
-        if choices is not None and value not in choices:
-            raise InputError(f"{prog}: argument {f.name}: invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
-        values[j] = value
+            yield j, i - 1, 0
         given[j] = True
     missing = [f.name for f, g in zip(flags, given) if f.kw.get("required") and not g]
     if missing:
         raise InputError(f"{prog}: the following arguments are required: "
                          f"{', '.join(missing)}")
+
+
+def _shape(argv):
+    """``argv`` as ``_steps`` reads it: the command words, every word that
+    starts with a dash (up to its first = if it has one, so that the value
+    of --flag=value is no part of the shape), and "" for each other word."""
+    n = 2 if argv and argv[0] in _GROUPS else 1
+    return (*argv[:n], *["" if word[:1] != "-" else
+                         word[:word.find("=") + 1] or word for word in argv[n:]])
+
+
+@lru_cache(maxsize=1024)
+def _plan(shape):
+    """The command key of an argv of this shape and its flag walk, found
+    once per shape; a shape that fails is walked again on every call, as
+    lru_cache keeps only returns."""
+    key, start = _command(shape)
+    return key, tuple(_steps(key, start, shape))
+
+
+def _parse(argv):
+    """The command key of ``argv`` and the text of its flags in declared
+    order, each converted by its type, checked against its choices, and
+    the default where absent.  Flag names are exact; ``--flag value`` and
+    ``--flag=value`` both set a flag, the word after a flag is its value
+    even when it starts with a dash, and a repeated flag keeps its last
+    value, though every value given is converted and checked.  Raises
+    ``_Help`` on --help or -h, else InputError on the first usage error in
+    argv order."""
+    try:
+        key, steps = _plan(_shape(argv))
+    except (InputError, _Help):
+        # walk the real words, which the error may name, converting each
+        # value on the way, so that an earlier bad value is the one reported
+        key, start = _command(argv)
+        steps = _steps(key, start, argv)
+    flags = _COMMANDS[key][0]
+    values = [f.kw.get("default") for f in flags]
+    for j, i, cut in steps:
+        f = flags[j]
+        value = argv[i][cut:]
+        convert = f.kw.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise InputError(f"{_PROG} {key}: argument {f.name}: invalid "
+                                 f"{convert.__name__} value: {value!r}") from None
+        choices = f.kw.get("choices")
+        if choices is not None and value not in choices:
+            raise InputError(f"{_PROG} {key}: argument {f.name}: invalid choice: "
+                             f"{value!r} (choose from {', '.join(map(repr, choices))})")
+        values[j] = value
     return key, values
 
 
-def _run(key, texts):
-    """The payload of the command ``key`` whose flags ``_parse`` read as
-    ``texts``, and its inputs as (name, encoded echo) pairs."""
-    flags, payload = _COMMANDS[key]
-    values, inputs = [], []
-    for f, text in zip(flags, texts):
+def _read(key, texts):
+    """The values of the flags of the command ``key`` that ``_parse`` read
+    as ``texts``, and their encoded echoes (None for a flag with no echo)."""
+    values, echoes = [], []
+    for f, text in zip(_COMMANDS[key][0], texts):
         value, echo = f.read(text)
         values.append(value)
-        if echo is not None:
-            inputs.append((f.name.lstrip("-"), echo))
-    return payload(*values), inputs
+        echoes.append(echo)
+    return values, echoes
+
+
+def _answer(key, texts):
+    """The encoded result of the command ``key`` whose flags ``_parse`` read
+    as ``texts``, and its inputs as (name, encoded echo) pairs.  The result
+    of a command of ``_KEPT`` is encoded once per quiver context and echo of
+    the other inputs, a flag with no echo by its value."""
+    flags, payload = _COMMANDS[key]
+    values, echoes = _read(key, texts)
+    inputs = [(f.name.lstrip("-"), echo) for f, echo in zip(flags, echoes)
+              if echo is not None]
+    if key not in _KEPT:
+        return _encode(payload(*values)), inputs
+    memo = _context(values[0]).memo
+    memo_key = (_answer, key, *[value if echo is None else echo
+                                for value, echo in zip(values[1:], echoes[1:])])
+    result = memo.get(memo_key)
+    if result is None:
+        result = memo[memo_key] = _encode(payload(*values))
+    return result, inputs
 
 
 def _render(command, inputs, result, started):
@@ -508,7 +583,7 @@ def main(argv=None):
     try:
         command, texts = _parse(argv)
         started = time.perf_counter()
-        payload, inputs = _run(command, texts)
+        result, inputs = _answer(command, texts)
     except _Help as exc:
         print(json.dumps(exc.doc, sort_keys=True))
         return 0
@@ -528,7 +603,7 @@ def main(argv=None):
         err = {"command": command, "error": str(exc), "error_class": "input"}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 2
-    print(_render(command, inputs, _encode(payload), started))
+    print(_render(command, inputs, result, started))
     return 0
 
 

@@ -6,6 +6,8 @@ from itertools import product
 import pytest
 
 from quivermoduli import generic, hn
+from quivermoduli.cli import _COMMANDS, _HELP, _POSITIONS, _PROG, _command, _Help
+from quivermoduli.errors import InputError
 from quivermoduli.laurent import LaurentPoly, cyclotomic
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _contexts,
                                  _minus, kronecker_quiver)
@@ -493,3 +495,57 @@ def reference_render(command, inputs, result, timing_ms):
     return json.dumps({"command": command, "inputs": reference_stringify(inputs),
                        "result": reference_stringify(result), "timing_ms": timing_ms},
                       sort_keys=True)
+
+
+# ``cli._parse`` read argv by this word-by-word walk, converting each value
+# as it reached it, before it bound argv to a plan once per argv shape; the
+# reader is tested against it, values and error texts alike.
+def reference_parse(argv):
+    """The command key of ``argv`` and its flag values in declared order;
+    raises as the reader does on a usage error or a request for help."""
+    key, start = _command(argv)
+    prog = f"{_PROG} {key}"
+    flags = _COMMANDS[key][0]
+    index, positional = _POSITIONS[key]
+    given = [False] * len(flags)
+    values = [f.kw.get("default") for f in flags]
+    i = start
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if word in _HELP:
+            raise _Help(None)
+        if word.startswith("--"):
+            name, eq, value = word.partition("=")
+            j = index.get(name)
+            if j is None:
+                raise InputError(f"{prog}: unrecognized arguments: {name}")
+            if not eq:
+                if i == len(argv):
+                    raise InputError(f"{prog}: argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+        else:
+            j = None if word.startswith("-") else positional
+            if j is None or given[j]:
+                raise InputError(f"{prog}: unrecognized arguments: {word}")
+            value = word
+        f = flags[j]
+        convert = f.kw.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise InputError(f"{prog}: argument {f.name}: invalid "
+                                 f"{convert.__name__} value: {value!r}") from None
+        choices = f.kw.get("choices")
+        if choices is not None and value not in choices:
+            raise InputError(f"{prog}: argument {f.name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        values[j] = value
+        given[j] = True
+    missing = [f.name for f, g in zip(flags, given) if f.kw.get("required") and not g]
+    if missing:
+        raise InputError(f"{prog}: the following arguments are required: "
+                         f"{', '.join(missing)}")
+    return key, values

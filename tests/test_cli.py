@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import generic, oracle, series
-from quivermoduli.cli import (_COMMANDS, _DIM, _QUIVER, _THETA, _FixtureFailure,
-                              _inline_json, _parse, main)
-from quivermoduli.quiver import VECTOR_BUDGET
+from quivermoduli import generic, oracle, roots, series
+from quivermoduli.cli import (_COMMANDS, _DIM, _QUIVER, _THETA, _FixtureFailure, _Help,
+                              _answer, _inline_json, _parse, _plan, main)
+from quivermoduli.errors import InputError
+from quivermoduli.quiver import VECTOR_BUDGET, _contexts
 
-from conftest import reference_echo, reference_render
+from conftest import reference_echo, reference_parse, reference_render
 
 K3 = json.dumps({"vertices": ["i", "j"],
                  "arrows": [{"from": "i", "to": "j"}] * 3})
@@ -203,6 +204,136 @@ class TestWarmSession:
         second = run_json(capsys, *argv)
         del first["timing_ms"], second["timing_ms"]
         assert second == first
+
+
+def rendered():
+    """The encoded results that the memo store keeps."""
+    return [text for ctx in _contexts.values() for key, text in ctx.memo.items()
+            if key[0] is _answer]
+
+
+def quiver_text(vertices, arrows):
+    return json.dumps({"vertices": vertices,
+                       "arrows": [{"from": s, "to": t} for s, t in arrows]})
+
+
+# A3 and the D4 star: vertices, arrows, and the flag values of memo_argvs
+MEMO_CASES = {
+    "A3": (["1", "2", "3"], [("1", "2"), ("2", "3")], '{"1": 1, "2": 1, "3": 1}',
+           '{"1": 1}', "123", "321", '[{"1": 1}, {"2": 1, "3": 1}]'),
+    "D4": (["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "d")],
+           '{"a": 1, "b": 1, "c": 1, "d": 1}', '{"a": 1, "b": 1, "c": 1}', "abd", "dba",
+           '[{"d": 1}, {"a": 1, "b": 0}]'),
+}
+
+
+def memo_argvs(dim, theta, w, w2, parts):
+    """An argv without its --quiver for every command that keeps its result."""
+    return [["euler", "--d", dim, "--e", theta], ["root", "classify", "--dim", dim],
+            ["root", "list", "--bound", dim], ["ext", "--d", theta, "--e", dim],
+            ["hom", "--d", dim, "--e", dim], ["schur", "--dim", dim],
+            ["decompose", "--dim", dim],
+            ["ss-nonempty", "--dim", dim, "--theta", theta],
+            ["hn-types", "--dim", dim, "--theta", theta], ["mass", "--dim", dim],
+            ["mass-ss", "--dim", dim, "--theta", theta],
+            ["mass-ss", "--dim", dim, "--theta", theta, "--method", "closed"],
+            ["betti", "--dim", dim, "--theta", theta],
+            ["betti", "--dim", dim, "--theta", theta, "--method", "mass"],
+            ["word", "leq", "--w", w, "--w2", w2],
+            ["monoid", "equal", "--w", w, "--w2", w2],
+            ["monoid", "equal", "--w", w, "--w2", w2, "--budget", "7"],
+            ["monoid", "normalize", "--parts", parts]]
+
+
+class TestRenderedMemo:
+    """A kept result prints what the reference renderer prints, cold and
+    warm, and only a successful answer is kept."""
+
+    def assert_reference(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == reference_output(argv, json.loads(out)["timing_ms"])
+
+    def test_every_kept_command_is_covered(self):
+        kept = {key for key in _COMMANDS
+                if _COMMANDS[key][0][0] is _QUIVER and not key.startswith("oracle")}
+        argvs = memo_argvs(*MEMO_CASES["A3"][2:])
+        assert kept == {" ".join(w for w in argv[:2] if not w.startswith("-"))
+                        for argv in argvs}
+
+    @pytest.mark.parametrize("dims", [('{"i": 0, "j": 1}', '{"j": 1}'),
+                                      ('{"j": 1}', '{"i": 0, "j": 1}')])
+    def test_zero_entries_are_kept_apart(self, capsys, dims):
+        # the endpoint of classify keeps the keys it was given, so the two
+        # spellings print different results though their DimVectors are equal
+        generic.clear_caches()
+        for dim in dims + dims:
+            self.assert_reference(capsys, ["root", "classify", "--quiver", K2,
+                                           "--dim", dim])
+        assert len(rendered()) == 2
+
+    @pytest.mark.parametrize("name", list(MEMO_CASES))
+    def test_arrow_orders_share_a_result(self, capsys, name):
+        vertices, arrows, *values = MEMO_CASES[name]
+        texts = [quiver_text(vertices, arrows), quiver_text(vertices, arrows[::-1])]
+        argvs = memo_argvs(*values)
+        for order in (texts, texts[::-1]):
+            generic.clear_caches()
+            for text in order:
+                for argv in argvs:
+                    self.assert_reference(capsys, argv + ["--quiver", text])
+            # the two quivers are equal: one context, one entry per argv
+            assert len(rendered()) == len(argvs)
+
+    def test_clear_caches_empties_the_memo(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return classify(*args)
+
+        classify = roots.classify_root
+        monkeypatch.setattr(roots, "classify_root", spy)
+        generic.clear_caches()
+        argv = ["root", "classify", "--quiver", K3, "--dim", D23]
+        self.assert_reference(capsys, argv)
+        self.assert_reference(capsys, argv)
+        # one call for each reference render, one for the cold answer
+        assert len(calls) == 3 and len(rendered()) == 1
+        generic.clear_caches()
+        assert rendered() == []
+        run_json(capsys, *argv)
+        assert len(calls) == 4 and len(rendered()) == 1
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["betti", "--dim", '{"i": 2, "j": 2}', "--theta", THETA], 2,
+         "theta(d) = 2 and dim d = 4 are not coprime"),
+        (["mass", "--dim", '{"i": 1000}'], 3, "has a denominator of degree 500500"),
+        (["betti", "--dim", '{"i": 0}', "--theta", THETA], 2,
+         "the zero vector has no moduli space"),
+    ], ids=["non-coprime", "over-budget", "zero-vector"])
+    def test_refusals_repeat_and_are_not_kept(self, capsys, argv, code, error):
+        generic.clear_caches()
+        argv = argv + ["--quiver", K3]
+        cold = run(capsys, *argv)
+        assert cold[0] == code and error in json.loads(cold[2])["error"]
+        assert rendered() == []
+        # the same refusal once the quiver's context holds a kept answer
+        run_json(capsys, "mass", "--quiver", K3, "--dim", D11)
+        kept = rendered()
+        assert run(capsys, *argv) == cold
+        assert run(capsys, *argv) == cold
+        assert rendered() == kept
+
+    def test_oracle_reads_its_budget_on_every_call(self, capsys, monkeypatch):
+        generic.clear_caches()
+        argv = ["oracle", "count-ss", "--quiver", A2, "--dim", D11, "--theta", THETA,
+                "--q", "3"]
+        assert run_json(capsys, *argv)["result"] == {"count": "2", "total": "3"}
+        monkeypatch.setenv("QI_BUDGET", "1")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and json.loads(err)["budget"] == "1"
+        assert rendered() == []
 
 
 class TestExitCodes:
@@ -626,6 +757,7 @@ class TestFormats:
         assert first[0] == 2 and first == run(capsys, *argv)
 
     def test_caches_are_bounded(self, capsys):
+        assert _plan.cache_info().maxsize is not None
         size = _inline_json.cache_info().maxsize
         assert size is not None
         for n in range(size + 10):
@@ -746,6 +878,15 @@ def reordered(draw):
     return key, key.split() + as_words(pairs), key.split() + as_words(shuffled)
 
 
+def accepts(flag, text):
+    """Whether the argv reader takes ``text`` as the value of ``flag``."""
+    try:
+        value = flag.kw.get("type", str)(text)
+    except ValueError:
+        return False
+    return value in flag.kw.get("choices", [value])
+
+
 @st.composite
 def mangled(draw):
     """A valid argv after a few edits, and whether they made it a usage
@@ -775,8 +916,10 @@ def mangled(draw):
         elif edit == "equals":
             pairs[i] = [f"{name}={pairs[i][1]}"]
         elif len(name) > 3:
-            pairs[i][0] = name[:draw(st.integers(3, len(name) - 1))]
-            bad = True
+            # --w2 shortens to --w, another flag of the same command: that
+            # is no usage error when the value suits the flag it now names
+            short = pairs[i][0] = name[:draw(st.integers(3, len(name) - 1))]
+            bad = bad or short not in flags or not accepts(flags[short], pairs[i][1])
     given = {pair[0].partition("=")[0] for pair in pairs}
     bad = bad or any(flag.kw.get("required") and name not in given
                      for name, flag in flags.items())
@@ -816,6 +959,80 @@ class TestArgvFuzz:
             assert code == 2 and doc["command"] is None
         else:
             assert code == 0
+
+
+def parsed(parse, argv):
+    """What ``parse`` makes of ``argv``: its command key and flag values, or
+    the class and text of its error."""
+    try:
+        return parse(argv)
+    except (InputError, _Help) as exc:
+        return type(exc), str(exc)
+
+
+class TestArgvPlan:
+    """An argv reads the same whether its shape was bound before or not,
+    and as the word-by-word reference walk reads it."""
+
+    def assert_cold_equals_warm(self, argv):
+        _plan.cache_clear()
+        generic.clear_caches()
+        assert parsed(_parse, argv) == parsed(reference_parse, argv)
+        cold = main_once(argv)
+        warm = main_once(argv)
+        assert parsed(_parse, argv) == parsed(reference_parse, argv)
+        for code, doc in (cold, warm):
+            doc.pop("timing_ms", None)
+        assert warm == cold
+
+    @settings(deadline=None, max_examples=100)
+    @given(argvs())
+    def test_drawn_argv(self, argv):
+        self.assert_cold_equals_warm(argv)
+
+    @settings(deadline=None, max_examples=100)
+    @given(reordered())
+    def test_reordered_argv(self, case):
+        key, argv, shuffled = case
+        self.assert_cold_equals_warm(argv)
+        self.assert_cold_equals_warm(shuffled)
+
+    @settings(deadline=None, max_examples=100)
+    @given(mangled())
+    def test_mangled_argv(self, case):
+        self.assert_cold_equals_warm(case[0])
+
+    @pytest.mark.parametrize("good, bad, error", [
+        (["--method", "closed"], ["--method", "bogus"],
+         "quivermoduli betti: argument --method: invalid choice: 'bogus' "
+         "(choose from 'closed', 'mass')"),
+        (["--method=mass"], ["--method=bogus"],
+         "quivermoduli betti: argument --method: invalid choice: 'bogus' "
+         "(choose from 'closed', 'mass')"),
+        (["--q", "3"], ["--q", "x"],
+         "quivermoduli oracle count-ss: argument --q: invalid int value: 'x'"),
+        # every value given is converted, not only the last one kept
+        (["--q", "2", "--q", "3"], ["--q", "x", "--q", "3"],
+         "quivermoduli oracle count-ss: argument --q: invalid int value: 'x'"),
+        # a shape that fails names the words of the argv that has it
+        (["stray"], ["other"], "quivermoduli betti: unrecognized arguments: other"),
+    ], ids=["choice", "choice-equals", "int", "int-repeated", "stray-word"])
+    def test_same_shape_other_values(self, capsys, good, bad, error):
+        if good[0] == "--q":
+            argv = ["oracle", "count-ss", "--quiver", A2, "--dim", D11, "--theta", THETA]
+        else:
+            argv = ["betti", "--quiver", A2, "--dim", D11, "--theta", THETA]
+        _plan.cache_clear()
+        code = run(capsys, *argv, *good)[0]
+        assert code == (2 if good == ["stray"] else 0)
+        size = _plan.cache_info().currsize
+        for _ in range(2):
+            code, out, err = run(capsys, *argv, *bad)
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"command": None, "error": error,
+                                       "error_class": "input"}
+            assert _plan.cache_info().currsize == size
+        assert parsed(reference_parse, argv + bad) == (InputError, error)
 
 
 def readme_examples():
