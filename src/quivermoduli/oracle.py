@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import prod
 from operator import mul
 
@@ -50,6 +50,12 @@ _PRIMES = (2, 3, 5)
 # a wider one takes long to build, and Python will not print an int of more
 # than 4300 digits.
 _EXACT_BITS = 4096
+
+# The most entries of a table or tuple built once and read for many reps.  A
+# plan tabulates its arrows only while each (source, target) table, of
+# q^(d_s d_t) matrices times the candidates, stays within it; an enumeration
+# lists an arrow's matrices, or else its row chunks, within it.
+_TABLE_CAP = 2 ** 16
 
 
 def default_budget(kind="rep"):
@@ -96,7 +102,8 @@ def _echelon(rows, p):
     """Forward elimination mod p: (echelon rows, pivot columns).  Each pivot
     row has a leading 1 and is reduced mod p; only the entries below a pivot
     are cleared, since a rank needs no more and a kernel back-substitutes.
-    The given rows are left as they are: a changed row is a new list."""
+    Rows that vanish are dropped.  The given rows are left as they are: a
+    changed row is a new list."""
     rows = list(rows)
     pivots = []
     r, n = 0, len(rows)
@@ -109,14 +116,23 @@ def _echelon(rows, p):
             continue
         top = rows[i]
         rows[i] = rows[r]
-        inv = pow(x, p - 2, p)
-        rows[r] = top = [y * inv % p for y in top]
-        for i in range(r + 1, n):
+        # a row made here is reduced; a given one need not be
+        if x != 1 or min(top) < 0 or max(top) >= p:
+            inv = pow(x, p - 2, p)
+            top = [y * inv % p for y in top]
+        rows[r] = top
+        pivots.append(c)
+        r += 1
+        i = r
+        while i < n:
             f = rows[i][c] % p
             if f:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
+                if not any(rows[i]):  # the last live row takes its place
+                    n -= 1
+                    rows[i] = rows[n]
+                    continue
+            i += 1
         if r == n:
             break
     return rows[:r], pivots
@@ -155,27 +171,32 @@ class FFRep:
     def __init__(self, quiver, q, dim, mats):
         _check_prime(q)
         dims = quiver.tup(dim)
-        mats = tuple([tuple([tuple([x % q for x in row]) for row in m]) for m in mats])
+        mats = tuple(mats)
         if len(mats) != len(quiver.arrows):
             raise InputError("need one matrix per arrow")
+        reduced = []
         for (s, t), (si, ti), m in zip(quiver.arrows, quiver.arrow_pairs, mats):
-            if len(m) != dims[ti] or any(len(row) != dims[si] for row in m):
-                raise InputError(f"matrix shape mismatch on arrow {s}->{t}")
-        self._fill(quiver, q, dim, dims, mats)
-
-    def _fill(self, quiver, q, dim, dims, mats):
-        self.quiver = quiver
-        self.q = q
-        self.dim = dim
-        self.dims = dims
-        self.mats = mats
+            # one pass over the rows: reduce each and check its length
+            rows = []
+            for row in m:
+                row = tuple([x % q for x in row])
+                if len(row) != dims[si]:
+                    break
+                rows.append(row)
+            else:
+                if len(rows) == dims[ti]:
+                    reduced.append(tuple(rows))
+                    continue
+            raise InputError(f"matrix shape mismatch on arrow {s}->{t}")
+        self.quiver, self.q, self.dim, self.dims = quiver, q, dim, dims
+        self.mats = tuple(reduced)
 
     @classmethod
     def _trusted(cls, quiver, q, dim, dims, mats):
         """A rep whose entries are already reduced mod q and whose shapes
         already match ``dims``: no checks."""
         X = cls.__new__(cls)
-        X._fill(quiver, q, dim, dims, mats)
+        X.quiver, X.q, X.dim, X.dims, X.mats = quiver, q, dim, dims, mats
         return X
 
     # Quiver equality ignores the order arrows are listed in, but the
@@ -201,25 +222,42 @@ def rep_count(quiver, d, q):
 
 def enumerate_reps(quiver, d, q, budget=None):
     """Every point of R_d(F_q) exactly once, odometer order (last cell
-    fastest)."""
+    fastest).  Each arrow draws from one tuple of its matrices, shared per
+    shape; an arrow with more than ``_TABLE_CAP`` matrices draws each row
+    from chunks of at most ``_TABLE_CAP`` vectors, joined per rep."""
     _check_prime(q)
-    quiver.check_vector(d)
-    budget = budget if budget is not None else default_budget("rep")
     dims = quiver.tup(d)
+    budget = budget if budget is not None else default_budget("rep")
     shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_pairs]
     cells = sum(r * c for r, c in shapes)
     # q^cells >= 2^cells
     _check_budget("representations", cells, lambda: cells * q.bit_length(),
                   lambda: q ** cells, budget)
+    # the widest row chunk within the cap, one cell at the least
+    width = max((k for k in range(1, _TABLE_CAP.bit_length())
+                 if q ** k <= _TABLE_CAP), default=1)
+    whole = {(r, c): tuple(product(_vectors(c, q) if r else (), repeat=r))
+             for r, c in set(shapes) if q ** (r * c) <= _TABLE_CAP}
+    pools = []
+    for r, c in shapes:
+        pools += ([whole[(r, c)]] if (r, c) in whole else
+                  [_vectors(min(width, c - k), q) for k in range(0, c, width)] * r)
     trusted = FFRep._trusted
-    for flat in product(range(q), repeat=cells):
-        mats = []
-        pos = 0
-        for r, c in shapes:
-            mats.append(tuple(flat[pos + i * c: pos + (i + 1) * c]
-                              for i in range(r)))
-            pos += r * c
-        yield trusted(quiver, q, d, dims, tuple(mats))
+    if whole.keys() >= set(shapes):
+        for mats in product(*pools):
+            yield trusted(quiver, q, d, dims, mats)
+        return
+    for parts in product(*pools):
+        it = iter(parts)
+        yield trusted(quiver, q, d, dims, tuple([
+            next(it) if (r, c) in whole
+            else tuple([sum(islice(it, -(-c // width)), ()) for _ in range(r)])
+            for r, c in shapes]))
+
+
+def _vectors(n, q):
+    """Every vector of F_q^n, odometer order."""
+    return tuple(product(range(q), repeat=n))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +328,9 @@ def _hom_basis(M, N):
 def ext_dim(M: FFRep, N: FFRep) -> int:
     """dim Ext^1(M, N) = hom_dim - <dim M, dim N>; path algebras are
     hereditary so there is nothing beyond Ext^1."""
-    return hom_dim(M, N) - M.quiver.euler(M.dim, N.dim)
+    d, e = M.dims, N.dims
+    return (hom_dim(M, N) - sum(map(mul, d, e))
+            + sum(d[s] * e[t] for s, t in M.quiver.arrow_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +400,6 @@ def _member_spaces(n, r, q):
     return tuple(out)
 
 
-# A plan tabulates its arrows only while every (source, target) table has at
-# most this many entries, q^(d_s d_t) matrices times the candidates.
-_TABLE_CAP = 2 ** 16
-
-
 @lru_cache(maxsize=None)
 def _destab_plan(arrows, tkey, dims, q, strict):
     """The rep-independent part of the search for destabilizing subspace
@@ -425,25 +460,21 @@ def _destab_plan(arrows, tkey, dims, q, strict):
 def _mask_table(slots, candidates, arrow, rows, cols, q):
     """For every rows x cols matrix over F_q, the bitmask of the candidates
     whose checks on ``arrow`` it passes."""
-    # (source vector, target members) -> bits of the candidates checking it
-    needs = {}
+    # source vector -> target members -> bits of the candidates checking it
+    by_vec = {}
     for i, checks in enumerate(candidates):
         for k, members in checks:
             a, vec = slots[k]
             if a == arrow:
-                key = (vec, members)
-                needs[key] = needs.get(key, 0) | 1 << i
-    by_vec = {}
-    for (vec, members), bits in needs.items():
-        by_vec.setdefault(vec, []).append((members, bits))
+                tests = by_vec.setdefault(vec, {})
+                tests[members] = tests.get(members, 0) | 1 << i
     full = (1 << len(candidates)) - 1
     table = {}
-    for flat in product(range(q), repeat=rows * cols):
-        m = tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+    for m in product(_vectors(cols, q), repeat=rows):
         failed = 0
         for vec, tests in by_vec.items():
             img = _image(m, vec, q)
-            for members, bits in tests:
+            for members, bits in tests.items():
                 if img not in members:
                     failed |= bits
         table[m] = full & ~failed

@@ -116,6 +116,23 @@ def group_order(quiver, d, q):
     return out
 
 
+def reference_enumerate_reps(quiver, d, q):
+    """The matrices of every point of R_d(F_q), sliced from one flat
+    odometer over all cells (last cell fastest), as the oracle enumerated
+    them before it drew from per-shape matrix lists."""
+    dims = quiver.tup(d)
+    shapes = [(dims[t], dims[s]) for s, t in quiver.arrow_pairs]
+    cells = sum(r * c for r, c in shapes)
+    for flat in product(range(q), repeat=cells):
+        mats = []
+        pos = 0
+        for r, c in shapes:
+            mats.append(tuple(flat[pos + i * c: pos + (i + 1) * c]
+                              for i in range(r)))
+            pos += r * c
+        yield tuple(mats)
+
+
 def fraction_divexact(a, b):
     """Reference exact division: long division over Q, then integrality."""
     num, nlo = a.co, a.lo

@@ -2,14 +2,15 @@ import ast
 import functools
 import math
 import random
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivermoduli import oracle
 from quivermoduli.errors import BudgetExceeded, InputError
@@ -22,7 +23,7 @@ from quivermoduli.oracle import (FFRep, count_indecomposable, count_semistable,
                                  rep_count, subspace_count)
 from quivermoduli.quiver import DimVector, Quiver, Stability, kronecker_quiver
 
-from conftest import dv
+from conftest import dv, reference_enumerate_reps
 
 
 def a2_rep(a2, q, entries, d=None):
@@ -54,6 +55,34 @@ class TestRepBasics:
         with pytest.raises(InputError):
             FFRep(a2, 4, dv(i=1, j=1), [[(0,)]])  # 4 is not prime
 
+    def test_arrow_count_is_checked_before_shapes(self, a3):
+        d = DimVector({"1": 1, "2": 1, "3": 1})
+        # one matrix short or one too many, each of the wrong shape
+        for mats in ([[[0, 0]]], [[[0, 0]]] * 3, (m for m in [[[0], [0]]])):
+            with pytest.raises(InputError, match="^need one matrix per arrow$"):
+                FFRep(a3, 2, d, mats)
+
+    def test_first_bad_arrow_is_named(self, a3):
+        d = DimVector({"1": 1, "2": 2, "3": 1})
+        # 1->2 takes a 2 x 1 matrix, 2->3 a 1 x 2 matrix
+        for mats, arrow in (([[[0], [0], [0]], [[0, 0, 0]]], "1->2"),
+                            ([[[0, 0], [0]], [[0]]], "1->2"),
+                            ([[[0]], [[0]]], "1->2"),
+                            ([[[0], [0]], [[0]]], "2->3"),
+                            ([[[0], [0]], []], "2->3"),
+                            ([[[0], [0]], [[0, 0], [0, 0]]], "2->3")):
+            with pytest.raises(InputError, match=f"^matrix shape mismatch on arrow {arrow}$"):
+                FFRep(a3, 3, d, mats)
+
+    def test_any_iterable_of_matrices(self, k2):
+        d = dv(i=2, j=2)
+        mats = [[[1, 5], [-1, 3]], [[0, 7], [2, -4]]]
+        X = FFRep(k2, 3, d, mats)
+        assert X.mats == (((1, 2), (2, 0)), ((0, 1), (2, 2)))
+        assert FFRep(k2, 3, d, (m for m in mats)) == X
+        assert FFRep(k2, 3, d, ((iter(row) for row in m) for m in mats)) == X
+        assert FFRep(k2, 3, d, tuple(map(tuple, X.mats))) == X
+
     def test_enumeration_equals_validated_reps(self, a2, k2, a3):
         for quiver, d, q in ((a2, dv(i=1, j=2), 3), (k2, dv(i=1, j=2), 2),
                              (a3, DimVector({"1": 1, "2": 2, "3": 1}), 2)):
@@ -74,6 +103,56 @@ class TestRepBasics:
         assert subspace_count(2, 2) == 5  # 0, three lines, the plane
         assert subspace_count(3, 3) == 28
         assert subspace_count(6, 5) == 3583232  # counted, not enumerated
+
+
+D4 = Quiver(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "d")])
+A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
+# K1-K4, A3, the D4 star and a quiver without arrows, each with dimension
+# vectors that leave some vertices at 0
+ENUMERATED = [(kronecker_quiver(m), d) for m in (1, 2, 3, 4)
+              for d in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (1, 3))]
+ENUMERATED += [(A3, d) for d in ((1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 2, 1), (2, 2, 1))]
+ENUMERATED += [(D4, d) for d in ((1, 1, 1, 1), (1, 0, 1, 2), (0, 0, 0, 3), (1, 1, 1, 2))]
+ENUMERATED += [(Quiver(["x", "y"], []), (2, 3))]
+
+
+class TestEnumerationOrder:
+    """``enumerate_reps`` yields the reference's matrices in its order.  The
+    cap on a matrix list is also lowered, so that small cases take the path
+    of arrows with too many matrices: 20 splits most arrows into row chunks
+    of a few cells, 0 into chunks of one cell."""
+
+    @pytest.mark.parametrize("cap", (2 ** 16, 20, 0))
+    @pytest.mark.parametrize("q", (2, 3, 5))
+    def test_same_matrices_in_the_same_order(self, q, cap, monkeypatch):
+        monkeypatch.setattr(oracle, "_TABLE_CAP", cap)
+        seen = 0
+        for quiver, d in ENUMERATED:
+            dim = quiver.vec(d)
+            if rep_count(quiver, dim, q) > 2 ** 13:
+                continue
+            got = [X.mats for X in enumerate_reps(quiver, dim, q)]
+            assert got == list(reference_enumerate_reps(quiver, dim, q)), (quiver, d)
+            seen += 1
+        assert seen >= 30
+
+    def test_rows_longer_than_a_chunk(self, k1):
+        # over F_5 a chunk has at most 6 cells (5^6 <= 2^16 < 5^7)
+        for d in (dv(i=7, j=1), dv(i=1, j=7), dv(i=2, j=5)):
+            first = [X.mats for X in islice(enumerate_reps(k1, d, 5), 700)]
+            assert first == list(islice(reference_enumerate_reps(k1, d, 5), 700))
+
+    def test_first_reps_need_little_memory(self, k1):
+        # 5^10 reps of K1 (2,5) over F_5: a list of every 5 x 2 matrix
+        # would hold 9.8 M of them
+        tracemalloc.start()
+        try:
+            reps = list(islice(enumerate_reps(k1, dv(i=2, j=5), 5), 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == 10
+        assert peak < 2 ** 17
 
 
 class TestHomExt:
@@ -97,6 +176,21 @@ class TestHomExt:
         for X in enumerate_reps(k2, dv(i=1, j=1), 3):
             assert hom_dim(X, X) >= 1
             assert ext_dim(X, X) >= 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ext_is_hom_minus_the_euler_form(self, data):
+        quiver = data.draw(st.sampled_from(
+            [kronecker_quiver(m) for m in (1, 2, 3, 4)] + [A3, D4]))
+        q = data.draw(st.sampled_from((2, 3, 5)))
+        entry = st.integers(-q, 2 * q)
+        M, N = (FFRep(quiver, q, quiver.vec(d), [
+            data.draw(st.lists(st.lists(entry, min_size=d[s], max_size=d[s]),
+                               min_size=d[t], max_size=d[t]))
+            for s, t in quiver.arrow_pairs])
+            for d in [data.draw(st.tuples(*[st.integers(0, 2)] * len(quiver.vertices)))
+                      for _ in range(2)])
+        assert ext_dim(M, N) == hom_dim(M, N) - quiver.euler(M.dim, N.dim)
 
     def test_field_mismatch(self, a2):
         with pytest.raises(InputError):
@@ -167,11 +261,18 @@ def matrices_mod_p(draw):
 class TestLinearAlgebraAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(matrices_mod_p())
+    # rows that reduce to zero, among them the last row and a row the pivot
+    # row's elimination reaches after one was dropped
+    @example(([[1, 2, 0], [2, 4, 0], [0, 1, 1], [3, 6, 0]], 3, 5))
+    @example(([[0, 1, 1], [1, 1, 0], [0, 2, 2], [1, 0, 1]], 3, 2))
+    # pivots of 1 on rows with unreduced or negative entries
+    @example(([[1, 5, -1], [4, 3, 0], [-2, -4, 7]], 3, 3))
+    @example(([[6, 1, 1], [-4, 2, 5]], 3, 5))
     def test_echelon_and_nullspace(self, case):
         rows, ncols, p = case
         given_rows = [list(row) for row in rows]
         echelon, pivots = oracle._echelon(rows, p)
-        assert len(pivots) == len(reference_rref(rows, p)[1])
+        assert len(echelon) == len(pivots) == len(reference_rref(rows, p)[1])
         # echelon rows: reduced mod p, a leading 1 at the pivot
         for row, c in zip(echelon, pivots):
             assert all(0 <= x < p for x in row)
@@ -181,6 +282,16 @@ class TestLinearAlgebraAgainstReference:
         for vec in basis:
             assert all(sum(map(mul, row, vec)) % p == 0 for row in rows)
         assert rows == given_rows
+
+    def test_gram_rank_is_the_reference_rank(self, k2):
+        # the Gram matrix of the quadric, built from its coefficients: the
+        # l_k l_l coefficient off the diagonal is twice the Gram entry
+        half = pow(2, -1, 3)
+        for X in enumerate_reps(k2, dv(i=2, j=2), 3):
+            coeffs, rank = kronecker_quadratic_form(X.mats, 3)
+            gram = [[coeffs[min(k, l), max(k, l)] * (1 if k == l else half) % 3
+                     for l in range(2)] for k in range(2)]
+            assert rank == len(reference_rref(gram, 3)[1])
 
     def test_hom_basis_is_the_reference_kernel(self, k2):
         for X in enumerate_reps(k2, dv(i=1, j=2), 2):
