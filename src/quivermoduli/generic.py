@@ -12,7 +12,7 @@ theta-free context of the quiver, in the one store it shares with ``hn``.
 from __future__ import annotations
 
 from itertools import permutations
-from operator import le
+from operator import le, mul
 
 from .errors import InputError
 from .quiver import (DimVector, Quiver, _below, _context, _memoized, _minus,
@@ -33,7 +33,8 @@ def _subreps(ctx, d):
     """{e: <e, d>} over the dimensions 0 < e <= d of generic
     subrepresentations, those with ext(e, d - e) = 0, lexicographically, so
     d itself comes last."""
-    pairing = {e: ctx.euler(e, d) for e in _below(d)}
+    row = ctx.row(d)  # <e, d> = sum(e * row)
+    pairing = {e: sum(map(mul, e, row)) for e in _below(d)}
     subreps = {}
     for e, p in pairing.items():
         # by Schofield, ext(e, d - e) = 0 iff <x, d - e> >= 0, that is

@@ -32,6 +32,14 @@ whose first part is e,
 Both are read off one pass per f over its parts by descending slope, which
 computes each X(e, f) once (see the comment above the HN recursion).
 
+The semistable locus of d is nonempty iff no generic subrepresentation
+dimension e of d has mu(e) > mu(d) (King, Quart. J. Math. 45, 1994;
+Schofield, Proc. LMS 65, 1992).  The e are read off the table of
+``generic`` in the theta-free context, which every stability of the quiver
+shares, at a cost of prod_i (d_i + 1)(d_i + 2) / 2 pairs of vectors.  The
+HN types of d are the tuples of parts with nonempty semistable loci and
+strictly decreasing slopes that sum to d.
+
 Below the public functions, everything runs on integer tuples in vertex
 order against the context of (quiver, theta), in the one store it shares
 with ``generic``; slopes are reduced (theta(e), dim e) pairs.  A cold query
@@ -65,6 +73,7 @@ from itertools import chain, product
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
+from .generic import _subreps
 from .laurent import (LaurentPoly, RationalFunc, _digit_bits, _divexact,
                       _gaussian_binomial, _lift_sum, _max_abs, _pack, _trimmed,
                       _unpack, cyclotomic)
@@ -290,11 +299,9 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
 # ---------------------------------------------------------------------------
 # semistable nonemptiness and HN types
 
-def _hn_types(ctx, d, flat=False):
+def _hn_types(ctx, d):
     """The HN types of d: tuples of ss-nonempty parts with strictly
-    decreasing slopes.  ``flat`` keeps only those of at least two parts with
-    <d^k, d^l> = 0 for k < l, the codimension-0 ones; one exists iff the
-    semistable locus of d is empty."""
+    decreasing slopes."""
     def dfs(rest, parts, bound):
         if not any(rest):
             yield parts
@@ -302,8 +309,6 @@ def _hn_types(ctx, d, flat=False):
         for p in _below(rest):
             mu = ctx.slope(p)
             if bound is not None and not _less(mu, bound):
-                continue
-            if flat and (p == d or any(ctx.euler(q, p) for q in parts)):
                 continue
             if _ss_nonempty(ctx, p):
                 yield from dfs(_minus(rest, p), parts + (p,), mu)
@@ -313,7 +318,9 @@ def _hn_types(ctx, d, flat=False):
 
 @_memoized
 def _ss_nonempty(ctx, d):
-    return next(_hn_types(ctx, d, flat=True), None) is None
+    """King's criterion on the generic subrepresentations of d."""
+    mu = ctx.slope(d)
+    return not any(_less(mu, ctx.slope(e)) for e in _subreps(ctx.base, d))
 
 
 def ss_nonempty(quiver: Quiver, theta: Stability, d: DimVector) -> bool:
@@ -483,7 +490,7 @@ class _SlopeTable:
     Euler form.  ``weight[e]`` is the exponent of w(e) over D(e), kept for
     the resolved sum only."""
 
-    __slots__ = ("top", "slopes", "index", "rank", "below", "square", "weight")
+    __slots__ = ("top", "slopes", "rank", "below", "square", "weight")
 
     def __init__(self, ctx, top, weights=False):
         self.top = top
@@ -492,8 +499,8 @@ class _SlopeTable:
         # n / m sorts as n (scale / m), for a common multiple scale of the m
         scale = math.lcm(*(m for _, m in distinct))
         self.slopes = sorted(distinct, key=lambda s: -s[0] * (scale // s[1]))
-        self.index = {s: r for r, s in enumerate(self.slopes)}
-        self.rank = rank = {e: self.index[s] for e, s in mu.items()}
+        index = {s: r for r, s in enumerate(self.slopes)}
+        self.rank = rank = {e: index[s] for e, s in mu.items()}
         self.below = below = {(0,) * len(top): 0}
         for h, r in rank.items():  # lexicographic, so each h - unit comes first
             mask = 1 << r
@@ -504,28 +511,16 @@ class _SlopeTable:
         self.square = {e: ctx.euler(e, e) for e in rank}
         self.weight = {e: _weight_exp(ctx, e) for e in rank} if weights else None
 
-    def bounds(self, f, old=()):
-        """(u, b) for the bounds b of L(f) and of ``old`` by descending b,
-        where the parts of f of rank below u are those of slope >= b."""
+    def bounds(self, f):
+        """(u, b) for the bounds b of L(f) by descending b, where the parts
+        of f of rank below u are those of slope >= b."""
         slopes = self.slopes
         mask = self.below[_minus(self.top, f)] & ((1 << self.rank[f]) - 1)
-        stale = []
-        for b in old:
-            r = self.index.get(b)
-            if r is None:
-                stale.append(b)
-            else:
-                mask |= 1 << r
         out = []
         while mask:
             r = (mask & -mask).bit_length() - 1
             out.append((r + 1, slopes[r]))
             mask &= mask - 1
-        if stale:
-            # a bound kept from another top-level d that no 0 < e <= d has:
-            # it lies strictly between two slopes of the table
-            out += [(sum(_less(b, s) for s in slopes), b) for b in stale]
-            out.sort(key=itemgetter(0))
         return out
 
     def parts(self, f):
@@ -556,32 +551,30 @@ class _SlopeTable:
 #   T(f - e; mu(e)) over D(f - e).
 # Under a top-level d, T(f; b) is asked for only at the bounds
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
-# so the memo keeps mass_ss(f) and T(f; b) for b in L(f), and a warm context
-# asked for a bound it never stored runs the pass of f again.  The slope
-# table of the query gives L(f) as the ranks below d - f that are steeper
-# than f, a bitmask read off in ascending rank, and the parts of f as the
-# e <= f of rank below that of f, sorted by rank.  The memo keys bounds by
-# slope, so a refill also keeps bounds of another top-level d that this
-# table lacks, placed between its ranks.
+# so the memo keeps mass_ss(f) and T(f; b) for b in L(f) of the table that
+# last filled it, and a warm context asked for a bound it does not hold runs
+# the pass of f again under the table of the query.  That table gives L(f)
+# as the ranks below d - f that are steeper than f, a bitmask read off in
+# ascending rank, and the parts of f as the e <= f of rank below that of f,
+# sorted by rank.
 
 def _hn(ctx, f, table, bound=None):
-    """The memo entry (mass_ss(f), {b: T(f; b)}) of f under the top-level d
-    of the slope table ``table``, as numerators over D(f); it is refilled
-    when it lacks ``bound``."""
+    """The memo entry (mass_ss(f), {b: T(f; b)}) of f, as numerators over
+    D(f); it is filled, or refilled when it lacks ``bound``, under the
+    top-level d of the slope table ``table``."""
     key = (_hn, f)
     entry = ctx.memo.get(key)
     if entry is None or (bound is not None and bound not in entry[1]):
-        entry = ctx.memo[key] = _hn_pass(ctx, f, table, entry)
+        entry = ctx.memo[key] = _hn_pass(ctx, f, table)
     return entry
 
 
-def _hn_pass(ctx, f, table, old):
-    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f) and every
-    bound of the entry ``old`` it replaces."""
+def _hn_pass(ctx, f, table):
+    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f)."""
     slopes, square = table.slopes, table.square
     r_f = table.rank[f]
     column = ctx.column(f)  # <f, e> = sum(column * e)
-    bounds = table.bounds(f, () if old is None else old[1])
+    bounds = table.bounds(f)
     parts = table.parts(f)
     terms, cuts, i = [], [], 0
     for upto, _ in chain(bounds, ((r_f, None),)):  # every part lies above mu(f)

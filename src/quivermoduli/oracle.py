@@ -762,18 +762,20 @@ def min_generic_ext(quiver, d, e, q, budget=None):
     generic ext.  The pairs, at least 2^(cells of d + cells of e), count
     against the rep budget before any is drawn."""
     _check_prime(q)
-    quiver.check_vector(d)
-    quiver.check_vector(e)
+    x, y = quiver.tup(d), quiver.tup(e)
     budget = budget if budget is not None else default_budget("rep")
-    cells = sum(d[s] * d[t] + e[s] * e[t] for s, t in quiver.arrows)
+    cells = sum(x[s] * x[t] + y[s] * y[t] for s, t in quiver.arrow_pairs)
     _check_budget("representation pairs", cells, lambda: cells * q.bit_length(),
                   lambda: q ** cells, budget)
+    # no ext lies below max(0, -<d, e>), as ext_dim = hom_dim - <d, e>
+    floor = max(0, sum(x[s] * y[t] for s, t in quiver.arrow_pairs)
+                - sum(map(mul, x, y)))
     best = None
     for M in enumerate_reps(quiver, d, q, budget):
         for N in enumerate_reps(quiver, e, q, budget):
             val = ext_dim(M, N)
             if best is None or val < best:
                 best = val
-                if best == max(0, -quiver.euler(d, e)):
+                if best == floor:
                     return best  # cannot go lower
     return best

@@ -326,9 +326,11 @@ class Stability:
 
 class _Context:
     """A quiver and a stability as integer tuples in vertex order, with the
-    memo of every recursion that ``hn`` and ``generic`` run on them."""
+    memo of every recursion that ``hn`` and ``generic`` run on them.
+    ``base`` is the theta-free context of the same quiver, whose memo holds
+    the generic subrepresentations that every stability reads."""
 
-    __slots__ = ("vertices", "arrows", "theta", "memo")
+    __slots__ = ("vertices", "arrows", "theta", "memo", "base")
 
     def __init__(self, quiver, theta):
         self.vertices = quiver.vertices
@@ -374,6 +376,7 @@ def _context(quiver, theta=None):
     ctx = _contexts.get(key)
     if ctx is None:
         ctx = _contexts[key] = _Context(quiver, key[1])
+        ctx.base = ctx if theta is None else _context(quiver)
     return ctx
 
 

@@ -102,15 +102,6 @@ def classify_root(quiver: Quiver, d: DimVector) -> RootClassification:
     return RootClassification(kind, tuple(quiver.vertices[v] for v in witness), end)
 
 
-def replay_witness(quiver, endpoint, witness):
-    """Apply the recorded reflections in reverse to recover the input."""
-    d = list(quiver.tup(endpoint))
-    for name in reversed(witness):
-        v = quiver.index(name)
-        d[v] -= _pairings(quiver.arrow_pairs, d)[v]
-    return quiver.vec(d)
-
-
 def positive_roots_up_to(quiver: Quiver, bound: DimVector):
     """All roots 0 < d <= bound with their kinds, lexicographically ordered."""
     out = []

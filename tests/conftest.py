@@ -5,12 +5,12 @@ from itertools import product
 
 import pytest
 
-from quivermoduli import generic, hn
+from quivermoduli import generic, hn, roots
 from quivermoduli.cli import _COMMANDS, _HELP, _POSITIONS, _PROG, _command, _Help
 from quivermoduli.errors import InputError
 from quivermoduli.laurent import LaurentPoly, cyclotomic
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _contexts,
-                                 _minus, kronecker_quiver)
+                                 _memoized, _minus, kronecker_quiver)
 
 
 @pytest.fixture(scope="session")
@@ -287,6 +287,15 @@ class ReferenceRoots:
         return out
 
 
+def replay_witness(quiver, endpoint, witness):
+    """Apply the recorded reflections in reverse to recover the input."""
+    d = list(quiver.tup(endpoint))
+    for name in reversed(witness):
+        v = quiver.index(name)
+        d[v] -= roots._pairings(quiver.arrow_pairs, d)[v]
+    return quiver.vec(d)
+
+
 class ReferenceHN:
     """Reference semistable masses for one (quiver, theta): the resolved sum
     and the HN pass as they ran on ``hn.CycloFrac``, over least common
@@ -400,15 +409,13 @@ class ReferenceHN:
         key = ("hn", f)
         entry = self.memo.get(key)
         if entry is None or (bound is not None and bound not in entry[1]):
-            entry = self.memo[key] = self.hn_pass(f, top, entry)
+            entry = self.memo[key] = self.hn_pass(f, top)
         return entry
 
-    def hn_pass(self, f, top, old):
+    def hn_pass(self, f, top):
         mu_f = self.slope(f)
         rest_top = tuple(x - y for x, y in zip(top, f))
         bounds = {b for e in self.below(rest_top) if (b := self.slope(e)) > mu_f}
-        if old is not None:
-            bounds |= old[1].keys()
         parts = sorted(((self.slope(e), e) for e in self.below(f)
                         if self.slope(e) > mu_f), key=lambda p: -p[0])
         running, table, i = self.weight(f), {}, 0
@@ -477,6 +484,35 @@ def reference_parts(ctx, f):
     mu_f = ctx.slope(f)
     return sorted(((mu, e) for e in _below(f) if hn._less(mu_f, mu := ctx.slope(e))),
                   key=lambda p: DESCENDING(p[0]))
+
+
+# ``hn`` found the HN types by this search, and decided whether a semistable
+# locus is nonempty by a search for a flat type, before it read King's
+# criterion off the generic subrepresentations; both are tested against it.
+def reference_hn_types(ctx, d, flat=False):
+    """The HN types of d: tuples of ss-nonempty parts with strictly
+    decreasing slopes.  ``flat`` keeps only those of at least two parts with
+    <d^k, d^l> = 0 for k < l, the codimension-0 ones; one exists iff the
+    semistable locus of d is empty."""
+    def dfs(rest, parts, bound):
+        if not any(rest):
+            yield parts
+            return
+        for p in _below(rest):
+            mu = ctx.slope(p)
+            if bound is not None and not hn._less(mu, bound):
+                continue
+            if flat and (p == d or any(ctx.euler(q, p) for q in parts)):
+                continue
+            if reference_ss_nonempty(ctx, p):
+                yield from dfs(_minus(rest, p), parts + (p,), mu)
+
+    return dfs(d, (), None)
+
+
+@_memoized
+def reference_ss_nonempty(ctx, d):
+    return next(reference_hn_types(ctx, d, flat=True), None) is None
 
 
 # ``cli.main`` printed its CommandResult by this renderer, from echo objects

@@ -136,6 +136,16 @@ class TestBasicCommands:
                        "--method", "closed")
         assert rec["result"]["mass_ss"] == clo["result"]["mass_ss"]
 
+    @pytest.mark.parametrize("dim, nonempty", [('{"i": 20, "j": 21}', True),
+                                               ('{"i": 30, "j": 8}', False)],
+                             ids=["20-21", "30-8"])
+    def test_ss_nonempty_on_k3(self, capsys, dim, nonempty):
+        # King's criterion answers these cold in well under a second
+        generic.clear_caches()
+        doc = run_json(capsys, "ss-nonempty", "--quiver", K3, "--dim", dim,
+                       "--theta", THETA)
+        assert doc["result"] == {"nonempty": nonempty}
+
     def test_word_and_monoid(self, capsys):
         doc = run_json(capsys, "word", "leq", "--quiver", A2,
                        "--w", "ij", "--w2", "ji")

@@ -18,9 +18,9 @@ from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
 from quivermoduli.quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability,
                                  _context, _contexts, kronecker_quiver)
 
-from conftest import (DESCENDING, Frac, ReferenceHN, dv, fraction_divexact,
-                      halve_exponents, memo_entries, reference_bounds,
-                      reference_parts)
+from conftest import (Frac, ReferenceHN, dv, fraction_divexact, halve_exponents,
+                      memo_entries, reference_bounds, reference_hn_types,
+                      reference_parts, reference_ss_nonempty)
 
 
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -436,20 +436,57 @@ SEMISTABILITY_CASES = {
 class TestSemistabilityThreeWays:
     @pytest.mark.parametrize("name", sorted(SEMISTABILITY_CASES))
     def test_hn_king_and_mass_agree(self, name):
-        # three independent deciders of "the semistable locus is nonempty":
-        # the HN decomposition search, King's criterion through generic
-        # subrepresentations, and a nonzero semistable mass
+        # four deciders of "the semistable locus is nonempty": ss_nonempty by
+        # King's criterion on the shared subrepresentation table, the search
+        # for a flat HN type, King's criterion through generic_subrep one e
+        # at a time, and a nonzero semistable mass
         quiver, bound, max_total = SEMISTABILITY_CASES[name]
         dims = [d for d in nonzero_below(quiver, *bound) if d.total() <= max_total]
         empty = 0
         for values in product(range(-1, 3), repeat=len(quiver.vertices)):
             theta = Stability(dict(zip(quiver.vertices, values)))
+            ctx = _context(quiver, theta)
             for d in dims:
-                by_hn = ss_nonempty(quiver, theta, d)
-                assert by_hn == king_semistable(quiver, theta, d), (values, d)
-                assert by_hn == (not mass_ss(quiver, theta, d).is_zero()), (values, d)
-                empty += not by_hn
+                by_king = ss_nonempty(quiver, theta, d)
+                assert by_king == reference_ss_nonempty(ctx, quiver.tup(d)), (values, d)
+                assert by_king == king_semistable(quiver, theta, d), (values, d)
+                assert by_king == (not mass_ss(quiver, theta, d).is_zero()), (values, d)
+                empty += not by_king
         assert empty  # every case has empty loci, so the deciders are tested both ways
+
+
+# quiver, stabilities and bound on d of the grid on which ss_nonempty and
+# hn_types are compared with the flat search and the HN type search that
+# they replaced: 1,593 (theta, d) cases in all
+REFERENCE_GRID = {f"K{m}": (kronecker_quiver(m),
+                            [Stability({"i": a, "j": b}) for a, b in KRONECKER_THETAS],
+                            (6, 6)) for m in (1, 2, 3, 4)}
+REFERENCE_GRID.update({
+    name: (quiver, [Stability(dict(zip("123", v)))
+                    for v in ((1, 0, 0), (2, 1, 0), (1, 0, -1), (0, 1, 0))], (3, 3, 3))
+    for name, quiver in (("A3", A3),
+                         ("A3-sink", Quiver(["1", "2", "3"], [("1", "2"), ("3", "2")])))})
+REFERENCE_GRID["D4"] = (D4, D4_THETAS + [Stability({"a": 1, "b": 1, "c": 1, "d": -1})],
+                        (3, 2, 2, 2))
+
+
+class TestAgainstSearch:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRID))
+    def test_ss_nonempty_and_hn_types_match(self, name):
+        quiver, thetas, bound = REFERENCE_GRID[name]
+        dims = nonzero_below(quiver, *bound)
+        for theta in thetas:
+            hn.clear_caches()
+            ctx = _context(quiver, theta)
+            for d in dims:
+                t = quiver.tup(d)
+                assert ss_nonempty(quiver, theta, d) == reference_ss_nonempty(ctx, t), \
+                    (theta, d)
+                want = [(parts, -sum(ctx.euler(a, b) for k, a in enumerate(parts)
+                                     for b in parts[k + 1:]))
+                        for parts in reference_hn_types(ctx, t)]
+                assert [(tuple(map(quiver.tup, h.parts)), h.codim)
+                        for h in hn_types(quiver, theta, d)] == want, (theta, d)
 
 
 def numerators(max_coeff):
@@ -529,8 +566,7 @@ class TestSlopeTable:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bounds_and_parts_match_reference(self, name):
         # L(f) and the parts of f from the table against the comprehensions
-        # over slope pairs that the HN pass ran before; the bounds of the
-        # largest d stand for those a refill keeps from another top-level d
+        # over slope pairs that the HN pass ran before
         quiver, thetas, bound = self.CASES[name]
         tops = [quiver.tup(d) for d in nonzero_below(quiver, *bound)]
         for theta in thetas:
@@ -544,12 +580,8 @@ class TestSlopeTable:
                     parts = table.parts(f)
                     want_parts = reference_parts(ctx, f)
                     assert [(table.slopes[r], e) for r, e in parts] == want_parts
-                    old = reference_bounds(ctx, tops[-1], f)
-                    merged = table.bounds(f, old)
-                    assert [b for _, b in merged] == \
-                        sorted(set(want) | set(old), key=DESCENDING)
                     # the parts of rank below u are those of slope >= b
-                    for u, b in merged:
+                    for u, b in bounds:
                         assert [e for r, e in parts if r < u] == \
                             [e for mu, e in want_parts if not hn._less(mu, b)]
 
@@ -672,9 +704,9 @@ class TestCaches:
         passes = []
         real = hn._hn_pass
 
-        def spy(ctx, f, top, old):
-            passes.append((f, old is not None))
-            return real(ctx, f, top, old)
+        def spy(ctx, f, table):
+            passes.append((f, (hn._hn, f) in ctx.memo))
+            return real(ctx, f, table)
 
         monkeypatch.setattr(hn, "_hn_pass", spy)
         theta = Stability({"i": 2, "j": -1})
@@ -686,13 +718,6 @@ class TestCaches:
         warm = mass_ss(k3, theta, dv(i=3, j=4))
         # (1,2) was the top, so it stored no bound at all
         assert ((1, 2), True) in passes
-        # a refill keeps the bounds the entry had, so the memo only grows
-        memo = _context(k3, theta).memo
-        for d in (dv(i=4, j=2), dv(i=2, j=5)):
-            stored = {key: set(entry[1]) for key, entry in memo.items()
-                      if key[0] is hn._hn}
-            mass_ss(k3, theta, d)
-            assert all(bounds <= set(memo[key][1]) for key, bounds in stored.items())
         hn.clear_caches()
         assert warm == mass_ss(k3, theta, dv(i=3, j=4)) == \
             mass_ss_closed(k3, theta, dv(i=3, j=4))

@@ -989,6 +989,23 @@ class TestMinGenericExt:
         assert str(exc.value) == "16 representation pairs exceed the budget 15"
         assert min_generic_ext(k2, d, d, 2, budget=16) == 0
 
+    def test_floor_needs_no_euler_call(self, a2, k2, a3, monkeypatch):
+        # the floor max(0, -<d, e>) comes from the dimension tuples, once;
+        # on A2 (2,1), (1,2) no pair reaches it, so every pair is walked
+        cases = [(a2, dv(i=1), dv(j=1)), (a2, dv(i=1, j=1), dv(i=1, j=1)),
+                 (a2, dv(i=2, j=1), dv(i=1, j=2)),
+                 (k2, dv(i=1), dv(j=1)), (k2, dv(i=1, j=1), dv(i=1)),
+                 (k2, dv(i=1, j=2), dv(i=2, j=1)),
+                 (a3, DimVector({"1": 1, "3": 1}), DimVector({"2": 1}))]
+        want = [min_generic_ext(q, d, e, 2) for q, d, e in cases]
+        assert want == [1, 0, 1, 2, 0, 0, 1]
+
+        def euler(*args):
+            raise AssertionError("Quiver.euler was called")
+
+        monkeypatch.setattr(Quiver, "euler", euler)
+        assert [min_generic_ext(q, d, e, 2) for q, d, e in cases] == want
+
 
 # The oracle is the brute-force check on the symbolic code, so it must not
 # share any of it, neither directly nor through a package module it imports.

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from quivermoduli.errors import InputError
 from quivermoduli.quiver import DimVector, Quiver, kronecker_quiver
 from quivermoduli.roots import (classify_root, decomposition_stratum_nonempty,
-                                positive_roots_up_to, replay_witness)
+                                positive_roots_up_to)
 
-from conftest import ReferenceRoots, dv, symmetric_form
+from conftest import ReferenceRoots, dv, replay_witness, symmetric_form
 
 
 class TestClassify:
