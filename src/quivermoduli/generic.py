@@ -15,8 +15,7 @@ from itertools import permutations
 from operator import le, mul
 
 from .errors import InputError
-from .quiver import (DimVector, Quiver, _below, _context, _memoized, _minus,
-                     _vector, clear_caches)
+from .quiver import DimVector, Quiver, _below, _context, _memoized, _minus, clear_caches
 
 __all__ = [
     "generic_ext",
@@ -113,24 +112,15 @@ def _kac_conditions(ctx, parts):
             and all(_ext(ctx, a, b) == 0 for a, b in permutations(parts, 2)))
 
 
-@_memoized
-def _checked_decomposition(ctx, d):
-    """The parts of :func:`_decompose` as DimVectors, once they meet Kac's
-    conditions and sum to d."""
-    parts = _decompose(ctx, d)
-    out = tuple(_vector(ctx, p) for p in parts)
-    if not _kac_conditions(ctx, parts):
-        raise AssertionError(f"decomposition {list(out)!r} breaks Kac's conditions")
-    if any(x != sum(ps) for x, *ps in zip(d, *parts)):
-        raise AssertionError(
-            f"decomposition {list(out)!r} does not sum to {_vector(ctx, d)!r}")
-    return out
-
-
 def generic_decomposition(quiver: Quiver, d: DimVector):
     """The canonical decomposition d = d1 + ... + dn: the unique multiset of
     Schur roots with pairwise vanishing generic ext, returned sorted
-    lexicographically in the canonical vertex order.  The parts are found and
-    checked once per quiver; each call returns a new list of the shared
-    DimVectors."""
-    return list(_checked_decomposition(_context(quiver), quiver.tup(d)))
+    lexicographically in the canonical vertex order."""
+    ctx, t = _context(quiver), quiver.tup(d)
+    parts = _decompose(ctx, t)
+    out = list(map(quiver.vec, parts))
+    if not _kac_conditions(ctx, parts):
+        raise AssertionError(f"decomposition {out!r} breaks Kac's conditions")
+    if any(x != sum(ps) for x, *ps in zip(t, *parts)):
+        raise AssertionError(f"decomposition {out!r} does not sum to {quiver.vec(t)!r}")
+    return out

@@ -57,11 +57,7 @@ its terms are packed into big integers at one digit width, proven from a
 bound, added and unpacked once (see ``laurent``).  Only a final result
 becomes a CycloFrac over D(d), reduced by exact division through whole
 binomials x^k - 1 first and through cyclotomic polynomials only where a
-binomial fails.  The memo keeps each answer in its final, immutable form
-next to the numerator it comes from: the reduced masses, the Betti
-polynomials (q - 1) mass_ss and the HN types as HNType objects.  A warm
-query reduces nothing and builds no DimVector; one that returns a list
-returns a new list of the shared objects.
+binomial fails.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ from .laurent import (LaurentPoly, RationalFunc, _digit_bits, _divexact,
                       _gaussian_binomial, _lift_sum, _max_abs, _pack, _trimmed,
                       _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
-                     _memoized, _minus, _vector, clear_caches)
+                     _memoized, _minus, clear_caches)
 
 __all__ = [
     "CycloFrac",
@@ -272,11 +268,6 @@ def _den(g):
     return Counter(k for n in g for k in range(1, n + 1))
 
 
-def _weight(ctx, e):
-    """The numerator of w(e) = mass(e) over D(e)."""
-    return _weight_exp(ctx, e), (1,)
-
-
 def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
     """Stack mass |R_d|/|G_d| of all representations of dimension d, in q."""
     t = quiver.tup(d)
@@ -293,7 +284,7 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
         raise BudgetExceeded(
             f"the mass of {list(t)} has a denominator of degree {required}",
             required=required, budget=VECTOR_BUDGET)
-    return _reduced(_context(quiver), t, _weight)
+    return CycloFrac._of(_weight_exp(_context(quiver), t), (1,), _den(t)).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +329,17 @@ class HNType:
         return {"parts": [p.to_json() for p in self.parts], "codim": self.codim}
 
 
-@_memoized
-def _hn_type_objects(ctx, d):
-    """The HN types of d as a tuple of HNType objects."""
+def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
+    """All Harder-Narasimhan types of dimension d with their codimensions."""
+    ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
     out = []
-    for parts in _hn_types(ctx, d):
+    for parts in _hn_types(ctx, t):
         codim = -sum(ctx.euler(a, b)
                      for k, a in enumerate(parts) for b in parts[k + 1:])
         if codim < 0:
             raise AssertionError("HN stratum with negative codimension")
-        out.append(HNType(tuple(_vector(ctx, p) for p in parts), codim))
-    return tuple(out)
-
-
-def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
-    """All Harder-Narasimhan types of dimension d with their codimensions.
-    The HNType objects are built once per context and shared; each call
-    returns a new list of them."""
-    ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
-    return list(_hn_type_objects(ctx, t))
+        out.append(HNType(tuple(map(quiver.vec, parts)), codim))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +448,10 @@ def _binomial_sum(ctx, g, terms, cuts=()):
     return out
 
 
-@_memoized
-def _reduced(ctx, g, numerator):
-    """The quantity of g whose numerator over D(g) is ``numerator(ctx, g)``,
-    reduced to a RationalFunc."""
-    lo, co, *_ = numerator(ctx, g)
+def _reduced(g, numerator):
+    """The quantity of g whose numerator over D(g) is the record
+    ``numerator``, reduced to a RationalFunc."""
+    lo, co, *_ = numerator
     return CycloFrac._of(lo, co, _den(g)).reduce()
 
 
@@ -487,12 +469,12 @@ class _SlopeTable:
     as a bitmask: the rank of h and the sets of each h minus a unit vector.
     ``square[e]`` is <e, e>, so that <e, g - e> = <e, g> - <e, e> and
     <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
-    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e), kept for
-    the resolved sum only."""
+    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e), which the
+    resolved sum reads."""
 
     __slots__ = ("top", "slopes", "rank", "below", "square", "weight")
 
-    def __init__(self, ctx, top, weights=False):
+    def __init__(self, ctx, top):
         self.top = top
         mu = {e: ctx.slope(e) for e in _below(top)}
         distinct = set(mu.values())
@@ -509,7 +491,7 @@ class _SlopeTable:
                     mask |= below[h[:i] + (n - 1,) + h[i + 1:]]
             below[h] = mask
         self.square = {e: ctx.euler(e, e) for e in rank}
-        self.weight = {e: _weight_exp(ctx, e) for e in rank} if weights else None
+        self.weight = {e: _weight_exp(ctx, e) for e in rank}
 
     def bounds(self, f):
         """(u, b) for the bounds b of L(f) by descending b, where the parts
@@ -612,7 +594,7 @@ def _mass_ss_numerator(ctx, t):
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(ctx, t, _mass_ss_numerator)
+    return _reduced(t, _mass_ss_numerator(ctx, t))
 
 
 # ---------------------------------------------------------------------------
@@ -648,25 +630,24 @@ def _closed_numerator(ctx, t):
     mu = ctx.slope(t)
     value = ctx.memo.get((_resolved, t, mu))
     if value is None:
-        value = _resolved(ctx, t, mu, _SlopeTable(ctx, t, weights=True))
+        value = _resolved(ctx, t, mu, _SlopeTable(ctx, t))
     return value
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(ctx, t, _closed_numerator)
+    return _reduced(t, _closed_numerator(ctx, t))
 
 
 # ---------------------------------------------------------------------------
 # Poincare polynomials of stable moduli
 
-@_memoized
-def _times_q_minus_one(ctx, g, numerator):
+def _times_q_minus_one(g, numerator):
     """(q - 1) times the semistable mass of g whose numerator over D(g) is
-    ``numerator(ctx, g)``, as a polynomial in q.  D(g) has a factor q - 1
-    for each nonzero entry, and the product takes one away."""
-    lo, co, *_ = numerator(ctx, g)
+    the record ``numerator``, as a polynomial in q.  D(g) has a factor
+    q - 1 for each nonzero entry, and the product takes one away."""
+    lo, co, *_ = numerator
     if not co:
         return LaurentPoly()
     den = _den(g)
@@ -678,7 +659,7 @@ def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(ctx, t, _closed_numerator)
+    return _times_q_minus_one(t, _closed_numerator(ctx, t))
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -695,7 +676,7 @@ def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPol
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(ctx, t, _mass_ss_numerator)
+    return _times_q_minus_one(t, _mass_ss_numerator(ctx, t))
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

@@ -336,27 +336,6 @@ def ext_dim(M: FFRep, N: FFRep) -> int:
 # ---------------------------------------------------------------------------
 # subspaces
 
-@lru_cache(maxsize=None)
-def _subspaces(n, r, q):
-    """All r-dimensional subspaces of F_q^n as reduced-echelon basis rows,
-    returned with their pivot columns: tuple of (rows, pivots)."""
-    if not 0 <= r <= n:
-        return ()
-    out = []
-    for pivots in combinations(range(n), r):
-        free_cells = [(i, c) for i, pc in enumerate(pivots)
-                      for c in range(pc + 1, n) if c not in pivots]
-        for vals in product(range(q), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(r)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, c), x in zip(free_cells, vals):
-                rows[i][c] = x
-            out.append((tuple(tuple(rw) for rw in rows), pivots))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def subspace_count(n, q):
     """Number of subspaces of F_q^n: the sum over r of the Gaussian binomials
     [n, r]_q, so a budget check never enumerates them."""
@@ -386,17 +365,26 @@ def _image(m, vec, q):
 
 @lru_cache(maxsize=None)
 def _member_spaces(n, r, q):
-    """Every r-dimensional subspace of F_q^n as (echelon basis, packed
-    members); the members are None for the whole space, which contains
-    every image."""
+    """Every r-dimensional subspace of F_q^n as (reduced-echelon basis rows,
+    packed members); the members are None for the whole space, which
+    contains every image."""
     out = []
-    for rows, _ in _subspaces(n, r, q):
-        members = None
-        if r < n:
-            members = frozenset(
-                _pack([sum(map(mul, coeffs, col)) % q for col in zip(*rows)], q)
-                for coeffs in product(range(q), repeat=r))
-        out.append((rows, members))
+    for pivots in combinations(range(n), r):
+        free_cells = [(i, c) for i, pc in enumerate(pivots)
+                      for c in range(pc + 1, n) if c not in pivots]
+        for vals in product(range(q), repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(r)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, c), x in zip(free_cells, vals):
+                rows[i][c] = x
+            rows = tuple(map(tuple, rows))
+            members = None
+            if r < n:
+                members = frozenset(
+                    _pack([sum(map(mul, coeffs, col)) % q for col in zip(*rows)], q)
+                    for coeffs in product(range(q), repeat=r))
+            out.append((rows, members))
     return tuple(out)
 
 

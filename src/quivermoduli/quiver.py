@@ -330,10 +330,9 @@ class _Context:
     ``base`` is the theta-free context of the same quiver, whose memo holds
     the generic subrepresentations that every stability reads."""
 
-    __slots__ = ("vertices", "arrows", "theta", "memo", "base")
+    __slots__ = ("arrows", "theta", "memo", "base")
 
     def __init__(self, quiver, theta):
-        self.vertices = quiver.vertices
         self.arrows = quiver.arrow_pairs
         self.theta = theta
         self.memo = {}
@@ -389,13 +388,6 @@ def _memoized(fn):
             value = ctx.memo[key] = fn(ctx, *args)
         return value
     return wrapper
-
-
-@_memoized
-def _vector(ctx, t):
-    """t as a DimVector of the quiver, built once per context, so the
-    answers kept in the memo share their parts."""
-    return DimVector(dict(zip(ctx.vertices, t)))
 
 
 def clear_caches():

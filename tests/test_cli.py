@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import generic, oracle, roots, series
+from quivermoduli import generic, hn, oracle, roots, series
+from quivermoduli import words as word_module  # ``words`` names a strategy below
 from quivermoduli.cli import (_COMMANDS, _DIM, _QUIVER, _THETA, _FixtureFailure, _Help,
                               _answer, _inline_json, _parse, _plan, main)
 from quivermoduli.errors import InputError
-from quivermoduli.quiver import VECTOR_BUDGET, _contexts
+from quivermoduli.quiver import VECTOR_BUDGET, Quiver, _contexts
 
 from conftest import reference_echo, reference_parse, reference_render
 
@@ -294,6 +295,32 @@ class TestRenderedMemo:
                     self.assert_reference(capsys, argv + ["--quiver", text])
             # the two quivers are equal: one context, one entry per argv
             assert len(rendered()) == len(argvs)
+
+    @pytest.mark.parametrize("name", list(MEMO_CASES))
+    def test_warm_pass_computes_nothing(self, capsys, monkeypatch, name):
+        # a warm pass answers every kept command from the rendered result
+        # alone: no public function below the CLI runs
+        vertices, arrows, *values = MEMO_CASES[name]
+        argvs = [argv + ["--quiver", quiver_text(vertices, arrows)]
+                 for argv in memo_argvs(*values)]
+
+        def answers():
+            out = [run_json(capsys, *argv) for argv in argvs]
+            for doc in out:
+                del doc["timing_ms"]
+            return out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm answer computed")
+
+        generic.clear_caches()
+        cold = answers()
+        for module in (hn, generic, roots, word_module):
+            for attr in module.__all__:
+                if attr != "clear_caches" and not isinstance(getattr(module, attr), type):
+                    monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(Quiver, "euler", refuse)
+        assert answers() == cold
 
     def test_clear_caches_empties_the_memo(self, capsys, monkeypatch):
         calls = []

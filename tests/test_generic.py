@@ -164,8 +164,8 @@ class TestWarmAnswers:
 
     @pytest.mark.parametrize("name", sorted(WARM_CASES))
     def test_second_call_equals_cold(self, name):
-        # a repeat answers from the memo, in the final form a cold call
-        # built; a list the caller changes is its own
+        # a repeat reads what a cold call stored and builds the same
+        # answer; a list the caller changes is its own
         quiver, bound = WARM_CASES[name]
         top = DimVector(dict(zip(quiver.vertices, bound)))
         dims = [d for d in quiver.vectors_below(top) if not d.is_zero()]

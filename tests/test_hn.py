@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from quivermoduli import generic, hn
 from quivermoduli.errors import BudgetExceeded, CoprimalityError, InputError
 from quivermoduli.generic import generic_subrep
-from quivermoduli.hn import (CycloFrac, betti_coefficients, betti_via_mass,
+from quivermoduli.hn import (CycloFrac, HNType, betti_coefficients, betti_via_mass,
                              hn_types, mass, mass_ss, mass_ss_closed,
                              poincare, ss_nonempty)
 from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
@@ -765,8 +765,8 @@ class TestWarmAnswers:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_second_call_equals_cold(self, name):
-        # a repeat answers from the memo, in the final form a cold call
-        # built; a list the caller changes is its own
+        # a repeat reads the numerators a cold call stored and builds the
+        # same answer; a list the caller changes is its own
         quiver, thetas, bound = self.CASES[name]
         for theta in thetas:
             for d in nonzero_below(quiver, *bound):
@@ -853,6 +853,25 @@ class TestWrappedPublicNames:
             assert memo_entries() == entries
             assert all(key[0].__name__.startswith("_")
                        for ctx in _contexts.values() for key in ctx.memo)
+
+    def test_memo_keeps_no_final_form(self):
+        # the memo keeps what a recursion reads: integer tuples, numerator
+        # records and packed integers, never an answer in its public form
+        final = (RationalFunc, LaurentPoly, HNType, DimVector)
+
+        def holds_final_form(value):
+            if isinstance(value, final):
+                return True
+            if isinstance(value, dict):
+                value = [*value, *value.values()]
+            elif not isinstance(value, (tuple, list, set, frozenset)):
+                return False
+            return any(isinstance(x, final) for x in value)
+
+        hn.clear_caches()
+        self.answers()
+        values = [v for ctx in _contexts.values() for v in ctx.memo.values()]
+        assert values and not any(map(holds_final_form, values))
 
 
 class TestInputEdge:

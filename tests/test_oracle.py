@@ -99,7 +99,7 @@ class TestRepBasics:
         for q in (2, 3, 5):
             for n in range(5):
                 assert subspace_count(n, q) == sum(
-                    len(oracle._subspaces(n, r, q)) for r in range(n + 1))
+                    len(oracle._member_spaces(n, r, q)) for r in range(n + 1))
         assert subspace_count(2, 2) == 5  # 0, three lines, the plane
         assert subspace_count(3, 3) == 28
         assert subspace_count(6, 5) == 3583232  # counted, not enumerated
