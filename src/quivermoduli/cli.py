@@ -5,15 +5,15 @@ inputs, the result payload, and timing.  All numbers in payloads are
 decimal strings.  Exit codes: 0 success, 2 input error, 3 budget refusal
 or undecided-at-budget.
 
-Commands and their flags are declared once, in ``_COMMANDS``.  ``_parse``
-reads argv against that table: it walks the flag words once per argv
-shape (the command words and the flag names, each other word a
-placeholder), keeps that walk's plan in a bounded cache, and converts and
-checks the real values on every call.  ``_answer`` reads a parsed
-command's flags in declared order, echoes them as its inputs and encodes
-the result of its payload function.  ``main`` joins the printed object
-from JSON texts: the echo of each input (encoded once per inline JSON
-text, and on every call for the other flags) and the encoded result.
+Commands and their flags are declared once, in ``_COMMANDS``, and what
+``_parse`` needs of each command (its flag index, positional slot and
+defaults) is built from that table at import.  ``_parse`` reads argv in
+one walk, converting and checking each value when it reaches it, so the
+first usage error in argv order is the one reported.  ``_answer`` reads a
+parsed command's flags in declared order, echoes them as its inputs and
+encodes the result of its payload function.  ``main`` joins the printed
+object from JSON texts: the echo of each input (encoded once per inline
+JSON text, and on every call for the other flags) and the encoded result.
 
 In a long-lived process the encoded result of each ``--quiver`` command
 outside the ``oracle`` group is kept in the quiver's memo store, keyed by
@@ -50,8 +50,11 @@ def _load_json_arg(text, what):
     """JSON given inline or as a file path.  Inline JSON costs no file
     lookup."""
     if not _inline(text) and os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
+        try:
+            with open(text) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, bad bytes
+            raise InputError(f"cannot read {what} file: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -361,12 +364,12 @@ _COMMANDS = {
     "oracle comp-series": ((_QUIVER, _flag("--word", echo=_same, required=True), _Q,
                             _BUDGET), _comp_series),
     "series two-row": ((_N,), lambda n: {
-        "coefficients": list(series.two_row_partition_series(n).coeffs)}),
+        "coefficients": list(series.two_row_partition_series(n))}),
     "series drezet": ((_flag("--d", echo=_same, dest="d_size", type=int, required=True),
                        _flag("--e", echo=_same, dest="e_size", type=int, required=True),
                        _N),
                       lambda d, e, n: {
-                          "coefficients": list(series.drezet_series(d, e, n).coeffs)}),
+                          "coefficients": list(series.drezet_series(d, e, n))}),
     "fixtures run": ((_flag("path", echo=lambda path: path or "bundled k3_tables.json",
                             help="fixture file (the bundled table when omitted)"),),
                      _fixtures_run),
@@ -383,12 +386,22 @@ _KEPT = frozenset(key for key, (flags, _) in _COMMANDS.items()
                   if flags[0] is _QUIVER and key.partition(" ")[0] != "oracle")
 _HELP = ("--help", "-h")
 _GROUPS = {key.partition(" ")[0] for key in _COMMANDS if " " in key}
-# command -> ({flag name: its position in the command's flags}, the position
-# of its positional or None)
-_POSITIONS = {key: ({f.name: i for i, f in enumerate(flags)},
-                    next((i for i, f in enumerate(flags) if not f.name.startswith("-")),
-                         None))
-              for key, (flags, _) in _COMMANDS.items()}
+
+
+def _reader(key, flags):
+    """What ``_parse`` reads the command ``key`` by: its usage prefix,
+    {flag name: (its position, name, type, choices)}, that entry of its
+    positional or None, its defaults, and (position, name) of each required
+    flag."""
+    entries = [(i, f.name, f.kw.get("type"), f.kw.get("choices"))
+               for i, f in enumerate(flags)]
+    return (f"{_PROG} {key}", {e[1]: e for e in entries},
+            next((e for e in entries if not e[1].startswith("-")), None),
+            [f.kw.get("default") for f in flags],
+            [e[:2] for f, e in zip(flags, entries) if f.kw.get("required")])
+
+
+_READERS = {key: _reader(key, flags) for key, (flags, _) in _COMMANDS.items()}
 
 
 class _Help(Exception):
@@ -437,100 +450,59 @@ def _command(argv):
     raise InputError(f"{_PROG}: unknown command {word!r}; --help lists the commands")
 
 
-def _steps(key, start, argv):
-    """The flag walk of ``argv`` after its ``start`` command words: for each
-    flag value in argv order, (the flag's position in the command's flags,
-    the position of the word that holds the value, where the value starts in
-    that word).  Raises ``_Help`` on --help or -h, and InputError on an
-    unknown flag or word, a flag without its value or a missing required
-    flag, each when the walk reaches it.  The walk reads the words that
-    start with a dash, up to their first =, and only the places of the
-    others."""
-    prog = f"{_PROG} {key}"
-    flags = _COMMANDS[key][0]
-    index, positional = _POSITIONS[key]
-    given = [False] * len(flags)
-    i = start
-    while i < len(argv):
-        word = argv[i]
-        i += 1
-        if word in _HELP:
-            raise _Help(_flags_help(key))
-        if word.startswith("--"):
-            name, eq, _ = word.partition("=")
-            j = index.get(name)
-            if j is None:
-                raise InputError(f"{prog}: unrecognized arguments: {name}")
-            if eq:
-                yield j, i - 1, len(name) + 1
-            elif i == len(argv):
-                raise InputError(f"{prog}: argument {name}: expected one argument")
-            else:
-                yield j, i, 0
-                i += 1
-        else:
-            j = None if word.startswith("-") else positional
-            if j is None or given[j]:
-                raise InputError(f"{prog}: unrecognized arguments: {word}")
-            yield j, i - 1, 0
-        given[j] = True
-    missing = [f.name for f, g in zip(flags, given) if f.kw.get("required") and not g]
-    if missing:
-        raise InputError(f"{prog}: the following arguments are required: "
-                         f"{', '.join(missing)}")
-
-
-def _shape(argv):
-    """``argv`` as ``_steps`` reads it: the command words, every word that
-    starts with a dash (up to its first = if it has one, so that the value
-    of --flag=value is no part of the shape), and "" for each other word."""
-    n = 2 if argv and argv[0] in _GROUPS else 1
-    return (*argv[:n], *["" if word[:1] != "-" else
-                         word[:word.find("=") + 1] or word for word in argv[n:]])
-
-
-@lru_cache(maxsize=1024)
-def _plan(shape):
-    """The command key of an argv of this shape and its flag walk, found
-    once per shape; a shape that fails is walked again on every call, as
-    lru_cache keeps only returns."""
-    key, start = _command(shape)
-    return key, tuple(_steps(key, start, shape))
-
-
 def _parse(argv):
     """The command key of ``argv`` and the text of its flags in declared
     order, each converted by its type, checked against its choices, and
     the default where absent.  Flag names are exact; ``--flag value`` and
     ``--flag=value`` both set a flag, the word after a flag is its value
     even when it starts with a dash, and a repeated flag keeps its last
-    value, though every value given is converted and checked.  Raises
-    ``_Help`` on --help or -h, else InputError on the first usage error in
-    argv order."""
-    try:
-        key, steps = _plan(_shape(argv))
-    except (InputError, _Help):
-        # walk the real words, which the error may name, converting each
-        # value on the way, so that an earlier bad value is the one reported
-        key, start = _command(argv)
-        steps = _steps(key, start, argv)
-    flags = _COMMANDS[key][0]
-    values = [f.kw.get("default") for f in flags]
-    for j, i, cut in steps:
-        f = flags[j]
-        value = argv[i][cut:]
-        convert = f.kw.get("type")
+    value, though every value given is converted and checked.  One walk
+    over argv converts and checks each value when it reaches it, and
+    raises ``_Help`` on --help or -h, else InputError on the first usage
+    error in argv order."""
+    key, i = _command(argv)
+    prog, index, positional, defaults, required = _READERS[key]
+    values = defaults.copy()
+    given = set()
+    n = len(argv)
+    while i < n:
+        word = argv[i]
+        i += 1
+        if word[:1] != "-":
+            entry = positional
+            if entry is None or entry[0] in given:
+                raise InputError(f"{prog}: unrecognized arguments: {word}")
+            value = word
+        elif word in _HELP:
+            raise _Help(_flags_help(key))
+        elif word[1:2] != "-":
+            raise InputError(f"{prog}: unrecognized arguments: {word}")
+        else:
+            name, eq, value = word.partition("=")
+            entry = index.get(name)
+            if entry is None:
+                raise InputError(f"{prog}: unrecognized arguments: {name}")
+            if not eq:
+                if i == n:
+                    raise InputError(f"{prog}: argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+        j, name, convert, choices = entry
         if convert is not None:
             try:
                 value = convert(value)
             except ValueError:
-                raise InputError(f"{_PROG} {key}: argument {f.name}: invalid "
+                raise InputError(f"{prog}: argument {name}: invalid "
                                  f"{convert.__name__} value: {value!r}") from None
-        choices = f.kw.get("choices")
         if choices is not None and value not in choices:
-            raise InputError(f"{_PROG} {key}: argument {f.name}: invalid choice: "
-                             f"{value!r} (choose from {', '.join(map(repr, choices))})")
+            raise InputError(f"{prog}: argument {name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
         values[j] = value
+        given.add(j)
+    missing = [name for j, name in required if j not in given]
+    if missing:
+        raise InputError(f"{prog}: the following arguments are required: "
+                         f"{', '.join(missing)}")
     return key, values
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from quivermoduli import generic, hn, roots
-from quivermoduli.cli import _COMMANDS, _HELP, _POSITIONS, _PROG, _command, _Help
+from quivermoduli.cli import _COMMANDS, _HELP, _PROG, _command, _Help
 from quivermoduli.errors import InputError
 from quivermoduli.laurent import LaurentPoly, cyclotomic
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _contexts,
@@ -550,16 +550,17 @@ def reference_render(command, inputs, result, timing_ms):
                       sort_keys=True)
 
 
-# ``cli._parse`` read argv by this word-by-word walk, converting each value
-# as it reached it, before it bound argv to a plan once per argv shape; the
-# reader is tested against it, values and error texts alike.
+# A plain word-by-word walk of argv that reads each flag's keywords as it
+# reaches them; ``cli._parse`` is tested against it, values and error texts
+# alike.
 def reference_parse(argv):
     """The command key of ``argv`` and its flag values in declared order;
     raises as the reader does on a usage error or a request for help."""
     key, start = _command(argv)
     prog = f"{_PROG} {key}"
     flags = _COMMANDS[key][0]
-    index, positional = _POSITIONS[key]
+    index = {f.name: j for j, f in enumerate(flags)}
+    positional = next((j for j, f in enumerate(flags) if not f.name.startswith("-")), None)
     given = [False] * len(flags)
     values = [f.kw.get("default") for f in flags]
     i = start

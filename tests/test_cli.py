@@ -8,12 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivermoduli import generic, hn, oracle, roots, series
 from quivermoduli import words as word_module  # ``words`` names a strategy below
 from quivermoduli.cli import (_COMMANDS, _DIM, _QUIVER, _THETA, _FixtureFailure, _Help,
-                              _answer, _inline_json, _parse, _plan, main)
+                              _answer, _inline_json, _parse, main)
 from quivermoduli.errors import InputError
 from quivermoduli.quiver import VECTOR_BUDGET, Quiver, _contexts
 
@@ -793,8 +793,24 @@ class TestFormats:
         first = run(capsys, *argv)
         assert first[0] == 2 and first == run(capsys, *argv)
 
+    @pytest.mark.parametrize("bad", ["directory", "non-utf-8"])
+    @pytest.mark.parametrize("flag", ["--quiver", "--dim", "--mats", "--parts"])
+    def test_unreadable_json_file_is_2(self, capsys, tmp_path, flag, bad):
+        path = tmp_path / "arg.json"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        argv = {"--quiver": ["schur", "--quiver", str(path), "--dim", D11],
+                "--dim": ["schur", "--quiver", K3, "--dim", str(path)],
+                "--mats": ["oracle", "kron-quadric", "--mats", str(path), "--q", "3"],
+                "--parts": ["monoid", "normalize", "--quiver", K3, "--parts", str(path)],
+                }[flag]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error_class"] == "input"
+
     def test_caches_are_bounded(self, capsys):
-        assert _plan.cache_info().maxsize is not None
         size = _inline_json.cache_info().maxsize
         assert size is not None
         for n in range(size + 10):
@@ -1008,11 +1024,10 @@ def parsed(parse, argv):
 
 
 class TestArgvPlan:
-    """An argv reads the same whether its shape was bound before or not,
-    and as the word-by-word reference walk reads it."""
+    """An argv reads as the word-by-word reference walk reads it, and prints
+    the same with the caches cold and warm."""
 
     def assert_cold_equals_warm(self, argv):
-        _plan.cache_clear()
         generic.clear_caches()
         assert parsed(_parse, argv) == parsed(reference_parse, argv)
         cold = main_once(argv)
@@ -1024,6 +1039,10 @@ class TestArgvPlan:
 
     @settings(deadline=None, max_examples=100)
     @given(argvs())
+    # a bad value before an unknown flag is the error reported
+    @example(["oracle", "count-ss", "--quiver", A2, "--dim", D11, "--theta", THETA,
+              "--q", "x", "--x", "1"])
+    @example(["fixtures", "run", "a.json", "b.json"])
     def test_drawn_argv(self, argv):
         self.assert_cold_equals_warm(argv)
 
@@ -1036,6 +1055,9 @@ class TestArgvPlan:
 
     @settings(deadline=None, max_examples=100)
     @given(mangled())
+    @example((["euler", "--quiver", K3, "-x", "--d", D11, "--e", D11], True))
+    @example((["oracle", "count-ss", "--quiver", A2, "--dim", D11, "--theta", THETA,
+               "--q="], True))
     def test_mangled_argv(self, case):
         self.assert_cold_equals_warm(case[0])
 
@@ -1051,7 +1073,7 @@ class TestArgvPlan:
         # every value given is converted, not only the last one kept
         (["--q", "2", "--q", "3"], ["--q", "x", "--q", "3"],
          "quivermoduli oracle count-ss: argument --q: invalid int value: 'x'"),
-        # a shape that fails names the words of the argv that has it
+        # the error names the word of this argv, not of one read before
         (["stray"], ["other"], "quivermoduli betti: unrecognized arguments: other"),
     ], ids=["choice", "choice-equals", "int", "int-repeated", "stray-word"])
     def test_same_shape_other_values(self, capsys, good, bad, error):
@@ -1059,16 +1081,13 @@ class TestArgvPlan:
             argv = ["oracle", "count-ss", "--quiver", A2, "--dim", D11, "--theta", THETA]
         else:
             argv = ["betti", "--quiver", A2, "--dim", D11, "--theta", THETA]
-        _plan.cache_clear()
         code = run(capsys, *argv, *good)[0]
         assert code == (2 if good == ["stray"] else 0)
-        size = _plan.cache_info().currsize
         for _ in range(2):
             code, out, err = run(capsys, *argv, *bad)
             assert code == 2 and out == ""
             assert json.loads(err) == {"command": None, "error": error,
                                        "error_class": "input"}
-            assert _plan.cache_info().currsize == size
         assert parsed(reference_parse, argv + bad) == (InputError, error)
 
 
