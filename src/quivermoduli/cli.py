@@ -9,9 +9,10 @@ Commands and their flags are declared once, in ``_COMMANDS``, and what
 ``_parse`` needs of each command (its flag index, positional slot and
 defaults) is built from that table at import.  ``_parse`` reads argv in
 one walk, converting and checking each value when it reaches it, so the
-first usage error in argv order is the one reported.  ``_answer`` reads a
-parsed command's flags in declared order, echoes them as its inputs and
-encodes the result of its payload function.  ``main`` joins the printed
+first usage error in argv order is the one reported.  ``_read`` reads a
+parsed command's flags in declared order with their echoes, which ``main``
+prints as the inputs (on exit 1 from failing fixtures too), and
+``_answer`` encodes the result of its payload function.  ``main`` joins the printed
 object from JSON texts: the echo of each input (encoded once per inline
 JSON text, and on every call for the other flags) and the encoded result.
 
@@ -229,7 +230,8 @@ def _comp_series(Q, text, q, budget):
 
 def _load_fixtures(path):
     """The fixture list at ``path`` (the bundled table when None), checked
-    for shape: a JSON list of objects, each with an "argv" list of strings."""
+    for shape: a JSON list of objects, each with an "argv" list of strings
+    and, if any, an "expected_prefix" list."""
     if path:
         try:
             with open(path) as fh:
@@ -248,6 +250,8 @@ def _load_fixtures(path):
         if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
             raise InputError(f'fixture {i} must be an object with an "argv" list '
                              f"of strings")
+        if not isinstance(fx.get("expected_prefix", []), list):
+            raise InputError(f'fixture {i}: "expected_prefix" must be a list')
     return fixtures
 
 
@@ -271,7 +275,13 @@ def _fixtures_run(path):
     for fx in _load_fixtures(path):
         name = fx.get("name", " ".join(fx["argv"]))
         key, texts = _parse_fixture_argv(name, fx["argv"])
-        payload = _stringify(_COMMANDS[key][1](*_read(key, texts)[0]))
+        try:
+            payload = _stringify(_COMMANDS[key][1](*_read(key, texts)[0]))
+        except InputError as exc:
+            raise InputError(f"fixture {name!r}: {exc}") from None
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"fixture {name!r}: {exc}", exc.required,
+                                 exc.budget) from None
         ok = True
         detail = None
         if "expected" in fx:
@@ -517,24 +527,21 @@ def _read(key, texts):
     return values, echoes
 
 
-def _answer(key, texts):
-    """The encoded result of the command ``key`` whose flags ``_parse`` read
-    as ``texts``, and its inputs as (name, encoded echo) pairs.  The result
-    of a command of ``_KEPT`` is encoded once per quiver context and echo of
-    the other inputs, a flag with no echo by its value."""
-    flags, payload = _COMMANDS[key]
-    values, echoes = _read(key, texts)
-    inputs = [(f.name.lstrip("-"), echo) for f, echo in zip(flags, echoes)
-              if echo is not None]
+def _answer(key, values, echoes):
+    """The encoded result of the command ``key`` on the flag values and
+    echoes that ``_read`` gives.  The result of a command of ``_KEPT`` is
+    encoded once per quiver context and echo of the other inputs, a flag
+    with no echo by its value."""
+    payload = _COMMANDS[key][1]
     if key not in _KEPT:
-        return _encode(payload(*values)), inputs
+        return _encode(payload(*values))
     memo = _context(values[0]).memo
     memo_key = (_answer, key, *[value if echo is None else echo
                                 for value, echo in zip(values[1:], echoes[1:])])
     result = memo.get(memo_key)
     if result is None:
         result = memo[memo_key] = _encode(payload(*values))
-    return result, inputs
+    return result
 
 
 def _render(command, inputs, result, started):
@@ -555,7 +562,10 @@ def main(argv=None):
     try:
         command, texts = _parse(argv)
         started = time.perf_counter()
-        result, inputs = _answer(command, texts)
+        values, echoes = _read(command, texts)
+        inputs = [(f.name.lstrip("-"), echo)
+                  for f, echo in zip(_COMMANDS[command][0], echoes) if echo is not None]
+        result = _answer(command, values, echoes)
     except _Help as exc:
         print(json.dumps(exc.doc, sort_keys=True))
         return 0
@@ -569,7 +579,7 @@ def main(argv=None):
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 3
     except _FixtureFailure as exc:
-        print(_render(command, [], _encode(exc.payload), started))
+        print(_render(command, inputs, _encode(exc.payload), started))
         return 1
     except InputError as exc:
         err = {"command": command, "error": str(exc), "error_class": "input"}

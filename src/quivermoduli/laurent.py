@@ -315,10 +315,7 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if self.co in ((1,), (-1,)):
-                sign = -1 if self.co[0] == -1 and n % 2 else 1
-                return LaurentPoly._of(self.lo * n, (sign,))
-            raise InputError("negative powers only for unit monomials")
+            raise InputError("negative powers are not supported")
         out = LaurentPoly.one()
         base = self
         while n:
@@ -328,10 +325,6 @@ class LaurentPoly:
             if n:
                 base = base * base
         return out
-
-    def shift(self, k):
-        """Multiply by the variable to the k-th power."""
-        return LaurentPoly._of(self.lo + k, self.co) if self.co else self
 
     def divexact(self, other):
         """Exact division; returns None when the quotient is not an integer

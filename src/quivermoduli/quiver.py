@@ -8,10 +8,8 @@ stored order), which is also the total order used by the word combinatorics.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import product
 from operator import mul, sub
 
@@ -23,7 +21,6 @@ __all__ = [
     "Stability",
     "LoopReduction",
     "kronecker_quiver",
-    "linear_quiver",
     "local_quiver",
     "birational_type",
 ]
@@ -94,17 +91,8 @@ class DimVector(Mapping):
     def is_zero(self):
         return all(n == 0 for n in self._entries.values())
 
-    def support(self):
-        return frozenset(v for v, n in self._entries.items() if n > 0)
-
     def to_json(self):
         return {v: self._entries[v] for v in sorted(self._entries)}
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise InputError("dimension vector JSON must be an object")
-        return cls(data)
 
     def __repr__(self):
         inner = ", ".join(f"{v}: {n}" for v, n in sorted(self._entries.items()))
@@ -222,10 +210,6 @@ class Quiver:
     def vec(self, t):
         return DimVector(dict(zip(self.vertices, t)))
 
-    def simple(self, v):
-        self.index(v)
-        return DimVector({v: 1})
-
     # -- forms -------------------------------------------------------------
 
     def euler(self, d, e):
@@ -248,11 +232,6 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"bad quiver JSON: {exc}") from None
         try:
             vertices = data["vertices"]
             arrows = [(a["from"], a["to"]) for a in data["arrows"]]
@@ -268,7 +247,8 @@ class Quiver:
 
 
 class Stability:
-    """Integer linear functional theta with its exact rational slope."""
+    """Integer linear functional theta, one integer per vertex; slopes are
+    compared as reduced integer pairs (``_Context.slope``)."""
 
     __slots__ = ("theta", "_keys")
 
@@ -289,15 +269,6 @@ class Stability:
     def __getitem__(self, v):
         return self.theta.get(v, 0)
 
-    def value(self, d):
-        return sum(self[v] * n for v, n in d.items())
-
-    def slope(self, d):
-        total = d.total()
-        if total == 0:
-            raise InputError("slope of the zero dimension vector is undefined")
-        return Fraction(self.value(d), total)
-
     def key(self, quiver):
         """theta as a tuple in the quiver's vertex order; theta must name
         only vertices of the quiver."""
@@ -311,12 +282,6 @@ class Stability:
 
     def to_json(self):
         return {v: n for v, n in sorted(self.theta.items())}
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise InputError("stability JSON must be an object")
-        return cls(data)
 
     def __repr__(self):
         return f"Stability({self.to_json()})"
@@ -423,14 +388,6 @@ def kronecker_quiver(m):
     if m < 0:
         raise InputError("arrow count must be nonnegative")
     return Quiver(["i", "j"], [("i", "j")] * m)
-
-
-def linear_quiver(n):
-    """Linearly ordered type-A quiver 1 -> 2 -> ... -> n."""
-    if n < 1:
-        raise InputError("need at least one vertex")
-    names = [str(k) for k in range(1, n + 1)]
-    return Quiver(names, [(names[k], names[k + 1]) for k in range(n - 1)])
 
 
 # -- derived constructions -------------------------------------------------

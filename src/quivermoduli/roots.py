@@ -21,7 +21,6 @@ __all__ = [
     "RootClassification",
     "classify_root",
     "positive_roots_up_to",
-    "decomposition_stratum_nonempty",
 ]
 
 
@@ -110,14 +109,3 @@ def positive_roots_up_to(quiver: Quiver, bound: DimVector):
         if kind != "not-root":
             out.append((quiver.vec(t), kind))
     return out
-
-
-def decomposition_stratum_nonempty(quiver: Quiver, parts) -> bool:
-    """True iff every part of the decomposition type is a positive root."""
-    parts = list(parts)
-    if not parts:
-        raise InputError("decomposition type must have at least one part")
-    for p in parts:
-        if p.is_zero():
-            raise InputError("decomposition type contains a zero part")
-    return all(classify_root(quiver, p).is_root for p in parts)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from enum import Enum
 from operator import le
 
-from .errors import BudgetExceeded
 from .generic import generic_decomposition, generic_ext, schur_test
 from .quiver import DimVector, Quiver
 
@@ -25,9 +24,7 @@ __all__ = [
     "MonoidOutcome",
     "word_weight",
     "word_leq",
-    "monoid_class",
     "monoid_equal",
-    "canonical_word",
     "schur_normal_form",
 ]
 
@@ -108,11 +105,7 @@ def _code(quiver, word):
     return "".join(chr(quiver.index(str(x))) for x in word)
 
 
-def _decode(quiver, coded):
-    return tuple(quiver.vertices[ord(c)] for c in coded)
-
-
-def _closure(quiver, coded, budget, goal=None):
+def _closure(quiver, coded, budget, goal):
     """(set of coded words reachable from ``coded``, closure-completed flag).
 
     Stops, incomplete, once ``goal`` is reached or a new word would make the
@@ -142,12 +135,6 @@ def _closure(quiver, coded, budget, goal=None):
     return seen, True
 
 
-def monoid_class(quiver: Quiver, word, budget=DEFAULT_WORD_BUDGET):
-    """(set of words reachable from word, closure-completed flag)."""
-    seen, complete = _closure(quiver, _code(quiver, word), budget)
-    return {_decode(quiver, u) for u in seen}, complete
-
-
 def monoid_equal(quiver: Quiver, w, w2,
                  budget=DEFAULT_WORD_BUDGET) -> MonoidOutcome:
     """Congruence of two words under the straightening relations.
@@ -164,16 +151,6 @@ def monoid_equal(quiver: Quiver, w, w2,
     if w2 in seen:
         return MonoidOutcome.EQUAL
     return MonoidOutcome.NOT_EQUAL if complete else MonoidOutcome.UNDECIDED
-
-
-def canonical_word(quiver: Quiver, word, budget=DEFAULT_WORD_BUDGET):
-    """Lexicographically least word (in canonical vertex order) of the
-    congruence class; raises when the closure exceeds the budget."""
-    seen, complete = _closure(quiver, _code(quiver, word), budget)
-    if not complete:
-        raise BudgetExceeded("congruence closure exceeded the word budget",
-                             required=None, budget=budget)
-    return _decode(quiver, min(seen))
 
 
 def schur_normal_form(quiver: Quiver, parts):

@@ -47,6 +47,14 @@ def dv(**kw):
     return DimVector(kw)
 
 
+def theta_value(theta, d):
+    return sum(theta[v] * n for v, n in d.items())
+
+
+def slope(theta, d):
+    return Fraction(theta_value(theta, d), d.total())
+
+
 def memo_entries():
     """The number of entries over every context's memo."""
     return sum(len(ctx.memo) for ctx in _contexts.values())
@@ -235,7 +243,7 @@ class ReferenceRoots:
 
     @staticmethod
     def _support_connected(quiver, d):
-        supp = d.support()
+        supp = {v for v, n in d.items() if n}
         if not supp:
             return False
         seen = {next(iter(supp))}
@@ -259,7 +267,7 @@ class ReferenceRoots:
             for v in quiver.vertices:
                 if d[v] == 0:
                     continue
-                p = symmetric_form(quiver, d, quiver.simple(v))
+                p = symmetric_form(quiver, d, DimVector({v: 1}))
                 if p <= 0:
                     continue
                 positive_pairing = True

@@ -29,7 +29,7 @@ from quivermoduli.series import two_row_partition_series
 from quivermoduli.words import MonoidOutcome, monoid_equal, word_leq
 from quivermoduli.words import _relations  # noqa: internal, used as test data
 
-from conftest import group_order, halve_exponents
+from conftest import group_order, halve_exponents, theta_value
 
 A2 = Quiver(["i", "j"], [("i", "j")])
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -102,7 +102,7 @@ def test_c2_mass_methods_cross_check(capsys):
     for q, theta, d in triples:
         rec = mass_ss(q, theta, d)
         ok = ok and rec == mass_ss_closed(q, theta, d)
-        if math.gcd(abs(theta.value(d)), d.total()) == 1:
+        if math.gcd(abs(theta_value(theta, d)), d.total()) == 1:
             bm = betti_via_mass(q, theta, d)
             p = poincare(q, theta, d)
             half = halve_exponents(p)
@@ -229,7 +229,7 @@ def test_c7_poincare_shape_properties(capsys):
     ok = True
     cases = 0
     for q, theta, d in catalog():
-        if math.gcd(abs(theta.value(d)), d.total()) != 1:
+        if math.gcd(abs(theta_value(theta, d)), d.total()) != 1:
             continue
         p = poincare(q, theta, d)
         if p.is_zero():

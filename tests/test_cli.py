@@ -706,6 +706,7 @@ class TestFixtures:
         assert code == 1
         doc = json.loads(out)
         assert doc["result"]["failed"] == "1"
+        assert doc["inputs"] == {"path": str(path)}
 
     def test_missing_fixture_file_is_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "fixtures", "run", str(tmp_path / "none.json"))
@@ -724,6 +725,8 @@ class TestFixtures:
         '[{"argv": []}]',
         '[{"argv": ["--help"]}]',
         '[{"argv": ["fixtures", "run"]}]',
+        *(f'[{{"argv": ["series", "two-row", "--n", "3"], "expected_prefix": {prefix}}}]'
+          for prefix in ("5", "null", '{"a": 1}', '"12"')),
     ])
     def test_malformed_fixture_file_is_2(self, capsys, tmp_path, text):
         path = tmp_path / "fx.json"
@@ -732,6 +735,22 @@ class TestFixtures:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error_class"] == "input"
+
+    @pytest.mark.parametrize("argv", [
+        ["schur", "--quiver", K3, "--dim", '{"k": 1}'],
+        ["series", "two-row", "--n", "10000"],
+    ])
+    def test_command_error_names_the_fixture(self, capsys, tmp_path, argv):
+        # the error object of the command run alone, under "fixtures run"
+        # and with the fixture's name before the message
+        path = tmp_path / "fx.json"
+        path.write_text(json.dumps([{"name": "bad", "argv": argv}]))
+        alone, _, err = run(capsys, *argv)
+        want = dict(json.loads(err), command="fixtures run")
+        want["error"] = f"fixture 'bad': {want['error']}"
+        code, out, err = run(capsys, "fixtures", "run", str(path))
+        assert code == alone and alone in (2, 3) and out == ""
+        assert json.loads(err) == want
 
 
 class TestFormats:
@@ -1122,7 +1141,7 @@ def reference_output(argv, timing_ms):
     try:
         result = payload(*values)
     except _FixtureFailure as exc:
-        inputs, result = {}, exc.payload
+        result = exc.payload
     return reference_render(key, inputs, result, timing_ms) + "\n"
 
 
@@ -1163,6 +1182,8 @@ class TestOutput:
         (["series", "two-row", "--n", "1000000"], 3, {"required", "budget"}),
         (["monoid", "equal", "--quiver", A2, "--w", "iijj", "--w2", "jjii",
           "--budget", "1"], 3, {"budget"}),
+        # a JSON string literal is not a quiver, not even one holding quiver JSON
+        (["euler", "--quiver", json.dumps(K3), "--d", D11, "--e", D11], 2, set()),
     ])
     def test_error_objects(self, capsys, argv, code, keys):
         got, out, err = run(capsys, *argv)
