@@ -231,7 +231,7 @@ def _comp_series(Q, text, q, budget):
 def _load_fixtures(path):
     """The fixture list at ``path`` (the bundled table when None), checked
     for shape: a JSON list of objects, each with an "argv" list of strings
-    and, if any, an "expected_prefix" list."""
+    and, if any, a "name" string and an "expected_prefix" list."""
     if path:
         try:
             with open(path) as fh:
@@ -250,6 +250,8 @@ def _load_fixtures(path):
         if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
             raise InputError(f'fixture {i} must be an object with an "argv" list '
                              f"of strings")
+        if not isinstance(fx.get("name", ""), str):
+            raise InputError(f'fixture {i}: "name" must be a string')
         if not isinstance(fx.get("expected_prefix", []), list):
             raise InputError(f'fixture {i}: "expected_prefix" must be a list')
     return fixtures

@@ -6,7 +6,7 @@ subrepresentation dimensions of d.  Everything else (generic hom, Schur-root
 test, canonical decomposition) is derived from it.
 
 Below the public functions, everything runs on integer tuples against the
-theta-free context of the quiver, in the one store it shares with ``hn``.
+context of the quiver, in the one store whose tables ``hn`` reads too.
 """
 
 from __future__ import annotations

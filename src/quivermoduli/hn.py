@@ -35,18 +35,20 @@ computes each X(e, f) once (see the comment above the HN recursion).
 The semistable locus of d is nonempty iff no generic subrepresentation
 dimension e of d has mu(e) > mu(d) (King, Quart. J. Math. 45, 1994;
 Schofield, Proc. LMS 65, 1992).  The e are read off the table of
-``generic`` in the theta-free context, which every stability of the quiver
-shares, at a cost of prod_i (d_i + 1)(d_i + 2) / 2 pairs of vectors.  The
-HN types of d are the tuples of parts with nonempty semistable loci and
-strictly decreasing slopes that sum to d.
+``generic`` in the context of the quiver, which every stability shares, at
+a cost of prod_i (d_i + 1)(d_i + 2) / 2 pairs of vectors.  The HN types of
+d are the tuples of parts with nonempty semistable loci and strictly
+decreasing slopes that sum to d.
 
 Below the public functions, everything runs on integer tuples in vertex
-order against the context of (quiver, theta), in the one store it shares
-with ``generic``; slopes are reduced (theta(e), dim e) pairs.  A cold query
-for d builds one slope table, which lives as long as the call: the slope
-rank of each e <= d and, for each h <= d, the set of ranks below h, so both
-sums compare slopes as integer ranks.  Each quantity of a dimension vector
-g in either sum is kept as an integer numerator over one fixed denominator,
+order.  Each public call checks its inputs and then builds one query for
+its d, which lives as long as the call: the slope rank of each e <= d (a
+smaller rank is a steeper slope, so every comparison of slopes is one of
+integer ranks), for each h <= d the set of ranks below h, and the memo of
+the call's recursions.  Only the theta-free context of the quiver, in the
+one store that ``hn`` shares with ``generic``, outlives the call.  Each
+quantity of a dimension vector g in either sum is kept as an integer
+numerator over one fixed denominator,
 
     D(g) = prod_i prod_{k <= g_i} (x^k - 1) = |G_g| / q^(sum_i C(g_i, 2)),
 
@@ -218,7 +220,7 @@ class CycloFrac:
 
 
 # ---------------------------------------------------------------------------
-# helpers on the shared integer-tuple context (see ``quiver``)
+# helpers on integer tuples
 
 def _splits(g):
     """The pairs (e, g - e) for the nonzero tuples e <= g, lexicographically
@@ -229,29 +231,21 @@ def _splits(g):
     return zip(below, rests)
 
 
-def _less(a, b):
-    """a < b for slopes given as (numerator, denominator > 0) pairs."""
-    return a[0] * b[1] < b[0] * a[1]
-
-
-def _checked(quiver, theta, d, zero_message):
-    """The context of (quiver, theta) and d as a tuple, once d names only
-    vertices of the quiver and is nonzero."""
+def _query(quiver, theta, d, zero_message, coprime=False):
+    """The query of one public call on d, once d names only vertices of the
+    quiver and is nonzero, theta names only vertices of the quiver and, if
+    ``coprime``, theta(d) is coprime to dim d, so that semistable = stable
+    and the moduli space is smooth projective."""
     t = quiver.tup(d)
     if not any(t):
         raise InputError(zero_message)
-    return _context(quiver, theta), t
-
-
-def _checked_coprime(quiver, theta, d):
-    """:func:`_checked`, once theta(d) is also coprime to dim d, so that
-    semistable = stable and the moduli space is smooth projective."""
-    ctx, t = _checked(quiver, theta, d, "the zero vector has no moduli space")
-    value, size = sum(map(mul, ctx.theta, t)), sum(t)
-    if math.gcd(value, size) != 1:
-        raise CoprimalityError(
-            f"theta(d) = {value} and dim d = {size} are not coprime")
-    return ctx, t
+    key = theta.key(quiver)
+    if coprime:
+        value, size = sum(map(mul, key, t)), sum(t)
+        if math.gcd(value, size) != 1:
+            raise CoprimalityError(
+                f"theta(d) = {value} and dim d = {size} are not coprime")
+    return _Query(_context(quiver), key, t)
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +284,35 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
 # ---------------------------------------------------------------------------
 # semistable nonemptiness and HN types
 
-def _hn_types(ctx, d):
+def _hn_types(query, d):
     """The HN types of d: tuples of ss-nonempty parts with strictly
-    decreasing slopes."""
-    def dfs(rest, parts, bound):
+    decreasing slopes, that is strictly increasing ranks."""
+    rank = query.rank
+
+    def dfs(rest, parts, floor):
         if not any(rest):
             yield parts
             return
         for p in _below(rest):
-            mu = ctx.slope(p)
-            if bound is not None and not _less(mu, bound):
-                continue
-            if _ss_nonempty(ctx, p):
-                yield from dfs(_minus(rest, p), parts + (p,), mu)
+            r = rank[p]
+            if r > floor and _ss_nonempty(query, p):
+                yield from dfs(_minus(rest, p), parts + (p,), r)
 
-    return dfs(d, (), None)
+    return dfs(d, (), -1)
 
 
 @_memoized
-def _ss_nonempty(ctx, d):
+def _ss_nonempty(query, d):
     """King's criterion on the generic subrepresentations of d."""
-    mu = ctx.slope(d)
-    return not any(_less(mu, ctx.slope(e)) for e in _subreps(ctx.base, d))
+    rank = query.rank
+    r = rank[d]
+    return not any(rank[e] < r for e in _subreps(query.ctx, d))
 
 
 def ss_nonempty(quiver: Quiver, theta: Stability, d: DimVector) -> bool:
     """True iff the semistable locus of dimension d is nonempty."""
-    return _ss_nonempty(*_checked(quiver, theta, d,
-                                  "the zero vector has no semistable locus"))
+    query = _query(quiver, theta, d, "the zero vector has no semistable locus")
+    return _ss_nonempty(query, query.top)
 
 
 @dataclass(frozen=True)
@@ -331,10 +326,11 @@ class HNType:
 
 def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
     """All Harder-Narasimhan types of dimension d with their codimensions."""
-    ctx, t = _checked(quiver, theta, d, "the zero vector has no HN types")
+    query = _query(quiver, theta, d, "the zero vector has no HN types")
+    euler = query.ctx.euler
     out = []
-    for parts in _hn_types(ctx, t):
-        codim = -sum(ctx.euler(a, b)
+    for parts in _hn_types(query, query.top):
+        codim = -sum(euler(a, b)
                      for k, a in enumerate(parts) for b in parts[k + 1:])
         if codim < 0:
             raise AssertionError("HN stratum with negative codimension")
@@ -358,23 +354,24 @@ _ZERO = (0, (), 0, 0)
 
 
 @_memoized
-def _packed_binomial(ctx, n, m, width):
+def _packed_binomial(query, n, m, width):
     """[n choose m]_x packed at ``width`` bits a digit."""
     return _pack(_gaussian_binomial(n, m), width)
 
 
-def _lifted(ctx, key, p, n, m, width):
+def _lifted(query, key, p, n, m, width):
     """[n choose m]_x P packed at ``width`` bits a digit, for the numerator
     P that ``key`` names; it recurs in the sums of every g with the same
     last entry n, so it is memoized."""
     key = (_lifted, key, n, width)
-    value = ctx.memo.get(key)
+    value = query.memo.get(key)
     if value is None:
-        value = ctx.memo[key] = _pack(p[1], width) * _packed_binomial(ctx, n, m, width)
+        value = query.memo[key] = (_pack(p[1], width)
+                                   * _packed_binomial(query, n, m, width))
     return value
 
 
-def _binomial_sum(ctx, g, terms, cuts=()):
+def _binomial_sum(query, g, terms, cuts=()):
     """Numerators over D(g) of
 
         x^(w(g)) - sum_j x^(s_j) B(g, e_j) P_j Q_j
@@ -393,7 +390,7 @@ def _binomial_sum(ctx, g, terms, cuts=()):
     height P.  Consecutive terms whose e agree but for the last entry share
     the binomials of the other vertices, which multiply their packed sum
     once."""
-    w = _weight_exp(ctx, g)
+    w = query.weight[g]
     lo = hi = w
     bound = 1
     shifts = []
@@ -419,7 +416,7 @@ def _binomial_sum(ctx, g, terms, cuts=()):
         if group:
             for n, m in zip(g, head):
                 if 0 < m < n:
-                    group *= _packed_binomial(ctx, n, m, k)
+                    group *= _packed_binomial(query, n, m, k)
             total -= group
             group = 0
 
@@ -433,7 +430,7 @@ def _binomial_sum(ctx, g, terms, cuts=()):
             flush()
             head = e[:last]
         if 0 < e[last] < g[last]:
-            value = _lifted(ctx, key, p, g[last], e[last], k)
+            value = _lifted(query, key, p, g[last], e[last], k)
         else:
             value = _pack(p[1], k)
         if q is not None:
@@ -456,27 +453,32 @@ def _reduced(g, numerator):
 
 
 # ---------------------------------------------------------------------------
-# the slope table of one query
+# the query of one public call
 
-class _SlopeTable:
-    """The slopes below the top-level d of one query.  It is built on the
-    query's first memo miss and dropped when the public call returns; the
-    memo keeps slopes as reduced pairs, which outlive any one table.
+class _Query:
+    """The theta-dependent state of one public call on the top-level d: it
+    is built once every input is checked and dropped when the call returns.
+    ``ctx`` is the context of the quiver and ``memo`` the memo of the
+    call's recursions.
 
-    ``slopes`` holds the distinct slopes of 0 < e <= d in descending order
-    and ``rank[e]`` the index of mu(e) there, so a smaller rank is a steeper
-    slope.  ``below[h]`` is the set of ranks of 0 < e <= h, for 0 <= h <= d,
-    as a bitmask: the rank of h and the sets of each h minus a unit vector.
-    ``square[e]`` is <e, e>, so that <e, g - e> = <e, g> - <e, e> and
+    ``slopes`` holds the distinct slopes of 0 < e <= d, reduced
+    (theta(e), dim e) pairs, in descending order and ``rank[e]`` the index
+    of mu(e) there, so a smaller rank is a steeper slope.  ``below[h]`` is
+    the set of ranks of 0 < e <= h, for 0 <= h <= d, as a bitmask: the rank
+    of h and the sets of each h minus a unit vector.  ``square[e]`` is
+    <e, e>, so that <e, g - e> = <e, g> - <e, e> and
     <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
-    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e), which the
-    resolved sum reads."""
+    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e)."""
 
-    __slots__ = ("top", "slopes", "rank", "below", "square", "weight")
+    __slots__ = ("ctx", "top", "slopes", "rank", "below", "square", "weight", "memo")
 
-    def __init__(self, ctx, top):
-        self.top = top
-        mu = {e: ctx.slope(e) for e in _below(top)}
+    def __init__(self, ctx, theta, top):
+        self.ctx, self.top, self.memo = ctx, top, {}
+        mu = {}
+        for e in _below(top):
+            num, den = sum(map(mul, theta, e)), sum(e)
+            g = math.gcd(num, den)
+            mu[e] = num // g, den // g
         distinct = set(mu.values())
         # n / m sorts as n (scale / m), for a common multiple scale of the m
         scale = math.lcm(*(m for _, m in distinct))
@@ -531,33 +533,22 @@ class _SlopeTable:
 # mass_ss(f).  Over D(f) the term X(e, f) has the numerator
 #   B(f, e) x^{-<f - e, e>} times those of mass_ss(e) over D(e) and of
 #   T(f - e; mu(e)) over D(f - e).
-# Under a top-level d, T(f; b) is asked for only at the bounds
+# Under the top-level d of a query, T(f; b) is asked for only at the bounds
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
-# so the memo keeps mass_ss(f) and T(f; b) for b in L(f) of the table that
-# last filled it, and a warm context asked for a bound it does not hold runs
-# the pass of f again under the table of the query.  That table gives L(f)
-# as the ranks below d - f that are steeper than f, a bitmask read off in
-# ascending rank, and the parts of f as the e <= f of rank below that of f,
-# sorted by rank.
+# so the memo of the query keeps mass_ss(f) and T(f; b) for b in L(f).  The
+# query gives L(f) as the ranks below d - f that are steeper than f, a
+# bitmask read off in ascending rank, and the parts of f as the e <= f of
+# rank below that of f, sorted by rank.
 
-def _hn(ctx, f, table, bound=None):
-    """The memo entry (mass_ss(f), {b: T(f; b)}) of f, as numerators over
-    D(f); it is filled, or refilled when it lacks ``bound``, under the
-    top-level d of the slope table ``table``."""
-    key = (_hn, f)
-    entry = ctx.memo.get(key)
-    if entry is None or (bound is not None and bound not in entry[1]):
-        entry = ctx.memo[key] = _hn_pass(ctx, f, table)
-    return entry
-
-
-def _hn_pass(ctx, f, table):
-    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f)."""
-    slopes, square = table.slopes, table.square
-    r_f = table.rank[f]
-    column = ctx.column(f)  # <f, e> = sum(column * e)
-    bounds = table.bounds(f)
-    parts = table.parts(f)
+@_memoized
+def _hn(query, f):
+    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f), as
+    numerators over D(f)."""
+    slopes, square = query.slopes, query.square
+    r_f = query.rank[f]
+    column = query.ctx.column(f)  # <f, e> = sum(column * e)
+    bounds = query.bounds(f)
+    parts = query.parts(f)
     terms, cuts, i = [], [], 0
     for upto, _ in chain(bounds, ((r_f, None),)):  # every part lies above mu(f)
         chunk = []
@@ -566,78 +557,54 @@ def _hn_pass(ctx, f, table):
             # e <= top - (f - e), so mu(e) is in L(f - e)
             r, e = parts[i]
             i += 1
-            ss = _hn(ctx, e, table)[0]
+            ss = _hn(query, e)[0]
             if not ss[1]:
                 continue
-            rest = _minus(f, e)
-            mu = slopes[r]
-            below = _hn(ctx, rest, table, mu)[1][mu]
+            below = _hn(query, _minus(f, e))[1][slopes[r]]
             if below[1]:
                 chunk.append((e, square[e] - sum(map(mul, column, e)), (_hn, e), ss,
                               below))
         # in lexicographic order, terms that share binomials are adjacent
         terms += sorted(chunk, key=itemgetter(0))
         cuts.append(len(terms))
-    *values, ss = _binomial_sum(ctx, f, terms, cuts[:-1])
+    *values, ss = _binomial_sum(query, f, terms, cuts[:-1])
     return ss, dict(zip(map(itemgetter(1), bounds), values))
-
-
-def _mass_ss_numerator(ctx, t):
-    """The numerator of mass_ss(t) over D(t); only a cold query builds a
-    slope table."""
-    entry = ctx.memo.get((_hn, t))
-    if entry is None:
-        entry = _hn(ctx, t, _SlopeTable(ctx, t))
-    return entry[0]
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
-    ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(t, _mass_ss_numerator(ctx, t))
+    query = _query(quiver, theta, d, "the zero vector has no semistable mass")
+    return _reduced(query.top, _hn(query, query.top)[0])
 
 
 # ---------------------------------------------------------------------------
 # the resolved sum: closed semistable masses and Poincare polynomials
 
-def _resolved(ctx, g, mu, table):
+@_memoized
+def _resolved(query, g):
     """The numerator over D(g) of R(g; mu), for mu the slope of the top-level
-    d of the slope table ``table``: the signed sum over tuples of g whose
-    proper suffix sums all have slope above mu.  The caller gates g itself.
-    Over D(g) the term of e < g is -B(g, e) x^(w(e) - <e, g - e>) N(g - e),
-    with N the numerator of R(g - e; mu), and the term of g is x^(w(g))."""
-    key = (_resolved, g, mu)
-    value = ctx.memo.get(key)
-    if value is None:
-        rank, square, weight = table.rank, table.square, table.weight
-        gate = rank[table.top]
-        row = ctx.row(g)  # <e, g> = sum(e * row)
-        terms = []
-        for e, rest in _splits(g):
-            if e != g and rank[rest] < gate:
-                inner = _resolved(ctx, rest, mu, table)
-                if inner[1]:
-                    # w(e) - <e, g - e>
-                    terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
-                                  (_resolved, rest, mu), inner, None))
-        value = ctx.memo[key] = _binomial_sum(ctx, g, terms)[0]
-    return value
-
-
-def _closed_numerator(ctx, t):
-    """The numerator of mass_ss_closed(t) over D(t); only a cold query builds
-    a slope table."""
-    mu = ctx.slope(t)
-    value = ctx.memo.get((_resolved, t, mu))
-    if value is None:
-        value = _resolved(ctx, t, mu, _SlopeTable(ctx, t))
-    return value
+    d of the query: the signed sum over tuples of g whose proper suffix sums
+    all have slope above mu.  The caller gates g itself.  Over D(g) the term
+    of e < g is -B(g, e) x^(w(e) - <e, g - e>) N(g - e), with N the
+    numerator of R(g - e; mu), and the term of g is x^(w(g))."""
+    rank, square, weight = query.rank, query.square, query.weight
+    gate = rank[query.top]
+    row = query.ctx.row(g)  # <e, g> = sum(e * row)
+    terms = []
+    for e, rest in _splits(g):
+        if e != g and rank[rest] < gate:
+            inner = _resolved(query, rest)
+            if inner[1]:
+                # w(e) - <e, g - e>
+                terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
+                              (_resolved, rest), inner, None))
+    return _binomial_sum(query, g, terms)[0]
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
-    ctx, t = _checked(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(t, _closed_numerator(ctx, t))
+    query = _query(quiver, theta, d, "the zero vector has no semistable mass")
+    return _reduced(query.top, _resolved(query, query.top))
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +625,8 @@ def _times_q_minus_one(g, numerator):
 def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
-    ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(t, _closed_numerator(ctx, t))
+    query = _query(quiver, theta, d, "the zero vector has no moduli space", coprime=True)
+    return _times_q_minus_one(query.top, _resolved(query, query.top))
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -675,8 +642,8 @@ def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
 def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
-    ctx, t = _checked_coprime(quiver, theta, d)
-    return _times_q_minus_one(t, _mass_ss_numerator(ctx, t))
+    query = _query(quiver, theta, d, "the zero vector has no moduli space", coprime=True)
+    return _times_q_minus_one(query.top, _hn(query, query.top)[0])
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

@@ -247,8 +247,8 @@ class Quiver:
 
 
 class Stability:
-    """Integer linear functional theta, one integer per vertex; slopes are
-    compared as reduced integer pairs (``_Context.slope``)."""
+    """Integer linear functional theta, one integer per vertex; ``hn`` ranks
+    the slopes theta(e) / dim e of each query as reduced integer pairs."""
 
     __slots__ = ("theta", "_keys")
 
@@ -290,16 +290,13 @@ class Stability:
 # -- integer-tuple contexts --------------------------------------------------
 
 class _Context:
-    """A quiver and a stability as integer tuples in vertex order, with the
-    memo of every recursion that ``hn`` and ``generic`` run on them.
-    ``base`` is the theta-free context of the same quiver, whose memo holds
-    the generic subrepresentations that every stability reads."""
+    """A quiver as integer tuples in vertex order, with the memo of the
+    theta-free recursions of ``generic`` and the CLI's kept results."""
 
-    __slots__ = ("arrows", "theta", "memo", "base")
+    __slots__ = ("arrows", "memo")
 
-    def __init__(self, quiver, theta):
+    def __init__(self, quiver):
         self.arrows = quiver.arrow_pairs
-        self.theta = theta
         self.memo = {}
 
     def arrow_pairing(self, x, y):
@@ -323,29 +320,20 @@ class _Context:
             c[t] -= x[s]
         return c
 
-    def slope(self, e):
-        """theta(e) / dim e as a reduced (numerator, denominator > 0) pair."""
-        num, den = sum(map(mul, self.theta, e)), sum(e)
-        g = math.gcd(num, den)
-        return num // g, den // g
-
 
 _contexts = {}
 
 
-def _context(quiver, theta=None):
-    """The context of (quiver, theta); theta must name only vertices of the
-    quiver.  The Euler form, ``generic`` and ``hn.mass`` need no theta."""
-    key = (quiver, None if theta is None else theta.key(quiver))
-    ctx = _contexts.get(key)
+def _context(quiver):
+    """The context of ``quiver``, kept in the one store."""
+    ctx = _contexts.get(quiver)
     if ctx is None:
-        ctx = _contexts[key] = _Context(quiver, key[1])
-        ctx.base = ctx if theta is None else _context(quiver)
+        ctx = _contexts[quiver] = _Context(quiver)
     return ctx
 
 
 def _memoized(fn):
-    """Memoize fn(ctx, *args) in ctx.memo."""
+    """Memoize fn(ctx, *args) in ctx.memo, for a context or an ``hn`` query."""
     def wrapper(ctx, *args):
         key = (fn, *args)
         value = ctx.memo.get(key)

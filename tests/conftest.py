@@ -1,16 +1,18 @@
 import json
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
+from operator import mul
 
 import pytest
 
-from quivermoduli import generic, hn, roots
+from quivermoduli import generic, roots
 from quivermoduli.cli import _COMMANDS, _HELP, _PROG, _command, _Help
 from quivermoduli.errors import InputError
 from quivermoduli.laurent import LaurentPoly, cyclotomic
-from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _contexts,
-                                 _memoized, _minus, kronecker_quiver)
+from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _context,
+                                 _contexts, _memoized, _minus, kronecker_quiver)
 
 
 @pytest.fixture(scope="session")
@@ -473,9 +475,35 @@ class ReferenceHN:
         return self.times_q_minus_one(self.hn(t, t)[0])
 
 
-# The HN pass found its bounds and parts by these comprehensions over the
-# context's reduced slope pairs before it read them off the slope table of
-# its query; the table is tested against them.
+class ThetaContext:
+    """A quiver at one stability, as ``hn`` kept it in the memo store before
+    its theta-dependent state lived for one call: the context of the quiver,
+    theta as a tuple in vertex order, a memo of its own and reduced slope
+    pairs.  The references below run on it."""
+
+    def __init__(self, quiver, theta):
+        self.base = _context(quiver)
+        self.theta = theta.key(quiver)
+        self.memo = {}
+
+    def slope(self, e):
+        """theta(e) / dim e as a reduced (numerator, denominator > 0) pair."""
+        num, den = sum(map(mul, self.theta, e)), sum(e)
+        g = math.gcd(num, den)
+        return num // g, den // g
+
+    def euler(self, x, y):
+        return self.base.euler(x, y)
+
+
+def less(a, b):
+    """a < b for slopes given as (numerator, denominator > 0) pairs."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+# The HN pass found its bounds and parts by these comprehensions over
+# reduced slope pairs before it read them off the ranks of its query; the
+# query is tested against them.
 DESCENDING = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
 
 
@@ -483,14 +511,14 @@ def reference_bounds(ctx, top, f):
     """L(f) = {mu(e) : 0 < e <= top - f, mu(e) > mu(f)} by descending slope."""
     mu_f = ctx.slope(f)
     return sorted({b for e in _below(_minus(top, f))
-                   if hn._less(mu_f, b := ctx.slope(e))}, key=DESCENDING)
+                   if less(mu_f, b := ctx.slope(e))}, key=DESCENDING)
 
 
 def reference_parts(ctx, f):
     """(mu(e), e) for 0 < e <= f with mu(e) > mu(f) by descending slope, in
     lexicographic order within one slope."""
     mu_f = ctx.slope(f)
-    return sorted(((mu, e) for e in _below(f) if hn._less(mu_f, mu := ctx.slope(e))),
+    return sorted(((mu, e) for e in _below(f) if less(mu_f, mu := ctx.slope(e))),
                   key=lambda p: DESCENDING(p[0]))
 
 
@@ -508,7 +536,7 @@ def reference_hn_types(ctx, d, flat=False):
             return
         for p in _below(rest):
             mu = ctx.slope(p)
-            if bound is not None and not hn._less(mu, bound):
+            if bound is not None and not less(mu, bound):
                 continue
             if flat and (p == d or any(ctx.euler(q, p) for q in parts)):
                 continue

@@ -727,6 +727,11 @@ class TestFixtures:
         '[{"argv": ["fixtures", "run"]}]',
         *(f'[{{"argv": ["series", "two-row", "--n", "3"], "expected_prefix": {prefix}}}]'
           for prefix in ("5", "null", '{"a": 1}', '"12"')),
+        # a name that is not a string, on a fixture that passes and on one
+        # whose command fails
+        '[{"name": ["x"], "argv": ["series", "two-row", "--n", "3"], '
+        '"expected": {"coefficients": [1]}}]',
+        '[{"name": 7, "argv": ["series", "two-row", "--n", "10000"]}]',
     ])
     def test_malformed_fixture_file_is_2(self, capsys, tmp_path, text):
         path = tmp_path / "fx.json"

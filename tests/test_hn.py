@@ -18,9 +18,10 @@ from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
 from quivermoduli.quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability,
                                  _context, _contexts, kronecker_quiver)
 
-from conftest import (Frac, ReferenceHN, dv, fraction_divexact, halve_exponents,
-                      memo_entries, reference_bounds, reference_hn_types,
-                      reference_parts, reference_ss_nonempty, slope, theta_value)
+from conftest import (Frac, ReferenceHN, ThetaContext, dv, fraction_divexact,
+                      halve_exponents, less, memo_entries, reference_bounds,
+                      reference_hn_types, reference_parts, reference_ss_nonempty,
+                      slope, theta_value)
 
 
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
@@ -445,7 +446,7 @@ class TestSemistabilityThreeWays:
         empty = 0
         for values in product(range(-1, 3), repeat=len(quiver.vertices)):
             theta = Stability(dict(zip(quiver.vertices, values)))
-            ctx = _context(quiver, theta)
+            ctx = ThetaContext(quiver, theta)
             for d in dims:
                 by_king = ss_nonempty(quiver, theta, d)
                 assert by_king == reference_ss_nonempty(ctx, quiver.tup(d)), (values, d)
@@ -477,7 +478,7 @@ class TestAgainstSearch:
         dims = nonzero_below(quiver, *bound)
         for theta in thetas:
             hn.clear_caches()
-            ctx = _context(quiver, theta)
+            ctx = ThetaContext(quiver, theta)
             for d in dims:
                 t = quiver.tup(d)
                 assert ss_nonempty(quiver, theta, d) == reference_ss_nonempty(ctx, t), \
@@ -534,8 +535,8 @@ class TestBinomialSum:
         terms.sort(key=lambda t: t[0])
         cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=3)))
         hn.clear_caches()
-        ctx = _context(quiver, Stability({}))
-        got = hn._binomial_sum(ctx, g, terms, cuts)
+        ctx = _context(quiver)
+        got = hn._binomial_sum(hn._Query(ctx, (0,) * len(g), g), g, terms, cuts)
         running = LaurentPoly({hn._weight_exp(ctx, g): 1})
         sums = []
         for j, (e, s, _, p, q) in enumerate(terms):
@@ -565,25 +566,25 @@ class TestSlopeTable:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bounds_and_parts_match_reference(self, name):
-        # L(f) and the parts of f from the table against the comprehensions
+        # L(f) and the parts of f from the query against the comprehensions
         # over slope pairs that the HN pass ran before
         quiver, thetas, bound = self.CASES[name]
         tops = [quiver.tup(d) for d in nonzero_below(quiver, *bound)]
         for theta in thetas:
-            ctx = _context(quiver, theta)
+            ctx = ThetaContext(quiver, theta)
             for top in tops:
-                table = hn._SlopeTable(ctx, top)
-                for f in table.rank:
+                query = hn._Query(ctx.base, ctx.theta, top)
+                for f in query.rank:
                     want = reference_bounds(ctx, top, f)
-                    bounds = table.bounds(f)
+                    bounds = query.bounds(f)
                     assert [b for _, b in bounds] == want, (theta, top, f)
-                    parts = table.parts(f)
+                    parts = query.parts(f)
                     want_parts = reference_parts(ctx, f)
-                    assert [(table.slopes[r], e) for r, e in parts] == want_parts
+                    assert [(query.slopes[r], e) for r, e in parts] == want_parts
                     # the parts of rank below u are those of slope >= b
                     for u, b in bounds:
                         assert [e for r, e in parts if r < u] == \
-                            [e for mu, e in want_parts if not hn._less(mu, b)]
+                            [e for mu, e in want_parts if not less(mu, b)]
 
 
 class TestCaches:
@@ -633,10 +634,27 @@ class TestCaches:
         cold = answers()
         for clear in (generic.clear_caches, hn.clear_caches):
             assert answers() == cold
-            assert _context(k3).memo and _context(k3, theta).memo
+            assert _context(k3).memo
             clear()
             assert not _contexts
             assert answers() == cold
+
+    def test_store_keeps_no_theta_state(self, k3):
+        # the store keeps one context per quiver and no entry of hn, whose
+        # theta-dependent state lives for one call
+        hn.clear_caches()
+        for values in ((1, 0), (2, -1)):
+            theta = Stability(dict(zip(k3.vertices, values)))
+            for d in (dv(i=2, j=3), dv(i=3, j=4)):
+                mass_ss(k3, theta, d)
+                mass_ss_closed(k3, theta, d)
+                ss_nonempty(k3, theta, d)
+                hn_types(k3, theta, d)
+                for method in ("closed", "mass"):
+                    betti_coefficients(k3, theta, d, method=method)
+        assert _contexts and all(isinstance(key, Quiver) for key in _contexts)
+        assert not [key for ctx in _contexts.values() for key in ctx.memo
+                    if getattr(key[0], "__module__", None) == hn.__name__]
 
     # (quiver, theta with negative entries, [small d, larger d, d incomparable
     # with the larger one])
@@ -658,8 +676,8 @@ class TestCaches:
 
     @pytest.mark.parametrize("name", sorted(WARM_CASES))
     def test_warm_orders_equal_cold(self, name):
-        # the HN memo keeps only the bounds reachable under the d it was
-        # filled for; later, larger or incomparable d must still be right
+        # each call fills the HN memo of its own query under its own d;
+        # later, larger or incomparable d must still be right
         quiver, theta, values = self.WARM_CASES[name]
         small, large, other = (DimVector(dict(zip(quiver.vertices, v)))
                                for v in values)
@@ -699,28 +717,6 @@ class TestCaches:
         first.append(None)
         assert hn_types(k3, theta_i, d) == want
         assert hn_types(k3, theta_i, d) is not hn_types(k3, theta_i, d)
-
-    def test_missing_bound_refills(self, k3, monkeypatch):
-        passes = []
-        real = hn._hn_pass
-
-        def spy(ctx, f, table):
-            passes.append((f, (hn._hn, f) in ctx.memo))
-            return real(ctx, f, table)
-
-        monkeypatch.setattr(hn, "_hn_pass", spy)
-        theta = Stability({"i": 2, "j": -1})
-        hn.clear_caches()
-        mass_ss(k3, theta, dv(i=1, j=2))
-        # a cold query runs the pass of each f once and never refills
-        assert len({f for f, _ in passes}) == len(passes) and not any(r for _, r in passes)
-        del passes[:]
-        warm = mass_ss(k3, theta, dv(i=3, j=4))
-        # (1,2) was the top, so it stored no bound at all
-        assert ((1, 2), True) in passes
-        hn.clear_caches()
-        assert warm == mass_ss(k3, theta, dv(i=3, j=4)) == \
-            mass_ss_closed(k3, theta, dv(i=3, j=4))
 
 
 def assert_refused(error, call):
