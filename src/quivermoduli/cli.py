@@ -14,7 +14,8 @@ parsed command's flags in declared order with their echoes, which ``main``
 prints as the inputs (on exit 1 from failing fixtures too), and
 ``_answer`` encodes the result of its payload function.  ``main`` joins the printed
 object from JSON texts: the echo of each input (encoded once per inline
-JSON text, and on every call for the other flags) and the encoded result.
+JSON text and per value of a plain flag, and on every call for the other
+flags) and the encoded result.
 
 In a long-lived process the encoded result of each ``--quiver`` command
 outside the ``oracle`` group is kept in the quiver's memo store, keyed by
@@ -150,12 +151,23 @@ def _flag(name, read=_same, echo=None, **kw):
     positional.  After parsing, the flag's ``read`` turns its text into a
     pair: the value the payload function gets, ``read(text)``, and its entry
     of the inputs, ``echo`` of that value encoded by :func:`_encode` (None
-    when ``echo`` is None)."""
-    def load(text):
-        value = read(text)
-        return value, None if echo is None else _encode(echo(value))
+    when ``echo`` is None).  A plain flag, whose value and echo are its
+    converted text, reads through :func:`_plain`."""
+    if read is _same and echo is _same:
+        load = _plain
+    else:
+        def load(text):
+            value = read(text)
+            return value, None if echo is None else _encode(echo(value))
 
     return _Flag(name, kw.get("dest", name.lstrip("-")), kw, load)
+
+
+@lru_cache(maxsize=1024)
+def _plain(value):
+    """The value of a plain flag and its echo, encoded once per value (a
+    string or an int, both immutable)."""
+    return value, _encode(value)
 
 
 @lru_cache(maxsize=1024)

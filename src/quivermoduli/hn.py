@@ -31,6 +31,10 @@ whose first part is e,
 
 Both are read off one pass per f over its parts by descending slope, which
 computes each X(e, f) once (see the comment above the HN recursion).
+T(f; b) changes only where b passes the slope of a part of f, so the pass
+unpacks each distinct value of T(f; .) once and every bound that reads it
+shares the record; within one query each numerator is packed once per
+digit width.
 
 The semistable locus of d is nonempty iff no generic subrepresentation
 dimension e of d has mu(e) > mu(d) (King, Quart. J. Math. 45, 1994;
@@ -67,6 +71,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter, mul
 
@@ -361,13 +366,21 @@ def _packed_binomial(query, n, m, width):
 
 def _lifted(query, key, p, n, m, width):
     """[n choose m]_x P packed at ``width`` bits a digit, for the numerator
-    P that ``key`` names; it recurs in the sums of every g with the same
-    last entry n, so it is memoized."""
-    key = (_lifted, key, n, width)
-    value = query.memo.get(key)
+    P that the hashable ``key`` names.  P is packed once per width, and
+    lifted once per width and n, as it recurs in the sums of every g with
+    the same last entry n; [n choose 0]_x = [n choose n]_x = 1 lifts
+    nothing."""
+    if not 0 < m < n:
+        n = 0
+    memo_key = (_lifted, key, n, width)
+    value = query.memo.get(memo_key)
     if value is None:
-        value = query.memo[key] = (_pack(p[1], width)
-                                   * _packed_binomial(query, n, m, width))
+        if n:
+            value = (_lifted(query, key, p, 0, 0, width)
+                     * _packed_binomial(query, n, m, width))
+        else:
+            value = _pack(p[1], width)
+        query.memo[memo_key] = value
     return value
 
 
@@ -376,10 +389,11 @@ def _binomial_sum(query, g, terms, cuts=()):
 
         x^(w(g)) - sum_j x^(s_j) B(g, e_j) P_j Q_j
 
-    over the terms (e_j, s_j, key_j, P_j, Q_j) of ``terms``: P_j is a
-    nonzero numerator named by the hashable key_j, and Q_j another one or
-    None.  One numerator is returned for each c in the ascending ``cuts``,
-    taking the first c terms, then one for the whole sum.
+    over the terms (e_j, s_j, key_j, P_j, name_j, Q_j) of ``terms``: P_j is a
+    nonzero numerator named by the hashable key_j, and Q_j another one named
+    by the hashable name_j, or None for both.  One numerator is returned for
+    each c in the ascending ``cuts``, taking the first c terms, then one for
+    the whole sum; equal consecutive numerators are one record.
 
     Everything is packed at one digit width (see ``laurent``) and added as
     integers.  The width comes from a bound that covers every partial sum:
@@ -389,12 +403,13 @@ def _binomial_sum(query, g, terms, cuts=()):
     and the coefficients of B(g, e) P are at most prod_i C(g_i, e_i)
     height P.  Consecutive terms whose e agree but for the last entry share
     the binomials of the other vertices, which multiply their packed sum
-    once."""
+    once.  B(g_last, e_last) P and Q are packed through ``_lifted``, so each
+    is packed once per name and width in the query."""
     w = query.weight[g]
     lo = hi = w
     bound = 1
     shifts = []
-    for e, s, _, p, q in terms:
+    for e, s, _, p, _, q in terms:
         s += p[0]
         size = len(p[1]) - 1 + sum(map(mul, e, _minus(g, e)))
         if q is None:
@@ -421,7 +436,7 @@ def _binomial_sum(query, g, terms, cuts=()):
             group = 0
 
     c = 0
-    for j, ((e, _, key, p, q), s) in enumerate(zip(terms, shifts)):
+    for j, ((e, _, key, p, name, q), s) in enumerate(zip(terms, shifts)):
         while c < len(cuts) and cuts[c] == j:
             flush()
             sums.append(total)
@@ -429,19 +444,19 @@ def _binomial_sum(query, g, terms, cuts=()):
         if e[:last] != head:
             flush()
             head = e[:last]
-        if 0 < e[last] < g[last]:
-            value = _lifted(query, key, p, g[last], e[last], k)
-        else:
-            value = _pack(p[1], k)
+        value = _lifted(query, key, p, g[last], e[last], k)
         if q is not None:
-            value *= _pack(q[1], k)
+            value *= _lifted(query, name, q, 0, 0, k)
         group += value << (k * (s - lo))
     flush()
     sums += [total] * (len(cuts) - c + 1)
-    out = []
+    out, previous = [], None
     for value in sums:
-        low, co = _trimmed(lo, _unpack(value, hi - lo + 1, k))
-        out.append((low, co, _max_abs(co), sum(map(abs, co))) if co else _ZERO)
+        if value != previous:
+            low, co = _trimmed(lo, _unpack(value, hi - lo + 1, k))
+            record = (low, co, _max_abs(co), sum(map(abs, co))) if co else _ZERO
+            previous = value
+        out.append(record)
     return out
 
 
@@ -468,9 +483,11 @@ class _Query:
     of h and the sets of each h minus a unit vector.  ``square[e]`` is
     <e, e>, so that <e, g - e> = <e, g> - <e, e> and
     <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
-    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e)."""
-
-    __slots__ = ("ctx", "top", "slopes", "rank", "below", "square", "weight", "memo")
+    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e).  The
+    query builds ``slopes`` and ``rank``, which every recursion reads; each
+    of the other tables is built the first time a recursion reads it:
+    ``below`` by the HN recursion alone, ``square`` and ``weight`` by both
+    sums, and none by ``ss_nonempty`` or ``hn_types``."""
 
     def __init__(self, ctx, theta, top):
         self.ctx, self.top, self.memo = ctx, top, {}
@@ -484,16 +501,27 @@ class _Query:
         scale = math.lcm(*(m for _, m in distinct))
         self.slopes = sorted(distinct, key=lambda s: -s[0] * (scale // s[1]))
         index = {s: r for r, s in enumerate(self.slopes)}
-        self.rank = rank = {e: index[s] for e, s in mu.items()}
-        self.below = below = {(0,) * len(top): 0}
-        for h, r in rank.items():  # lexicographic, so each h - unit comes first
+        self.rank = {e: index[s] for e, s in mu.items()}
+
+    @cached_property
+    def below(self):
+        below = {(0,) * len(self.top): 0}
+        for h, r in self.rank.items():  # lexicographic, so each h - unit comes first
             mask = 1 << r
             for i, n in enumerate(h):
                 if n:
                     mask |= below[h[:i] + (n - 1,) + h[i + 1:]]
             below[h] = mask
-        self.square = {e: ctx.euler(e, e) for e in rank}
-        self.weight = {e: _weight_exp(ctx, e) for e in rank}
+        return below
+
+    @cached_property
+    def square(self):
+        euler = self.ctx.euler
+        return {e: euler(e, e) for e in self.rank}
+
+    @cached_property
+    def weight(self):
+        return {e: _weight_exp(self.ctx, e) for e in self.rank}
 
     def bounds(self, f):
         """(u, b) for the bounds b of L(f) by descending b, where the parts
@@ -539,11 +567,18 @@ class _Query:
 # query gives L(f) as the ranks below d - f that are steeper than f, a
 # bitmask read off in ascending rank, and the parts of f as the e <= f of
 # rank below that of f, sorted by rank.
+# T(f; .) changes only at the slopes of the parts of f: bounds with no part
+# between them cut the pass after the same c terms and read one value.  So
+# the pass unpacks each distinct value once and the bounds share its record,
+# and (f, c) names it: the terms of the passes above f pack T(f; b) through
+# ``_lifted`` under that name, once per digit width in the query, as they
+# pack mass_ss(e) under the name of e.
 
 @_memoized
 def _hn(query, f):
-    """The pass of f: (mass_ss(f), {b: T(f; b)}) for b in L(f), as
-    numerators over D(f)."""
+    """The pass of f: (mass_ss(f), {b: (c, T(f; b))}) for b in L(f), as
+    numerators over D(f), where T(f; b) is the sum of the first c terms of
+    the pass, so that (f, c) names its value."""
     slopes, square = query.slopes, query.square
     r_f = query.rank[f]
     column = query.ctx.column(f)  # <f, e> = sum(column * e)
@@ -560,15 +595,16 @@ def _hn(query, f):
             ss = _hn(query, e)[0]
             if not ss[1]:
                 continue
-            below = _hn(query, _minus(f, e))[1][slopes[r]]
+            rest = _minus(f, e)
+            c, below = _hn(query, rest)[1][slopes[r]]
             if below[1]:
                 chunk.append((e, square[e] - sum(map(mul, column, e)), (_hn, e), ss,
-                              below))
+                              (_hn, rest, c), below))
         # in lexicographic order, terms that share binomials are adjacent
         terms += sorted(chunk, key=itemgetter(0))
         cuts.append(len(terms))
     *values, ss = _binomial_sum(query, f, terms, cuts[:-1])
-    return ss, dict(zip(map(itemgetter(1), bounds), values))
+    return ss, dict(zip(map(itemgetter(1), bounds), zip(cuts, values)))
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
@@ -597,7 +633,7 @@ def _resolved(query, g):
             if inner[1]:
                 # w(e) - <e, g - e>
                 terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
-                              (_resolved, rest), inner, None))
+                              (_resolved, rest), inner, None, None))
     return _binomial_sum(query, g, terms)[0]
 
 

@@ -277,6 +277,24 @@ class TestPoincareBetti:
                     compared += bool(closed)
         assert compared >= 20  # enough nonempty moduli spaces to mean something
 
+    @pytest.mark.parametrize("arrows", [2, 3, 4])
+    def test_methods_agree_on_kronecker_quivers(self, arrows):
+        # every d <= (8, 8) with theta(d) coprime to dim d, at theta = (1, 0)
+        # and (-1, 2), each method on cold caches
+        quiver = kronecker_quiver(arrows)
+        compared = 0
+        for theta in (Stability({"i": 1}), Stability({"i": -1, "j": 2})):
+            for d in nonzero_below(quiver, 8, 8):
+                if math.gcd(theta_value(theta, d), d.total()) != 1:
+                    continue
+                hn.clear_caches()
+                closed = betti_coefficients(quiver, theta, d)
+                hn.clear_caches()
+                assert betti_coefficients(quiver, theta, d, method="mass") == closed, \
+                    (theta, d)
+                compared += bool(closed)
+        assert compared >= {2: 4, 3: 30, 4: 30}[arrows]
+
     def test_betti_via_mass_is_q_minus_one_times_mass(self, k3, theta_i):
         d = dv(i=2, j=3)
         prod = mass_ss(k3, theta_i, d) * R({1: 1, 0: -1})
@@ -513,12 +531,41 @@ def fixed_denominator(g):
     return out
 
 
+def laurent_sums(ctx, g, terms, cuts):
+    """The sums of ``hn._binomial_sum`` by plain LaurentPoly products, with
+    B(g, e) found by exact division of the fixed denominators."""
+    running = LaurentPoly({hn._weight_exp(ctx, g): 1})
+    sums = []
+    for j, (e, s, _, p, _, q) in enumerate(terms):
+        sums += [running] * cuts.count(j)
+        rest = tuple(x - y for x, y in zip(g, e))
+        binomial = fixed_denominator(g).divexact(
+            fixed_denominator(e) * fixed_denominator(rest))
+        term = binomial * LaurentPoly._of(p[0] + s, p[1])
+        if q is not None:
+            term = term * LaurentPoly._of(q[0], q[1])
+        running = running - term
+    return sums + [running] * (cuts.count(len(terms)) + 1)
+
+
+def assert_sums(got, want):
+    """Each record of ``got`` is the numerator ``want`` gives, and equal
+    consecutive records are one record."""
+    assert len(got) == len(want)
+    for (lo, co, height, length), poly in zip(got, want):
+        assert LaurentPoly._of(lo, co) == poly
+        assert (height, length) == ((max(map(abs, co)), sum(map(abs, co)))
+                                    if co else (0, 0))
+    for a, b in zip(got, got[1:]):
+        assert (a == b) == (a is b)
+
+
 class TestBinomialSum:
     @settings(deadline=None, max_examples=120)
     @given(st.data())
     def test_matches_laurent_arithmetic(self, data):
         # the packed convolution against plain LaurentPoly products, with
-        # B(g, e) found by exact division of the fixed denominators
+        # repeated cuts, so empty chunks, half of the time
         quiver = data.draw(st.sampled_from([kronecker_quiver(2), A3]))
         g = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(quiver.vertices),
                                      max_size=len(quiver.vertices))))
@@ -530,30 +577,63 @@ class TestBinomialSum:
         for j in range(data.draw(st.integers(0, 8))):
             e = data.draw(st.sampled_from(parts))
             q = data.draw(st.one_of(st.none(), numerators(big)))
-            terms.append((e, data.draw(st.integers(-8, 8)), ("test", j),
-                          data.draw(numerators(big)), q))
+            terms.append((e, data.draw(st.integers(-8, 8)), ("p", j),
+                          data.draw(numerators(big)), None if q is None else ("q", j), q))
         terms.sort(key=lambda t: t[0])
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(terms)), max_size=3)))
+        cuts = data.draw(st.lists(st.integers(0, len(terms)), max_size=6))
+        if cuts and data.draw(st.booleans()):
+            cuts += cuts[:2]
+        cuts.sort()
         hn.clear_caches()
         ctx = _context(quiver)
         got = hn._binomial_sum(hn._Query(ctx, (0,) * len(g), g), g, terms, cuts)
-        running = LaurentPoly({hn._weight_exp(ctx, g): 1})
-        sums = []
-        for j, (e, s, _, p, q) in enumerate(terms):
-            sums += [running] * cuts.count(j)
-            rest = tuple(x - y for x, y in zip(g, e))
-            binomial = fixed_denominator(g).divexact(
-                fixed_denominator(e) * fixed_denominator(rest))
-            term = binomial * LaurentPoly._of(p[0] + s, p[1])
-            if q is not None:
-                term = term * LaurentPoly._of(q[0], q[1])
-            running = running - term
-        sums += [running] * (cuts.count(len(terms)) + 1)
-        assert len(got) == len(sums)
-        for (lo, co, height, length), want in zip(got, sums):
-            assert LaurentPoly._of(lo, co) == want
-            assert (height, length) == ((max(map(abs, co)), sum(map(abs, co)))
-                                        if co else (0, 0))
+        assert_sums(got, laurent_sums(ctx, g, terms, cuts))
+        ends = cuts + [len(terms)]
+        for (a, b), (i, j) in zip(zip(got, got[1:]), zip(ends, ends[1:])):
+            if i == j:
+                assert a is b  # no term since the previous cut
+
+    def test_repeated_cuts_and_empty_chunks(self, k2):
+        # cuts at 0, 0, 2, 2, 2 and 4 of four terms, the last two of which
+        # cancel: the sums at 0 are one record, and those from 2 on another
+        g = (2, 2)
+        p, q = (0, (1, -2, 3), 3, 6), (1, (4, 5), 5, 9)
+        minus_p = (0, (-1, 2, -3), 3, 6)
+        terms = [((1, 0), 1, ("p", 0), p, ("q", 0), q),
+                 ((1, 1), 0, ("p", 1), q, None, None),
+                 ((2, 1), 2, ("p", 2), p, ("q", 2), q),
+                 ((2, 1), 2, ("p", 3), minus_p, ("q", 2), q)]
+        cuts = [0, 0, 2, 2, 2, 4]
+        hn.clear_caches()
+        ctx = _context(k2)
+        got = hn._binomial_sum(hn._Query(ctx, (0, 0), g), g, terms, cuts)
+        assert_sums(got, laurent_sums(ctx, g, terms, cuts))
+        assert got[0] is got[1] and got[1] != got[2]
+        assert all(r is got[2] for r in got[2:])
+
+    def test_mass_unpacks_each_distinct_record_once(self, k3, theta_i, monkeypatch):
+        # K3 (9, 10) by the HN recursion: one _unpack per distinct record of
+        # each pass, though most passes read T(f; b) at equal cuts
+        calls, records, seen = [0], [0], [0]
+        unpack, binomial_sum = hn._unpack, hn._binomial_sum
+
+        def counted_unpack(*args):
+            calls[0] += 1
+            return unpack(*args)
+
+        def counted_sum(*args):
+            out = binomial_sum(*args)
+            records[0] += sum(j == 0 or r is not out[j - 1] for j, r in enumerate(out))
+            seen[0] += len(out)
+            return out
+
+        hn.clear_caches()
+        monkeypatch.setattr(hn, "_unpack", counted_unpack)
+        monkeypatch.setattr(hn, "_binomial_sum", counted_sum)
+        row = betti_coefficients(k3, theta_i, dv(i=9, j=10), method="mass")
+        monkeypatch.undo()
+        assert row == betti_coefficients(k3, theta_i, dv(i=9, j=10))
+        assert calls[0] == records[0] < seen[0] // 2
 
 
 class TestSlopeTable:
