@@ -33,8 +33,8 @@ Both are read off one pass per f over its parts by descending slope, which
 computes each X(e, f) once (see the comment above the HN recursion).
 T(f; b) changes only where b passes the slope of a part of f, so the pass
 unpacks each distinct value of T(f; .) once and every bound that reads it
-shares the record; within one query each numerator is packed once per
-digit width.
+shares the record.  Each record keeps its own packed forms, so within one
+query it is packed once per digit width.
 
 The semistable locus of d is nonempty iff no generic subrepresentation
 dimension e of d has mu(e) > mu(d) (King, Quart. J. Math. 45, 1994;
@@ -72,7 +72,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
@@ -349,38 +349,40 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 # Every term of either sum for g below has a denominator that divides
 #   D(g) = prod_i prod_{k <= g_i} (x^k - 1),
 # so each quantity of g is kept as its numerator over D(g): a record
-# (lo, co, height, length) of a low exponent, a coefficient tuple with
-# nonzero ends (empty for zero), max |co| and sum |co| (both 0 for zero).
+# (lo, co, height, length, packs) of a low exponent, a coefficient tuple
+# with nonzero ends (empty for zero), max |co| and sum |co| (both 0 for
+# zero), and the dict of its packed forms that ``_lifted`` fills (None for
+# zero, which is never packed).
 # A product of quantities of e and g - e is over D(e) D(g - e), and
 #   D(g) / (D(e) D(g - e)) = B(g, e) = prod_i [g_i choose e_i]_x,
 # so a sum for g is a convolution with Gaussian binomials.
 
-_ZERO = (0, (), 0, 0)
+_ZERO = (0, (), 0, 0, None)
 
 
 @_memoized
 def _packed_binomial(query, n, m, width):
-    """[n choose m]_x packed at ``width`` bits a digit."""
+    """[n choose m]_x packed at ``width`` bits a digit, for m <= n - m."""
     return _pack(_gaussian_binomial(n, m), width)
 
 
-def _lifted(query, key, p, n, m, width):
-    """[n choose m]_x P packed at ``width`` bits a digit, for the numerator
-    P that the hashable ``key`` names.  P is packed once per width, and
-    lifted once per width and n, as it recurs in the sums of every g with
-    the same last entry n; [n choose 0]_x = [n choose n]_x = 1 lifts
-    nothing."""
-    if not 0 < m < n:
-        n = 0
-    memo_key = (_lifted, key, n, width)
-    value = query.memo.get(memo_key)
+def _lifted(query, p, n, m, width):
+    """[n choose m]_x P packed at ``width`` bits a digit, for the nonzero
+    record P, which keeps the value under (n, min(m, n - m), width): P is
+    packed once per width, and lifted once per width and binomial, as it
+    recurs in the sums of every g with the same last entry n;
+    [n choose 0]_x = [n choose n]_x = 1 lifts nothing."""
+    m = min(m, n - m)
+    if m <= 0:
+        n = m = 0
+    packs = p[4]
+    value = packs.get((n, m, width))
     if value is None:
         if n:
-            value = (_lifted(query, key, p, 0, 0, width)
-                     * _packed_binomial(query, n, m, width))
+            value = _lifted(query, p, 0, 0, width) * _packed_binomial(query, n, m, width)
         else:
             value = _pack(p[1], width)
-        query.memo[memo_key] = value
+        packs[n, m, width] = value
     return value
 
 
@@ -389,11 +391,11 @@ def _binomial_sum(query, g, terms, cuts=()):
 
         x^(w(g)) - sum_j x^(s_j) B(g, e_j) P_j Q_j
 
-    over the terms (e_j, s_j, key_j, P_j, name_j, Q_j) of ``terms``: P_j is a
-    nonzero numerator named by the hashable key_j, and Q_j another one named
-    by the hashable name_j, or None for both.  One numerator is returned for
-    each c in the ascending ``cuts``, taking the first c terms, then one for
-    the whole sum; equal consecutive numerators are one record.
+    over the terms (e_j, s_j, P_j, Q_j) of ``terms``: P_j is a nonzero
+    numerator record and Q_j another one or None.  One numerator is
+    returned for each c in the ascending ``cuts``, taking the first c terms,
+    then one for the whole sum; equal consecutive numerators are one
+    record.
 
     Everything is packed at one digit width (see ``laurent``) and added as
     integers.  The width comes from a bound that covers every partial sum:
@@ -404,12 +406,12 @@ def _binomial_sum(query, g, terms, cuts=()):
     height P.  Consecutive terms whose e agree but for the last entry share
     the binomials of the other vertices, which multiply their packed sum
     once.  B(g_last, e_last) P and Q are packed through ``_lifted``, so each
-    is packed once per name and width in the query."""
+    record is packed once per width and lifted once per width and binomial."""
     w = query.weight[g]
     lo = hi = w
     bound = 1
     shifts = []
-    for e, s, _, p, _, q in terms:
+    for e, s, p, q in terms:
         s += p[0]
         size = len(p[1]) - 1 + sum(map(mul, e, _minus(g, e)))
         if q is None:
@@ -431,12 +433,12 @@ def _binomial_sum(query, g, terms, cuts=()):
         if group:
             for n, m in zip(g, head):
                 if 0 < m < n:
-                    group *= _packed_binomial(query, n, m, k)
+                    group *= _packed_binomial(query, n, min(m, n - m), k)
             total -= group
             group = 0
 
     c = 0
-    for j, ((e, _, key, p, name, q), s) in enumerate(zip(terms, shifts)):
+    for j, ((e, _, p, q), s) in enumerate(zip(terms, shifts)):
         while c < len(cuts) and cuts[c] == j:
             flush()
             sums.append(total)
@@ -444,9 +446,9 @@ def _binomial_sum(query, g, terms, cuts=()):
         if e[:last] != head:
             flush()
             head = e[:last]
-        value = _lifted(query, key, p, g[last], e[last], k)
+        value = _lifted(query, p, g[last], e[last], k)
         if q is not None:
-            value *= _lifted(query, name, q, 0, 0, k)
+            value *= _lifted(query, q, 0, 0, k)
         group += value << (k * (s - lo))
     flush()
     sums += [total] * (len(cuts) - c + 1)
@@ -454,7 +456,7 @@ def _binomial_sum(query, g, terms, cuts=()):
     for value in sums:
         if value != previous:
             low, co = _trimmed(lo, _unpack(value, hi - lo + 1, k))
-            record = (low, co, _max_abs(co), sum(map(abs, co))) if co else _ZERO
+            record = (low, co, _max_abs(co), sum(map(abs, co)), {}) if co else _ZERO
             previous = value
         out.append(record)
     return out
@@ -484,8 +486,8 @@ class _Query:
     <e, e>, so that <e, g - e> = <e, g> - <e, e> and
     <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
     Euler form.  ``weight[e]`` is the exponent of w(e) over D(e).  The
-    query builds ``slopes`` and ``rank``, which every recursion reads; each
-    of the other tables is built the first time a recursion reads it:
+    query builds ``rank``, which every recursion reads, from ``slopes``;
+    each of the other tables is built the first time a recursion reads it:
     ``below`` by the HN recursion alone, ``square`` and ``weight`` by both
     sums, and none by ``ss_nonempty`` or ``hn_types``."""
 
@@ -524,14 +526,12 @@ class _Query:
         return {e: _weight_exp(self.ctx, e) for e in self.rank}
 
     def bounds(self, f):
-        """(u, b) for the bounds b of L(f) by descending b, where the parts
-        of f of rank below u are those of slope >= b."""
-        slopes = self.slopes
+        """The ranks r of the bounds b = slopes[r] of L(f), ascending, so by
+        descending b: the parts of f of slope >= b are those of rank <= r."""
         mask = self.below[_minus(self.top, f)] & ((1 << self.rank[f]) - 1)
         out = []
         while mask:
-            r = (mask & -mask).bit_length() - 1
-            out.append((r + 1, slopes[r]))
+            out.append((mask & -mask).bit_length() - 1)
             mask &= mask - 1
         return out
 
@@ -563,31 +563,29 @@ class _Query:
 #   T(f - e; mu(e)) over D(f - e).
 # Under the top-level d of a query, T(f; b) is asked for only at the bounds
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
-# so the memo of the query keeps mass_ss(f) and T(f; b) for b in L(f).  The
-# query gives L(f) as the ranks below d - f that are steeper than f, a
-# bitmask read off in ascending rank, and the parts of f as the e <= f of
-# rank below that of f, sorted by rank.
+# so the memo of the query keeps mass_ss(f) and T(f; b) for b in L(f), by
+# the rank of b.  The query gives L(f) as the ranks below d - f that are
+# steeper than f, a bitmask read off in ascending rank, and the parts of f
+# as the e <= f of rank below that of f, sorted by rank.
 # T(f; .) changes only at the slopes of the parts of f: bounds with no part
-# between them cut the pass after the same c terms and read one value.  So
+# between them cut the pass after the same terms and read one value.  So
 # the pass unpacks each distinct value once and the bounds share its record,
-# and (f, c) names it: the terms of the passes above f pack T(f; b) through
-# ``_lifted`` under that name, once per digit width in the query, as they
-# pack mass_ss(e) under the name of e.
+# which the terms of the passes above f pack through ``_lifted`` once per
+# digit width in the query, as they pack the record of mass_ss(e).
 
 @_memoized
 def _hn(query, f):
-    """The pass of f: (mass_ss(f), {b: (c, T(f; b))}) for b in L(f), as
-    numerators over D(f), where T(f; b) is the sum of the first c terms of
-    the pass, so that (f, c) names its value."""
-    slopes, square = query.slopes, query.square
-    r_f = query.rank[f]
+    """The pass of f: (mass_ss(f), {r: T(f; b)}) for the bounds b in L(f)
+    of rank r, as numerators over D(f); bounds whose T(f; b) are equal share
+    one record."""
+    square = query.square
     column = query.ctx.column(f)  # <f, e> = sum(column * e)
     bounds = query.bounds(f)
     parts = query.parts(f)
     terms, cuts, i = [], [], 0
-    for upto, _ in chain(bounds, ((r_f, None),)):  # every part lies above mu(f)
+    for upto in [*bounds, query.rank[f] - 1]:  # every part lies above mu(f)
         chunk = []
-        while i < len(parts) and parts[i][0] < upto:
+        while i < len(parts) and parts[i][0] <= upto:
             # X(e, f) for the nonzero X; mu(f - e) < mu(f) < mu(e) and
             # e <= top - (f - e), so mu(e) is in L(f - e)
             r, e = parts[i]
@@ -595,16 +593,14 @@ def _hn(query, f):
             ss = _hn(query, e)[0]
             if not ss[1]:
                 continue
-            rest = _minus(f, e)
-            c, below = _hn(query, rest)[1][slopes[r]]
+            below = _hn(query, _minus(f, e))[1][r]
             if below[1]:
-                chunk.append((e, square[e] - sum(map(mul, column, e)), (_hn, e), ss,
-                              (_hn, rest, c), below))
+                chunk.append((e, square[e] - sum(map(mul, column, e)), ss, below))
         # in lexicographic order, terms that share binomials are adjacent
         terms += sorted(chunk, key=itemgetter(0))
         cuts.append(len(terms))
     *values, ss = _binomial_sum(query, f, terms, cuts[:-1])
-    return ss, dict(zip(map(itemgetter(1), bounds), zip(cuts, values)))
+    return ss, dict(zip(bounds, values))
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
@@ -633,7 +629,7 @@ def _resolved(query, g):
             if inner[1]:
                 # w(e) - <e, g - e>
                 terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
-                              (_resolved, rest), inner, None, None))
+                              inner, None))
     return _binomial_sum(query, g, terms)[0]
 
 

@@ -509,15 +509,16 @@ class TestAgainstSearch:
 
 
 def numerators(max_coeff):
-    """Nonzero numerator records (lo, co, height, length) with coefficients
-    up to max_coeff in absolute value, all positive half of the time, so
-    that no cancellation hides a digit width that is too narrow."""
+    """Nonzero numerator records (lo, co, height, length, packs) with
+    coefficients up to max_coeff in absolute value, all positive half of the
+    time, so that no cancellation hides a digit width that is too narrow,
+    and no packed form yet."""
     coeffs = st.one_of(st.integers(1, max_coeff), st.integers(-max_coeff, max_coeff))
 
     def record(args):
         lo, co = args
         co = [c or 1 for c in co]
-        return lo, tuple(co), max(map(abs, co)), sum(map(abs, co))
+        return lo, tuple(co), max(map(abs, co)), sum(map(abs, co)), {}
 
     return st.tuples(st.integers(-6, 6),
                      st.lists(coeffs, min_size=1, max_size=24)).map(record)
@@ -536,7 +537,7 @@ def laurent_sums(ctx, g, terms, cuts):
     B(g, e) found by exact division of the fixed denominators."""
     running = LaurentPoly({hn._weight_exp(ctx, g): 1})
     sums = []
-    for j, (e, s, _, p, _, q) in enumerate(terms):
+    for j, (e, s, p, q) in enumerate(terms):
         sums += [running] * cuts.count(j)
         rest = tuple(x - y for x, y in zip(g, e))
         binomial = fixed_denominator(g).divexact(
@@ -552,33 +553,37 @@ def assert_sums(got, want):
     """Each record of ``got`` is the numerator ``want`` gives, and equal
     consecutive records are one record."""
     assert len(got) == len(want)
-    for (lo, co, height, length), poly in zip(got, want):
+    for (lo, co, height, length, packs), poly in zip(got, want):
         assert LaurentPoly._of(lo, co) == poly
-        assert (height, length) == ((max(map(abs, co)), sum(map(abs, co)))
-                                    if co else (0, 0))
+        assert (height, length, packs) == ((max(map(abs, co)), sum(map(abs, co)), {})
+                                           if co else (0, 0, None))
     for a, b in zip(got, got[1:]):
         assert (a == b) == (a is b)
 
 
 class TestBinomialSum:
-    @settings(deadline=None, max_examples=120)
+    @settings(deadline=None, max_examples=250)
     @given(st.data())
     def test_matches_laurent_arithmetic(self, data):
         # the packed convolution against plain LaurentPoly products, with
-        # repeated cuts, so empty chunks, half of the time
+        # repeated cuts, so empty chunks, half of the time; half of the time
+        # every P and Q is one of two drawn records, so that one record is P
+        # under several e or both P and Q, and must keep each packed form
+        # apart
         quiver = data.draw(st.sampled_from([kronecker_quiver(2), A3]))
-        g = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(quiver.vertices),
+        g = tuple(data.draw(st.lists(st.integers(0, 5), min_size=len(quiver.vertices),
                                      max_size=len(quiver.vertices))))
         parts = [e for e in product(*(range(n + 1) for n in g)) if any(e)]
         if not parts:
             return
         big = data.draw(st.sampled_from([2 ** 8, 2 ** 40, 2 ** 62, 2 ** 90]))
+        records = (st.sampled_from([data.draw(numerators(big)) for _ in range(2)])
+                   if data.draw(st.booleans()) else numerators(big))
         terms = []
-        for j in range(data.draw(st.integers(0, 8))):
+        for _ in range(data.draw(st.integers(0, 8))):
             e = data.draw(st.sampled_from(parts))
-            q = data.draw(st.one_of(st.none(), numerators(big)))
-            terms.append((e, data.draw(st.integers(-8, 8)), ("p", j),
-                          data.draw(numerators(big)), None if q is None else ("q", j), q))
+            terms.append((e, data.draw(st.integers(-8, 8)), data.draw(records),
+                          data.draw(st.one_of(st.none(), records))))
         terms.sort(key=lambda t: t[0])
         cuts = data.draw(st.lists(st.integers(0, len(terms)), max_size=6))
         if cuts and data.draw(st.booleans()):
@@ -597,12 +602,12 @@ class TestBinomialSum:
         # cuts at 0, 0, 2, 2, 2 and 4 of four terms, the last two of which
         # cancel: the sums at 0 are one record, and those from 2 on another
         g = (2, 2)
-        p, q = (0, (1, -2, 3), 3, 6), (1, (4, 5), 5, 9)
-        minus_p = (0, (-1, 2, -3), 3, 6)
-        terms = [((1, 0), 1, ("p", 0), p, ("q", 0), q),
-                 ((1, 1), 0, ("p", 1), q, None, None),
-                 ((2, 1), 2, ("p", 2), p, ("q", 2), q),
-                 ((2, 1), 2, ("p", 3), minus_p, ("q", 2), q)]
+        p, q = (0, (1, -2, 3), 3, 6, {}), (1, (4, 5), 5, 9, {})
+        minus_p = (0, (-1, 2, -3), 3, 6, {})
+        terms = [((1, 0), 1, p, q),
+                 ((1, 1), 0, q, None),
+                 ((2, 1), 2, p, q),
+                 ((2, 1), 2, minus_p, q)]
         cuts = [0, 0, 2, 2, 2, 4]
         hn.clear_caches()
         ctx = _context(k2)
@@ -610,6 +615,22 @@ class TestBinomialSum:
         assert_sums(got, laurent_sums(ctx, g, terms, cuts))
         assert got[0] is got[1] and got[1] != got[2]
         assert all(r is got[2] for r in got[2:])
+
+    @pytest.mark.parametrize("method", ["closed", "mass"])
+    def test_packs_each_record_once_per_width(self, k3, theta_i, method, monkeypatch):
+        # K3 (9, 10): every _pack call packs a coefficient tuple not yet
+        # packed at its width
+        pack, packed, seen = hn._pack, [], set()
+
+        def counted_pack(co, width):
+            packed.append(co)  # kept alive, so that no id is reused
+            seen.add((id(co), width))
+            return pack(co, width)
+
+        hn.clear_caches()
+        monkeypatch.setattr(hn, "_pack", counted_pack)
+        betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
+        assert packed and len(packed) == len(seen)
 
     def test_mass_unpacks_each_distinct_record_once(self, k3, theta_i, monkeypatch):
         # K3 (9, 10) by the HN recursion: one _unpack per distinct record of
@@ -657,14 +678,14 @@ class TestSlopeTable:
                 for f in query.rank:
                     want = reference_bounds(ctx, top, f)
                     bounds = query.bounds(f)
-                    assert [b for _, b in bounds] == want, (theta, top, f)
+                    assert [query.slopes[r] for r in bounds] == want, (theta, top, f)
                     parts = query.parts(f)
                     want_parts = reference_parts(ctx, f)
                     assert [(query.slopes[r], e) for r, e in parts] == want_parts
-                    # the parts of rank below u are those of slope >= b
-                    for u, b in bounds:
-                        assert [e for r, e in parts if r < u] == \
-                            [e for mu, e in want_parts if not less(mu, b)]
+                    # the parts of rank <= r are those of slope >= slopes[r]
+                    for r in bounds:
+                        assert [e for s, e in parts if s <= r] == \
+                            [e for mu, e in want_parts if not less(mu, query.slopes[r])]
 
 
 class TestCaches:
