@@ -361,9 +361,15 @@ _ZERO = (0, (), 0, 0, None)
 
 
 @_memoized
+def _binomial(query, n, m):
+    """The coefficients of [n choose m]_x, built once per query."""
+    return _gaussian_binomial(n, m)
+
+
+@_memoized
 def _packed_binomial(query, n, m, width):
     """[n choose m]_x packed at ``width`` bits a digit, for m <= n - m."""
-    return _pack(_gaussian_binomial(n, m), width)
+    return _pack(_binomial(query, n, m), width)
 
 
 def _lifted(query, p, n, m, width):

@@ -632,6 +632,27 @@ class TestBinomialSum:
         betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
         assert packed and len(packed) == len(seen)
 
+    @pytest.mark.parametrize("method", ["closed", "mass"])
+    def test_builds_each_binomial_once_per_query(self, k3, theta_i, method,
+                                                monkeypatch):
+        # K3 (9, 10): [n choose m] is built once for each (n, min(m, n - m)),
+        # however many digit widths pack it
+        built, gaussian = [], hn._gaussian_binomial
+
+        def counted(n, m):
+            built.append((n, min(m, n - m)))
+            return gaussian(n, m)
+
+        hn.clear_caches()
+        monkeypatch.setattr(hn, "_gaussian_binomial", counted)
+        row = betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
+        assert built and len(built) == len(set(built))
+        # the next query builds its own
+        hn.clear_caches()
+        count = len(built)
+        assert betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method) == row
+        assert len(built) == 2 * count
+
     def test_mass_unpacks_each_distinct_record_once(self, k3, theta_i, monkeypatch):
         # K3 (9, 10) by the HN recursion: one _unpack per distinct record of
         # each pass, though most passes read T(f; b) at equal cuts

@@ -972,6 +972,98 @@ class TestQuadraticForm:
         with pytest.raises(InputError, match="2 x 2"):
             kronecker_quadratic_form([[[1, 0]]], 3)
 
+    @staticmethod
+    def reference(mats, q):
+        """(coefficients, rank) of det(sum l_k A_k) by the determinant
+        identity, and the rank of its polar form by counting its image: the
+        span of the Gram rows, grown one row at a time, has q^rank vectors."""
+        def det(a):
+            return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+        m = len(mats)
+        coeffs = {(k, k): det(mats[k]) % q for k in range(m)}
+        for k in range(m):
+            for l in range(k + 1, m):
+                s = [[mats[k][i][j] + mats[l][i][j] for j in range(2)]
+                     for i in range(2)]
+                coeffs[(k, l)] = (det(s) - det(mats[k]) - det(mats[l])) % q
+        half = pow(2, q - 2, q)
+        span = {(0,) * m}
+        for k in range(m):
+            row = [coeffs[min(k, l), max(k, l)] * (1 if k == l else half) % q
+                   for l in range(m)]
+            span = {tuple((x + c * y) % q for x, y in zip(v, row))
+                    for v in span for c in range(q)}
+        return coeffs, round(math.log(len(span), q))
+
+    @staticmethod
+    def random_mats(rng, m, low=-9, high=9):
+        return [[[rng.randint(low, high) for _ in range(2)] for _ in range(2)]
+                for _ in range(m)]
+
+    def test_rank_matches_image_count_cold_and_warm(self):
+        rng = random.Random(3030)
+        rank_of = oracle._quadric_rank
+        for _ in range(300):
+            q, m = rng.choice((3, 5)), rng.randrange(7)
+            mats = self.random_mats(rng, m)
+            want = self.reference(mats, q)
+            rank_of.cache_clear()
+            cold = kronecker_quadratic_form(mats, q)
+            assert rank_of.cache_info().misses == 1
+            warm = kronecker_quadratic_form(mats, q)
+            assert rank_of.cache_info().hits == 1
+            for coeffs, rank in (cold, warm):
+                assert (coeffs, rank) == want
+                assert list(coeffs) == list(want[0])
+
+    def test_entries_equal_mod_q_share_one_entry(self):
+        rng = random.Random(3031)
+        rank_of = oracle._quadric_rank
+        for _ in range(100):
+            q, m = rng.choice((3, 5)), rng.randrange(1, 7)
+            mats = self.random_mats(rng, m)
+            shifted = [[[x + q * rng.randint(-5, 5) for x in row] for row in a]
+                       for a in mats]
+            rank_of.cache_clear()
+            first = kronecker_quadratic_form(mats, q)
+            assert kronecker_quadratic_form(shifted, q) == first
+            assert rank_of.cache_info()[:2] == (1, 1)  # (hits, misses)
+            assert first == self.reference(mats, q)
+
+    def test_mutating_a_result_changes_no_later_answer(self):
+        mats = [[[1, 2], [3, 4]], [[0, 1], [1, 0]], [[2, 2], [0, 1]]]
+        want = self.reference(mats, 5)
+        coeffs, rank = kronecker_quadratic_form(mats, 5)
+        coeffs[(0, 0)] = 0
+        coeffs[(5, 5)] = 7
+        del coeffs[(1, 2)]
+        again = kronecker_quadratic_form(mats, 5)
+        assert again == want
+        assert list(again[0]) == list(want[0])
+        again[0].clear()
+        assert kronecker_quadratic_form(mats, 5) == want
+
+    def test_bounded_cache_keeps_answering(self):
+        # more distinct K4 quadrics over F_5 than the cache holds
+        rng = random.Random(3032)
+        rank_of = oracle._quadric_rank
+        rank_of.cache_clear()
+        seen, distinct = set(), []
+        while len(seen) < 5000:
+            mats = self.random_mats(rng, 4, 0, 4)
+            key = tuple(kronecker_quadratic_form(mats, 5)[0].values())
+            if key not in seen:
+                seen.add(key)
+                distinct.append(mats)
+        info = rank_of.cache_info()
+        assert info.currsize <= info.maxsize < len(seen)
+        # the first quadrics were evicted and the last are held: both answer
+        # as the reference does
+        for mats in distinct[:150] + distinct[-150:]:
+            assert kronecker_quadratic_form(mats, 5) == self.reference(mats, 5)
+        assert rank_of.cache_info().currsize <= info.maxsize
+
 
 class TestMinGenericExt:
     def test_matches_euler_bound(self, a2):
