@@ -139,15 +139,14 @@ def _same(value):
 # ---------------------------------------------------------------------------
 # flags: each is declared once and shared by the commands that take it
 
-_Flag = namedtuple("_Flag", "name dest kw read")
+_Flag = namedtuple("_Flag", "name kw read")
 
 
 def _flag(name, read=_same, echo=None, **kw):
     """The flag ``name`` with keywords ``kw``: ``type`` converts its text,
     ``choices`` lists the values allowed, ``default`` stands in when it is
-    absent, ``required`` makes it compulsory, ``help`` describes it in
-    --help, and ``dest`` names the value (the name without dashes by
-    default).  A name without dashes is the command's one optional
+    absent, ``required`` makes it compulsory and ``help`` describes it in
+    --help.  A name without dashes is the command's one optional
     positional.  After parsing, the flag's ``read`` turns its text into a
     pair: the value the payload function gets, ``read(text)``, and its entry
     of the inputs, ``echo`` of that value encoded by :func:`_encode` (None
@@ -160,7 +159,7 @@ def _flag(name, read=_same, echo=None, **kw):
             value = read(text)
             return value, None if echo is None else _encode(echo(value))
 
-    return _Flag(name, kw.get("dest", name.lstrip("-")), kw, load)
+    return _Flag(name, kw, load)
 
 
 @lru_cache(maxsize=1024)
@@ -187,7 +186,7 @@ def _json_flag(name, parse, what, **kw):
         value = parse(_load_json_arg(text, what))
         return value, _encode(value.to_json())
 
-    return _Flag(name, name.lstrip("-"), dict(kw, required=True),
+    return _Flag(name, dict(kw, required=True),
                  lambda text: _inline_json(load, text) if _inline(text) else load(text))
 
 
@@ -389,8 +388,8 @@ _COMMANDS = {
                             _BUDGET), _comp_series),
     "series two-row": ((_N,), lambda n: {
         "coefficients": list(series.two_row_partition_series(n))}),
-    "series drezet": ((_flag("--d", echo=_same, dest="d_size", type=int, required=True),
-                       _flag("--e", echo=_same, dest="e_size", type=int, required=True),
+    "series drezet": ((_flag("--d", echo=_same, type=int, required=True),
+                       _flag("--e", echo=_same, type=int, required=True),
                        _N),
                       lambda d, e, n: {
                           "coefficients": list(series.drezet_series(d, e, n))}),

@@ -63,7 +63,8 @@ its terms are packed into big integers at one digit width, proven from a
 bound, added and unpacked once (see ``laurent``).  Only a final result
 becomes a CycloFrac over D(d), reduced by exact division through whole
 binomials x^k - 1 first and through cyclotomic polynomials only where a
-binomial fails.
+binomial fails; the cyclotomics left over make the denominator in one
+sieve (``laurent._cyclotomic_product``).
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ from operator import itemgetter, mul
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
 from .generic import _subreps
-from .laurent import (LaurentPoly, RationalFunc, _digit_bits, _divexact,
-                      _gaussian_binomial, _lift_sum, _max_abs, _pack, _trimmed,
-                      _unpack, cyclotomic)
+from .laurent import (LaurentPoly, RationalFunc, _cyclotomic_product, _digit_bits,
+                      _divexact, _gaussian_binomial, _lift_sum, _max_abs, _pack,
+                      _trimmed, _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
                      _memoized, _minus, clear_caches)
 
@@ -148,6 +149,7 @@ class CycloFrac:
     def is_zero(self):
         return not self.co
 
+    # caller: the benchmark's tracer (bench/tracing.py METHODS), not a command
     def __add__(self, other):
         """The sum over the least common denominator; both numerators are
         lifted to it and added as packed integers."""
@@ -173,12 +175,15 @@ class CycloFrac:
         that fails splits into cyclotomics, and trial division strips every
         shared cyclotomic that is left.  Either way each cyclotomic is taken
         out min(multiplicity, valuation) times, and a Betti polynomial needs
-        no cyclotomic at all.  The gcd of what is left is 1: each cyclotomic
-        left in the denominator is irreducible and failed trial division
-        (over Z, which for a monic divisor is the same as over Q), and the
-        denominator, a product of monic factors with nonzero constant term,
-        is already in canonical form.  So the result is canonical by
-        construction, and no gcd is ever taken.
+        no cyclotomic at all.  The cyclotomics left over make the
+        denominator in one sieve (``laurent._cyclotomic_product``): a lift by
+        binomials and at most one exact division, all on integer tuples.
+        The gcd of what is left is 1: each cyclotomic left in the
+        denominator is irreducible and failed trial division (over Z, which
+        for a monic divisor is the same as over Q), and the denominator, a
+        product of monic factors with nonzero constant term, is already in
+        canonical form.  So the result is canonical by construction, and no
+        gcd is ever taken.
         """
         if self.is_zero():
             return RationalFunc.zero()
@@ -204,23 +209,7 @@ class CycloFrac:
                     break
                 co = q
                 cyc[n] -= 1
-        # x^e - 1 is the product of the cyclotomics of the divisors of e: take
-        # out whole binomials, largest e first, lift them by shifts in one
-        # step and multiply in only the cyclotomics left over
-        binomials = {}
-        for e in range(max(cyc, default=0), 0, -1):
-            if not cyc.get(e):
-                continue
-            divisors = [n for n in range(1, e + 1) if e % n == 0]
-            m = min(cyc[n] for n in divisors)
-            if m:
-                binomials[e] = m
-                for n in divisors:
-                    cyc[n] -= m
-        den = LaurentPoly._of(*_lift_sum([(0, (1,), binomials)]))
-        for n, m in cyc.items():
-            if m:
-                den = den * cyclotomic(n) ** m
+        den = LaurentPoly._of(0, _cyclotomic_product(cyc))
         return RationalFunc(LaurentPoly._of(self.lo, co), den, _canonical=True)
 
 
@@ -361,15 +350,9 @@ _ZERO = (0, (), 0, 0, None)
 
 
 @_memoized
-def _binomial(query, n, m):
-    """The coefficients of [n choose m]_x, built once per query."""
-    return _gaussian_binomial(n, m)
-
-
-@_memoized
 def _packed_binomial(query, n, m, width):
     """[n choose m]_x packed at ``width`` bits a digit, for m <= n - m."""
-    return _pack(_binomial(query, n, m), width)
+    return _pack(_gaussian_binomial(n, m), width)
 
 
 def _lifted(query, p, n, m, width):

@@ -3,18 +3,21 @@
 Coefficients are arbitrary-precision integers.  There is one polynomial
 format, dense: a low exponent and a tuple of coefficients, lowest first,
 with nonzero ends, so storage grows with the span of the exponents.  A
-LaurentPoly holds it as ``lo`` and ``co``, and ``hn.CycloFrac`` and the
-numerators of the ``hn`` recursions hold it inline; the kernels below work
-on the coefficient sequences.  The hot paths use integers only.  Exact
-division is integer synthetic division that gives up at the first
-coefficient the divisor's leading coefficient does not divide.  The lifts
-of numerators by products of binomials x^e - 1 (:func:`_lift_sum`) and the
-sums of ``hn`` over the fixed denominator of a dimension vector, which
-convolve numerators with the Gaussian binomials of
+LaurentPoly is a value type that holds it as ``lo`` and ``co``, and
+``hn.CycloFrac`` and the numerators of the ``hn`` recursions hold it
+inline; all arithmetic runs in the kernels below, on the coefficient
+sequences.  The hot paths use integers only.  Exact division
+(:func:`_divexact`) is integer synthetic division that gives up at the
+first coefficient the divisor's leading coefficient does not divide.  The
+lifts of numerators by products of binomials x^e - 1 (:func:`_lift_sum`)
+and the sums of ``hn`` over the fixed denominator of a dimension vector,
+which convolve numerators with the Gaussian binomials of
 :func:`_gaussian_binomial`, use Kronecker substitution: coefficients become
 the base-2^k digits of one integer, so a single big-integer multiply or add
 does the work.  Digits are balanced (signed), and k always comes from a
-proven bound on the result's coefficients, never from a guess.
+proven bound on the result's coefficients, never from a guess.  A product
+of cyclotomic polynomials, each cyclotomic among them, is one lift by
+binomials and at most one exact division (:func:`_cyclotomic_product`).
 
 A RationalFunc is a result, not a field element: ``hn.CycloFrac.reduce``
 builds it in canonical form (no common factor, denominator with lowest
@@ -29,7 +32,6 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
 
 from .errors import InputError, NonPolynomialError
 
@@ -270,32 +272,7 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.co:
-            return self
-        if not self.co:
-            return other
-        lo = min(self.lo, other.lo)
-        out = [0] * (max(self.lo + len(self.co), other.lo + len(other.co)) - lo)
-        for p in (self, other):
-            for i, a in enumerate(p.co, p.lo - lo):
-                out[i] += a
-        return LaurentPoly._of(*_trimmed(lo, out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly._of(self.lo, tuple(map(neg, self.co)))
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
+    # caller: the benchmark's tracer (bench/tracing.py METHODS), not a command
     def __mul__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
@@ -309,23 +286,10 @@ class LaurentPoly:
                     out[j] += x * y
         return LaurentPoly._of(self.lo + other.lo, tuple(out))
 
+    # caller: the benchmark's tracer (bench/test_bench.py), not a command
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise InputError("negative powers are not supported")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
+    # caller: the benchmark's tracer (bench/tracing.py METHODS), not a command
     def divexact(self, other):
         """Exact division; returns None when the quotient is not an integer
         Laurent polynomial (see :func:`_divexact`)."""
@@ -462,13 +426,27 @@ def _gaussian_binomial(n, k):
     return tuple(co)
 
 
+def _cyclotomic_product(counts):
+    """The coefficient tuple, lowest first, of prod_n Phi_n^(counts[n]) over
+    the cyclotomic polynomials Phi_n, for the counts >= 0 of the dict
+    ``counts``.
+
+    x^n - 1 = prod_{d | n} Phi_d, so the product is prod_n (x^n - 1)^(E_n)
+    for the E_n with counts[d] = sum of E_n over the multiples n of d, which
+    a sieve from the largest n down finds.  The binomials of positive E_n
+    are lifted in one step (:func:`_lift_sum`), and the lift of those of
+    negative E_n, monic, divides the result exactly."""
+    exps = [0] * (max(counts, default=0) + 1)
+    for n in range(len(exps) - 1, 0, -1):
+        exps[n] = counts.get(n, 0) - sum(exps[2 * n::n])
+    co = _lift_sum([(0, (1,), {n: e for n, e in enumerate(exps) if e > 0})])[1]
+    down = {n: -e for n, e in enumerate(exps) if e < 0}
+    return _divexact(co, _lift_sum([(0, (1,), down)])[1]) if down else co
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n):
     """The n-th cyclotomic polynomial (in the working variable)."""
     if n < 1:
         raise InputError("cyclotomic index must be positive")
-    p = LaurentPoly({n: 1, 0: -1})
-    for d in range(1, n):
-        if n % d == 0:
-            p = p.divexact(cyclotomic(d))
-    return p
+    return LaurentPoly._of(0, _cyclotomic_product({n: 1}))

@@ -68,22 +68,6 @@ class DimVector(Mapping):
         keys = set(self._entries) | set(other._entries)
         return DimVector({v: self[v] + other[v] for v in keys})
 
-    def __sub__(self, other):
-        keys = set(self._entries) | set(other._entries)
-        return DimVector({v: self[v] - other[v] for v in keys})
-
-    def __mul__(self, n):
-        return DimVector({v: k * n for v, k in self._entries.items()})
-
-    __rmul__ = __mul__
-
-    def __le__(self, other):
-        keys = set(self._entries) | set(other._entries)
-        return all(self[v] <= other[v] for v in keys)
-
-    def __lt__(self, other):
-        return self <= other and self != other
-
     def total(self):
         """Total dimension: the sum of all entries."""
         return sum(self._entries.values())
@@ -218,6 +202,7 @@ class Quiver:
 
     # -- enumeration helpers ----------------------------------------------
 
+    # caller: the benchmark's tracer (bench/tracing.py METHODS), not a command
     def vectors_below(self, bound):
         """All dimension vectors 0 < e <= bound, lexicographic in vertex order."""
         return map(self.vec, _below(self.tup(bound)))

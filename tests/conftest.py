@@ -1,7 +1,7 @@
 import json
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import product
 from operator import mul
 
@@ -10,7 +10,7 @@ import pytest
 from quivermoduli import generic, roots
 from quivermoduli.cli import _COMMANDS, _HELP, _PROG, _command, _Help
 from quivermoduli.errors import InputError
-from quivermoduli.laurent import LaurentPoly, cyclotomic
+from quivermoduli.laurent import LaurentPoly
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _context,
                                  _contexts, _memoized, _minus, kronecker_quiver)
 
@@ -62,14 +62,103 @@ def memo_entries():
     return sum(len(ctx.memo) for ctx in _contexts.values())
 
 
+def dim_leq(e, d):
+    """e <= d entrywise, for DimVectors."""
+    return all(e[v] <= d[v] for v in set(e) | set(d))
+
+
+def dim_sub(d, e):
+    """d - e for DimVectors with e <= d."""
+    return DimVector({v: d[v] - e[v] for v in set(d) | set(e)})
+
+
+# Reference polynomial arithmetic.  LaurentPoly is a value type: every sum,
+# product and quotient that a command computes runs on coefficient tuples in
+# the integer kernels of ``laurent``.  The tests build their references with
+# these instead, term by term, apart from those kernels.
+
+def poly(x):
+    """x as a LaurentPoly; an int is a constant."""
+    return LaurentPoly({0: x}) if isinstance(x, int) else x
+
+
+def poly_add(*xs):
+    """The sum of the LaurentPolys or ints ``xs``."""
+    out = {}
+    for x in xs:
+        for e, a in poly(x).items():
+            out[e] = out.get(e, 0) + a
+    return LaurentPoly(out)
+
+
+def poly_neg(x):
+    return LaurentPoly({e: -a for e, a in poly(x).items()})
+
+
+def poly_mul(*xs):
+    """The schoolbook product of the LaurentPolys or ints ``xs``: every pair
+    of nonzero coefficients."""
+    lo, co = 0, [1]
+    for x in map(poly, xs):
+        terms = [(j, b) for j, b in enumerate(x.co) if b]
+        out = [0] * (len(co) + len(x.co) - 1)
+        for i, a in enumerate(co):
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
+        lo, co = lo + x.lo, out
+    return LaurentPoly(dict(enumerate(co, lo)))
+
+
+def poly_divexact(a, b):
+    """a / b for a nonzero b when the quotient is an integer Laurent
+    polynomial, else None: long division from the top over the nonzero
+    terms of b, which stops at the first coefficient that b's leading
+    coefficient does not divide."""
+    if not a.co:
+        return a
+    top = len(b.co) - 1
+    lead = b.co[top]
+    tail = [(j - top, c) for j, c in enumerate(b.co[:top]) if c]
+    rem = list(a.co)
+    quot = {}
+    for i in range(len(rem) - 1, top - 1, -1):
+        c, r = divmod(rem[i], lead)
+        if r:
+            return None
+        quot[a.lo - b.lo + i - top] = c
+        for off, t in tail:
+            rem[i + off] -= c * t
+    return None if any(rem[:top]) else LaurentPoly(quot)
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    """Phi_n as ``laurent.cyclotomic`` built it before its sieve: x^n - 1
+    divided exactly by Phi_d for each proper divisor d of n, smallest
+    first."""
+    p = LaurentPoly({n: 1, 0: -1})
+    for d in range(1, n):
+        if n % d == 0:
+            p = poly_divexact(p, reference_cyclotomic(d))
+    return p
+
+
+def binomial_product(den):
+    """prod_e (x^e - 1)^m over the items (e, m) of the dict ``den``."""
+    return poly_mul(*(LaurentPoly({e: 1, 0: -1}) for e, m in den.items()
+                      for _ in range(m)))
+
+
 class Frac:
     """Reference rational function: a pair (num, den) of LaurentPolys with
-    +, - and *, equal by cross-multiplication.  It shares no code with
-    ``hn.CycloFrac`` and takes no gcd.  Operands may be ints, LaurentPolys,
-    or anything with ``num`` and ``den``, such as a RationalFunc."""
+    +, - and * by the reference arithmetic above, equal by
+    cross-multiplication.  It shares no code with ``hn.CycloFrac`` and
+    takes no gcd.  Operands may be ints, LaurentPolys, or anything with
+    ``num`` and ``den``, such as a RationalFunc."""
 
     def __init__(self, num, den=None):
-        self.num = LaurentPoly({0: num}) if isinstance(num, int) else num
+        self.num = poly(num)
         self.den = LaurentPoly.one() if den is None else den
 
     @staticmethod
@@ -78,25 +167,26 @@ class Frac:
 
     def __add__(self, other):
         o = Frac.of(other)
-        return Frac(self.num * o.den + o.num * self.den, self.den * o.den)
+        return Frac(poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
+                    poly_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Frac(-self.num, self.den)
+        return Frac(poly_neg(self.num), self.den)
 
     def __sub__(self, other):
         return self + -Frac.of(other)
 
     def __mul__(self, other):
         o = Frac.of(other)
-        return Frac(self.num * o.num, self.den * o.den)
+        return Frac(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         o = Frac.of(other)
-        return self.num * o.den == o.num * self.den
+        return poly_mul(self.num, o.den) == poly_mul(o.num, self.den)
 
 
 def halve_exponents(p):
@@ -312,8 +402,9 @@ class ReferenceHN:
     denominators, before each quantity was kept over the fixed denominator
     of its dimension vector.  Fractions are pairs (LaurentPoly numerator,
     {e: m} for prod_e (x^e - 1)^m) added by lifting to the lcm with
-    LaurentPoly products, and reduced by trial division through cyclotomic
-    polynomials.  It shares no code with ``hn``; ``mass_ss``,
+    schoolbook products, and reduced by trial division through cyclotomic
+    polynomials.  It shares no code with ``hn`` or the kernels of
+    ``laurent``; ``mass_ss``,
     ``mass_ss_closed``, ``poincare`` and ``betti_via_mass`` return what the
     functions of ``hn`` of the same names return."""
 
@@ -326,22 +417,15 @@ class ReferenceHN:
     # -- fractions ---------------------------------------------------------
 
     @staticmethod
-    def binomials(den):
-        out = LaurentPoly.one()
-        for e, m in den.items():
-            out = out * LaurentPoly({e: 1, 0: -1}) ** m
-        return out
-
-    @classmethod
-    def add(cls, terms):
+    def add(terms):
         terms = [t for t in terms if not t[0].is_zero()]
         den = {}
         for _, d in terms:
             for e, m in d.items():
                 den[e] = max(den.get(e, 0), m)
-        num = LaurentPoly.zero()
-        for n, d in terms:
-            num = num + n * cls.binomials({e: m - d.get(e, 0) for e, m in den.items()})
+        num = poly_add(*(poly_mul(n, binomial_product({e: m - d.get(e, 0)
+                                                         for e, m in den.items()}))
+                         for n, d in terms))
         return (num, den) if not num.is_zero() else (num, {})
 
     @staticmethod
@@ -349,7 +433,7 @@ class ReferenceHN:
         den = dict(a[1])
         for e, m in b[1].items():
             den[e] = den.get(e, 0) + m
-        return a[0] * b[0], den
+        return poly_mul(a[0], b[0]), den
 
     @staticmethod
     def canonical(frac):
@@ -362,15 +446,15 @@ class ReferenceHN:
             for n in range(1, e + 1):
                 if e % n == 0:
                     cyc[n] = cyc.get(n, 0) + m
-        out = LaurentPoly.one()
+        left = []
         for n in sorted(cyc):
             for _ in range(cyc[n]):
-                q = num.divexact(cyclotomic(n))
+                q = poly_divexact(num, reference_cyclotomic(n))
                 if q is None:
-                    out = out * cyclotomic(n)
+                    left.append(reference_cyclotomic(n))
                 else:
                     num = q
-        return num, out
+        return num, poly_mul(*left)
 
     # -- quiver data -------------------------------------------------------
 
@@ -409,9 +493,9 @@ class ReferenceHN:
                     if inner[0].is_zero():
                         continue
                     term = self.mul(term, inner)
-                    term = (-term[0], term[1])
+                    term = (poly_neg(term[0]), term[1])
                 shift = LaurentPoly({-self.euler(e, rest): 1})
-                terms.append((term[0] * shift, term[1]))
+                terms.append((poly_mul(term[0], shift), term[1]))
             self.memo[key] = self.add(terms)
         return self.memo[key]
 
@@ -439,7 +523,8 @@ class ReferenceHN:
                     continue
                 rest = tuple(x - y for x, y in zip(f, e))
                 num, den = self.mul(ss, self.hn(rest, top, mu)[1][mu])
-                terms.append((-num * LaurentPoly({-self.euler(rest, e): 1}), den))
+                terms.append((poly_mul(-1, num, LaurentPoly({-self.euler(rest, e): 1})),
+                              den))
             running = table[b] = self.add(terms)
         return table.pop(mu_f), table
 

@@ -50,7 +50,15 @@ def run_json(capsys, *argv):
     return doc
 
 
-# valid flag values, by the name each is parsed into
+def value_key(flag):
+    """The key of ``flag`` in the tables of flag values below: its name
+    without dashes, but d_size and e_size for the integer --d and --e of
+    series drezet, which are not dimension vectors."""
+    key = flag.name.lstrip("-")
+    return f"{key}_size" if flag.kw.get("type") is int and key in ("d", "e") else key
+
+
+# valid flag values, by value_key
 VALID = {"quiver": A2, "d": D11, "e": D11, "dim": D11, "bound": D11, "theta": THETA,
          "q": "3", "w": "ij", "w2": "ji", "word": "ij", "parts": '[{"i": 1}]',
          "mats": "[[[1, 0], [0, 1]]]", "n": "5", "d_size": "1", "e_size": "1"}
@@ -69,7 +77,7 @@ def valid_pairs(key, budget=None):
         elif "choices" in flag.kw:
             pairs.append([flag.name, flag.kw["choices"][-1]])
         else:
-            pairs.append([flag.name, VALID[flag.dest]])
+            pairs.append([flag.name, VALID[value_key(flag)]])
     return pairs
 
 
@@ -888,8 +896,7 @@ mats = st.lists(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=1,
 
 
 def flag_values(vertices):
-    """One strategy per flag, by the name its value is parsed into, for a
-    quiver on ``vertices``."""
+    """One strategy per flag, by value_key, for a quiver on ``vertices``."""
     dim = dims(vertices)
     return {"quiver": quivers(vertices), "d": dim, "e": dim, "dim": dim, "bound": dim,
             "theta": thetas(vertices), "w": words, "w2": words, "word": words,
@@ -914,7 +921,7 @@ def argvs(draw):
     values = flag_values(VERTICES[:draw(st.integers(1, 3))])
     argv = key.split()
     for flag in COMMANDS[key]:
-        argv += [flag.name, draw(values[flag.dest])]
+        argv += [flag.name, draw(values[value_key(flag)])]
     return argv
 
 

@@ -13,7 +13,7 @@ from quivermoduli.generic import (generic_decomposition, generic_ext,
                                   generic_hom, generic_subrep, schur_test)
 from quivermoduli.quiver import DimVector, Quiver, kronecker_quiver
 
-from conftest import dv, memo_entries
+from conftest import dim_leq, dv, memo_entries
 
 
 class TestExtHom:
@@ -159,7 +159,7 @@ class TestWarmAnswers:
             "schur": schur_test(quiver, d),
             "ext": [generic_ext(quiver, d, e) for e in dims],
             "hom": [generic_hom(quiver, e, d) for e in dims],
-            "subrep": [generic_subrep(quiver, e, d) for e in dims if e <= d],
+            "subrep": [generic_subrep(quiver, e, d) for e in dims if dim_leq(e, d)],
         }, sort_keys=True)
 
     @pytest.mark.parametrize("name", sorted(WARM_CASES))

@@ -2,14 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
 from quivermoduli.hn import CycloFrac
-from quivermoduli.laurent import (LaurentPoly, RationalFunc, _gaussian_binomial,
-                                  _lift_sum, _pack, _unpack, cyclotomic)
+from quivermoduli.laurent import (LaurentPoly, RationalFunc, _cyclotomic_product,
+                                  _gaussian_binomial, _lift_sum, _pack, _unpack,
+                                  cyclotomic)
 
-from conftest import fraction_divexact, halve_exponents
+from conftest import (fraction_divexact, halve_exponents, poly_add, poly_mul,
+                      reference_cyclotomic)
 
 
 def P(d):
@@ -17,22 +19,10 @@ def P(d):
 
 
 class TestLaurentPoly:
-    def test_arithmetic(self):
-        x = P({1: 1})
-        assert (x + 1) * (x - 1) == P({2: 1, 0: -1})
-        assert (x + 1) ** 2 == P({2: 1, 1: 2, 0: 1})
-        assert x - x == LaurentPoly.zero()
-
     def test_negative_exponents(self):
         xinv = P({-1: 1})
         assert xinv * P({1: 1}) == LaurentPoly.one()
-        assert xinv ** 2 == P({-2: 1})
-
-    def test_unit_monomial_negative_power(self):
-        # refused for unit monomials too: `n >>= 1` stays at -1 in the loop
-        for p in (P({3: 1}), P({1: 1}) + 1):
-            with pytest.raises(InputError):
-                p ** -1
+        assert xinv * xinv == P({-2: 1})
 
     def test_divexact(self):
         num = P({2: 1, 0: -1})
@@ -78,7 +68,7 @@ class TestIntegerKernels:
         big = 2 ** 100
         a = P({-50 + i: big - i for i in range(30)})
         b = P({-7 + 3 * i: -big * (i + 1) for i in range(30)})
-        assert a * b == schoolbook(a, b)
+        assert a * b == poly_mul(a, b)
 
     @pytest.mark.parametrize("k", [8, 16, 32, 64, 72, 136])
     def test_pack_unpack_round_trip(self, k):
@@ -92,20 +82,18 @@ class TestIntegerKernels:
         assert _unpack(_pack(co[:1], k), 1, k) == co[:1]
 
 
-def schoolbook(a, b):
-    """Reference product: every pair of terms."""
-    c = {}
-    for e1, a1 in a.items():
-        for e2, a2 in b.items():
-            c[e1 + e2] = c.get(e1 + e2, 0) + a1 * a2
-    return LaurentPoly(c)
+def cyclotomic_product_reference(counts):
+    """prod_n Phi_n^(counts[n]) by schoolbook products of the recursive
+    reference cyclotomics."""
+    return poly_mul(*(reference_cyclotomic(n) for n, c in counts.items()
+                      for _ in range(c)))
 
 
 def binomial_lift_reference(p, factors):
     """p * prod (x^e - 1)^m, one binomial at a time."""
     for e, m in factors.items():
         for _ in range(m):
-            p = schoolbook(p, P({e: 1, 0: -1}))
+            p = poly_mul(p, P({e: 1, 0: -1}))
     return p
 
 
@@ -126,8 +114,7 @@ class TestIntegerKernelProperties:
     @settings(deadline=None)
     @given(operands, operands)
     def test_mul_matches_schoolbook(self, a, b):
-        want = schoolbook(a, b)
-        assert a * b == want
+        assert a * b == poly_mul(a, b)
 
     @settings(deadline=None)
     @given(operands, operands)
@@ -142,15 +129,13 @@ class TestIntegerKernelProperties:
     def test_divexact_matches_fraction_reference(self, q, b, r):
         if b.is_zero():
             return
-        a = q * b + r  # divisible exactly when r is a multiple of b
+        a = poly_add(poly_mul(q, b), r)  # divisible exactly when r is a multiple of b
         assert a.divexact(b) == fraction_divexact(a, b)
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(operands, factors), max_size=4))
     def test_lift_matches_repeated_binomial_products(self, terms):
-        want = LaurentPoly()
-        for p, f in terms:
-            want = want + binomial_lift_reference(p, f)
+        want = poly_add(*(binomial_lift_reference(p, f) for p, f in terms))
         dense = [(p.lo, p.co, f) for p, f in terms if p]
         lo, co = _lift_sum(dense) if dense else (0, ())
         assert LaurentPoly._of(lo, co) == want
@@ -167,16 +152,16 @@ class TestCanonicalParts:
     @settings(deadline=None)
     @given(operands, operands, st.integers(-50, 50))
     def test_every_path_gives_canonical_parts(self, a, b, k):
-        x = P({1: 1})
-        two = (a + 2) - a
         doubled = P({2 * e: c for e, c in a.items()})
-        cancelled = CycloFrac(a * (x - 1), {1: 1}).reduce()
-        r1 = CycloFrac(a * (x ** 2 - 1), {2: 1, 3: 1}).reduce()
+        cancelled = CycloFrac(poly_mul(a, P({1: 1, 0: -1})), {1: 1}).reduce()
+        r1 = CycloFrac(poly_mul(a, P({2: 1, 0: -1})), {2: 1, 3: 1}).reduce()
         r2 = CycloFrac(a, {3: 1}).reduce()
+        two = CycloFrac(P({1: 2, 0: -2}), {1: 1}).reduce().num
+        total = (CycloFrac(a) + CycloFrac(b)).reduce().num
         # each result beside the same value reached another way
         pairs = [
-            (a + b, b + a), (a - b, -(b - a)), (two, P({0: 2})), (a + 0, a),
-            (a * b, b * a), (a * 1, a), (a ** 2, a * a),
+            (total, poly_add(b, a)), (two, P({0: 2})),
+            (a * b, b * a), (a * 1, a),
             (a * P({k: 1}), P({e + k: c for e, c in a.items()})),
             ((a * b).divexact(b) if b else a, a), (halve_exponents(doubled), a),
             (P(dict(a.items())), a), (cancelled.num, a), (cancelled.den, 1),
@@ -225,6 +210,9 @@ class TestRationalFunc:
             r.evaluate(1)
 
 
+cyclotomic_counts = st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=6)
+
+
 class TestQuantumNumbers:
     def test_cyclotomics(self):
         assert cyclotomic(1) == P({1: 1, 0: -1})
@@ -232,21 +220,38 @@ class TestQuantumNumbers:
         assert cyclotomic(6) == P({2: 1, 1: -1, 0: 1})
         # product of cyclotomics over divisors reassembles x^n - 1
         n = 12
-        prod = LaurentPoly.one()
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = prod * cyclotomic(d)
-        assert prod == P({12: 1, 0: -1})
+        assert poly_mul(*(cyclotomic(d) for d in range(1, n + 1) if n % d == 0)) \
+            == P({12: 1, 0: -1})
+        with pytest.raises(InputError):
+            cyclotomic(0)
+
+    def test_cyclotomics_match_recursive_division(self):
+        # the sieve against x^n - 1 divided by Phi_d for each proper
+        # divisor d, through n = 400
+        for n in range(1, 401):
+            assert cyclotomic(n) == reference_cyclotomic(n), n
+
+    @settings(deadline=None)
+    @given(cyclotomic_counts)
+    # Phi_2 = (x^2 - 1) / (x - 1) and Phi_6^2 = ((x^6 - 1)(x - 1) /
+    # ((x^3 - 1)(x^2 - 1)))^2: the sieve's negative exponents divide
+    @example({2: 1})
+    @example({6: 2})
+    @example({30: 1, 4: 1})
+    @example({1: 0})
+    @example({})
+    def test_cyclotomic_product_matches_schoolbook(self, counts):
+        assert _cyclotomic_product(counts) == cyclotomic_product_reference(counts).co
 
     def test_gaussian_binomials(self):
         # [n choose k]_x D(k) D(n - k) = D(n) for D(n) = prod_{i <= n} (x^i - 1);
         # it is palindromic and its value at 1 is C(n, k)
         dens = [LaurentPoly.one()]
         for n in range(1, 26):
-            dens.append(dens[-1] * P({n: 1, 0: -1}))
+            dens.append(poly_mul(dens[-1], P({n: 1, 0: -1})))
         for n in range(26):
             for k in range(n + 1):
                 g = LaurentPoly._of(0, _gaussian_binomial(n, k))
-                assert g * dens[k] * dens[n - k] == dens[n], (n, k)
+                assert poly_mul(g, dens[k], dens[n - k]) == dens[n], (n, k)
                 assert g.co == g.co[::-1] and g.co[0] == 1
                 assert sum(g.co) == math.comb(n, k)
