@@ -4,6 +4,11 @@ Everything here is deliberately independent of the symbolic modules: linear
 algebra is plain Gaussian elimination mod p, and all notions (hom spaces,
 stability, indecomposability, composition series) are decided by exhaustive
 enumeration within explicit budgets.
+
+The point counts and the generic ext test isomorphism-invariant properties,
+so they run over one representative per rank of one arrow, weighted by the
+number of matrices of that rank (:func:`_slices`); their budgets still price
+all of R_d.
 """
 
 from __future__ import annotations
@@ -222,9 +227,16 @@ def rep_count(quiver, d, q):
 
 def enumerate_reps(quiver, d, q, budget=None):
     """Every point of R_d(F_q) exactly once, odometer order (last cell
-    fastest).  Each arrow draws from one tuple of its matrices, shared per
-    shape; an arrow with more than ``_TABLE_CAP`` matrices draws each row
-    from chunks of at most ``_TABLE_CAP`` vectors, joined per rep."""
+    fastest), as :func:`_matrix_tuples` draws the matrices."""
+    dims, shapes = _shapes(quiver, d, q, budget)
+    trusted = FFRep._trusted
+    for mats in _matrix_tuples(shapes, q)():
+        yield trusted(quiver, q, d, dims, mats)
+
+
+def _shapes(quiver, d, q, budget):
+    """(dims, one (rows, cols) per arrow), once the rep budget admits all
+    q^cells points of R_d(F_q)."""
     _check_prime(q)
     dims = quiver.tup(d)
     budget = budget if budget is not None else default_budget("rep")
@@ -233,26 +245,70 @@ def enumerate_reps(quiver, d, q, budget=None):
     # q^cells >= 2^cells
     _check_budget("representations", cells, lambda: cells * q.bit_length(),
                   lambda: q ** cells, budget)
+    return dims, shapes
+
+
+def _matrix_tuples(shapes, q):
+    """A function that returns a new iterator over every tuple of matrices
+    over F_q of the given (rows, cols) shapes, odometer order (last cell
+    fastest).  Each shape draws from one tuple of its matrices, built here
+    once and shared per shape; a shape with more than ``_TABLE_CAP``
+    matrices draws each row from chunks of at most ``_TABLE_CAP`` vectors,
+    joined per tuple."""
+    whole = {(r, c): tuple(product(_vectors(c, q) if r else (), repeat=r))
+             for r, c in set(shapes) if q ** (r * c) <= _TABLE_CAP}
+    if whole.keys() >= set(shapes):
+        pools = [whole[shape] for shape in shapes]
+        return lambda: product(*pools)
     # the widest row chunk within the cap, one cell at the least
     width = max((k for k in range(1, _TABLE_CAP.bit_length())
                  if q ** k <= _TABLE_CAP), default=1)
-    whole = {(r, c): tuple(product(_vectors(c, q) if r else (), repeat=r))
-             for r, c in set(shapes) if q ** (r * c) <= _TABLE_CAP}
     pools = []
     for r, c in shapes:
         pools += ([whole[(r, c)]] if (r, c) in whole else
                   [_vectors(min(width, c - k), q) for k in range(0, c, width)] * r)
-    trusted = FFRep._trusted
-    if whole.keys() >= set(shapes):
-        for mats in product(*pools):
-            yield trusted(quiver, q, d, dims, mats)
-        return
-    for parts in product(*pools):
+
+    def join(parts):
         it = iter(parts)
-        yield trusted(quiver, q, d, dims, tuple([
-            next(it) if (r, c) in whole
-            else tuple([sum(islice(it, -(-c // width)), ()) for _ in range(r)])
-            for r, c in shapes]))
+        return tuple([next(it) if (r, c) in whole
+                      else tuple([sum(islice(it, -(-c // width)), ()) for _ in range(r)])
+                      for r, c in shapes])
+    return lambda: map(join, product(*pools))
+
+
+def _slices(quiver, d, q, budget):
+    """(weight, X) pairs: the arrow with the most cells (the first listed on
+    ties) runs through the rank normal forms N_r = [[I_r, 0], [0, 0]], each
+    weighted by the number of its matrices of rank r, and the other arrows
+    through every tuple of :func:`_matrix_tuples`.  G_d is transitive on the
+    matrices of one rank on one arrow, so an isomorphism-invariant property
+    holds on as many points of R_d as the weights of the X it holds on sum
+    to.  The rep budget prices all q^cells points, as for
+    :func:`enumerate_reps`; the zero rep comes first."""
+    dims, shapes = _shapes(quiver, d, q, budget)
+    trusted = FFRep._trusted
+    if not shapes:
+        yield 1, trusted(quiver, q, d, dims, ())
+        return
+    a = max(range(len(shapes)), key=lambda i: shapes[i][0] * shapes[i][1])
+    rows, cols = shapes.pop(a)
+    rests = _matrix_tuples(shapes, q)
+    for r in range(min(rows, cols) + 1):
+        weight = _rank_count(rows, cols, r, q)
+        normal = (tuple(tuple(int(i == j < r) for j in range(cols))
+                        for i in range(rows)),)
+        for rest in rests():
+            yield weight, trusted(quiver, q, d, dims, rest[:a] + normal + rest[a:])
+
+
+def _rank_count(rows, cols, r, q):
+    """The number of rows x cols matrices of rank r over F_q:
+    prod_{i<r} (q^rows - q^i)(q^cols - q^i) / (q^r - q^i)."""
+    num = den = 1
+    for i in range(r):
+        num *= (q ** rows - q ** i) * (q ** cols - q ** i)
+        den *= q ** r - q ** i
+    return num // den
 
 
 def _vectors(n, q):
@@ -728,44 +784,57 @@ def _quadric_rank(q, values):
 # aggregate counts
 
 def _count_undestabilized(quiver, theta, d, q, budget, strict):
-    """The number of reps of R_d(F_q) with no destabilizing candidate, all
-    searched with one plan.  The plan is built at the first draw, so that
-    the rep budget refuses before the subspace budget."""
+    """The number of reps of R_d(F_q) with no destabilizing candidate, summed
+    over the weighted slice of :func:`_slices` and all searched with one
+    plan.  The plan is built at the first draw, so that the rep budget
+    refuses before the subspace budget."""
     plan, count = None, 0
-    for X in enumerate_reps(quiver, d, q, budget):
+    for weight, X in _slices(quiver, d, q, budget):
         if plan is None:
             if not strict and X.dim.is_zero():
                 return 0  # the zero rep, the only one, is not stable
             plan = _plan(quiver, theta, X.dims, q, strict, None)
-        count += not _destabilized(X.mats, plan, q)
+        if not _destabilized(X.mats, plan, q):
+            count += weight
     return count
 
 
 def count_semistable(quiver, theta, d, q, budget=None):
+    """The semistable points of R_d(F_q), counted over one representative
+    per rank of one arrow (:func:`_slices`); the rep budget prices all of
+    R_d."""
     return _count_undestabilized(quiver, theta, d, q, budget, strict=True)
 
 
 def count_stable(quiver, theta, d, q, budget=None):
+    """The stable points of R_d(F_q), counted as :func:`count_semistable`
+    counts."""
     return _count_undestabilized(quiver, theta, d, q, budget, strict=False)
 
 
 def count_indecomposable(quiver, d, q, budget=None):
-    """The indecomposable reps of R_d(F_q).  The End budget is read once, at
-    the first draw, so that the rep budget refuses first."""
+    """The indecomposable reps of R_d(F_q), counted over one representative
+    per rank of one arrow (:func:`_slices`); the rep budget prices all of
+    R_d.  The End budget is read once, at the first draw, so that the rep
+    budget refuses first; the zero rep is drawn first, and its End contains
+    every other's, so an End refusal comes there."""
     end, count = None, 0
-    for X in enumerate_reps(quiver, d, q, budget):
+    for weight, X in _slices(quiver, d, q, budget):
         if end is None:
             if X.dim.is_zero():
                 return 0  # the zero rep, the only one, is decomposable
             end = default_budget("end")
-        count += is_indecomposable(X, end)
+        if is_indecomposable(X, end):
+            count += weight
     return count
 
 
 def min_generic_ext(quiver, d, e, q, budget=None):
     """min over all pairs (M, N) of dim Ext(M, N): the oracle's value of the
-    generic ext.  The pairs, at least 2^(cells of d + cells of e), count
-    against the rep budget before any is drawn."""
+    generic ext.  ext(., N) is an isomorphism invariant, so M runs over one
+    representative per rank of one arrow (:func:`_slices`) and N over all
+    of R_e.  The pairs, at least 2^(cells of d + cells of e), count against
+    the rep budget in full before any is drawn."""
     _check_prime(q)
     x, y = quiver.tup(d), quiver.tup(e)
     budget = budget if budget is not None else default_budget("rep")
@@ -776,7 +845,7 @@ def min_generic_ext(quiver, d, e, q, budget=None):
     floor = max(0, sum(x[s] * y[t] for s, t in quiver.arrow_pairs)
                 - sum(map(mul, x, y)))
     best = None
-    for M in enumerate_reps(quiver, d, q, budget):
+    for _, M in _slices(quiver, d, q, budget):
         for N in enumerate_reps(quiver, e, q, budget):
             val = ext_dim(M, N)
             if best is None or val < best:

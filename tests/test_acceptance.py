@@ -115,19 +115,20 @@ def test_c2_mass_methods_cross_check(capsys):
 
 
 def test_c3_point_counts_match_masses(capsys):
+    # K2 and A2 at |d| <= 4 over F_2 and F_3; K3 at every d <= (2,3) over
+    # F_2, K3 (2,2) over F_3 and K4 (2,2) over F_2
+    triples = [(q, (a, b), p) for q in (K[2], A2) for a in range(5)
+               for b in range(5) if 1 <= a + b <= 4 for p in (2, 3)]
+    triples += [(K[3], (a, b), 2) for a in range(3) for b in range(4) if a + b]
+    triples += [(K[3], (2, 2), 3), (K[4], (2, 2), 2)]
     ok = True
     cases = 0
-    for q in (K[2], A2):
-        for a in range(5):
-            for b in range(5):
-                if not 1 <= a + b <= 4:
-                    continue
-                d = dvec(q, a, b)
-                for p in (2, 3):
-                    count = count_semistable(q, THETA_I, d, p)
-                    expect = mass_ss(q, THETA_I, d).evaluate(p)
-                    ok = ok and Fraction(count, group_order(q, d, p)) == expect
-                    cases += 1
+    for q, (a, b), p in triples:
+        d = dvec(q, a, b)
+        count = count_semistable(q, THETA_I, d, p)
+        expect = mass_ss(q, THETA_I, d).evaluate(p)
+        ok = ok and Fraction(count, group_order(q, d, p)) == expect
+        cases += 1
     report(capsys, 3, ok,
            f"finite-field semistable counts match the stack masses in "
            f"{cases} cases (including empty loci)")

@@ -488,6 +488,45 @@ class TestCountsShareOnePlan:
             assert str(exc.value) == "25 subspace tuples exceed the budget 24"
 
 
+# (q, largest rows and cols): every matrix of these shapes is ranked
+RANKED = ((2, 3), (3, 3), (5, 2))
+
+
+class TestSlices:
+    """The counts run over one rank normal form per rank of one arrow,
+    weighted by the number of matrices of that rank: each must equal the
+    full enumeration."""
+
+    @pytest.mark.parametrize("q, top", RANKED, ids=[f"F{q}" for q, _ in RANKED])
+    def test_rank_counts_are_the_echelon_ranks(self, q, top):
+        for rows, cols in product(range(top + 1), repeat=2):
+            ranks = [0] * (min(rows, cols) + 1)
+            for m in product(product(range(q), repeat=cols), repeat=rows):
+                ranks[len(oracle._echelon(m, q)[1])] += 1
+            counts = [oracle._rank_count(rows, cols, r, q) for r in range(len(ranks))]
+            assert counts == ranks, (rows, cols)
+            assert sum(counts) == q ** (rows * cols)
+
+    def test_weights_cover_every_rep_and_zero_comes_first(self):
+        for quiver, d in ENUMERATED:
+            dim = quiver.vec(d)
+            slices = list(oracle._slices(quiver, dim, 2, None))
+            assert sum(w for w, _ in slices) == rep_count(quiver, dim, 2), (quiver, d)
+            zero = slices[0][1]
+            assert not any(x for m in zero.mats for row in m for x in row)
+
+    def test_indecomposables_equal_full_enumeration(self, k1, k2, k3, a3):
+        cases = [(quiver, d, 2) for quiver in (k1, k2, k3)
+                 for d in product(range(3), repeat=2)]
+        cases += [(a3, d, q) for d in product(range(2), range(3), range(2))
+                  for q in (2, 3)]
+        cases.append((D4, (1, 1, 1, 2), 2))
+        for quiver, d, q in cases:
+            dim = quiver.vec(d)
+            assert count_indecomposable(quiver, dim, q) == sum(
+                map(is_indecomposable, enumerate_reps(quiver, dim, q))), (quiver, d, q)
+
+
 class TestStabilityAgainstReference:
     @pytest.mark.parametrize("quiver, d, q", [
         (kronecker_quiver(2), (2, 2), 2),
@@ -1071,6 +1110,18 @@ class TestMinGenericExt:
         assert min_generic_ext(a2, dv(i=1), dv(j=1), 2) == 1
         assert min_generic_ext(a2, dv(j=1), dv(i=1), 2) == 0
         assert min_generic_ext(a2, dv(i=1, j=1), dv(i=1, j=1), 2) == 0
+
+    @pytest.mark.parametrize("q", (2, 3))
+    def test_equals_the_minimum_over_all_pairs(self, k1, k2, k3, a2, q):
+        for quiver in (k1, k2, k3, a2):
+            vecs = [quiver.vec((a, b)) for a in range(4) for b in range(4)
+                    if 1 <= a + b <= 3]
+            for d, e in product(vecs, repeat=2):
+                if d.total() + e.total() > 4:
+                    continue
+                want = min(ext_dim(M, N) for M in enumerate_reps(quiver, d, q)
+                           for N in enumerate_reps(quiver, e, q))
+                assert min_generic_ext(quiver, d, e, q) == want, (quiver, d, e)
 
     def test_pairs_are_budgeted(self, k2):
         # 2^2 reps on each side, 16 pairs
