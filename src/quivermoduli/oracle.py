@@ -7,8 +7,10 @@ enumeration within explicit budgets.
 
 The point counts and the generic ext test isomorphism-invariant properties,
 so they run over one representative per rank of one arrow, weighted by the
-number of matrices of that rank (:func:`_slices`); their budgets still price
-all of R_d.
+number of matrices of that rank (:func:`_slices`).  Each takes its
+decisions once, before its first draw: it prices all of R_d against the rep
+budget, then reads the subspace or End budget and finds its plan, then
+draws.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class FFRep:
     ``dims`` is the dimension vector as a tuple in vertex order.
     """
 
-    __slots__ = ("quiver", "q", "dim", "dims", "mats")
+    __slots__ = ("quiver", "q", "dims", "mats")
 
     def __init__(self, quiver, q, dim, mats):
         _check_prime(q)
@@ -193,27 +195,32 @@ class FFRep:
                     reduced.append(tuple(rows))
                     continue
             raise InputError(f"matrix shape mismatch on arrow {s}->{t}")
-        self.quiver, self.q, self.dim, self.dims = quiver, q, dim, dims
+        self.quiver, self.q, self.dims = quiver, q, dims
         self.mats = tuple(reduced)
 
     @classmethod
-    def _trusted(cls, quiver, q, dim, dims, mats):
+    def _trusted(cls, quiver, q, dims, mats):
         """A rep whose entries are already reduced mod q and whose shapes
         already match ``dims``: no checks."""
         X = cls.__new__(cls)
-        X.quiver, X.q, X.dim, X.dims, X.mats = quiver, q, dim, dims, mats
+        X.quiver, X.q, X.dims, X.mats = quiver, q, dims, mats
         return X
+
+    @property
+    def dim(self):
+        """The dimension vector as a :class:`DimVector`."""
+        return self.quiver.vec(self.dims)
 
     # Quiver equality ignores the order arrows are listed in, but the
     # matrices follow it, so equal reps also list their arrows alike.
     def __eq__(self, other):
         return (isinstance(other, FFRep) and self.quiver == other.quiver
                 and self.quiver.arrow_pairs == other.quiver.arrow_pairs
-                and self.q == other.q and self.dim == other.dim
+                and self.q == other.q and self.dims == other.dims
                 and self.mats == other.mats)
 
     def __hash__(self):
-        return hash((self.quiver, self.quiver.arrow_pairs, self.q, self.dim,
+        return hash((self.quiver, self.quiver.arrow_pairs, self.q, self.dims,
                      self.mats))
 
     def __repr__(self):
@@ -231,7 +238,7 @@ def enumerate_reps(quiver, d, q, budget=None):
     dims, shapes = _shapes(quiver, d, q, budget)
     trusted = FFRep._trusted
     for mats in _matrix_tuples(shapes, q)():
-        yield trusted(quiver, q, d, dims, mats)
+        yield trusted(quiver, q, dims, mats)
 
 
 def _shapes(quiver, d, q, budget):
@@ -276,29 +283,29 @@ def _matrix_tuples(shapes, q):
     return lambda: map(join, product(*pools))
 
 
-def _slices(quiver, d, q, budget):
-    """(weight, X) pairs: the arrow with the most cells (the first listed on
+def _slices(quiver, q, dims, shapes):
+    """A function that returns a new iterator over (weight, X) pairs of the
+    dimension tuple ``dims``, whose arrows have the (rows, cols) ``shapes``
+    of :func:`_shapes`.  The arrow with the most cells (the first listed on
     ties) runs through the rank normal forms N_r = [[I_r, 0], [0, 0]], each
     weighted by the number of its matrices of rank r, and the other arrows
     through every tuple of :func:`_matrix_tuples`.  G_d is transitive on the
     matrices of one rank on one arrow, so an isomorphism-invariant property
     holds on as many points of R_d as the weights of the X it holds on sum
-    to.  The rep budget prices all q^cells points, as for
-    :func:`enumerate_reps`; the zero rep comes first."""
-    dims, shapes = _shapes(quiver, d, q, budget)
+    to.  The normal forms, weights and pools are built here once; the zero
+    rep comes first."""
+    a, normals = 0, [(1, ())]  # no arrows: the zero rep alone
+    if shapes:
+        a = max(range(len(shapes)), key=lambda i: shapes[i][0] * shapes[i][1])
+        rows, cols = shapes[a]
+        normals = [(_rank_count(rows, cols, r, q),
+                    (tuple(tuple(int(i == j < r) for j in range(cols))
+                           for i in range(rows)),))
+                   for r in range(min(rows, cols) + 1)]
+    rests = _matrix_tuples(shapes[:a] + shapes[a + 1:], q)
     trusted = FFRep._trusted
-    if not shapes:
-        yield 1, trusted(quiver, q, d, dims, ())
-        return
-    a = max(range(len(shapes)), key=lambda i: shapes[i][0] * shapes[i][1])
-    rows, cols = shapes.pop(a)
-    rests = _matrix_tuples(shapes, q)
-    for r in range(min(rows, cols) + 1):
-        weight = _rank_count(rows, cols, r, q)
-        normal = (tuple(tuple(int(i == j < r) for j in range(cols))
-                        for i in range(rows)),)
-        for rest in rests():
-            yield weight, trusted(quiver, q, d, dims, rest[:a] + normal + rest[a:])
+    return lambda: ((weight, trusted(quiver, q, dims, rest[:a] + normal + rest[a:]))
+                    for weight, normal in normals for rest in rests())
 
 
 def _rank_count(rows, cols, r, q):
@@ -531,22 +538,26 @@ def is_semistable(X: FFRep, theta: Stability, budget=None) -> bool:
     Only candidate subspace tuples whose dimension vector already
     destabilizes are enumerated; the rest cannot violate semistability.
     """
-    plan = _plan(X.quiver, theta, X.dims, X.q, True, budget)
+    budget = budget if budget is not None else default_budget("subspace")
+    plan = _plan(X.quiver.arrow_pairs, theta.key(X.quiver), X.dims, X.q, True, budget)
     return not _destabilized(X.mats, plan, X.q)
 
 
 def is_stable(X: FFRep, theta: Stability, budget=None) -> bool:
     """Every proper nonzero subrepresentation has strictly smaller slope."""
-    if X.dim.is_zero():
+    if not any(X.dims):
         return False
-    plan = _plan(X.quiver, theta, X.dims, X.q, False, budget)
+    budget = budget if budget is not None else default_budget("subspace")
+    plan = _plan(X.quiver.arrow_pairs, theta.key(X.quiver), X.dims, X.q, False, budget)
     return not _destabilized(X.mats, plan, X.q)
 
 
 @lru_cache(maxsize=None)
-def _check_subspace_budget(dims, q, budget):
-    """Refuse when the subspace tuples of F_q^dims exceed ``budget``;
-    cached, since every rep of one dimension vector asks the same."""
+def _plan(arrows, tkey, dims, q, strict, budget):
+    """The search plan of :func:`_destab_plan` for every rep of dimension
+    ``dims``, once the subspace tuples of F_q^dims are within ``budget``.
+    Cached with the budget, so that a warm stability test makes one lookup;
+    the plan itself is cached without it, so that budgets share its tables."""
     # a huge total dimension is refused with its exact size, as hn.mass does
     size = sum(dims)
     if size > VECTOR_BUDGET:
@@ -558,14 +569,7 @@ def _check_subspace_budget(dims, q, budget):
     _check_budget("subspace tuples", size,
                   lambda: sum((n * n // 4 + n + 2) * q.bit_length() for n in dims),
                   lambda: prod(subspace_count(n, q) for n in dims), budget)
-
-
-def _plan(quiver, theta, dims, q, strict, budget):
-    """The search plan of :func:`_destab_plan` for every rep of dimension
-    ``dims``, once the subspace budget admits it."""
-    budget = budget if budget is not None else default_budget("subspace")
-    _check_subspace_budget(dims, q, budget)
-    return _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict)
+    return _destab_plan(arrows, tkey, dims, q, strict)
 
 
 def _destabilized(mats, plan, q):
@@ -601,7 +605,7 @@ def _destabilized(mats, plan, q):
 
 def is_indecomposable(X: FFRep, budget=None) -> bool:
     """No idempotent endomorphism besides 0 and 1."""
-    if X.dim.is_zero():
+    if not any(X.dims):
         return False
     budget = budget if budget is not None else default_budget("end")
     basis, offs = _hom_basis(X, X)
@@ -632,6 +636,8 @@ def is_indecomposable(X: FFRep, budget=None) -> bool:
 def is_simple_tuple(n, mats, q) -> bool:
     """No common invariant subspace 0 < W < F_q^n for the matrix tuple."""
     _check_prime(q)
+    if n < 0:
+        raise InputError(f"n must be nonnegative, got {n}")
     mats = [tuple(tuple(x % q for x in row) for row in m) for m in mats]
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
@@ -668,8 +674,7 @@ def _restrict(X, h, rows, members):
                 img = [img[c] for c in pivots]  # coordinates in the rows
             cols.append(img)
         mats.append(tuple(tuple(col[r] for col in cols) for r in range(dims[t])))
-    dims = tuple(dims)
-    return FFRep._trusted(X.quiver, p, X.quiver.vec(dims), dims, tuple(mats))
+    return FFRep._trusted(X.quiver, p, tuple(dims), tuple(mats))
 
 
 def has_comp_series(X: FFRep, word) -> bool:
@@ -685,7 +690,7 @@ def _has_comp_series(X, word, budget):
     """:func:`has_comp_series` on a checked word.  ``budget`` is the subspace
     budget, read at the first level that needs it when None and passed
     down."""
-    if len(word) != X.dim.total():
+    if len(word) != sum(X.dims):
         return False
     if not word:
         return True
@@ -786,23 +791,21 @@ def _quadric_rank(q, values):
 def _count_undestabilized(quiver, theta, d, q, budget, strict):
     """The number of reps of R_d(F_q) with no destabilizing candidate, summed
     over the weighted slice of :func:`_slices` and all searched with one
-    plan.  The plan is built at the first draw, so that the rep budget
-    refuses before the subspace budget."""
-    plan, count = None, 0
-    for weight, X in _slices(quiver, d, q, budget):
-        if plan is None:
-            if not strict and X.dim.is_zero():
-                return 0  # the zero rep, the only one, is not stable
-            plan = _plan(quiver, theta, X.dims, q, strict, None)
-        if not _destabilized(X.mats, plan, q):
-            count += weight
-    return count
+    plan.  The rep budget prices R_d first; then the subspace budget is read
+    and the plan found, before the first draw."""
+    dims, shapes = _shapes(quiver, d, q, budget)
+    if not strict and not any(dims):
+        return 0  # the zero rep, the only one, is not stable
+    limit = default_budget("subspace")  # read before theta's key is checked
+    plan = _plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict, limit)
+    return sum(weight for weight, X in _slices(quiver, q, dims, shapes)()
+               if not _destabilized(X.mats, plan, q))
 
 
 def count_semistable(quiver, theta, d, q, budget=None):
     """The semistable points of R_d(F_q), counted over one representative
-    per rank of one arrow (:func:`_slices`); the rep budget prices all of
-    R_d."""
+    per rank of one arrow (:func:`_slices`) once the rep budget admits all
+    of R_d and the subspace budget the plan."""
     return _count_undestabilized(quiver, theta, d, q, budget, strict=True)
 
 
@@ -814,27 +817,25 @@ def count_stable(quiver, theta, d, q, budget=None):
 
 def count_indecomposable(quiver, d, q, budget=None):
     """The indecomposable reps of R_d(F_q), counted over one representative
-    per rank of one arrow (:func:`_slices`); the rep budget prices all of
-    R_d.  The End budget is read once, at the first draw, so that the rep
-    budget refuses first; the zero rep is drawn first, and its End contains
-    every other's, so an End refusal comes there."""
-    end, count = None, 0
-    for weight, X in _slices(quiver, d, q, budget):
-        if end is None:
-            if X.dim.is_zero():
-                return 0  # the zero rep, the only one, is decomposable
-            end = default_budget("end")
-        if is_indecomposable(X, end):
-            count += weight
-    return count
+    per rank of one arrow (:func:`_slices`).  The rep budget prices all of
+    R_d; then the End budget is read, once, before the first draw.  The zero
+    rep is drawn first, and its End contains every other's, so an End
+    refusal comes there."""
+    dims, shapes = _shapes(quiver, d, q, budget)
+    if not any(dims):
+        return 0  # the zero rep, the only one, is decomposable
+    end = default_budget("end")
+    return sum(weight for weight, X in _slices(quiver, q, dims, shapes)()
+               if is_indecomposable(X, end))
 
 
 def min_generic_ext(quiver, d, e, q, budget=None):
     """min over all pairs (M, N) of dim Ext(M, N): the oracle's value of the
-    generic ext.  ext(., N) is an isomorphism invariant, so M runs over one
-    representative per rank of one arrow (:func:`_slices`) and N over all
-    of R_e.  The pairs, at least 2^(cells of d + cells of e), count against
-    the rep budget in full before any is drawn."""
+    generic ext.  ext(M, N) is an isomorphism invariant in both arguments,
+    so M and N each run over one representative per rank of one arrow
+    (:func:`_slices`), and N's slice is built once.  The pairs, at least
+    2^(cells of d + cells of e), count against the rep budget in full before
+    any is drawn."""
     _check_prime(q)
     x, y = quiver.tup(d), quiver.tup(e)
     budget = budget if budget is not None else default_budget("rep")
@@ -844,9 +845,10 @@ def min_generic_ext(quiver, d, e, q, budget=None):
     # no ext lies below max(0, -<d, e>), as ext_dim = hom_dim - <d, e>
     floor = max(0, sum(x[s] * y[t] for s, t in quiver.arrow_pairs)
                 - sum(map(mul, x, y)))
+    ms, ns = (_slices(quiver, q, *_shapes(quiver, v, q, budget)) for v in (d, e))
     best = None
-    for _, M in _slices(quiver, d, q, budget):
-        for N in enumerate_reps(quiver, e, q, budget):
+    for _, M in ms():
+        for _, N in ns():
             val = ext_dim(M, N)
             if best is None or val < best:
                 best = val

@@ -31,28 +31,19 @@ __all__ = [
 DEFAULT_WORD_BUDGET = 10 ** 6
 
 
-def _check_word(quiver, word):
-    word = tuple(str(x) for x in word)
-    for x in word:
-        quiver.index(x)
-    return word
-
-
 def word_weight(quiver: Quiver, word) -> DimVector:
-    word = _check_word(quiver, word)
-    w = {}
-    for x in word:
-        w[x] = w.get(x, 0) + 1
-    return DimVector(w)
+    coded = _code(quiver, word)
+    return DimVector({quiver.vertices[ord(c)]: coded.count(c)
+                      for c in dict.fromkeys(coded)})
 
 
-def _later_counts(quiver, word):
-    """For each vertex index a, one list per occurrence of a in ``word``:
-    how many of each later vertex b > a come before that occurrence."""
+def _later_counts(quiver, coded):
+    """For each vertex index a, one list per occurrence of a in the coded
+    word: how many of each later vertex b > a come before that occurrence."""
     seen = [0] * len(quiver.vertices)
     out = [[] for _ in seen]
-    for x in word:
-        a = quiver.index(x)
+    for c in coded:
+        a = ord(c)
         out[a].append(seen[a + 1:])
         seen[a] += 1
     return out
@@ -63,9 +54,8 @@ def word_leq(quiver: Quiver, w, w2) -> bool:
     in the canonical vertex order.  It is the weak order on words of one
     weight, so w <= w2 iff for all vertices a < b and every p, w has at most
     as many b's before its p-th a as w2 has: O(len * |V|), no search."""
-    w = _check_word(quiver, w)
-    w2 = _check_word(quiver, w2)
-    if word_weight(quiver, w) != word_weight(quiver, w2):
+    w, w2 = _code(quiver, w), _code(quiver, w2)
+    if sorted(w) != sorted(w2):
         return False
     return all(all(map(le, x, y))
                for xs, ys in zip(_later_counts(quiver, w), _later_counts(quiver, w2))

@@ -83,9 +83,12 @@ class TestRepBasics:
         assert FFRep(k2, 3, d, ((iter(row) for row in m) for m in mats)) == X
         assert FFRep(k2, 3, d, tuple(map(tuple, X.mats))) == X
 
-    def test_enumeration_equals_validated_reps(self, a2, k2, a3):
-        for quiver, d, q in ((a2, dv(i=1, j=2), 3), (k2, dv(i=1, j=2), 2),
-                             (a3, DimVector({"1": 1, "2": 2, "3": 1}), 2)):
+    def test_enumeration_equals_validated_reps(self, a2, k2, a3, monkeypatch):
+        cases = [(a2, dv(i=1, j=2), 3), (k2, dv(i=1, j=2), 2),
+                 (a3, DimVector({"1": 1, "2": 2, "3": 1}), 2), (k2, dv(j=2), 3),
+                 (k2, dv(i=2, j=1), 3), (a3, DimVector({"1": 2, "3": 1}), 3),
+                 (D4, D4.vec((1, 0, 1, 2)), 2), (Quiver(["x", "y"], []), dv(x=2), 2)]
+        for quiver, d, q in cases:
             reps = list(enumerate_reps(quiver, d, q))
             checked = [FFRep(quiver, q, d, X.mats) for X in reps]
             assert reps == checked
@@ -94,6 +97,38 @@ class TestRepBasics:
             # odometer order: the last cell of the last arrow moves fastest
             flat = [tuple(x for m in X.mats for row in m for x in row) for X in reps]
             assert flat == list(product(range(q), repeat=len(flat[0])))
+            dims, shapes = oracle._shapes(quiver, d, q, None)
+            for X in reps + [X for _, X in oracle._slices(quiver, q, dims, shapes)()]:
+                self.check_one_tuple(X)
+        # the subreps has_comp_series builds on the hyperplanes it tries
+        subs = []
+        restrict = oracle._restrict
+
+        def spy(*args):
+            sub = restrict(*args)
+            subs.append(sub)
+            return sub
+
+        monkeypatch.setattr(oracle, "_restrict", spy)
+        for quiver, d, words in ((a3, DimVector({"1": 1, "2": 2, "3": 1}),
+                                  ("3221", "2321", "1223")),
+                                 (k2, dv(i=2, j=2), ("jjii", "ijij", "jiji"))):
+            for X in enumerate_reps(quiver, d, 2):
+                for word in words:
+                    has_comp_series(X, word)
+        subs = [X for X in subs if X is not None]
+        assert {sum(X.dims) for X in subs} == {0, 1, 2, 3}
+        for X in subs:
+            self.check_one_tuple(X)
+
+    @staticmethod
+    def check_one_tuple(X):
+        checked = FFRep(X.quiver, X.q, X.dim, X.mats)
+        assert X == checked and hash(X) == hash(checked)
+        assert X.dims == checked.dims
+        assert X.dim == X.quiver.vec(X.dims)
+        with pytest.raises(AttributeError):
+            X.dim = X.dim
 
     def test_subspace_count_is_the_number_of_subspaces(self):
         for q in (2, 3, 5):
@@ -510,7 +545,8 @@ class TestSlices:
     def test_weights_cover_every_rep_and_zero_comes_first(self):
         for quiver, d in ENUMERATED:
             dim = quiver.vec(d)
-            slices = list(oracle._slices(quiver, dim, 2, None))
+            dims, shapes = oracle._shapes(quiver, dim, 2, None)
+            slices = list(oracle._slices(quiver, 2, dims, shapes)())
             assert sum(w for w, _ in slices) == rep_count(quiver, dim, 2), (quiver, d)
             zero = slices[0][1]
             assert not any(x for m in zero.mats for row in m for x in row)
@@ -600,7 +636,8 @@ def stability_answers(quiver, reps, thetas):
 
 def plan_of(quiver, t, d, q, strict=True):
     theta = Stability(dict(zip(quiver.vertices, t)))
-    return oracle._plan(quiver, theta, d, q, strict, None)
+    return oracle._plan(quiver.arrow_pairs, theta.key(quiver), d, q, strict,
+                        oracle.default_budget("subspace"))
 
 
 @contextmanager
@@ -608,12 +645,14 @@ def search_plans_only():
     """Plans built inside search their candidates: the cap is 0, and the
     plans cached under the real cap are dropped on the way in and out."""
     cap = oracle._TABLE_CAP
+    oracle._plan.cache_clear()
     oracle._destab_plan.cache_clear()
     oracle._TABLE_CAP = 0
     try:
         yield
     finally:
         oracle._TABLE_CAP = cap
+        oracle._plan.cache_clear()
         oracle._destab_plan.cache_clear()
 
 
@@ -707,6 +746,41 @@ class TestPlanRegimes:
         X = FFRep(quiver, 2, quiver.vec((5, 5)), mats)
         assert is_semistable(X, Stability(theta))
         assert plan_of(quiver, t, (5, 5), 2) == ((), (), None)
+
+
+    def test_a_warm_test_looks_up_one_plan_that_budgets_share(self, monkeypatch):
+        monkeypatch.delenv("QI_BUDGET", raising=False)
+        caches = [f for f in vars(oracle).values() if hasattr(f, "cache_info")]
+        assert {f.__name__ for f in caches} >= {"_plan", "_destab_plan"}
+
+        def lookups():
+            return sum(f.cache_info().hits + f.cache_info().misses for f in caches)
+
+        quiver = kronecker_quiver(3)
+        theta = Stability({"i": 1})
+        X = FFRep(quiver, 3, quiver.vec((2, 2)),
+                  [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+
+        def answers(budget):
+            return [is_semistable(X, theta, budget), is_stable(X, theta, budget)]
+
+        # 6 * 6 subspace tuples: 36 admit the plan, 35 refuse it
+        expected = answers(None)
+        built = oracle._destab_plan.cache_info().misses
+        assert answers(36) == answers(5000) == expected
+        # warm: one lookup per test
+        for budget in (None, 36, 5000):
+            before = lookups()
+            assert answers(budget) == expected
+            assert lookups() == before + 2
+        # the budgets share one plan and its tables, built once
+        assert oracle._destab_plan.cache_info().misses == built
+        plans = [oracle._plan(quiver.arrow_pairs, (1, 0), (2, 2), 3, True, budget)
+                 for budget in (36, 5000, oracle.DEFAULT_SUBSPACE_BUDGET)]
+        assert all(plan is plans[0] for plan in plans) and plans[0][2] is not None
+        with pytest.raises(BudgetExceeded) as exc:
+            is_semistable(X, theta, 35)
+        assert str(exc.value) == "36 subspace tuples exceed the budget 35"
 
 
 def reference_comp_series(X, word):
@@ -938,6 +1012,8 @@ class TestSimpleTuple:
     def test_validation(self):
         with pytest.raises(InputError):
             is_simple_tuple(2, [[[1, 0]]], 2)
+        with pytest.raises(InputError, match="n must be nonnegative"):
+            is_simple_tuple(-1, [], 2)
 
 
 class TestCompSeries:
@@ -1113,11 +1189,14 @@ class TestMinGenericExt:
 
     @pytest.mark.parametrize("q", (2, 3))
     def test_equals_the_minimum_over_all_pairs(self, k1, k2, k3, a2, q):
+        # over F_2 also |d| + |e| = 5, where e = (2, 2) has a normal form of
+        # rank 2 on its slice
+        most = 5 if q == 2 else 4
         for quiver in (k1, k2, k3, a2):
-            vecs = [quiver.vec((a, b)) for a in range(4) for b in range(4)
-                    if 1 <= a + b <= 3]
+            vecs = [quiver.vec((a, b)) for a in range(most) for b in range(most)
+                    if 1 <= a + b < most]
             for d, e in product(vecs, repeat=2):
-                if d.total() + e.total() > 4:
+                if d.total() + e.total() > most:
                     continue
                 want = min(ext_dim(M, N) for M in enumerate_reps(quiver, d, q)
                            for N in enumerate_reps(quiver, e, q))
