@@ -1,6 +1,6 @@
 """Exact invariants of quiver representation varieties and their moduli.
 
-Subpackages by topic: quiver (combinatorial core), laurent (exact
+Modules by topic: quiver (combinatorial core), laurent (exact
 arithmetic), roots (Kac root system), generic (Schofield calculus),
 hn (Harder-Narasimhan machinery and Betti numbers), words (composition
 monoid), series (partition generating functions), oracle (finite-field

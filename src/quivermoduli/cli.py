@@ -48,21 +48,6 @@ def _inline(text):
     return text.lstrip()[:1] in ("{", "[")
 
 
-def _load_json_arg(text, what):
-    """JSON given inline or as a file path.  Inline JSON costs no file
-    lookup."""
-    if not _inline(text) and os.path.exists(text):
-        try:
-            with open(text) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:  # a directory, bad bytes
-            raise InputError(f"cannot read {what} file: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad {what} JSON: {exc}") from None
-
-
 def _int(value):
     """A JSON integer or decimal-integer string; floats and booleans are
     refused rather than truncated or read as 0/1."""
@@ -101,21 +86,19 @@ def _encode(obj):
     return json.dumps(_stringify(obj), sort_keys=True)
 
 
-def _mats(text):
-    data = _load_json_arg(text, "matrix tuple")
+def _mats(data):
     if not isinstance(data, list):
         raise InputError("matrix tuple must be a JSON list")
     try:
-        return [[[_int(x) for x in row] for row in m] for m in data]
+        return tuple(tuple(tuple(_int(x) for x in row) for row in m) for m in data)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad matrix tuple: {exc}") from None
 
 
-def _parts(text):
-    data = _load_json_arg(text, "--parts")
+def _parts(data):
     if not isinstance(data, list):
         raise InputError("--parts must be a JSON list of dimension vectors")
-    return [_vector_data(DimVector, p, "--parts entry") for p in data]
+    return tuple(_vector_data(DimVector, p, "--parts entry") for p in data)
 
 
 def _word(text):
@@ -177,14 +160,24 @@ def _inline_json(load, text):
     return load(text)
 
 
-def _json_flag(name, parse, what, **kw):
+def _json_flag(name, parse, what, echo=lambda value: value.to_json(), **kw):
     """A required flag of JSON, inline or a file path, that ``parse`` turns
-    into a value with ``to_json`` for its echo.  Inline text is parsed and
-    its echo encoded once per text (the value is immutable); a file path is
-    read on every call, as the file may change."""
+    into an immutable value, whose ``echo`` is its entry of the inputs.
+    Inline text is parsed and its echo encoded once per text, with no file
+    lookup; a file path is read on every call, as the file may change."""
     def load(text):
-        value = parse(_load_json_arg(text, what))
-        return value, _encode(value.to_json())
+        if not _inline(text) and os.path.exists(text):
+            try:
+                with open(text) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:  # a directory, bad bytes
+                raise InputError(f"cannot read {what} file: {exc}") from None
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"bad {what} JSON: {exc}") from None
+        value = parse(data)
+        return value, _encode(echo(value))
 
     return _Flag(name, dict(kw, required=True),
                  lambda text: _inline_json(load, text) if _inline(text) else load(text))
@@ -363,8 +356,8 @@ _COMMANDS = {
                  lambda Q, w, w2: {"leq": words.word_leq(Q, _word(w), _word(w2))}),
     "monoid equal": ((_QUIVER, _W, _W2, _BUDGET), _monoid_equal),
     "monoid normalize": (
-        (_QUIVER, _flag("--parts", _parts, lambda parts: [p.to_json() for p in parts],
-                        required=True)),
+        (_QUIVER, _json_flag("--parts", _parts, "--parts",
+                             lambda parts: [p.to_json() for p in parts])),
         lambda Q, parts: {"parts": [p.to_json()
                                     for p in words.schur_normal_form(Q, parts)]}),
     "oracle count-ss": ((_QUIVER, _DIM, _THETA, _Q, _BUDGET),
@@ -381,8 +374,9 @@ _COMMANDS = {
                            lambda Q, d, e, q, budget: {
                                "min_ext": oracle.min_generic_ext(Q, d, e, q,
                                                                  budget=budget)}),
-    "oracle kron-quadric": ((_flag("--mats", _mats, _same, required=True,
-                                   help="JSON list of 2x2 integer matrices"), _Q),
+    "oracle kron-quadric": ((_json_flag("--mats", _mats, "matrix tuple",
+                                        lambda mats: [list(map(list, m)) for m in mats],
+                                        help="JSON list of 2x2 integer matrices"), _Q),
                             _kron_quadric),
     "oracle comp-series": ((_QUIVER, _flag("--word", echo=_same, required=True), _Q,
                             _BUDGET), _comp_series),

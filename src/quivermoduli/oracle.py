@@ -22,7 +22,7 @@ from math import isqrt, prod
 from operator import mul
 
 from .errors import BudgetExceeded, InputError
-from .quiver import VECTOR_BUDGET, DimVector, Quiver, Stability
+from .quiver import VECTOR_BUDGET, Stability
 
 __all__ = [
     "FFRep",
@@ -233,12 +233,12 @@ def rep_count(quiver, d, q):
 
 
 def enumerate_reps(quiver, d, q, budget=None):
-    """Every point of R_d(F_q) exactly once, odometer order (last cell
-    fastest), as :func:`_matrix_tuples` draws the matrices."""
+    """An iterator over every point of R_d(F_q) exactly once, odometer order
+    (last cell fastest), as :func:`_matrix_tuples` draws the matrices.  The
+    rep budget prices all of R_d when it is called, before the first draw."""
     dims, shapes = _shapes(quiver, d, q, budget)
     trusted = FFRep._trusted
-    for mats in _matrix_tuples(shapes, q)():
-        yield trusted(quiver, q, dims, mats)
+    return (trusted(quiver, q, dims, mats) for mats in _matrix_tuples(shapes, q)())
 
 
 def _shapes(quiver, d, q, budget):
@@ -558,6 +558,12 @@ def _plan(arrows, tkey, dims, q, strict, budget):
     ``dims``, once the subspace tuples of F_q^dims are within ``budget``.
     Cached with the budget, so that a warm stability test makes one lookup;
     the plan itself is cached without it, so that budgets share its tables."""
+    _check_subspaces(dims, q, budget)
+    return _destab_plan(arrows, tkey, dims, q, strict)
+
+
+def _check_subspaces(dims, q, budget):
+    """Refuse unless the subspace tuples of F_q^dims are within ``budget``."""
     # a huge total dimension is refused with its exact size, as hn.mass does
     size = sum(dims)
     if size > VECTOR_BUDGET:
@@ -569,7 +575,6 @@ def _plan(arrows, tkey, dims, q, strict, budget):
     _check_budget("subspace tuples", size,
                   lambda: sum((n * n // 4 + n + 2) * q.bit_length() for n in dims),
                   lambda: prod(subspace_count(n, q) for n in dims), budget)
-    return _destab_plan(arrows, tkey, dims, q, strict)
 
 
 def _destabilized(mats, plan, q):
@@ -634,7 +639,8 @@ def is_indecomposable(X: FFRep, budget=None) -> bool:
 
 
 def is_simple_tuple(n, mats, q) -> bool:
-    """No common invariant subspace 0 < W < F_q^n for the matrix tuple."""
+    """No common invariant subspace 0 < W < F_q^n for the matrix tuple.  The
+    subspaces of F_q^n are priced against the subspace budget first."""
     _check_prime(q)
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
@@ -644,6 +650,7 @@ def is_simple_tuple(n, mats, q) -> bool:
             raise InputError("matrices must be n x n")
     if n == 0:
         return False
+    _check_subspaces((n,), q, default_budget("subspace"))
     for r in range(1, n):
         for rows, members in _member_spaces(n, r, q):
             if all(_image(m, vec, q) in members for m in mats for vec in rows):
@@ -654,86 +661,80 @@ def is_simple_tuple(n, mats, q) -> bool:
 # ---------------------------------------------------------------------------
 # composition series
 
-def _restrict(X, h, rows, members):
-    """Subrepresentation on the hyperplane ``rows`` at vertex index ``h``
-    (full spaces elsewhere), in the basis given by the rows; None if an
-    arrow into ``h`` leaves the hyperplane."""
-    p, dims = X.q, list(X.dims)
-    pivots = [row.index(1) for row in rows]  # echelon rows: unit pivots
-    bases = [rows if v == h else [[int(i == j) for j in range(n)] for i in range(n)]
-             for v, n in enumerate(dims)]
-    dims[h] -= 1
-    mats = []
-    for (s, t), m in zip(X.quiver.arrow_pairs, X.mats):
-        cols = []
-        for vec in bases[s]:
-            img = [sum(map(mul, row, vec)) % p for row in m]
-            if t == h:
-                if _pack(img, p) not in members:
-                    return None
-                img = [img[c] for c in pivots]  # coordinates in the rows
-            cols.append(img)
-        mats.append(tuple(tuple(col[r] for col in cols) for r in range(dims[t])))
-    return FFRep._trusted(X.quiver, p, tuple(dims), tuple(mats))
+def _series_heads(quiver, word, dims, q):
+    """The vertex indices of ``word``'s letters, None if its weight is not
+    ``dims``.  A nonempty word reads the subspace budget once and prices
+    each step of the search in order: with n dimensions left at its head, it
+    tries (q^n - 1)/(q - 1) hyperplanes of q^(n - 1) members each, at least
+    2^(2n - 2) and at most q^(2n - 1) members in all."""
+    heads = tuple(map(quiver.index, word))
+    left = [heads.count(v) for v in range(len(dims))]
+    if tuple(left) != dims:
+        return None
+    budget = default_budget("subspace") if heads else None
+    for h in heads:
+        n = left[h]
+        _check_budget("hyperplane members", 2 * n - 2,
+                      lambda: (2 * n - 1) * q.bit_length(),
+                      lambda: (q ** n - 1) // (q - 1) * q ** (n - 1), budget)
+        left[h] -= 1
+    return heads
+
+
+def _has_comp_series(arrows, q, dims, mats, heads):
+    """Whether the rep (``dims``, ``mats``) on the vertex index pairs
+    ``arrows`` has a composition series with quotients at the priced
+    ``heads`` from the top: a subrep on a hyperplane at the first head has
+    the rest."""
+    if not heads:
+        return True
+    h = heads[0]
+    for rows, members in _member_spaces(dims[h], dims[h] - 1, q):
+        sub = _restrict(arrows, q, dims, mats, h, rows, members)
+        if sub is not None and _has_comp_series(arrows, q, *sub, heads[1:]):
+            return True
+    return False
+
+
+def _restrict(arrows, q, dims, mats, h, rows, members):
+    """(dims, mats) of the subrep on the hyperplane ``rows`` at vertex index
+    ``h`` (full spaces elsewhere), in the basis of the rows; None if an
+    arrow into ``h`` leaves the hyperplane.  Such an arrow keeps its rows at
+    the pivots, the coordinates of a member of reduced echelon rows with
+    unit pivots; one out of ``h`` is multiplied by the rows."""
+    pivots = [row.index(1) for row in rows]
+    out = []
+    for (s, t), m in zip(arrows, mats):
+        if t == h:
+            if any(_pack(col, q) not in members for col in zip(*m)):
+                return None
+            m = tuple(m[c] for c in pivots)
+        elif s == h:
+            m = tuple(tuple(sum(map(mul, r, row)) % q for row in rows) for r in m)
+        out.append(m)
+    return dims[:h] + (dims[h] - 1,) + dims[h + 1:], tuple(out)
 
 
 def has_comp_series(X: FFRep, word) -> bool:
     """Existence of a composition series with simple quotients of types
-    word[0], word[1], ... from the top."""
-    word = tuple(str(x) for x in word)
-    for x in word:
-        X.quiver.index(x)
-    return _has_comp_series(X, word, None)
-
-
-def _has_comp_series(X, word, budget):
-    """:func:`has_comp_series` on a checked word.  ``budget`` is the subspace
-    budget, read at the first level that needs it when None and passed
-    down."""
-    if len(word) != sum(X.dims):
-        return False
-    if not word:
-        return True
-    h = X.quiver.index(word[0])
-    n = X.dims[h]
-    if n == 0:
-        return False
-    # subreps of codimension 1 at the head: hyperplanes W there that contain
-    # the images of all arrows into it.  The (q^n - 1)/(q - 1) hyperplanes
-    # have q^(n - 1) members each, at least 2^(2n - 2) and at most
-    # q^(2n - 1) in all; refuse before building them.
-    q = X.q
-    if budget is None:
-        budget = default_budget("subspace")
-    _check_budget("hyperplane members", 2 * n - 2,
-                  lambda: (2 * n - 1) * q.bit_length(),
-                  lambda: (q ** n - 1) // (q - 1) * q ** (n - 1), budget)
-    for rows, members in _member_spaces(n, n - 1, q):
-        sub = _restrict(X, h, rows, members)
-        if sub is not None and _has_comp_series(sub, word[1:], budget):
-            return True
-    return False
+    word[0], word[1], ... from the top; every step is priced first."""
+    heads = _series_heads(X.quiver, tuple(map(str, word)), X.dims, X.q)
+    return heads is not None and _has_comp_series(
+        X.quiver.arrow_pairs, X.q, X.dims, X.mats, heads)
 
 
 def comp_series_point_set(quiver, word, q, budget=None):
     """All representations of the word's weight admitting a composition
     series of that type; the oracle's version of the stratum closure
-    question."""
+    question.  R_d and every step of the search are priced before the
+    first draw."""
     word = tuple(map(str, word))
-    weight = {}
-    for x in word:
-        quiver.index(x)
-        weight[x] = weight.get(x, 0) + 1
-    d = DimVector(weight)
-    limit, points = None, []
-    for X in enumerate_reps(quiver, d, q, budget):
-        # read at the first draw, after the rep budget: every rep of a
-        # nonempty word reaches the first hyperplane check
-        if limit is None and word:
-            limit = default_budget("subspace")
-        if _has_comp_series(X, word, limit):
-            points.append(X)
-    return frozenset(points)
+    index = [quiver.index(x) for x in word]
+    dims = tuple(map(index.count, range(len(quiver.vertices))))
+    reps = enumerate_reps(quiver, quiver.vec(dims), q, budget)
+    heads = _series_heads(quiver, word, dims, q)
+    return frozenset(X for X in reps if _has_comp_series(
+        quiver.arrow_pairs, q, X.dims, X.mats, heads))
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +745,7 @@ def kronecker_quadratic_form(mats, q):
     2x2 matrices; q must be odd so that the Gram matrix determines the rank.
 
     Returns ({(k, l): coefficient for k <= l}, rank), the diagonal first.
+    More than ``VECTOR_BUDGET`` coefficients are refused before any is built.
     The rank comes from a cache of at most 4096 entries keyed by q and the
     coefficient values in that order (``_quadric_rank``).  Criterion 6 of
     the acceptance suite checks 931,630 tuples but meets only 3,819
@@ -757,6 +759,10 @@ def kronecker_quadratic_form(mats, q):
     except ValueError:
         raise InputError("matrices must be 2 x 2") from None
     m = len(mats)
+    size = m * (m + 1) // 2  # one coefficient per Gram entry on or above the diagonal
+    if size > VECTOR_BUDGET:
+        raise BudgetExceeded(f"{size} quadric coefficients exceed the budget {VECTOR_BUDGET}",
+                             required=size, budget=VECTOR_BUDGET)
     # det(sum l_k A_k) with A_k = [[a_k, b_k], [c_k, d_k]]: the l_k l_l
     # coefficient is a_k d_l + a_l d_k - b_k c_l - b_l c_k
     coeffs = {(k, k): (a * d - b * c) % q

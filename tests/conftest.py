@@ -659,6 +659,8 @@ def reference_echo(name, value):
         return value or "bundled k3_tables.json"
     if name == "--parts":
         return [p.to_json() for p in value]
+    if name == "--mats":  # parsed as tuples of row tuples
+        return [[list(row) for row in m] for m in value]
     return value.to_json() if hasattr(value, "to_json") else value
 
 

@@ -804,6 +804,15 @@ class TestFormats:
         assert _THETA.read(D11)[0] is not _DIM.read(D11)[0]
         assert _DIM.read(D11)[1] == '{"i": "1", "j": "1"}'
 
+    def test_inline_mats_and_parts_are_parsed_once(self):
+        mats = _COMMANDS["oracle kron-quadric"][0][0]
+        parts = _COMMANDS["monoid normalize"][0][1]
+        for flag, text in ((mats, "[[[1, 0], [0, -1]]]"), (parts, '[{"i": 1}]')):
+            assert flag.read(text) is flag.read(text)
+        assert mats.read("[[[1, 0], [0, -1]]]") == \
+            ((((1, 0), (0, -1)),), '[[["1", "0"], ["0", "-1"]]]')
+        assert parts.read('[{"i": 1}]')[1] == '[{"i": "1"}]'
+
     def test_vector_file_is_read_on_every_call(self, capsys, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(D11)

@@ -100,26 +100,29 @@ class TestRepBasics:
             dims, shapes = oracle._shapes(quiver, d, q, None)
             for X in reps + [X for _, X in oracle._slices(quiver, q, dims, shapes)()]:
                 self.check_one_tuple(X)
-        # the subreps has_comp_series builds on the hyperplanes it tries
+        # the subreps has_comp_series builds on the hyperplanes it tries, as
+        # (dims, mats) on the arrows of the quiver searched
         subs = []
         restrict = oracle._restrict
 
         def spy(*args):
             sub = restrict(*args)
-            subs.append(sub)
+            if sub is not None:
+                subs.append((quiver, *sub))
             return sub
 
         monkeypatch.setattr(oracle, "_restrict", spy)
         for quiver, d, words in ((a3, DimVector({"1": 1, "2": 2, "3": 1}),
                                   ("3221", "2321", "1223")),
-                                 (k2, dv(i=2, j=2), ("jjii", "ijij", "jiji"))):
+                                 (k2, dv(i=2, j=2), ("jjii", "ijij", "jiji")),
+                                 (D4, D4.vec((1, 1, 1, 2)), ("dabcd", "abdcd")),
+                                 (D4_OUT, D4_OUT.vec((1, 1, 1, 2)), ("bdacd", "dcdab"))):
             for X in enumerate_reps(quiver, d, 2):
                 for word in words:
                     has_comp_series(X, word)
-        subs = [X for X in subs if X is not None]
-        assert {sum(X.dims) for X in subs} == {0, 1, 2, 3}
-        for X in subs:
-            self.check_one_tuple(X)
+        assert {sum(dims) for _, dims, _ in subs} == {0, 1, 2, 3, 4}
+        for quiver, dims, mats in subs:
+            self.check_one_tuple(FFRep._trusted(quiver, 2, dims, mats))
 
     @staticmethod
     def check_one_tuple(X):
@@ -141,6 +144,7 @@ class TestRepBasics:
 
 
 D4 = Quiver(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "d")])
+D4_OUT = Quiver(["a", "b", "c", "d"], [("d", "a"), ("d", "b"), ("d", "c")])
 A3 = Quiver(["1", "2", "3"], [("1", "2"), ("2", "3")])
 # K1-K4, A3, the D4 star and a quiver without arrows, each with dimension
 # vectors that leave some vertices at 0
@@ -831,8 +835,10 @@ def reference_is_indecomposable(X):
 
 class TestAgainstReference:
     def test_comp_series(self, k2, a3):
+        # the D4 star has three arrows into one vertex, its opposite three out
         for quiver, d, q in ((k2, (2, 2), 2), (k2, (1, 2), 3), (a3, (1, 1, 1), 2),
-                             (a3, (1, 3, 1), 2)):
+                             (a3, (1, 3, 1), 2), (D4, (1, 1, 1, 1), 2),
+                             (D4_OUT, (1, 1, 1, 1), 2)):
             letters = [v for v, k in zip(quiver.vertices, d) for _ in range(k)]
             words = sorted(set(permutations(letters)))
             for X in enumerate_reps(quiver, quiver.vec(d), q):
@@ -982,6 +988,31 @@ class TestBudgetsReadOnce:
         assert (exc.value.required, exc.value.budget) == (120, 100)
         assert str(exc.value) == "120 hyperplane members exceed the budget 100"
 
+    def test_comp_series_prices_every_step_first(self, k2, monkeypatch):
+        # K2 at (4, 1) with one nonzero arrow: no hyperplane at j holds its
+        # image, but the steps at i, up to 15 * 8 members, are priced first
+        X = FFRep(k2, 2, dv(i=4, j=1), [[[1, 0, 0, 0]], [[0, 0, 0, 0]]])
+        monkeypatch.setenv("QI_BUDGET", "100")
+        for call in (lambda: has_comp_series(X, "jiiii"),
+                     lambda: oracle.comp_series_point_set(k2, "jiiii", 2, budget=1000)):
+            with pytest.raises(BudgetExceeded) as exc:
+                call()
+            assert (exc.value.required, exc.value.budget) == (120, 100)
+            assert str(exc.value) == "120 hyperplane members exceed the budget 100"
+        monkeypatch.delenv("QI_BUDGET")
+        assert not has_comp_series(X, "jiiii")
+        assert X in oracle.comp_series_point_set(k2, "iiiij", 2)
+
+    def test_a_word_of_another_weight_reads_no_budget(self, k2, monkeypatch):
+        monkeypatch.setenv("QI_BUDGET", "many")
+        X = FFRep(k2, 2, dv(i=1, j=1), [[[0]], [[0]]])
+        assert not has_comp_series(X, "jj")
+        assert not has_comp_series(X, "jij")
+        with pytest.raises(InputError, match="unknown vertex"):
+            has_comp_series(X, "jx")
+        with pytest.raises(InputError, match="QI_BUDGET must be an integer"):
+            has_comp_series(X, "ji")
+
 
 class TestIndecomposable:
     def test_a2_counts(self, a2):
@@ -1014,6 +1045,21 @@ class TestSimpleTuple:
             is_simple_tuple(2, [[[1, 0]]], 2)
         with pytest.raises(InputError, match="n must be nonnegative"):
             is_simple_tuple(-1, [], 2)
+
+    def test_subspaces_are_priced_first(self, monkeypatch):
+        monkeypatch.setenv("QI_BUDGET", "100")
+        with pytest.raises(BudgetExceeded) as exc:
+            is_simple_tuple(4, [], 3)
+        assert (exc.value.required, exc.value.budget) == (212, 100)
+        assert str(exc.value) == "212 subspace tuples exceed the budget 100"
+        assert not is_simple_tuple(3, [], 3)  # 28 subspaces
+        monkeypatch.delenv("QI_BUDGET")
+        # 8.3 * 10^6 subspaces of F_2^9, and a total dimension past its budget
+        for n, q, required in ((9, 2, subspace_count(9, 2)), (7, 3, subspace_count(7, 3)),
+                               (oracle.VECTOR_BUDGET + 1, 2, oracle.VECTOR_BUDGET + 1)):
+            with pytest.raises(BudgetExceeded) as exc:
+                is_simple_tuple(n, [], q)
+            assert exc.value.required == required
 
 
 class TestCompSeries:
@@ -1048,6 +1094,15 @@ class TestQuadraticForm:
         coeffs, rank = kronecker_quadratic_form([[[1, 0], [0, 1]]], 3)
         assert coeffs == {(0, 0): 1}
         assert rank == 1
+
+    def test_coefficients_are_priced_first(self):
+        zero = [[0, 0], [0, 0]]
+        coeffs, rank = kronecker_quadratic_form([zero] * 446, 3)
+        assert (len(coeffs), rank) == (446 * 447 // 2, 0)
+        with pytest.raises(BudgetExceeded) as exc:
+            kronecker_quadratic_form([zero] * 447, 3)
+        assert (exc.value.required, exc.value.budget) == (447 * 448 // 2, 10 ** 5)
+        assert str(exc.value) == "100128 quadric coefficients exceed the budget 100000"
 
     def test_even_field_rejected(self):
         with pytest.raises(InputError):
