@@ -228,8 +228,8 @@ def _kron_quadric(mats, q):
 
 def _comp_series(Q, text, q, budget):
     word = _word(text)
-    pts = oracle.comp_series_point_set(Q, word, q, budget=budget)
-    return _counted(len(pts), Q, words.word_weight(Q, word), q)
+    count = oracle.count_comp_series(Q, word, q, budget=budget)
+    return _counted(count, Q, words.word_weight(Q, word), q)
 
 
 def _load_fixtures(path):

@@ -39,8 +39,8 @@ __all__ = [
     "count_semistable",
     "count_stable",
     "count_indecomposable",
+    "count_comp_series",
     "min_generic_ext",
-    "comp_series_point_set",
     "default_budget",
 ]
 
@@ -650,12 +650,9 @@ def is_simple_tuple(n, mats, q) -> bool:
             raise InputError("matrices must be n x n")
     if n == 0:
         return False
-    _check_subspaces((n,), q, default_budget("subspace"))
-    for r in range(1, n):
-        for rows, members in _member_spaces(n, r, q):
-            if all(_image(m, vec, q) in members for m in mats for vec in rows):
-                return False
-    return True
+    # a rep of one vertex with a loop per matrix, stable at theta = 0
+    plan = _plan(((0, 0),) * len(mats), (0,), (n,), q, False, default_budget("subspace"))
+    return not _destabilized(tuple(mats), plan, q)
 
 
 # ---------------------------------------------------------------------------
@@ -723,18 +720,18 @@ def has_comp_series(X: FFRep, word) -> bool:
         X.quiver.arrow_pairs, X.q, X.dims, X.mats, heads)
 
 
-def comp_series_point_set(quiver, word, q, budget=None):
-    """All representations of the word's weight admitting a composition
-    series of that type; the oracle's version of the stratum closure
-    question.  R_d and every step of the search are priced before the
-    first draw."""
+def count_comp_series(quiver, word, q, budget=None):
+    """The points of R_d(F_q), d the word's weight, with a composition series
+    of that type, an isomorphism invariant, so counted over one representative
+    per rank of one arrow (:func:`_slices`).  The rep budget prices all of
+    R_d, then every step of the search is priced, before the first draw."""
     word = tuple(map(str, word))
     index = [quiver.index(x) for x in word]
-    dims = tuple(map(index.count, range(len(quiver.vertices))))
-    reps = enumerate_reps(quiver, quiver.vec(dims), q, budget)
+    d = quiver.vec(map(index.count, range(len(quiver.vertices))))
+    dims, shapes = _shapes(quiver, d, q, budget)
     heads = _series_heads(quiver, word, dims, q)
-    return frozenset(X for X in reps if _has_comp_series(
-        quiver.arrow_pairs, q, X.dims, X.mats, heads))
+    return sum(weight for weight, X in _slices(quiver, q, dims, shapes)()
+               if _has_comp_series(quiver.arrow_pairs, q, dims, X.mats, heads))
 
 
 # ---------------------------------------------------------------------------

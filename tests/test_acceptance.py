@@ -18,15 +18,14 @@ from quivermoduli.cli import main as cli_main
 from quivermoduli.generic import generic_ext
 from quivermoduli.hn import (betti_coefficients, betti_via_mass, mass_ss,
                              mass_ss_closed, poincare)
-from quivermoduli.oracle import (FFRep, comp_series_point_set,
-                                 count_semistable, enumerate_reps,
-                                 is_indecomposable,
+from quivermoduli.oracle import (FFRep, count_semistable, enumerate_reps,
+                                 has_comp_series, is_indecomposable,
                                  is_semistable, kronecker_quadratic_form,
                                  min_generic_ext)
 from quivermoduli.quiver import DimVector, Quiver, Stability, kronecker_quiver
 from quivermoduli.roots import classify_root
 from quivermoduli.series import two_row_partition_series
-from quivermoduli.words import MonoidOutcome, monoid_equal, word_leq
+from quivermoduli.words import MonoidOutcome, monoid_equal, word_leq, word_weight
 from quivermoduli.words import _relations  # noqa: internal, used as test data
 
 from conftest import group_order, halve_exponents, theta_value
@@ -256,7 +255,8 @@ def test_c8_partition_series_asymptotics(capsys):
 
 @lru_cache(maxsize=None)
 def _points(quiver, word):
-    return comp_series_point_set(quiver, word, 2)
+    return frozenset(X for X in enumerate_reps(quiver, word_weight(quiver, word), 2)
+                     if has_comp_series(X, word))
 
 
 def test_c9_composition_monoid_soundness(capsys):

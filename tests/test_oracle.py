@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from quivermoduli import oracle
 from quivermoduli.errors import BudgetExceeded, InputError
-from quivermoduli.oracle import (FFRep, count_indecomposable, count_semistable,
-                                 count_stable, enumerate_reps, ext_dim,
+from quivermoduli.oracle import (FFRep, count_comp_series, count_indecomposable,
+                                 count_semistable, count_stable,
+                                 enumerate_reps, ext_dim,
                                  has_comp_series,
                                  hom_dim, is_indecomposable, is_semistable,
                                  is_simple_tuple, is_stable,
@@ -847,8 +848,10 @@ class TestAgainstReference:
 
     def test_simple_tuple(self):
         rng = random.Random(7070)
+        # over F_2, n = 2 or 3 with m >= 2 builds mask tables, n = 4 does not
         for _ in range(120):
-            n, q, m = rng.randrange(4), rng.choice((2, 3)), rng.randrange(3)
+            q = rng.choice((2, 3))
+            n, m = rng.randrange(5 if q == 2 else 4), rng.randrange(4)
             mats = [[[rng.randrange(q) for _ in range(n)] for _ in range(n)]
                     for _ in range(m)]
             proper = [W for W in all_subspaces(n, q) if 1 < len(W) < q ** n]
@@ -947,12 +950,13 @@ class TestBudgetsReadOnce:
         reads.clear()
         count_indecomposable(k2, dv(i=1, j=2), 3)
         assert reads == ["rep", "end"]
+        reps = list(enumerate_reps(a3, DimVector({"1": 1, "2": 1, "3": 1}), 2))
+        expected = sum(has_comp_series(X, ["3", "2", "1"]) for X in reps)
         reads.clear()
-        points = oracle.comp_series_point_set(a3, ["3", "2", "1"], 2)
+        assert count_comp_series(a3, ["3", "2", "1"], 2) == expected
         assert reads == ["rep", "subspace"]
         reads.clear()
-        X = next(iter(points))
-        assert has_comp_series(X, ["3", "2", "1"])
+        assert has_comp_series(reps[0], ["3", "2", "1"])
         assert reads == ["subspace"]
 
     def test_refusals_keep_their_order(self, k2, monkeypatch):
@@ -961,12 +965,12 @@ class TestBudgetsReadOnce:
         with pytest.raises(BudgetExceeded, match="256 representations"):
             count_indecomposable(k2, dv(i=2, j=2), 2, budget=10)
         with pytest.raises(BudgetExceeded, match="256 representations"):
-            oracle.comp_series_point_set(k2, ["j", "j", "i", "i"], 2, budget=10)
+            count_comp_series(k2, ["j", "j", "i", "i"], 2, budget=10)
         # nothing reads it for the zero vector
         assert count_indecomposable(k2, dv(), 2, budget=10) == 0
-        assert len(oracle.comp_series_point_set(k2, [], 2, budget=10)) == 1
+        assert count_comp_series(k2, [], 2, budget=10) == 1
         for call in (lambda: count_indecomposable(k2, dv(i=1, j=1), 2, budget=10),
-                     lambda: oracle.comp_series_point_set(k2, ["j", "i"], 2, budget=10)):
+                     lambda: count_comp_series(k2, ["j", "i"], 2, budget=10)):
             with pytest.raises(InputError, match="QI_BUDGET must be an integer"):
                 call()
 
@@ -984,7 +988,7 @@ class TestBudgetsReadOnce:
         # the first hyperplane level of (0, 4) over F_2 has 15 * 8 members
         monkeypatch.setenv("QI_BUDGET", "100")
         with pytest.raises(BudgetExceeded) as exc:
-            oracle.comp_series_point_set(k2, ["j"] * 4, 2)
+            count_comp_series(k2, ["j"] * 4, 2)
         assert (exc.value.required, exc.value.budget) == (120, 100)
         assert str(exc.value) == "120 hyperplane members exceed the budget 100"
 
@@ -994,14 +998,16 @@ class TestBudgetsReadOnce:
         X = FFRep(k2, 2, dv(i=4, j=1), [[[1, 0, 0, 0]], [[0, 0, 0, 0]]])
         monkeypatch.setenv("QI_BUDGET", "100")
         for call in (lambda: has_comp_series(X, "jiiii"),
-                     lambda: oracle.comp_series_point_set(k2, "jiiii", 2, budget=1000)):
+                     lambda: count_comp_series(k2, "jiiii", 2, budget=1000)):
             with pytest.raises(BudgetExceeded) as exc:
                 call()
             assert (exc.value.required, exc.value.budget) == (120, 100)
             assert str(exc.value) == "120 hyperplane members exceed the budget 100"
         monkeypatch.delenv("QI_BUDGET")
         assert not has_comp_series(X, "jiiii")
-        assert X in oracle.comp_series_point_set(k2, "iiiij", 2)
+        # every subspace at i with all of j is a subrep: all 2^8 points count
+        assert has_comp_series(X, "iiiij")
+        assert count_comp_series(k2, "iiiij", 2) == 2 ** 8
 
     def test_a_word_of_another_weight_reads_no_budget(self, k2, monkeypatch):
         monkeypatch.setenv("QI_BUDGET", "many")
@@ -1076,6 +1082,19 @@ class TestCompSeries:
     def test_wrong_length(self, a2):
         iso = a2_rep(a2, 2, [(1,)])
         assert not has_comp_series(iso, "j")
+
+    def test_count_is_the_size_of_the_reference_set(self, k1, k2, k3, a3):
+        # the slices' weighted count against the full enumeration's point set
+        for quiver in (k1, k2, k3, a3, D4, Quiver(["x", "y"], [])):
+            words = [w for n in range(4)
+                     for w in product(quiver.vertices, repeat=n)]
+            for q in (2, 3):
+                for word in words:
+                    d = quiver.vec(map(word.count, quiver.vertices))
+                    points = frozenset(X for X in enumerate_reps(quiver, d, q)
+                                       if has_comp_series(X, word))
+                    assert count_comp_series(quiver, word, q) == len(points), \
+                        (quiver, word, q)
 
 
 class TestQuadraticForm:

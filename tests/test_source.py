@@ -94,6 +94,7 @@ RESERVED = {
     "hn.poincare": "the paper's P(v)",
     "generic.generic_subrep": "the generic-subrepresentation test in the README, "
                               "and the King's-criterion reference in test_hn",
+    "oracle.enumerate_reps": "the full enumeration that the tests check the slices against",
     "oracle.is_stable": "an oracle predicate that the tests verify against",
     "oracle.is_simple_tuple": "an oracle predicate that the tests verify against",
     "oracle.has_comp_series": "an oracle predicate that the tests verify against",
