@@ -85,7 +85,6 @@ from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _conte
                      _memoized, _minus, clear_caches)
 
 __all__ = [
-    "CycloFrac",
     "HNType",
     "mass",
     "ss_nonempty",
@@ -108,30 +107,18 @@ _set = object.__setattr__
 class CycloFrac:
     """x^lo (co[0] + co[1] x + ...) / prod_k (x^k - 1)^{m_k}: a dense
     numerator, a coefficient tuple ``co`` with nonzero ends (empty for 0),
-    over a dict ``den`` of factors; no cancellation until :meth:`reduce`.
+    over a dict ``den`` {k: m_k} of factors; no cancellation until :meth:`reduce`.
 
     The recursions below keep numerators over the fixed denominator D(g) of
     each dimension vector and build a CycloFrac only around a result, to
-    reduce it."""
+    reduce it, so it is not in ``__all__``; ``__add__`` serves only the
+    benchmark's tracer until ROADMAP items 18 and 21 fold the class away."""
 
     __slots__ = ("lo", "co", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, int):
-            num = LaurentPoly({0: num})
-        clean = {}
-        for e, m in (den or {}).items():
-            if e < 1 or m < 0:
-                raise InputError("denominator factors need e >= 1, m >= 0")
-            if m:
-                clean[e] = m
-        _set(self, "lo", num.lo)
-        _set(self, "co", num.co)
-        _set(self, "den", clean)
-
     @classmethod
     def _of(cls, lo, co, den):
-        """A CycloFrac around trusted parts."""
+        """A CycloFrac around trusted parts: the one constructor."""
         out = object.__new__(cls)
         _set(out, "lo", lo)
         _set(out, "co", co)
@@ -140,14 +127,6 @@ class CycloFrac:
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloFrac is immutable")
-
-    @property
-    def num(self):
-        """The numerator as a LaurentPoly."""
-        return LaurentPoly._of(self.lo, self.co)
-
-    def is_zero(self):
-        return not self.co
 
     # caller: the benchmark's tracer (bench/tracing.py METHODS), not a command
     def __add__(self, other):
@@ -185,8 +164,8 @@ class CycloFrac:
         canonical form.  So the result is canonical by construction, and no
         gcd is ever taken.
         """
-        if self.is_zero():
-            return RationalFunc.zero()
+        if not self.co:
+            return RationalFunc(LaurentPoly._of(0, ()))
         co = self.co
         cyc = {}
         for e, m in sorted(self.den.items(), reverse=True):
@@ -637,7 +616,7 @@ def _times_q_minus_one(g, numerator):
     q - 1 for each nonzero entry, and the product takes one away."""
     lo, co, *_ = numerator
     if not co:
-        return LaurentPoly()
+        return LaurentPoly._of(0, ())
     den = _den(g)
     den[1] -= 1
     return CycloFrac._of(lo, co, den).reduce().to_polynomial()
@@ -675,7 +654,7 @@ def betti_coefficients(quiver, theta, d, method="closed"):
         p = betti_via_mass(quiver, theta, d)
     else:
         raise InputError(f"unknown method {method!r}")
-    if p.is_zero():
+    if not p.co:
         return []
     if p.lo < 0:
         raise AssertionError("Betti polynomial with negative exponents")

@@ -19,11 +19,13 @@ proven bound on the result's coefficients, never from a guess.  A product
 of cyclotomic polynomials, each cyclotomic among them, is one lift by
 binomials and at most one exact division (:func:`_cyclotomic_product`).
 
-A RationalFunc is a result, not a field element: ``hn.CycloFrac.reduce``
-builds it in canonical form (no common factor, denominator with lowest
-exponent zero and positive leading coefficient), so equality compares parts
-and no gcd is needed.  ``Fraction`` remains only in evaluation at rational
-points.
+A RationalFunc is a result, not a field element: two LaurentPolys ``num``
+and ``den`` that ``hn.CycloFrac.reduce`` builds in canonical form (no
+common factor, denominator with lowest exponent zero and positive leading
+coefficient), so equality compares parts and no gcd is needed.  Commands
+read results through ``items``, ``to_polynomial`` and ``to_json``; the
+product, ``divexact`` and the ``evaluate``s, the one use of ``Fraction``,
+serve only the benchmark until ROADMAP items 18 and 21 drop them.
 """
 
 from __future__ import annotations
@@ -234,41 +236,17 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls._of(0, ())
-
-    @classmethod
-    def one(cls):
-        return cls._of(0, (1,))
-
     # -- structure ---------------------------------------------------------
 
     def items(self):
         """The nonzero terms as (exponent, coefficient) pairs, ascending."""
         return [(e, a) for e, a in enumerate(self.co, self.lo) if a]
 
-    def is_zero(self):
-        return not self.co
-
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self.lo == other.lo and self.co == other.co
-
-    def __hash__(self):
-        # a constant hashes like the int it equals
-        if not self.co:
-            return hash(0)
-        if self.lo == 0 and len(self.co) == 1:
-            return hash(self.co[0])
-        return hash((self.lo, self.co))
-
-    def __bool__(self):
-        return bool(self.co)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -278,7 +256,7 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         if not self.co or not other.co:
-            return LaurentPoly.zero()
+            return LaurentPoly._of(0, ())
         out = [0] * (len(self.co) + len(other.co) - 1)
         for i, x in enumerate(self.co):
             if x:
@@ -302,6 +280,7 @@ class LaurentPoly:
 
     # -- polynomial views --------------------------------------------------
 
+    # caller: RationalFunc.evaluate, not a command
     def evaluate(self, v0):
         """Exact value at a rational point (nonzero when negative exponents occur)."""
         v0 = Fraction(v0)
@@ -315,22 +294,8 @@ class LaurentPoly:
         terms = [{"exp": e, "coeff": str(a)} for e, a in self.items()]
         return {"variable": variable, "terms": terms}
 
-    def __repr__(self):
-        return f"LaurentPoly({self})"
 
-    def __str__(self, variable="v"):
-        if not self.co:
-            return "0"
-        parts = []
-        for e, a in reversed(self.items()):
-            if e == 0:
-                term = str(abs(a))
-            else:
-                mag = "" if abs(a) == 1 else f"{abs(a)}*"
-                term = f"{mag}{variable}^{e}" if e != 1 else f"{mag}{variable}"
-            parts.append(("- " if a < 0 else "+ ") + term)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+_ONE = LaurentPoly._of(0, (1,))
 
 
 class RationalFunc:
@@ -347,7 +312,7 @@ class RationalFunc:
         if isinstance(num, int):
             num = LaurentPoly({0: num})
         if den is None:
-            den = LaurentPoly.one()
+            den = _ONE
         elif not _canonical:
             raise InputError("a denominator comes only from CycloFrac.reduce, "
                              "which proves it canonical")
@@ -357,17 +322,7 @@ class RationalFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunc is immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls(LaurentPoly.zero(), LaurentPoly.one(), _canonical=True)
-
-    @classmethod
-    def one(cls):
-        return cls(LaurentPoly.one(), LaurentPoly.one(), _canonical=True)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
+    # caller: the acceptance criteria, not a command
     def __eq__(self, other):
         if isinstance(other, (int, LaurentPoly)):
             other = RationalFunc(other)
@@ -375,18 +330,15 @@ class RationalFunc:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        # a polynomial hashes like its numerator, which it equals
-        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
-
     def to_polynomial(self):
         """The numerator when the canonical denominator is 1; error otherwise."""
-        if self.den == LaurentPoly.one():
+        if self.den == _ONE:
             return self.num
         raise NonPolynomialError(
-            f"not a polynomial: canonical denominator is {self.den}",
+            f"not a polynomial: canonical denominator is {self.den.to_json()}",
             remainder=self.den)
 
+    # caller: oracle-verify's check (bench/workloads.py), not a command
     def evaluate(self, v0):
         v0 = Fraction(v0)
         dval = self.den.evaluate(v0)
@@ -396,11 +348,6 @@ class RationalFunc:
 
     def to_json(self, variable="v"):
         return {"num": self.num.to_json(variable), "den": self.den.to_json(variable)}
-
-    def __repr__(self):
-        if self.den == LaurentPoly.one():
-            return f"RationalFunc({self.num})"
-        return f"RationalFunc(({self.num}) / ({self.den}))"
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import pytest
 from quivermoduli import generic, roots
 from quivermoduli.cli import _COMMANDS, _HELP, _PROG, _command, _Help
 from quivermoduli.errors import InputError
+from quivermoduli.hn import CycloFrac
 from quivermoduli.laurent import LaurentPoly
 from quivermoduli.quiver import (DimVector, Quiver, Stability, _below, _context,
                                  _contexts, _memoized, _minus, kronecker_quiver)
@@ -159,7 +160,7 @@ class Frac:
 
     def __init__(self, num, den=None):
         self.num = poly(num)
-        self.den = LaurentPoly.one() if den is None else den
+        self.den = poly(1) if den is None else den
 
     @staticmethod
     def of(x):
@@ -187,6 +188,13 @@ class Frac:
     def __eq__(self, other):
         o = Frac.of(other)
         return poly_mul(self.num, o.den) == poly_mul(o.num, self.den)
+
+
+def cyclofrac(num, den=None):
+    """The ``hn.CycloFrac`` of the LaurentPoly or int ``num`` over
+    prod_e (x^e - 1)^m for the items (e, m) of the dict ``den``."""
+    num = poly(num)
+    return CycloFrac._of(num.lo, num.co, {e: m for e, m in (den or {}).items() if m})
 
 
 def halve_exponents(p):
@@ -237,7 +245,7 @@ def fraction_divexact(a, b):
     """Reference exact division: long division over Q, then integrality."""
     num, nlo = a.co, a.lo
     den, dlo = b.co, b.lo
-    if a.is_zero():
+    if not a.co:
         return LaurentPoly()
     if len(num) < len(den):
         return None
@@ -418,7 +426,7 @@ class ReferenceHN:
 
     @staticmethod
     def add(terms):
-        terms = [t for t in terms if not t[0].is_zero()]
+        terms = [t for t in terms if t[0].co]
         den = {}
         for _, d in terms:
             for e, m in d.items():
@@ -426,7 +434,7 @@ class ReferenceHN:
         num = poly_add(*(poly_mul(n, binomial_product({e: m - d.get(e, 0)
                                                          for e, m in den.items()}))
                          for n, d in terms))
-        return (num, den) if not num.is_zero() else (num, {})
+        return (num, den) if num.co else (num, {})
 
     @staticmethod
     def mul(a, b):
@@ -439,8 +447,8 @@ class ReferenceHN:
     def canonical(frac):
         """(numerator, denominator) in the canonical form of RationalFunc."""
         num, den = frac
-        if num.is_zero():
-            return LaurentPoly.zero(), LaurentPoly.one()
+        if not num.co:
+            return poly(0), poly(1)
         cyc = {}
         for e, m in den.items():
             for n in range(1, e + 1):
@@ -490,7 +498,7 @@ class ReferenceHN:
                     if not self.slope(rest) > mu:
                         continue
                     inner = self.resolved(rest, mu)
-                    if inner[0].is_zero():
+                    if not inner[0].co:
                         continue
                     term = self.mul(term, inner)
                     term = (poly_neg(term[0]), term[1])
@@ -519,7 +527,7 @@ class ReferenceHN:
                 mu, e = parts[i]
                 i += 1
                 ss = self.hn(e, top)[0]
-                if ss[0].is_zero():
+                if not ss[0].co:
                     continue
                 rest = tuple(x - y for x, y in zip(f, e))
                 num, den = self.mul(ss, self.hn(rest, top, mu)[1][mu])
@@ -541,12 +549,12 @@ class ReferenceHN:
     @classmethod
     def times_q_minus_one(cls, frac):
         num, den = frac
-        if num.is_zero():
-            return LaurentPoly.zero()
+        if not num.co:
+            return poly(0)
         den = dict(den)
         den[1] -= 1
         num, den = cls.canonical((num, den))
-        if den != LaurentPoly.one():
+        if den != 1:
             raise ValueError("not a polynomial")
         return num
 

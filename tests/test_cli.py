@@ -145,6 +145,20 @@ class TestBasicCommands:
                        "--method", "closed")
         assert rec["result"]["mass_ss"] == clo["result"]["mass_ss"]
 
+    def test_zero_results(self, capsys):
+        # A2 (2, 1) at theta = (1, 0) has an empty semistable locus, with
+        # theta(d) = 2 coprime to dim d = 3: each method gives the zero mass,
+        # 0 over 1, and the empty Betti row
+        zero = {"num": {"variable": "q", "terms": []},
+                "den": {"variable": "q", "terms": [{"exp": "0", "coeff": "1"}]}}
+        argv = ["--quiver", A2, "--dim", '{"i": 2, "j": 1}', "--theta", THETA]
+        for method in ("recursive", "closed"):
+            doc = run_json(capsys, "mass-ss", *argv, "--method", method)
+            assert doc["result"] == {"mass_ss": zero, "method": method}
+        for method in ("closed", "mass"):
+            doc = run_json(capsys, "betti", *argv, "--method", method)
+            assert doc["result"] == {"coefficients": [], "method": method}
+
     @pytest.mark.parametrize("dim, nonempty", [('{"i": 20, "j": 21}', True),
                                                ('{"i": 30, "j": 8}', False)],
                              ids=["20-21", "30-8"])

@@ -104,10 +104,9 @@ RESERVED = {
 }
 
 
-def test_every_public_name_has_a_caller():
-    # each name in a module's __all__ is loaded in the package or in the
-    # benchmark's modules beyond its own definition, or RESERVED says why it
-    # stays; the tests alone are no caller
+def _package_and_bench():
+    """The package and benchmark directories, the tree of each of their
+    modules by path, and the counts of the names loaded over all of them."""
     package = Path(quivermoduli.__file__).parent
     bench = Path(__file__).resolve().parent.parent / "bench"
     trees = {path: ast.parse(path.read_text())
@@ -116,6 +115,14 @@ def test_every_public_name_has_a_caller():
     for tree in trees.values():
         names, attrs = _loads(tree)
         loads += names + attrs
+    return package, bench, trees, loads
+
+
+def test_every_public_name_has_a_caller():
+    # each name in a module's __all__ is loaded in the package or in the
+    # benchmark's modules beyond its own definition, or RESERVED says why it
+    # stays; the tests alone are no caller
+    package, _, trees, loads = _package_and_bench()
     unreached = []
     for path in sorted(package.glob("*.py")):
         name = "quivermoduli" if path.stem == "__init__" else f"quivermoduli.{path.stem}"
@@ -126,3 +133,74 @@ def test_every_public_name_has_a_caller():
             if loads[attr] == own:
                 unreached.append(f"{path.stem}.{attr}")
     assert sorted(unreached) == sorted(RESERVED)
+
+
+# Methods of the result types that no name in the package or the benchmark
+# loads and no tracer entry patches, each with the reason it stays.  The
+# interpreter calls a dunder method, so only the tracer's table or this dict
+# accounts for one.
+KEPT_METHODS = {
+    "LaurentPoly.__init__": "a polynomial from a dict of terms, for hn.poincare, "
+                            "_as_poly, RationalFunc on an int and bench/test_bench.py",
+    "LaurentPoly.__rmul__": "bench/test_bench.py checks that the tracer patches it "
+                            "beside __mul__",
+    "LaurentPoly.__eq__": "to_polynomial's test for the denominator 1, and "
+                          "bench/test_bench.py",
+    "RationalFunc.__eq__": "the acceptance criteria compare results with ==",
+    "LaurentPoly.__setattr__": "the immutability guard",
+    "RationalFunc.__setattr__": "the immutability guard",
+    "CycloFrac.__setattr__": "the immutability guard",
+}
+
+RESULT_TYPES = {"laurent": ("LaurentPoly", "RationalFunc"), "hn": ("CycloFrac",)}
+
+
+def _methods(tree, name):
+    """(method name, node) for each def in the body of the class ``name`` and
+    each alias such as ``__rmul__ = __mul__``."""
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name, item
+        elif isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+            yield from ((t.id, item) for t in item.targets)
+
+
+def _traced(tree):
+    """(class, attribute) of each entry of the tracer's METHODS table."""
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["METHODS"])
+    return {(entry.elts[1].value, entry.elts[2].value) for entry in table.elts}
+
+
+def test_every_result_type_method_has_a_caller():
+    # a method of LaurentPoly, RationalFunc or CycloFrac is loaded by name
+    # in the package or the benchmark beyond its own definition, or the
+    # benchmark's tracer patches it, or KEPT_METHODS says why it stays; the
+    # tests alone are no caller, and neither is a load of a dunder name such
+    # as object.__setattr__
+    package, bench, trees, loads = _package_and_bench()
+    traced = _traced(trees[bench / "tracing.py"])
+    unreached = []
+    for stem, classes in RESULT_TYPES.items():
+        for cls in classes:
+            for name, node in _methods(trees[package / f"{stem}.py"], cls):
+                dunder = name.startswith("__") and name.endswith("__")
+                own = sum(_loads(node), Counter())[name]
+                if (dunder or loads[name] == own) and (cls, name) not in traced:
+                    unreached.append(f"{cls}.{name}")
+    assert sorted(unreached) == sorted(KEPT_METHODS)
+
+
+def test_only_laurent_imports_fractions():
+    # the recursions and the oracle run on integers; Fraction serves only
+    # the evaluation at rational points that the benchmark's oracle-verify
+    # check reads
+    found = [path.stem
+             for path in sorted(Path(quivermoduli.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import)
+             and any(alias.name == "fractions" for alias in node.names)]
+    assert found == ["laurent"]
