@@ -27,11 +27,15 @@ __all__ = [
 ]
 
 
-@_memoized
 def _subreps(ctx, d):
     """{e: <e, d>} over the dimensions 0 < e <= d of generic
     subrepresentations, those with ext(e, d - e) = 0, lexicographically, so
-    d itself comes last."""
+    d itself comes last.  Kept in ``ctx.memo`` under (_subreps, d), which
+    the loop reads first."""
+    memo = ctx.memo
+    subreps = memo.get((_subreps, d))
+    if subreps is not None:
+        return subreps
     row = ctx.row(d)  # <e, d> = sum(e * row)
     pairing = {e: sum(map(mul, e, row)) for e in _below(d)}
     subreps = {}
@@ -39,10 +43,11 @@ def _subreps(ctx, d):
         # by Schofield, ext(e, d - e) = 0 iff <x, d - e> >= 0, that is
         # <x, e> <= <x, d>, for every x in _subreps(ctx, e); d itself always
         # qualifies, and the largest x most often fails, so it is tried first
-        sub = {} if e == d else _subreps(ctx, e)
+        sub = {} if e == d else memo.get((_subreps, e)) or _subreps(ctx, e)
         if all(map(le, reversed(sub.values()),
                    map(pairing.__getitem__, reversed(sub)))):
             subreps[e] = p
+    memo[_subreps, d] = subreps
     return subreps
 
 

@@ -33,8 +33,9 @@ Both are read off one pass per f over its parts by descending slope, which
 computes each X(e, f) once (see the comment above the HN recursion).
 T(f; b) changes only where b passes the slope of a part of f, so the pass
 unpacks each distinct value of T(f; .) once and every bound that reads it
-shares the record.  Each record keeps its own packed forms, so within one
-query it is packed once per digit width.
+shares the record.  Each record keeps its own packed forms and is born
+with one, at the digit width of the sum that made it, so within one query it
+is packed once per digit width, counting that one.
 
 The semistable locus of d is nonempty iff no generic subrepresentation
 dimension e of d has mu(e) > mu(d) (King, Quart. J. Math. 45, 1994;
@@ -48,7 +49,7 @@ Below the public functions, everything runs on integer tuples in vertex
 order.  Each public call checks its inputs and then builds one query for
 its d, which lives as long as the call: the slope rank of each e <= d (a
 smaller rank is a steeper slope, so every comparison of slopes is one of
-integer ranks), for each h <= d the set of ranks below h, and the memo of
+integer ranks), for each h <= d the set of ranks below h, and the memos of
 the call's recursions.  Only the theta-free context of the quiver, in the
 one store that ``hn`` shares with ``generic``, outlives the call.  Each
 quantity of a dimension vector g in either sum is kept as an integer
@@ -74,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
 from .generic import _subreps
@@ -319,8 +320,9 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 # so each quantity of g is kept as its numerator over D(g): a record
 # (lo, co, height, length, packs) of a low exponent, a coefficient tuple
 # with nonzero ends (empty for zero), max |co| and sum |co| (both 0 for
-# zero), and the dict of its packed forms that ``_lifted`` fills (None for
-# zero, which is never packed).
+# zero), and the dict of its packed forms (None for zero, which is never
+# packed): the sum that makes a record gives it its form at the sum's
+# width, and ``_lifted`` adds the rest.
 # A product of quantities of e and g - e is over D(e) D(g - e), and
 #   D(g) / (D(e) D(g - e)) = B(g, e) = prod_i [g_i choose e_i]_x,
 # so a sum for g is a convolution with Gaussian binomials.
@@ -334,23 +336,21 @@ def _packed_binomial(query, n, m, width):
     return _pack(_gaussian_binomial(n, m), width)
 
 
-def _lifted(query, p, n, m, width):
+def _lifted(query, p, key):
     """[n choose m]_x P packed at ``width`` bits a digit, for the nonzero
-    record P, which keeps the value under (n, min(m, n - m), width): P is
-    packed once per width, and lifted once per width and binomial, as it
-    recurs in the sums of every g with the same last entry n;
-    [n choose 0]_x = [n choose n]_x = 1 lifts nothing."""
-    m = min(m, n - m)
-    if m <= 0:
-        n = m = 0
+    record P and key = (n, m, width) with 0 < m <= n - m, or n = m = 0 for P
+    itself.  P keeps the value under ``key``: it is packed once per width,
+    and lifted once per width and binomial, as it recurs in the sums of
+    every g with the same last entry n."""
     packs = p[4]
-    value = packs.get((n, m, width))
+    value = packs.get(key)
     if value is None:
+        n, m, width = key
         if n:
-            value = _lifted(query, p, 0, 0, width) * _packed_binomial(query, n, m, width)
+            value = _lifted(query, p, (0, 0, width)) * _packed_binomial(query, n, m, width)
         else:
             value = _pack(p[1], width)
-        packs[n, m, width] = value
+        packs[key] = value
     return value
 
 
@@ -371,28 +371,45 @@ def _binomial_sum(query, g, terms, cuts=()):
       |coefficient of B(g, e) P Q|
         <= prod_i C(g_i, e_i) min(height P length Q, length P height Q),
     and the coefficients of B(g, e) P are at most prod_i C(g_i, e_i)
-    height P.  Consecutive terms whose e agree but for the last entry share
-    the binomials of the other vertices, which multiply their packed sum
-    once.  B(g_last, e_last) P and Q are packed through ``_lifted``, so each
-    record is packed once per width and lifted once per width and binomial."""
+    height P.  Each term is priced from ``query.binomials``: C(g_i, e_i)
+    and the degree e_i (g_i - e_i) of [g_i choose e_i]_x.  Consecutive
+    terms whose e agree but for the last entry share the binomials of the
+    other vertices, which multiply their packed sum once.
+    B(g_last, e_last) P and Q are read from the packs of P and Q, and only
+    a missing one is made by ``_lifted``, so each record is packed once per
+    width and lifted once per width and binomial.  Each new nonzero record
+    is born with its packed form at this width."""
     w = query.weight[g]
     lo = hi = w
     bound = 1
     shifts = []
+    rows = [query.binomials[n] for n in g]
     for e, s, p, q in terms:
         s += p[0]
-        size = len(p[1]) - 1 + sum(map(mul, e, _minus(g, e)))
+        size = len(p[1]) - 1
+        count = 1
+        for row, m in zip(rows, e):
+            c, degree = row[m]
+            count *= c
+            size += degree
         if q is None:
             height = p[2]
         else:
             s += q[0]
             size += len(q[1]) - 1
             height = min(p[2] * q[3], p[3] * q[2])
-        bound += height * math.prod(map(math.comb, g, e))
+        bound += height * count
         shifts.append(s)
-        lo, hi = min(lo, s), max(hi, s + size)
+        if s < lo:
+            lo = s
+        if s + size > hi:
+            hi = s + size
     k = _digit_bits(bound)
     last = len(g) - 1
+    n = g[last]
+    # the key of [n choose m]_x P in the packs of P, for each last entry m
+    plain = (0, 0, k)
+    keys = [(n, min(m, n - m), k) if 0 < m < n else plain for m in range(n + 1)]
     total = 1 << (k * (w - lo))
     group, head, sums = 0, None, []
 
@@ -414,9 +431,10 @@ def _binomial_sum(query, g, terms, cuts=()):
         if e[:last] != head:
             flush()
             head = e[:last]
-        value = _lifted(query, p, g[last], e[last], k)
+        key = keys[e[last]]
+        value = p[4].get(key) or _lifted(query, p, key)
         if q is not None:
-            value *= _lifted(query, q, 0, 0, k)
+            value *= q[4].get(plain) or _lifted(query, q, plain)
         group += value << (k * (s - lo))
     flush()
     sums += [total] * (len(cuts) - c + 1)
@@ -424,7 +442,9 @@ def _binomial_sum(query, g, terms, cuts=()):
     for value in sums:
         if value != previous:
             low, co = _trimmed(lo, _unpack(value, hi - lo + 1, k))
-            record = (low, co, _max_abs(co), sum(map(abs, co)), {}) if co else _ZERO
+            # born packed at this width: the trimmed low digits are zero
+            record = ((low, co, _max_abs(co), sum(map(abs, co)),
+                       {plain: value >> (k * (low - lo))}) if co else _ZERO)
             previous = value
         out.append(record)
     return out
@@ -443,8 +463,10 @@ def _reduced(g, numerator):
 class _Query:
     """The theta-dependent state of one public call on the top-level d: it
     is built once every input is checked and dropped when the call returns.
-    ``ctx`` is the context of the quiver and ``memo`` the memo of the
-    call's recursions.
+    ``ctx`` is the context of the quiver.  ``passes`` and ``resolved`` are
+    the memos of the HN recursion and of the resolved sum, keyed by the
+    dimension tuple, which their loops read directly; ``memo`` holds the
+    rest, the ``_memoized`` semistability tests and packed binomials.
 
     ``slopes`` holds the distinct slopes of 0 < e <= d, reduced
     (theta(e), dim e) pairs, in descending order and ``rank[e]`` the index
@@ -453,14 +475,18 @@ class _Query:
     of h and the sets of each h minus a unit vector.  ``square[e]`` is
     <e, e>, so that <e, g - e> = <e, g> - <e, e> and
     <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
-    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e).  The
+    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e).
+    ``binomials[n][m]`` is (C(n, m), m (n - m)), the coefficient sum and
+    the degree of [n choose m]_x, for n up to the largest entry of d.  The
     query builds ``rank``, which every recursion reads, from ``slopes``;
     each of the other tables is built the first time a recursion reads it:
-    ``below`` by the HN recursion alone, ``square`` and ``weight`` by both
-    sums, and none by ``ss_nonempty`` or ``hn_types``."""
+    ``below`` by the HN recursion alone, ``square``, ``weight`` and
+    ``binomials`` by both sums, and none by ``ss_nonempty`` or
+    ``hn_types``."""
 
     def __init__(self, ctx, theta, top):
         self.ctx, self.top, self.memo = ctx, top, {}
+        self.passes, self.resolved = {}, {}
         mu = {}
         for e in _below(top):
             num, den = sum(map(mul, theta, e)), sum(e)
@@ -492,6 +518,11 @@ class _Query:
     @cached_property
     def weight(self):
         return {e: _weight_exp(self.ctx, e) for e in self.rank}
+
+    @cached_property
+    def binomials(self):
+        return [[(math.comb(n, m), m * (n - m)) for m in range(n + 1)]
+                for n in range(max(self.top) + 1)]
 
     def bounds(self, f):
         """The ranks r of the bounds b = slopes[r] of L(f), ascending, so by
@@ -531,22 +562,23 @@ class _Query:
 #   T(f - e; mu(e)) over D(f - e).
 # Under the top-level d of a query, T(f; b) is asked for only at the bounds
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
-# so the memo of the query keeps mass_ss(f) and T(f; b) for b in L(f), by
-# the rank of b.  The query gives L(f) as the ranks below d - f that are
-# steeper than f, a bitmask read off in ascending rank, and the parts of f
-# as the e <= f of rank below that of f, sorted by rank.
+# so ``query.passes`` keeps mass_ss(f) and T(f; b) for b in L(f), by the
+# rank of b, under f; a pass reads it directly and runs another pass only on
+# a miss.  The query gives L(f) as the ranks below d - f that are steeper
+# than f, a bitmask read off in ascending rank, and the parts of f as the
+# e <= f of rank below that of f, sorted by rank.
 # T(f; .) changes only at the slopes of the parts of f: bounds with no part
 # between them cut the pass after the same terms and read one value.  So
-# the pass unpacks each distinct value once and the bounds share its record,
-# which the terms of the passes above f pack through ``_lifted`` once per
-# digit width in the query, as they pack the record of mass_ss(e).
+# the pass unpacks each distinct value once and the bounds share its record.
+# The record is born packed at the width of its pass, and the terms of the
+# passes above f add a packed form through ``_lifted`` only at each other
+# digit width in the query, as they do for the record of mass_ss(e).
 
-@_memoized
 def _hn(query, f):
     """The pass of f: (mass_ss(f), {r: T(f; b)}) for the bounds b in L(f)
     of rank r, as numerators over D(f); bounds whose T(f; b) are equal share
-    one record."""
-    square = query.square
+    one record.  Kept in ``query.passes``, which the loop reads first."""
+    passes, square = query.passes, query.square
     column = query.ctx.column(f)  # <f, e> = sum(column * e)
     bounds = query.bounds(f)
     parts = query.parts(f)
@@ -558,17 +590,19 @@ def _hn(query, f):
             # e <= top - (f - e), so mu(e) is in L(f - e)
             r, e = parts[i]
             i += 1
-            ss = _hn(query, e)[0]
+            ss = (passes.get(e) or _hn(query, e))[0]
             if not ss[1]:
                 continue
-            below = _hn(query, _minus(f, e))[1][r]
+            rest = tuple(map(sub, f, e))
+            below = (passes.get(rest) or _hn(query, rest))[1][r]
             if below[1]:
                 chunk.append((e, square[e] - sum(map(mul, column, e)), ss, below))
         # in lexicographic order, terms that share binomials are adjacent
         terms += sorted(chunk, key=itemgetter(0))
         cuts.append(len(terms))
     *values, ss = _binomial_sum(query, f, terms, cuts[:-1])
-    return ss, dict(zip(bounds, values))
+    out = passes[f] = ss, dict(zip(bounds, values))
+    return out
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
@@ -580,25 +614,26 @@ def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
 # ---------------------------------------------------------------------------
 # the resolved sum: closed semistable masses and Poincare polynomials
 
-@_memoized
 def _resolved(query, g):
     """The numerator over D(g) of R(g; mu), for mu the slope of the top-level
     d of the query: the signed sum over tuples of g whose proper suffix sums
     all have slope above mu.  The caller gates g itself.  Over D(g) the term
     of e < g is -B(g, e) x^(w(e) - <e, g - e>) N(g - e), with N the
-    numerator of R(g - e; mu), and the term of g is x^(w(g))."""
-    rank, square, weight = query.rank, query.square, query.weight
+    numerator of R(g - e; mu), and the term of g is x^(w(g)).  Kept in
+    ``query.resolved``, which the loop reads first."""
+    memo, rank, square, weight = query.resolved, query.rank, query.square, query.weight
     gate = rank[query.top]
     row = query.ctx.row(g)  # <e, g> = sum(e * row)
     terms = []
     for e, rest in _splits(g):
         if e != g and rank[rest] < gate:
-            inner = _resolved(query, rest)
+            inner = memo.get(rest) or _resolved(query, rest)
             if inner[1]:
                 # w(e) - <e, g - e>
                 terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
                               inner, None))
-    return _binomial_sum(query, g, terms)[0]
+    out = memo[g] = _binomial_sum(query, g, terms)[0]
+    return out
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:

@@ -14,7 +14,7 @@ from quivermoduli.errors import BudgetExceeded, CoprimalityError, InputError
 from quivermoduli.generic import generic_subrep
 from quivermoduli.hn import (HNType, betti_coefficients, betti_via_mass, hn_types,
                              mass, mass_ss, mass_ss_closed, poincare, ss_nonempty)
-from quivermoduli.laurent import LaurentPoly, RationalFunc, cyclotomic
+from quivermoduli.laurent import LaurentPoly, RationalFunc, _pack, cyclotomic
 from quivermoduli.quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability,
                                  _context, _contexts, kronecker_quiver)
 
@@ -538,13 +538,21 @@ def laurent_sums(ctx, g, terms, cuts):
 
 
 def assert_sums(got, want):
-    """Each record of ``got`` is the numerator ``want`` gives, and equal
+    """Each record of ``got`` is the numerator ``want`` gives, born with one
+    packed form, its own at the digit width of the sum, and equal
     consecutive records are one record."""
     assert len(got) == len(want)
+    widths = set()
     for (lo, co, height, length, packs), poly in zip(got, want):
         assert LaurentPoly._of(lo, co) == poly
-        assert (height, length, packs) == ((max(map(abs, co)), sum(map(abs, co)), {})
-                                           if co else (0, 0, None))
+        if not co:
+            assert (height, length, packs) == (0, 0, None)
+            continue
+        assert (height, length) == (max(map(abs, co)), sum(map(abs, co)))
+        [(n, m, width)] = packs
+        assert (n, m) == (0, 0) and packs[n, m, width] == _pack(co, width)
+        widths.add(width)
+    assert len(widths) <= 1
     for a, b in zip(got, got[1:]):
         assert (a == b) == (a is b)
 
@@ -619,6 +627,33 @@ class TestBinomialSum:
         monkeypatch.setattr(hn, "_pack", counted_pack)
         betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
         assert packed and len(packed) == len(seen)
+
+    @pytest.mark.parametrize("method, most", [("closed", 97), ("mass", 397)])
+    def test_records_are_born_packed(self, k3, theta_i, method, most, monkeypatch):
+        # K3 (9, 10): each record comes out of its sum packed at the sum's
+        # width, so no _pack call packs it at that width, and the calls fall
+        # from 144 (closed) and 574 (mass) to at most 97 and 397
+        pack, binomial_sum = hn._pack, hn._binomial_sum
+        born, calls = {}, []
+
+        def counted_sum(*args):
+            out = binomial_sum(*args)
+            for _, co, _, _, packs in out:
+                if co:
+                    [(_, _, width)] = packs
+                    born[id(co)] = co, width  # kept alive, so that no id is reused
+            return out
+
+        def counted_pack(co, width):
+            calls.append((co, width))
+            return pack(co, width)
+
+        hn.clear_caches()
+        monkeypatch.setattr(hn, "_binomial_sum", counted_sum)
+        monkeypatch.setattr(hn, "_pack", counted_pack)
+        betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
+        assert born and calls and len(calls) <= most
+        assert not [co for co, width in calls if born.get(id(co)) == (co, width)]
 
     @pytest.mark.parametrize("method", ["closed", "mass"])
     def test_builds_each_binomial_once_per_query(self, k3, theta_i, method,
