@@ -47,11 +47,14 @@ decreasing slopes that sum to d.
 
 Below the public functions, everything runs on integer tuples in vertex
 order.  Each public call checks its inputs and then builds one query for
-its d, which lives as long as the call: the slope rank of each e <= d (a
+its d, which lives as long as the call.  The query numbers each e <= d by
+its mixed-radix index, lexicographic in e, so that f - e has the index of f
+minus that of e, and keeps in lists by index the slope rank of each e (a
 smaller rank is a steeper slope, so every comparison of slopes is one of
-integer ranks), for each h <= d the set of ranks below h, and the memos of
-the call's recursions.  Only the theta-free context of the quiver, in the
-one store that ``hn`` shares with ``generic``, outlives the call.  Each
+integer ranks), for each h the set of ranks below h, and the memos of the
+call's recursions; it also keeps the table of the packed binomials of the
+sums.  Only the theta-free context of the quiver, in the one store that
+``hn`` shares with ``generic``, outlives the call.  Each
 quantity of a dimension vector g in either sum is kept as an integer
 numerator over one fixed denominator,
 
@@ -61,7 +64,8 @@ which every term of the sums for g divides (Reineke, Invent. Math. 152,
 2003, weighs each representation by 1 / |G_g|).  A sum for g is then a
 convolution with the Gaussian binomials B(g, e) = D(g) / (D(e) D(g - e)):
 its terms are packed into big integers at one digit width, proven from a
-bound, added and unpacked once (see ``laurent``).  Only a final result
+bound, added, and unpacked once over the span of the nonzero digits (see
+``laurent``).  Only a final result
 becomes a CycloFrac over D(d), reduced by exact division through whole
 binomials x^k - 1 first and through cyclotomic polynomials only where a
 binomial fails; the cyclotomics left over make the denominator in one
@@ -71,17 +75,18 @@ sieve (``laurent._cyclotomic_product``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import itemgetter, mul, sub
+from itertools import islice
+from operator import getitem, mul
 
 from .errors import BudgetExceeded, CoprimalityError, InputError
 from .generic import _subreps
 from .laurent import (LaurentPoly, RationalFunc, _cyclotomic_product, _digit_bits,
-                      _divexact, _gaussian_binomial, _lift_sum, _max_abs, _pack,
-                      _trimmed, _unpack, cyclotomic)
+                      _digit_span, _divexact, _gaussian_binomial, _lift_sum, _max_abs,
+                      _pack, _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
                      _memoized, _minus, clear_caches)
 
@@ -196,15 +201,6 @@ class CycloFrac:
 # ---------------------------------------------------------------------------
 # helpers on integer tuples
 
-def _splits(g):
-    """The pairs (e, g - e) for the nonzero tuples e <= g, lexicographically
-    in e: g - e runs through descending ranges in lockstep."""
-    below = _below(g)  # refuses before any range is built
-    rests = product(*(range(n, -1, -1) for n in g))
-    next(rests)
-    return zip(below, rests)
-
-
 def _query(quiver, theta, d, zero_message, coprime=False):
     """The query of one public call on d, once d names only vertices of the
     quiver and is nonzero, theta names only vertices of the quiver and, if
@@ -261,14 +257,14 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
 def _hn_types(query, d):
     """The HN types of d: tuples of ss-nonempty parts with strictly
     decreasing slopes, that is strictly increasing ranks."""
-    rank = query.rank
+    rank, index = query.rank, query.index
 
     def dfs(rest, parts, floor):
         if not any(rest):
             yield parts
             return
         for p in _below(rest):
-            r = rank[p]
+            r = rank[index(p)]
             if r > floor and _ss_nonempty(query, p):
                 yield from dfs(_minus(rest, p), parts + (p,), r)
 
@@ -278,9 +274,9 @@ def _hn_types(query, d):
 @_memoized
 def _ss_nonempty(query, d):
     """King's criterion on the generic subrepresentations of d."""
-    rank = query.rank
-    r = rank[d]
-    return not any(rank[e] < r for e in _subreps(query.ctx, d))
+    rank, index = query.rank, query.index
+    r = rank[index(d)]
+    return not any(rank[index(e)] < r for e in _subreps(query.ctx, d))
 
 
 def ss_nonempty(quiver: Quiver, theta: Stability, d: DimVector) -> bool:
@@ -330,27 +326,32 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 _ZERO = (0, (), 0, 0, None)
 
 
-@_memoized
-def _packed_binomial(query, n, m, width):
-    """[n choose m]_x packed at ``width`` bits a digit, for m <= n - m."""
-    return _pack(_gaussian_binomial(n, m), width)
+class _PackedBinomials(dict):
+    """[n choose m]_x packed at ``width`` bits a digit under (n, m, width),
+    for 0 < m <= n - m: the per-query table of the sums, filled on the
+    first read of each key."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        n, m, width = key
+        value = self[key] = _pack(_gaussian_binomial(n, m), width)
+        return value
 
 
 def _lifted(query, p, key):
     """[n choose m]_x P packed at ``width`` bits a digit, for the nonzero
     record P and key = (n, m, width) with 0 < m <= n - m, or n = m = 0 for P
-    itself.  P keeps the value under ``key``: it is packed once per width,
-    and lifted once per width and binomial, as it recurs in the sums of
-    every g with the same last entry n."""
-    packs = p[4]
-    value = packs.get(key)
-    if value is None:
-        n, m, width = key
-        if n:
-            value = _lifted(query, p, (0, 0, width)) * _packed_binomial(query, n, m, width)
-        else:
-            value = _pack(p[1], width)
-        packs[key] = value
+    itself, when P does not keep it yet.  P keeps the value under ``key``:
+    it is packed once per width, and lifted once per width and binomial, as
+    it recurs in the sums of every g with the same last entry n."""
+    n, m, width = key
+    if n:
+        plain = (0, 0, width)
+        value = (p[4].get(plain) or _lifted(query, p, plain)) * query.binomials[key]
+    else:
+        value = _pack(p[1], width)
+    p[4][key] = value
     return value
 
 
@@ -371,40 +372,33 @@ def _binomial_sum(query, g, terms, cuts=()):
       |coefficient of B(g, e) P Q|
         <= prod_i C(g_i, e_i) min(height P length Q, length P height Q),
     and the coefficients of B(g, e) P are at most prod_i C(g_i, e_i)
-    height P.  Each term is priced from ``query.binomials``: C(g_i, e_i)
-    and the degree e_i (g_i - e_i) of [g_i choose e_i]_x.  Consecutive
-    terms whose e agree but for the last entry share the binomials of the
-    other vertices, which multiply their packed sum once.
+    height P.  Each term is priced from the rows C(g_i, .) of
+    ``query.choose``.  Consecutive terms whose e agree but for the last
+    entry share the binomials of the other vertices, which multiply their
+    packed sum once, read from ``query.binomials``.
     B(g_last, e_last) P and Q are read from the packs of P and Q, and only
     a missing one is made by ``_lifted``, so each record is packed once per
-    width and lifted once per width and binomial.  Each new nonzero record
-    is born with its packed form at this width."""
-    w = query.weight[g]
-    lo = hi = w
+    width and lifted once per width and binomial.  Each distinct sum
+    unpacks only the span of its nonzero digits, and each new nonzero
+    record is born with its packed form at this width."""
+    w = query.weight[query.index(g)]
+    lo = w
     bound = 1
     shifts = []
-    rows = [query.binomials[n] for n in g]
+    rows = [query.choose[n] for n in g]
     for e, s, p, q in terms:
         s += p[0]
-        size = len(p[1]) - 1
-        count = 1
-        for row, m in zip(rows, e):
-            c, degree = row[m]
-            count *= c
-            size += degree
         if q is None:
             height = p[2]
         else:
             s += q[0]
-            size += len(q[1]) - 1
             height = min(p[2] * q[3], p[3] * q[2])
-        bound += height * count
+        bound += height * math.prod(map(getitem, rows, e))
         shifts.append(s)
         if s < lo:
             lo = s
-        if s + size > hi:
-            hi = s + size
     k = _digit_bits(bound)
+    binomials = query.binomials
     last = len(g) - 1
     n = g[last]
     # the key of [n choose m]_x P in the packs of P, for each last entry m
@@ -418,33 +412,33 @@ def _binomial_sum(query, g, terms, cuts=()):
         if group:
             for n, m in zip(g, head):
                 if 0 < m < n:
-                    group *= _packed_binomial(query, n, min(m, n - m), k)
+                    group *= binomials[n, min(m, n - m), k]
             total -= group
             group = 0
 
-    c = 0
-    for j, ((e, _, p, q), s) in enumerate(zip(terms, shifts)):
-        while c < len(cuts) and cuts[c] == j:
-            flush()
-            sums.append(total)
-            c += 1
-        if e[:last] != head:
-            flush()
-            head = e[:last]
-        key = keys[e[last]]
-        value = p[4].get(key) or _lifted(query, p, key)
-        if q is not None:
-            value *= q[4].get(plain) or _lifted(query, q, plain)
-        group += value << (k * (s - lo))
-    flush()
-    sums += [total] * (len(cuts) - c + 1)
+    items, start = zip(terms, shifts), 0
+    for end in (*cuts, len(terms)):
+        for (e, _, p, q), s in islice(items, end - start):
+            if e[:last] != head:
+                flush()
+                head = e[:last]
+            key = keys[e[last]]
+            value = p[4].get(key) or _lifted(query, p, key)
+            if q is not None:
+                value *= q[4].get(plain) or _lifted(query, q, plain)
+            group += value << (k * (s - lo))
+        flush()
+        sums.append(total)
+        start = end
     out, previous = [], None
     for value in sums:
         if value != previous:
-            low, co = _trimmed(lo, _unpack(value, hi - lo + 1, k))
-            # born packed at this width: the trimmed low digits are zero
-            record = ((low, co, _max_abs(co), sum(map(abs, co)),
-                       {plain: value >> (k * (low - lo))}) if co else _ZERO)
+            low, n = _digit_span(value, k)
+            packed = value >> (k * low)
+            co = _unpack(packed, n, k)
+            # born packed at this width
+            record = ((lo + low, co, _max_abs(co), sum(map(abs, co)), {plain: packed})
+                      if co else _ZERO)
             previous = value
         out.append(record)
     return out
@@ -463,84 +457,110 @@ def _reduced(g, numerator):
 class _Query:
     """The theta-dependent state of one public call on the top-level d: it
     is built once every input is checked and dropped when the call returns.
-    ``ctx`` is the context of the quiver.  ``passes`` and ``resolved`` are
-    the memos of the HN recursion and of the resolved sum, keyed by the
-    dimension tuple, which their loops read directly; ``memo`` holds the
-    rest, the ``_memoized`` semistability tests and packed binomials.
+    ``ctx`` is the context of the quiver, and ``memo`` holds the
+    ``_memoized`` semistability tests.
+
+    The recursions address each 0 <= e <= d by its mixed-radix index
+    ``index(e)``, its place in ``vectors``, the list of those e in
+    lexicographic order: for e <= f, f - e has the index
+    index(f) - index(e), so a recursion finds every difference without
+    building a tuple.  Their tables are lists by index: ``passes`` and
+    ``resolved``, the memos of the HN recursion and of the resolved sum,
+    which their loops read directly, ``rank`` and the tables below.
 
     ``slopes`` holds the distinct slopes of 0 < e <= d, reduced
-    (theta(e), dim e) pairs, in descending order and ``rank[e]`` the index
-    of mu(e) there, so a smaller rank is a steeper slope.  ``below[h]`` is
-    the set of ranks of 0 < e <= h, for 0 <= h <= d, as a bitmask: the rank
-    of h and the sets of each h minus a unit vector.  ``square[e]`` is
-    <e, e>, so that <e, g - e> = <e, g> - <e, e> and
-    <f - e, e> = <f, e> - <e, e> take one dot product with a row of the
-    Euler form.  ``weight[e]`` is the exponent of w(e) over D(e).
-    ``binomials[n][m]`` is (C(n, m), m (n - m)), the coefficient sum and
-    the degree of [n choose m]_x, for n up to the largest entry of d.  The
-    query builds ``rank``, which every recursion reads, from ``slopes``;
-    each of the other tables is built the first time a recursion reads it:
-    ``below`` by the HN recursion alone, ``square``, ``weight`` and
-    ``binomials`` by both sums, and none by ``ss_nonempty`` or
-    ``hn_types``."""
+    (theta(e), dim e) pairs, in descending order and ``rank[i]`` the index
+    of the slope of vectors[i] there, so a smaller rank is a steeper slope;
+    the zero vector has the rank len(slopes), past every slope.
+    ``below[i]`` is the set of ranks of 0 < e <= vectors[i], as a bitmask:
+    the rank of vectors[i] and the sets of each vectors[i] minus a unit
+    vector.  ``square[i]`` is <e, e> for e = vectors[i], so that
+    <e, g - e> = <e, g> - <e, e> and <f - e, e> = <f, e> - <e, e> take one
+    dot product with a row of the Euler form.  ``weight[i]`` is the
+    exponent of w(e) over D(e).  ``choose[n][m]`` is C(n, m), the
+    coefficient sum of [n choose m]_x, for n up to the largest entry of d,
+    and ``binomials`` the table of packed binomials of the sums.  The query
+    builds ``vectors`` and ``rank``, which every recursion reads, and empty
+    memos and binomial table; each of the other tables is built the first
+    time a recursion reads it: ``below`` by the HN recursion alone,
+    ``square``, ``weight`` and ``choose`` by both sums, and none by
+    ``ss_nonempty`` or ``hn_types``."""
 
     def __init__(self, ctx, theta, top):
         self.ctx, self.top, self.memo = ctx, top, {}
-        self.passes, self.resolved = {}, {}
-        mu = {}
-        for e in _below(top):
+        self.vectors = vectors = [(0,) * len(top), *_below(top)]
+        strides, size = [], 1
+        for n in reversed(top):
+            strides.append(size)
+            size *= n + 1
+        self.strides = strides[::-1]
+        self.passes, self.resolved = [None] * size, [None] * size
+        self.binomials = _PackedBinomials()
+        mu = []
+        for e in vectors[1:]:
             num, den = sum(map(mul, theta, e)), sum(e)
             g = math.gcd(num, den)
-            mu[e] = num // g, den // g
-        distinct = set(mu.values())
+            mu.append((num // g, den // g))
+        distinct = set(mu)
         # n / m sorts as n (scale / m), for a common multiple scale of the m
         scale = math.lcm(*(m for _, m in distinct))
         self.slopes = sorted(distinct, key=lambda s: -s[0] * (scale // s[1]))
-        index = {s: r for r, s in enumerate(self.slopes)}
-        self.rank = {e: index[s] for e, s in mu.items()}
+        position = {s: r for r, s in enumerate(self.slopes)}
+        self.rank = [len(self.slopes), *map(position.__getitem__, mu)]
+
+    def index(self, e):
+        """The place of 0 <= e <= d in ``vectors``."""
+        return sum(map(mul, self.strides, e))
+
+    def indices(self, i):
+        """The indices of 0 <= e <= vectors[i], ascending: 0 first, i last."""
+        out = [0]
+        for n, s in zip(self.vectors[i], self.strides):
+            out = [x + y for x in out for y in range(0, (n + 1) * s, s)]
+        return out
 
     @cached_property
     def below(self):
-        below = {(0,) * len(self.top): 0}
-        for h, r in self.rank.items():  # lexicographic, so each h - unit comes first
-            mask = 1 << r
-            for i, n in enumerate(h):
+        rank, strides, below = self.rank, self.strides, [0]
+        for i, h in enumerate(self.vectors[1:], 1):  # each h - unit comes first
+            mask = 1 << rank[i]
+            for n, s in zip(h, strides):
                 if n:
-                    mask |= below[h[:i] + (n - 1,) + h[i + 1:]]
-            below[h] = mask
+                    mask |= below[i - s]
+            below.append(mask)
         return below
 
     @cached_property
     def square(self):
         euler = self.ctx.euler
-        return {e: euler(e, e) for e in self.rank}
+        return [euler(e, e) for e in self.vectors]
 
     @cached_property
     def weight(self):
-        return {e: _weight_exp(self.ctx, e) for e in self.rank}
+        return [_weight_exp(self.ctx, e) for e in self.vectors]
 
     @cached_property
-    def binomials(self):
-        return [[(math.comb(n, m), m * (n - m)) for m in range(n + 1)]
-                for n in range(max(self.top) + 1)]
+    def choose(self):
+        return [[math.comb(n, m) for m in range(n + 1)] for n in range(max(self.top) + 1)]
 
-    def bounds(self, f):
-        """The ranks r of the bounds b = slopes[r] of L(f), ascending, so by
-        descending b: the parts of f of slope >= b are those of rank <= r."""
-        mask = self.below[_minus(self.top, f)] & ((1 << self.rank[f]) - 1)
+    def bounds(self, i):
+        """The ranks r of the bounds b = slopes[r] of L(f) for f = vectors[i],
+        ascending, so by descending b: the parts of f of slope >= b are
+        those of rank <= r."""
+        # d - f has the index len(vectors) - 1 - i
+        mask = self.below[-1 - i] & ((1 << self.rank[i]) - 1)
         out = []
         while mask:
             out.append((mask & -mask).bit_length() - 1)
             mask &= mask - 1
         return out
 
-    def parts(self, f):
-        """(rank, e) for the parts 0 < e <= f steeper than f, by rank and
-        lexicographically within a rank."""
+    def parts(self, i):
+        """(rank, index) for the parts 0 < e <= f = vectors[i] steeper than
+        f, by rank and lexicographically within a rank."""
         rank = self.rank
-        r_f = rank[f]
-        return sorted(((r, e) for e in _below(f) if (r := rank[e]) < r_f),
-                      key=itemgetter(0))
+        r_f = rank[i]
+        return sorted((r, j) for j in self.indices(i) if (r := rank[j]) < r_f)
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +583,10 @@ class _Query:
 # Under the top-level d of a query, T(f; b) is asked for only at the bounds
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
 # so ``query.passes`` keeps mass_ss(f) and T(f; b) for b in L(f), by the
-# rank of b, under f; a pass reads it directly and runs another pass only on
-# a miss.  The query gives L(f) as the ranks below d - f that are steeper
-# than f, a bitmask read off in ascending rank, and the parts of f as the
-# e <= f of rank below that of f, sorted by rank.
+# rank of b, under the index of f; a pass reads it directly and runs another
+# pass only on a miss.  The query gives L(f) as the ranks below d - f that
+# are steeper than f, a bitmask read off in ascending rank, and the parts of
+# f as the (rank, index) pairs of the e <= f of rank below that of f, sorted.
 # T(f; .) changes only at the slopes of the parts of f: bounds with no part
 # between them cut the pass after the same terms and read one value.  So
 # the pass unpacks each distinct value once and the bounds share its record.
@@ -574,72 +594,80 @@ class _Query:
 # passes above f add a packed form through ``_lifted`` only at each other
 # digit width in the query, as they do for the record of mass_ss(e).
 
-def _hn(query, f):
-    """The pass of f: (mass_ss(f), {r: T(f; b)}) for the bounds b in L(f)
-    of rank r, as numerators over D(f); bounds whose T(f; b) are equal share
-    one record.  Kept in ``query.passes``, which the loop reads first."""
-    passes, square = query.passes, query.square
+def _hn(query, i):
+    """The pass of f = vectors[i]: (mass_ss(f), {r: T(f; b)}) for the
+    bounds b in L(f) of rank r, as numerators over D(f); bounds whose
+    T(f; b) are equal share one record.  Kept in ``query.passes``, which the
+    loop reads first."""
+    passes, square, vectors = query.passes, query.square, query.vectors
+    f = vectors[i]
     column = query.ctx.column(f)  # <f, e> = sum(column * e)
-    bounds = query.bounds(f)
-    parts = query.parts(f)
-    terms, cuts, i = [], [], 0
-    for upto in [*bounds, query.rank[f] - 1]:  # every part lies above mu(f)
+    bounds = query.bounds(i)
+    parts = query.parts(i)
+    terms, cuts, start = [], [], 0
+    for upto in [*bounds, query.rank[i] - 1]:  # every part lies above mu(f)
+        end = bisect_left(parts, (upto + 1,), start)  # the parts of rank <= upto
         chunk = []
-        while i < len(parts) and parts[i][0] <= upto:
+        for r, j in parts[start:end]:
             # X(e, f) for the nonzero X; mu(f - e) < mu(f) < mu(e) and
-            # e <= top - (f - e), so mu(e) is in L(f - e)
-            r, e = parts[i]
-            i += 1
-            ss = (passes.get(e) or _hn(query, e))[0]
-            if not ss[1]:
-                continue
-            rest = tuple(map(sub, f, e))
-            below = (passes.get(rest) or _hn(query, rest))[1][r]
-            if below[1]:
-                chunk.append((e, square[e] - sum(map(mul, column, e)), ss, below))
-        # in lexicographic order, terms that share binomials are adjacent
-        terms += sorted(chunk, key=itemgetter(0))
+            # e <= top - (f - e), so mu(e) is in L(f - e); f - e has the
+            # index i - j
+            ss = (passes[j] or _hn(query, j))[0]
+            if ss[1]:
+                below = (passes[i - j] or _hn(query, i - j))[1][r]
+                if below[1]:
+                    e = vectors[j]
+                    chunk.append((e, square[j] - sum(map(mul, column, e)), ss, below))
+        # in lexicographic order, terms that share binomials are adjacent;
+        # no two terms have one e, so the sort compares the e alone
+        chunk.sort()
+        terms += chunk
         cuts.append(len(terms))
+        start = end
     *values, ss = _binomial_sum(query, f, terms, cuts[:-1])
-    out = passes[f] = ss, dict(zip(bounds, values))
+    out = passes[i] = ss, dict(zip(bounds, values))
     return out
 
 
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
     query = _query(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(query.top, _hn(query, query.top)[0])
+    return _reduced(query.top, _hn(query, query.index(query.top))[0])
 
 
 # ---------------------------------------------------------------------------
 # the resolved sum: closed semistable masses and Poincare polynomials
 
-def _resolved(query, g):
-    """The numerator over D(g) of R(g; mu), for mu the slope of the top-level
-    d of the query: the signed sum over tuples of g whose proper suffix sums
-    all have slope above mu.  The caller gates g itself.  Over D(g) the term
-    of e < g is -B(g, e) x^(w(e) - <e, g - e>) N(g - e), with N the
-    numerator of R(g - e; mu), and the term of g is x^(w(g)).  Kept in
+def _resolved(query, i):
+    """The numerator over D(g) of R(g; mu), for g = vectors[i] and mu the
+    slope of the top-level d of the query: the signed sum over tuples of g
+    whose proper suffix sums all have slope above mu.  The caller gates g
+    itself.  Over D(g) the term of e < g is
+    -B(g, e) x^(w(e) - <e, g - e>) N(g - e), with N the numerator of
+    R(g - e; mu), and the term of g is x^(w(g)).  Kept in
     ``query.resolved``, which the loop reads first."""
-    memo, rank, square, weight = query.resolved, query.rank, query.square, query.weight
-    gate = rank[query.top]
+    memo, rank, vectors = query.resolved, query.rank, query.vectors
+    square, weight = query.square, query.weight
+    gate = rank[-1]  # the rank of d, which comes last
+    g = vectors[i]
     row = query.ctx.row(g)  # <e, g> = sum(e * row)
     terms = []
-    for e, rest in _splits(g):
-        if e != g and rank[rest] < gate:
-            inner = memo.get(rest) or _resolved(query, rest)
+    for j in query.indices(i)[1:-1]:  # 0 < e < g, and g - e has the index i - j
+        if rank[i - j] < gate:
+            inner = memo[i - j] or _resolved(query, i - j)
             if inner[1]:
+                e = vectors[j]
                 # w(e) - <e, g - e>
-                terms.append((e, weight[e] + square[e] - sum(map(mul, e, row)),
+                terms.append((e, weight[j] + square[j] - sum(map(mul, e, row)),
                               inner, None))
-    out = memo[g] = _binomial_sum(query, g, terms)[0]
+    out = memo[i] = _binomial_sum(query, g, terms)[0]
     return out
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     query = _query(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(query.top, _resolved(query, query.top))
+    return _reduced(query.top, _resolved(query, query.index(query.top)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +689,7 @@ def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
     query = _query(quiver, theta, d, "the zero vector has no moduli space", coprime=True)
-    return _times_q_minus_one(query.top, _resolved(query, query.top))
+    return _times_q_minus_one(query.top, _resolved(query, query.index(query.top)))
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -678,7 +706,7 @@ def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPol
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     query = _query(quiver, theta, d, "the zero vector has no moduli space", coprime=True)
-    return _times_q_minus_one(query.top, _hn(query, query.top)[0])
+    return _times_q_minus_one(query.top, _hn(query, query.index(query.top))[0])
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

@@ -15,7 +15,8 @@ which convolve numerators with the Gaussian binomials of
 :func:`_gaussian_binomial`, use Kronecker substitution: coefficients become
 the base-2^k digits of one integer, so a single big-integer multiply or add
 does the work.  Digits are balanced (signed), and k always comes from a
-proven bound on the result's coefficients, never from a guess.  A product
+proven bound on the result's coefficients, one sign bit above it, never
+from a guess, and a packed result unpacks only its nonzero digits.  A product
 of cyclotomic polynomials, each cyclotomic among them, is one lift by
 binomials and at most one exact division (:func:`_cyclotomic_product`).
 
@@ -71,6 +72,8 @@ def _as_poly(value):
 # Signed array type code of each machine-word digit width, in bits.  Rounding
 # k up to a word size widens the packed integers, yet on K3 Betti
 # computations it took 8% off the run time compared with whole bytes alone.
+# With one sign bit above the bound, bounds of up to 7, 15, 31 and 63 bits
+# fit the words of 8, 16, 32 and 64 bits.
 _WORD_CODES = {8 * array(code).itemsize: code for code in "qlihb"}
 _WORD_BITS = tuple(sorted(_WORD_CODES))
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -78,9 +81,17 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 def _digit_bits(bound):
     """Digit width k for coefficients of absolute value at most ``bound``:
-    one sign bit and two guard bits above the bound, rounded up to a word
-    size or else to whole bytes."""
-    bits = bound.bit_length() + 3
+    one sign bit above the bound, rounded up to a word size or else to
+    whole bytes.  Then bound < 2^(k-1), which is all that balanced digits
+    need: each coefficient c has |c| <= bound <= 2^(k-1) - 1, so it is
+    its own digit, and a sum or product whose coefficients obey the bound
+    packs to the integer whose digits they are.  The same bound places the
+    nonzero digits of a packed value v: if the lowest is digit j and the
+    highest digit t, then the trailing zero bits of v are k j plus those
+    of digit j, fewer than k - 1, and the digits below t weigh less than
+    2^(k t) / 2 in absolute value, so 2^(k t - 1) < |v| < 2^(k t + k - 1)
+    and t is the bit length of v over k (:func:`_digit_span`)."""
+    bits = bound.bit_length() + 1
     for k in _WORD_BITS:
         if bits <= k:
             return k
@@ -128,25 +139,23 @@ def _max_abs(co):
     return max(max(co), -min(co))
 
 
-def _trimmed(lo, co):
-    """(lo, co) with the zero coefficients at both ends of the sequence ``co``
-    dropped and the rest as a tuple; (0, ()) when every coefficient is
-    zero."""
-    i, j = 0, len(co)
-    while j and not co[j - 1]:
-        j -= 1
-    if not j:
-        return 0, ()
-    while not co[i]:
-        i += 1
-    return lo + i, tuple(co[i:j])
+def _digit_span(value, k):
+    """(j, n): the nonzero balanced base-2^k digits of ``value`` are its
+    digits j to j + n - 1, read off its trailing zero bits and its bit
+    length when every digit lies below 2^(k-1) in absolute value (see
+    :func:`_digit_bits`); (0, 0) for zero."""
+    if not value:
+        return 0, 0
+    low = ((value & -value).bit_length() - 1) // k
+    return low, value.bit_length() // k + 1 - low
 
 
 def _lift_sum(terms):
     """sum_j x^lo_j c_j prod_e (x^e - 1)^(m_je) over the triples
     (lo_j, c_j, {e: m_je}) of ``terms``, with nonempty coefficient sequences
-    c_j, as a trimmed (low exponent, coefficient tuple) pair.  Each c_j is
-    packed once and lifted by shifts and subtractions of packed integers.
+    c_j, as a (low exponent, coefficient tuple) pair with nonzero ends, or
+    (0, ()).  Each c_j is packed once and lifted by shifts and subtractions
+    of packed integers, and the sum unpacks only its nonzero digits.
 
     Each coefficient of c * prod (x^e - 1)^(m_e) is at most max|c| 2^(sum m_e)
     in absolute value, since the absolute values of the coefficients of the
@@ -154,7 +163,6 @@ def _lift_sum(terms):
     these.
     """
     lo = min(t[0] for t in terms)
-    top = max(l + len(c) - 1 + sum(e * m for e, m in f.items()) for l, c, f in terms)
     k = _digit_bits(sum(_max_abs(c) << sum(f.values()) for _, c, f in terms))
     total = 0
     for l, c, f in terms:
@@ -166,7 +174,8 @@ def _lift_sum(terms):
             for _ in range(m):
                 value = (value << (k * e)) - value
         total += value << (k * (l - lo))
-    return _trimmed(lo, _unpack(total, top - lo + 1, k))
+    low, n = _digit_span(total, k)
+    return (lo + low if n else 0), _unpack(total >> (k * low), n, k)
 
 
 def _divexact(co, dco):

@@ -286,6 +286,22 @@ class TestPoincareBetti:
                 compared += bool(closed)
         assert compared >= {2: 4, 3: 30, 4: 30}[arrows]
 
+    # the doubled A3 quiver, 1 -> 2 and 2 -> 3 twice each, at d = (5, 7, 8)
+    # and theta = (2, 1, 0): three strides of index arithmetic, and mass sums
+    # at digit widths up to 64 bits
+    DOUBLED_A3_ROW = [1, 2, 6, 13, 29, 57, 112, 204, 368, 631, 1058, 1707, 2688, 4081,
+                      6020, 8557, 11741, 15461, 19543, 23613, 27270, 30030, 31521]
+
+    @pytest.mark.parametrize("method", ["closed", "mass"])
+    def test_pinned_three_vertex_row(self, method):
+        quiver = Quiver(["1", "2", "3"], [("1", "2"), ("1", "2"), ("2", "3"), ("2", "3")])
+        want = self.DOUBLED_A3_ROW + self.DOUBLED_A3_ROW[::-1]
+        assert (len(want), sum(want)) == (46, 369426)
+        hn.clear_caches()
+        got = betti_coefficients(quiver, Stability({"1": 2, "2": 1}),
+                                 DimVector({"1": 5, "2": 7, "3": 8}), method=method)
+        assert got == want
+
     def test_betti_via_mass_is_q_minus_one_times_mass(self, k3, theta_i):
         d = dv(i=2, j=3)
         prod = mass_ss(k3, theta_i, d) * R({1: 1, 0: -1})
@@ -628,11 +644,12 @@ class TestBinomialSum:
         betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
         assert packed and len(packed) == len(seen)
 
-    @pytest.mark.parametrize("method, most", [("closed", 97), ("mass", 397)])
+    @pytest.mark.parametrize("method, most", [("closed", 112), ("mass", 424)])
     def test_records_are_born_packed(self, k3, theta_i, method, most, monkeypatch):
         # K3 (9, 10): each record comes out of its sum packed at the sum's
-        # width, so no _pack call packs it at that width, and the calls fall
-        # from 144 (closed) and 574 (mass) to at most 97 and 397
+        # width, so no _pack call packs it at that width; with one sign bit
+        # above each bound, 112 (closed) and 424 (mass) calls pack records
+        # and binomials at the other widths
         pack, binomial_sum = hn._pack, hn._binomial_sum
         born, calls = {}, []
 
@@ -719,11 +736,15 @@ class TestSlopeTable:
             ctx = ThetaContext(quiver, theta)
             for top in tops:
                 query = hn._Query(ctx.base, ctx.theta, top)
-                for f in query.rank:
+                for i, f in enumerate(query.vectors[1:], 1):
+                    assert query.index(f) == i
                     want = reference_bounds(ctx, top, f)
-                    bounds = query.bounds(f)
+                    bounds = query.bounds(i)
                     assert [query.slopes[r] for r in bounds] == want, (theta, top, f)
-                    parts = query.parts(f)
+                    parts = [(r, query.vectors[j]) for r, j in query.parts(i)]
+                    # f - e has the index of f minus that of e
+                    for (_, j), (_, e) in zip(query.parts(i), parts):
+                        assert query.vectors[i - j] == tuple(x - y for x, y in zip(f, e))
                     want_parts = reference_parts(ctx, f)
                     assert [(query.slopes[r], e) for r, e in parts] == want_parts
                     # the parts of rank <= r are those of slope >= slopes[r]

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from quivermoduli.errors import InputError, NonPolynomialError
 from quivermoduli.laurent import (LaurentPoly, RationalFunc, _cyclotomic_product,
-                                  _gaussian_binomial, _lift_sum, _pack, _unpack,
-                                  cyclotomic)
+                                  _digit_bits, _digit_span, _gaussian_binomial,
+                                  _lift_sum, _pack, _unpack, cyclotomic)
 
 from conftest import (cyclofrac, fraction_divexact, halve_exponents, poly_add,
                       poly_mul, reference_cyclotomic)
@@ -79,6 +79,26 @@ class TestIntegerKernels:
         assert value == sum(c << (k * i) for i, c in enumerate(co))
         assert _unpack(value, len(co), k) == co
         assert _unpack(_pack(co[:1], k), 1, k) == co[:1]
+
+    def test_digit_width_is_the_least_with_one_sign_bit(self):
+        # around every power of two up to 2^200: the width keeps the bound
+        # below 2^(k-1), is the least machine word up to 64 bits or else the
+        # least whole number of bytes that does, and carries the bound and
+        # its negation through a pack and an unpack; the nonzero digits of
+        # the packed value lie where its trailing zero bits and bit length
+        # say, with the bound in the lowest or the highest of them
+        allowed = [8, 16, 32, 64, *range(72, 216, 8)]
+        for j in range(201):
+            for bound in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+                k = _digit_bits(bound)
+                assert bound < 2 ** (k - 1), bound
+                assert k == min(w for w in allowed if bound < 2 ** (w - 1)), bound
+                co = (-bound, bound, 0, 1, -1)
+                assert _unpack(_pack(co, k), len(co), k) == co, bound
+                for padded in ((0, 0, *co, 0), (0, *co[::-1], 0, 0), (0, 0, 0)):
+                    nonzero = [i for i, c in enumerate(padded) if c] or [0, -1]
+                    assert _digit_span(_pack(padded, k), k) == \
+                        (nonzero[0], nonzero[-1] - nonzero[0] + 1), (bound, padded)
 
 
 def cyclotomic_product_reference(counts):
