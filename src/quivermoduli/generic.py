@@ -11,10 +11,11 @@ context of the quiver, in the one store whose tables ``hn`` reads too.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from operator import le, mul
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 from .quiver import DimVector, Quiver, _below, _context, _memoized, _minus, clear_caches
 
 __all__ = [
@@ -26,18 +27,29 @@ __all__ = [
     "clear_caches",
 ]
 
+# The most pairs 0 <= x <= e <= d that the table of generic subrepresentations
+# of d may span, prod_i (d_i + 1)(d_i + 2) / 2.  Its time grows with this
+# count; above it the table is refused before it is built.
+PAIR_BUDGET = 2 * 10 ** 6
+
 
 def _subreps(ctx, d):
     """{e: <e, d>} over the dimensions 0 < e <= d of generic
     subrepresentations, those with ext(e, d - e) = 0, lexicographically, so
     d itself comes last.  Kept in ``ctx.memo`` under (_subreps, d), which
-    the loop reads first."""
+    the loop reads first.  A d with more than PAIR_BUDGET pairs of vectors
+    below it is refused before the table is built."""
     memo = ctx.memo
     subreps = memo.get((_subreps, d))
     if subreps is not None:
         return subreps
+    below = _below(d)  # refuses more than VECTOR_BUDGET vectors first
+    required = math.prod((n + 1) * (n + 2) // 2 for n in d)
+    if required > PAIR_BUDGET:
+        raise BudgetExceeded(f"{required} pairs of dimension vectors lie below {list(d)}",
+                             required=required, budget=PAIR_BUDGET)
     row = ctx.row(d)  # <e, d> = sum(e * row)
-    pairing = {e: sum(map(mul, e, row)) for e in _below(d)}
+    pairing = {e: sum(map(mul, e, row)) for e in below}
     subreps = {}
     for e, p in pairing.items():
         # by Schofield, ext(e, d - e) = 0 iff <x, d - e> >= 0, that is

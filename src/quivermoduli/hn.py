@@ -41,21 +41,21 @@ The semistable locus of d is nonempty iff no generic subrepresentation
 dimension e of d has mu(e) > mu(d) (King, Quart. J. Math. 45, 1994;
 Schofield, Proc. LMS 65, 1992).  The e are read off the table of
 ``generic`` in the context of the quiver, which every stability shares, at
-a cost of prod_i (d_i + 1)(d_i + 2) / 2 pairs of vectors.  The HN types of
-d are the tuples of parts with nonempty semistable loci and strictly
-decreasing slopes that sum to d.
+a cost of prod_i (d_i + 1)(d_i + 2) / 2 pairs of vectors, refused above
+``generic.PAIR_BUDGET``.  The HN types of d are the tuples of parts with
+nonempty semistable loci and strictly decreasing slopes that sum to d.
 
 Below the public functions, everything runs on integer tuples in vertex
 order.  Each public call checks its inputs and then builds one query for
 its d, which lives as long as the call.  The query numbers each e <= d by
 its mixed-radix index, lexicographic in e, so that f - e has the index of f
-minus that of e, and keeps in lists by index the slope rank of each e (a
-smaller rank is a steeper slope, so every comparison of slopes is one of
-integer ranks), for each h the set of ranks below h, and the memos of the
-call's recursions; it also keeps the table of the packed binomials of the
-sums.  Only the theta-free context of the quiver, in the one store that
-``hn`` shares with ``generic``, outlives the call.  Each
-quantity of a dimension vector g in either sum is kept as an integer
+minus that of e, and keeps all its state in lists by index, built with the
+query: the slope rank of each e (a smaller rank is a steeper slope, so every
+comparison of slopes is one of integer ranks), <e, e>, the weight of e, and
+the memos of the call's recursions.  Only the theta-free context of the
+quiver, in the one store that ``hn`` shares with ``generic``, and the module
+caches of Gaussian binomials, which depend on no quiver, outlive the call.
+Each quantity of a dimension vector g in either sum is kept as an integer
 numerator over one fixed denominator,
 
     D(g) = prod_i prod_{k <= g_i} (x^k - 1) = |G_g| / q^(sum_i C(g_i, 2)),
@@ -78,7 +78,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import islice
 from operator import getitem, mul
 
@@ -88,7 +88,7 @@ from .laurent import (LaurentPoly, RationalFunc, _cyclotomic_product, _digit_bit
                       _digit_span, _divexact, _gaussian_binomial, _lift_sum, _max_abs,
                       _pack, _unpack, cyclotomic)
 from .quiver import (VECTOR_BUDGET, DimVector, Quiver, Stability, _below, _context,
-                     _memoized, _minus, clear_caches)
+                     clear_caches)
 
 __all__ = [
     "HNType",
@@ -254,35 +254,39 @@ def mass(quiver: Quiver, d: DimVector) -> RationalFunc:
 # ---------------------------------------------------------------------------
 # semistable nonemptiness and HN types
 
-def _hn_types(query, d):
-    """The HN types of d: tuples of ss-nonempty parts with strictly
-    decreasing slopes, that is strictly increasing ranks."""
-    rank, index = query.rank, query.index
+def _hn_types(query):
+    """The HN types of the top-level d: tuples of ss-nonempty parts with
+    strictly decreasing slopes, that is strictly increasing ranks."""
+    rank, indices, vectors = query.rank, query.indices, query.vectors
 
     def dfs(rest, parts, floor):
-        if not any(rest):
+        if not rest:
             yield parts
             return
-        for p in _below(rest):
-            r = rank[index(p)]
-            if r > floor and _ss_nonempty(query, p):
-                yield from dfs(_minus(rest, p), parts + (p,), r)
+        for j in indices(rest)[1:]:  # the rest minus vectors[j] has the index rest - j
+            r = rank[j]
+            if r > floor and _ss_nonempty(query, j):
+                yield from dfs(rest - j, parts + (vectors[j],), r)
 
-    return dfs(d, (), -1)
+    return dfs(len(vectors) - 1, (), -1)
 
 
-@_memoized
-def _ss_nonempty(query, d):
-    """King's criterion on the generic subrepresentations of d."""
-    rank, index = query.rank, query.index
-    r = rank[index(d)]
-    return not any(rank[index(e)] < r for e in _subreps(query.ctx, d))
+def _ss_nonempty(query, i):
+    """King's criterion on the generic subrepresentations of vectors[i].
+    Kept in ``query.nonempty``."""
+    value = query.nonempty[i]
+    if value is None:
+        rank, index = query.rank, query.index
+        r = rank[i]
+        value = query.nonempty[i] = not any(
+            rank[index(e)] < r for e in _subreps(query.ctx, query.vectors[i]))
+    return value
 
 
 def ss_nonempty(quiver: Quiver, theta: Stability, d: DimVector) -> bool:
     """True iff the semistable locus of dimension d is nonempty."""
     query = _query(quiver, theta, d, "the zero vector has no semistable locus")
-    return _ss_nonempty(query, query.top)
+    return _ss_nonempty(query, len(query.vectors) - 1)
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
     query = _query(quiver, theta, d, "the zero vector has no HN types")
     euler = query.ctx.euler
     out = []
-    for parts in _hn_types(query, query.top):
+    for parts in _hn_types(query):
         codim = -sum(euler(a, b)
                      for k, a in enumerate(parts) for b in parts[k + 1:])
         if codim < 0:
@@ -326,37 +330,32 @@ def hn_types(quiver: Quiver, theta: Stability, d: DimVector):
 _ZERO = (0, (), 0, 0, None)
 
 
-class _PackedBinomials(dict):
-    """[n choose m]_x packed at ``width`` bits a digit under (n, m, width),
-    for 0 < m <= n - m: the per-query table of the sums, filled on the
-    first read of each key."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        n, m, width = key
-        value = self[key] = _pack(_gaussian_binomial(n, m), width)
-        return value
+# a cold K3 (23, 24) Betti row by both methods reads 898 keys
+@lru_cache(maxsize=4096)
+def _packed_binomial(n, m, width):
+    """[n choose m]_x packed at ``width`` bits a digit, for 0 < m <= n - m."""
+    return _pack(_gaussian_binomial(n, m), width)
 
 
-def _lifted(query, p, key):
+def _lifted(p, key):
     """[n choose m]_x P packed at ``width`` bits a digit, for the nonzero
     record P and key = (n, m, width) with 0 < m <= n - m, or n = m = 0 for P
     itself, when P does not keep it yet.  P keeps the value under ``key``:
     it is packed once per width, and lifted once per width and binomial, as
-    it recurs in the sums of every g with the same last entry n."""
+    it recurs in the sums of every g with the same last entry n; the packed
+    binomial comes from the module cache ``_packed_binomial``."""
     n, m, width = key
     if n:
         plain = (0, 0, width)
-        value = (p[4].get(plain) or _lifted(query, p, plain)) * query.binomials[key]
+        value = (p[4].get(plain) or _lifted(p, plain)) * _packed_binomial(n, m, width)
     else:
         value = _pack(p[1], width)
     p[4][key] = value
     return value
 
 
-def _binomial_sum(query, g, terms, cuts=()):
-    """Numerators over D(g) of
+def _binomial_sum(query, i, terms, cuts=()):
+    """Numerators over D(g), for g = vectors[i] of the query, of
 
         x^(w(g)) - sum_j x^(s_j) B(g, e_j) P_j Q_j
 
@@ -375,13 +374,13 @@ def _binomial_sum(query, g, terms, cuts=()):
     height P.  Each term is priced from the rows C(g_i, .) of
     ``query.choose``.  Consecutive terms whose e agree but for the last
     entry share the binomials of the other vertices, which multiply their
-    packed sum once, read from ``query.binomials``.
+    packed sum once, read from the module cache ``_packed_binomial``.
     B(g_last, e_last) P and Q are read from the packs of P and Q, and only
     a missing one is made by ``_lifted``, so each record is packed once per
     width and lifted once per width and binomial.  Each distinct sum
     unpacks only the span of its nonzero digits, and each new nonzero
     record is born with its packed form at this width."""
-    w = query.weight[query.index(g)]
+    g, w = query.vectors[i], query.weight[i]
     lo = w
     bound = 1
     shifts = []
@@ -398,7 +397,6 @@ def _binomial_sum(query, g, terms, cuts=()):
         if s < lo:
             lo = s
     k = _digit_bits(bound)
-    binomials = query.binomials
     last = len(g) - 1
     n = g[last]
     # the key of [n choose m]_x P in the packs of P, for each last entry m
@@ -412,7 +410,7 @@ def _binomial_sum(query, g, terms, cuts=()):
         if group:
             for n, m in zip(g, head):
                 if 0 < m < n:
-                    group *= binomials[n, min(m, n - m), k]
+                    group *= _packed_binomial(n, min(m, n - m), k)
             total -= group
             group = 0
 
@@ -423,9 +421,9 @@ def _binomial_sum(query, g, terms, cuts=()):
                 flush()
                 head = e[:last]
             key = keys[e[last]]
-            value = p[4].get(key) or _lifted(query, p, key)
+            value = p[4].get(key) or _lifted(p, key)
             if q is not None:
-                value *= q[4].get(plain) or _lifted(query, q, plain)
+                value *= q[4].get(plain) or _lifted(q, plain)
             group += value << (k * (s - lo))
         flush()
         sums.append(total)
@@ -457,45 +455,37 @@ def _reduced(g, numerator):
 class _Query:
     """The theta-dependent state of one public call on the top-level d: it
     is built once every input is checked and dropped when the call returns.
-    ``ctx`` is the context of the quiver, and ``memo`` holds the
-    ``_memoized`` semistability tests.
+    ``ctx`` is the context of the quiver.
 
     The recursions address each 0 <= e <= d by its mixed-radix index
     ``index(e)``, its place in ``vectors``, the list of those e in
     lexicographic order: for e <= f, f - e has the index
     index(f) - index(e), so a recursion finds every difference without
-    building a tuple.  Their tables are lists by index: ``passes`` and
-    ``resolved``, the memos of the HN recursion and of the resolved sum,
-    which their loops read directly, ``rank`` and the tables below.
+    building a tuple, and d - f has the index len(vectors) - 1 - index(f).
+    Every table of the query is a list by index, built with it:
+    ``nonempty``, ``passes`` and ``resolved``, the memos of the semistability
+    test, of the HN recursion and of the resolved sum, which their callers
+    read directly, and the tables below.
 
     ``slopes`` holds the distinct slopes of 0 < e <= d, reduced
     (theta(e), dim e) pairs, in descending order and ``rank[i]`` the index
     of the slope of vectors[i] there, so a smaller rank is a steeper slope;
     the zero vector has the rank len(slopes), past every slope.
-    ``below[i]`` is the set of ranks of 0 < e <= vectors[i], as a bitmask:
-    the rank of vectors[i] and the sets of each vectors[i] minus a unit
-    vector.  ``square[i]`` is <e, e> for e = vectors[i], so that
+    ``square[i]`` is <e, e> for e = vectors[i], so that
     <e, g - e> = <e, g> - <e, e> and <f - e, e> = <f, e> - <e, e> take one
     dot product with a row of the Euler form.  ``weight[i]`` is the
     exponent of w(e) over D(e).  ``choose[n][m]`` is C(n, m), the
-    coefficient sum of [n choose m]_x, for n up to the largest entry of d,
-    and ``binomials`` the table of packed binomials of the sums.  The query
-    builds ``vectors`` and ``rank``, which every recursion reads, and empty
-    memos and binomial table; each of the other tables is built the first
-    time a recursion reads it: ``below`` by the HN recursion alone,
-    ``square``, ``weight`` and ``choose`` by both sums, and none by
-    ``ss_nonempty`` or ``hn_types``."""
+    coefficient sum of [n choose m]_x, for n up to the largest entry of d."""
 
     def __init__(self, ctx, theta, top):
-        self.ctx, self.top, self.memo = ctx, top, {}
+        self.ctx, self.top = ctx, top
         self.vectors = vectors = [(0,) * len(top), *_below(top)]
         strides, size = [], 1
         for n in reversed(top):
             strides.append(size)
             size *= n + 1
         self.strides = strides[::-1]
-        self.passes, self.resolved = [None] * size, [None] * size
-        self.binomials = _PackedBinomials()
+        self.nonempty, self.passes, self.resolved = ([None] * size for _ in range(3))
         mu = []
         for e in vectors[1:]:
             num, den = sum(map(mul, theta, e)), sum(e)
@@ -507,6 +497,9 @@ class _Query:
         self.slopes = sorted(distinct, key=lambda s: -s[0] * (scale // s[1]))
         position = {s: r for r, s in enumerate(self.slopes)}
         self.rank = [len(self.slopes), *map(position.__getitem__, mu)]
+        self.square = [ctx.euler(e, e) for e in vectors]
+        self.weight = [_weight_exp(ctx, e) for e in vectors]
+        self.choose = [[math.comb(n, m) for m in range(n + 1)] for n in range(max(top) + 1)]
 
     def index(self, e):
         """The place of 0 <= e <= d in ``vectors``."""
@@ -519,41 +512,14 @@ class _Query:
             out = [x + y for x in out for y in range(0, (n + 1) * s, s)]
         return out
 
-    @cached_property
-    def below(self):
-        rank, strides, below = self.rank, self.strides, [0]
-        for i, h in enumerate(self.vectors[1:], 1):  # each h - unit comes first
-            mask = 1 << rank[i]
-            for n, s in zip(h, strides):
-                if n:
-                    mask |= below[i - s]
-            below.append(mask)
-        return below
-
-    @cached_property
-    def square(self):
-        euler = self.ctx.euler
-        return [euler(e, e) for e in self.vectors]
-
-    @cached_property
-    def weight(self):
-        return [_weight_exp(self.ctx, e) for e in self.vectors]
-
-    @cached_property
-    def choose(self):
-        return [[math.comb(n, m) for m in range(n + 1)] for n in range(max(self.top) + 1)]
-
     def bounds(self, i):
         """The ranks r of the bounds b = slopes[r] of L(f) for f = vectors[i],
         ascending, so by descending b: the parts of f of slope >= b are
         those of rank <= r."""
-        # d - f has the index len(vectors) - 1 - i
-        mask = self.below[-1 - i] & ((1 << self.rank[i]) - 1)
-        out = []
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return out
+        rank = self.rank
+        r_f = rank[i]
+        return sorted({r for j in self.indices(len(self.vectors) - 1 - i)
+                       if (r := rank[j]) < r_f})
 
     def parts(self, i):
         """(rank, index) for the parts 0 < e <= f = vectors[i] steeper than
@@ -584,9 +550,9 @@ class _Query:
 #   L(f) = {mu(e) : 0 < e <= d - f, mu(e) > mu(f)},
 # so ``query.passes`` keeps mass_ss(f) and T(f; b) for b in L(f), by the
 # rank of b, under the index of f; a pass reads it directly and runs another
-# pass only on a miss.  The query gives L(f) as the ranks below d - f that
-# are steeper than f, a bitmask read off in ascending rank, and the parts of
-# f as the (rank, index) pairs of the e <= f of rank below that of f, sorted.
+# pass only on a miss.  The query gives L(f) as the distinct ranks of the
+# e <= d - f that are steeper than f, ascending, and the parts of f as the
+# (rank, index) pairs of the e <= f of rank below that of f, sorted.
 # T(f; .) changes only at the slopes of the parts of f: bounds with no part
 # between them cut the pass after the same terms and read one value.  So
 # the pass unpacks each distinct value once and the bounds share its record.
@@ -624,7 +590,7 @@ def _hn(query, i):
         terms += chunk
         cuts.append(len(terms))
         start = end
-    *values, ss = _binomial_sum(query, f, terms, cuts[:-1])
+    *values, ss = _binomial_sum(query, i, terms, cuts[:-1])
     out = passes[i] = ss, dict(zip(bounds, values))
     return out
 
@@ -632,7 +598,7 @@ def _hn(query, i):
 def mass_ss(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the HN recursion, in q."""
     query = _query(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(query.top, _hn(query, query.index(query.top))[0])
+    return _reduced(query.top, _hn(query, len(query.vectors) - 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +626,14 @@ def _resolved(query, i):
                 # w(e) - <e, g - e>
                 terms.append((e, weight[j] + square[j] - sum(map(mul, e, row)),
                               inner, None))
-    out = memo[i] = _binomial_sum(query, g, terms)[0]
+    out = memo[i] = _binomial_sum(query, i, terms)[0]
     return out
 
 
 def mass_ss_closed(quiver: Quiver, theta: Stability, d: DimVector) -> RationalFunc:
     """Stack mass of the semistable locus, from the closed formula, in q."""
     query = _query(quiver, theta, d, "the zero vector has no semistable mass")
-    return _reduced(query.top, _resolved(query, query.index(query.top)))
+    return _reduced(query.top, _resolved(query, len(query.vectors) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +655,7 @@ def _poincare_q(quiver, theta, d):
     """The Poincare polynomial of the stable moduli space in q = v^2:
     (q - 1) mass_ss_closed(d)."""
     query = _query(quiver, theta, d, "the zero vector has no moduli space", coprime=True)
-    return _times_q_minus_one(query.top, _resolved(query, query.index(query.top)))
+    return _times_q_minus_one(query.top, _resolved(query, len(query.vectors) - 1))
 
 
 def poincare(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPoly:
@@ -706,7 +672,7 @@ def betti_via_mass(quiver: Quiver, theta: Stability, d: DimVector) -> LaurentPol
     """(q - 1) times the semistable mass; a polynomial in q equal to the
     Poincare polynomial under v^2 = q when the coprimality hypothesis holds."""
     query = _query(quiver, theta, d, "the zero vector has no moduli space", coprime=True)
-    return _times_q_minus_one(query.top, _hn(query, query.index(query.top))[0])
+    return _times_q_minus_one(query.top, _hn(query, len(query.vectors) - 1)[0])
 
 
 def betti_coefficients(quiver, theta, d, method="closed"):

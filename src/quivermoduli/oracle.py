@@ -452,9 +452,11 @@ def _member_spaces(n, r, q):
 
 
 @lru_cache(maxsize=None)
-def _destab_plan(arrows, tkey, dims, q, strict):
+def _destab_plan(arrows, tkey, dims, q, strict, budget):
     """The rep-independent part of the search for destabilizing subspace
-    tuples: (slots, candidates, tables).
+    tuples: (slots, candidates, tables), once the subspace tuples of
+    F_q^dims are within ``budget``.  Cached with the budget, so that a warm
+    stability test makes one lookup.
 
     ``arrows`` are (source, target) vertex-index pairs, ``tkey`` is theta in
     vertex order.  ``slots`` lists the (arrow, source basis vector) pairs
@@ -471,6 +473,7 @@ def _destab_plan(arrows, tkey, dims, q, strict):
     each table serves several lookups per rep, and each has at most
     ``_TABLE_CAP`` matrices times candidates.
     """
+    _check_subspaces(dims, q, budget)
     value, size = sum(map(mul, tkey, dims)), sum(dims)
     if not size:
         raise InputError("slope of the zero dimension vector is undefined")
@@ -539,7 +542,7 @@ def is_semistable(X: FFRep, theta: Stability, budget=None) -> bool:
     destabilizes are enumerated; the rest cannot violate semistability.
     """
     budget = budget if budget is not None else default_budget("subspace")
-    plan = _plan(X.quiver.arrow_pairs, theta.key(X.quiver), X.dims, X.q, True, budget)
+    plan = _destab_plan(X.quiver.arrow_pairs, theta.key(X.quiver), X.dims, X.q, True, budget)
     return not _destabilized(X.mats, plan, X.q)
 
 
@@ -548,18 +551,8 @@ def is_stable(X: FFRep, theta: Stability, budget=None) -> bool:
     if not any(X.dims):
         return False
     budget = budget if budget is not None else default_budget("subspace")
-    plan = _plan(X.quiver.arrow_pairs, theta.key(X.quiver), X.dims, X.q, False, budget)
+    plan = _destab_plan(X.quiver.arrow_pairs, theta.key(X.quiver), X.dims, X.q, False, budget)
     return not _destabilized(X.mats, plan, X.q)
-
-
-@lru_cache(maxsize=None)
-def _plan(arrows, tkey, dims, q, strict, budget):
-    """The search plan of :func:`_destab_plan` for every rep of dimension
-    ``dims``, once the subspace tuples of F_q^dims are within ``budget``.
-    Cached with the budget, so that a warm stability test makes one lookup;
-    the plan itself is cached without it, so that budgets share its tables."""
-    _check_subspaces(dims, q, budget)
-    return _destab_plan(arrows, tkey, dims, q, strict)
 
 
 def _check_subspaces(dims, q, budget):
@@ -651,7 +644,8 @@ def is_simple_tuple(n, mats, q) -> bool:
     if n == 0:
         return False
     # a rep of one vertex with a loop per matrix, stable at theta = 0
-    plan = _plan(((0, 0),) * len(mats), (0,), (n,), q, False, default_budget("subspace"))
+    plan = _destab_plan(((0, 0),) * len(mats), (0,), (n,), q, False,
+                        default_budget("subspace"))
     return not _destabilized(tuple(mats), plan, q)
 
 
@@ -800,7 +794,7 @@ def _count_undestabilized(quiver, theta, d, q, budget, strict):
     if not strict and not any(dims):
         return 0  # the zero rep, the only one, is not stable
     limit = default_budget("subspace")  # read before theta's key is checked
-    plan = _plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict, limit)
+    plan = _destab_plan(quiver.arrow_pairs, theta.key(quiver), dims, q, strict, limit)
     return sum(weight for weight, X in _slices(quiver, q, dims, shapes)()
                if not _destabilized(X.mats, plan, q))
 

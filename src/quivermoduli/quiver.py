@@ -318,7 +318,7 @@ def _context(quiver):
 
 
 def _memoized(fn):
-    """Memoize fn(ctx, *args) in ctx.memo, for a context or an ``hn`` query."""
+    """Memoize fn(ctx, *args) in ctx.memo, for a context."""
     def wrapper(ctx, *args):
         key = (fn, *args)
         value = ctx.memo.get(key)

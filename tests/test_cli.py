@@ -532,6 +532,25 @@ class TestExitCodes:
         assert doc["required"] == str((10 ** 30 + 1) * 2)
         assert doc["budget"] == str(VECTOR_BUDGET)
 
+    # K3 (50, 70) has 3621 vectors below it, within the vector budget, but
+    # 1326 * 2556 pairs of them, over the pair budget of the generic table
+    @pytest.mark.parametrize("argv", [
+        ["schur", "--dim", '{"i": 50, "j": 70}'],
+        ["decompose", "--dim", '{"i": 50, "j": 70}'],
+        ["ext", "--d", '{"i": 50, "j": 70}', "--e", D11],
+        ["ss-nonempty", "--dim", '{"i": 50, "j": 70}', "--theta", THETA],
+    ], ids=lambda argv: argv[0])
+    def test_too_many_vector_pairs_is_3(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--quiver", K3)
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error_class"] == "budget"
+        assert doc["required"] == "3389256"
+        assert doc["budget"] == str(generic.PAIR_BUDGET)
+
     # mass and the oracle's subspace count walk range(1, n + 1) and n + 1
     # steps at an entry n; they refuse on the total dimension first
     HUGE_TOTAL = json.dumps({"i": 10 ** 30})

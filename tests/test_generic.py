@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import generic
+from quivermoduli.cli import main
 from quivermoduli.errors import InputError
 from quivermoduli.generic import (generic_decomposition, generic_ext,
                                   generic_hom, generic_subrep, schur_test)
@@ -191,6 +192,20 @@ class TestWarmAnswers:
         for _ in range(2):
             with pytest.raises(AssertionError, match="does not sum to"):
                 generic_decomposition(k3, dv(i=2))
+
+    def test_pair_budget_refuses_before_the_table(self, k3, capsys, monkeypatch):
+        # K3 (3, 4) spans 10 * 15 = 150 pairs: with the limit one pair
+        # lower, schur exits 3 and stores nothing; at the limit it answers
+        argv = ["schur", "--quiver", json.dumps(k3.to_json()), "--dim", '{"i": 3, "j": 4}']
+        generic.clear_caches()
+        monkeypatch.setattr(generic, "PAIR_BUDGET", 149)
+        assert main(argv) == 3
+        doc = json.loads(capsys.readouterr().err)
+        assert (doc["required"], doc["budget"]) == ("150", "149")
+        assert memo_entries() == 0
+        monkeypatch.setattr(generic, "PAIR_BUDGET", 150)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {"schur": True}
 
 
 class TestProperties:

@@ -603,7 +603,8 @@ class TestBinomialSum:
         cuts.sort()
         hn.clear_caches()
         ctx = _context(quiver)
-        got = hn._binomial_sum(hn._Query(ctx, (0,) * len(g), g), g, terms, cuts)
+        query = hn._Query(ctx, (0,) * len(g), g)
+        got = hn._binomial_sum(query, len(query.vectors) - 1, terms, cuts)
         assert_sums(got, laurent_sums(ctx, g, terms, cuts))
         ends = cuts + [len(terms)]
         for (a, b), (i, j) in zip(zip(got, got[1:]), zip(ends, ends[1:])):
@@ -623,7 +624,8 @@ class TestBinomialSum:
         cuts = [0, 0, 2, 2, 2, 4]
         hn.clear_caches()
         ctx = _context(k2)
-        got = hn._binomial_sum(hn._Query(ctx, (0, 0), g), g, terms, cuts)
+        query = hn._Query(ctx, (0, 0), g)
+        got = hn._binomial_sum(query, len(query.vectors) - 1, terms, cuts)
         assert_sums(got, laurent_sums(ctx, g, terms, cuts))
         assert got[0] is got[1] and got[1] != got[2]
         assert all(r is got[2] for r in got[2:])
@@ -675,7 +677,7 @@ class TestBinomialSum:
     @pytest.mark.parametrize("method", ["closed", "mass"])
     def test_builds_each_binomial_once_per_query(self, k3, theta_i, method,
                                                 monkeypatch):
-        # K3 (9, 10) from a cold cache: the cache of [n choose m] misses once
+        # K3 (9, 10) from cold caches: the cache of [n choose m] misses once
         # for each (n, min(m, n - m)) asked for, however many digit widths
         # pack it, and the next cold query misses none
         gaussian, asked = hn._gaussian_binomial, set()
@@ -686,6 +688,7 @@ class TestBinomialSum:
 
         monkeypatch.setattr(hn, "_gaussian_binomial", spy)
         gaussian.cache_clear()
+        hn._packed_binomial.cache_clear()
         hn.clear_caches()
         row = betti_coefficients(k3, theta_i, dv(i=9, j=10), method=method)
         assert asked and gaussian.cache_info().misses == len(asked)

@@ -641,8 +641,8 @@ def stability_answers(quiver, reps, thetas):
 
 def plan_of(quiver, t, d, q, strict=True):
     theta = Stability(dict(zip(quiver.vertices, t)))
-    return oracle._plan(quiver.arrow_pairs, theta.key(quiver), d, q, strict,
-                        oracle.default_budget("subspace"))
+    return oracle._destab_plan(quiver.arrow_pairs, theta.key(quiver), d, q, strict,
+                               oracle.default_budget("subspace"))
 
 
 @contextmanager
@@ -650,14 +650,12 @@ def search_plans_only():
     """Plans built inside search their candidates: the cap is 0, and the
     plans cached under the real cap are dropped on the way in and out."""
     cap = oracle._TABLE_CAP
-    oracle._plan.cache_clear()
     oracle._destab_plan.cache_clear()
     oracle._TABLE_CAP = 0
     try:
         yield
     finally:
         oracle._TABLE_CAP = cap
-        oracle._plan.cache_clear()
         oracle._destab_plan.cache_clear()
 
 
@@ -716,7 +714,8 @@ class TestPlanRegimes:
                 if not any(d):
                     continue
                 for t, strict in product(THETAS_2, (True, False)):
-                    key = (quiver.arrow_pairs, t, d, q, strict)
+                    key = (quiver.arrow_pairs, t, d, q, strict,
+                           oracle.default_budget("subspace"))
                     slots, candidates, tables = oracle._destab_plan.__wrapped__(*key)
                     if tables is None:
                         continue
@@ -753,10 +752,10 @@ class TestPlanRegimes:
         assert plan_of(quiver, t, (5, 5), 2) == ((), (), None)
 
 
-    def test_a_warm_test_looks_up_one_plan_that_budgets_share(self, monkeypatch):
+    def test_a_warm_test_looks_up_one_plan(self, monkeypatch):
         monkeypatch.delenv("QI_BUDGET", raising=False)
         caches = [f for f in vars(oracle).values() if hasattr(f, "cache_info")]
-        assert {f.__name__ for f in caches} >= {"_plan", "_destab_plan"}
+        assert "_destab_plan" in {f.__name__ for f in caches}
 
         def lookups():
             return sum(f.cache_info().hits + f.cache_info().misses for f in caches)
@@ -771,18 +770,12 @@ class TestPlanRegimes:
 
         # 6 * 6 subspace tuples: 36 admit the plan, 35 refuse it
         expected = answers(None)
-        built = oracle._destab_plan.cache_info().misses
         assert answers(36) == answers(5000) == expected
         # warm: one lookup per test
         for budget in (None, 36, 5000):
             before = lookups()
             assert answers(budget) == expected
             assert lookups() == before + 2
-        # the budgets share one plan and its tables, built once
-        assert oracle._destab_plan.cache_info().misses == built
-        plans = [oracle._plan(quiver.arrow_pairs, (1, 0), (2, 2), 3, True, budget)
-                 for budget in (36, 5000, oracle.DEFAULT_SUBSPACE_BUDGET)]
-        assert all(plan is plans[0] for plan in plans) and plans[0][2] is not None
         with pytest.raises(BudgetExceeded) as exc:
             is_semistable(X, theta, 35)
         assert str(exc.value) == "36 subspace tuples exceed the budget 35"
